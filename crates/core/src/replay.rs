@@ -333,10 +333,11 @@ pub(crate) fn score_replay(
     }
 }
 
-/// Convenience wrapper: record under `original` and replay under `mode`,
-/// building the topology twice with `factory`.
+/// Convenience wrapper: record under `original` on the topology
+/// `factory` builds, and replay under `mode` on its
+/// [`rewired`](Topology::rewired) copy.
 pub fn replay_experiment(
-    factory: impl Fn() -> Topology,
+    factory: impl FnOnce() -> Topology,
     flows: &[FlowDesc],
     original: SchedKind,
     mode: ReplayMode,
@@ -345,8 +346,8 @@ pub fn replay_experiment(
 ) -> (RecordedSchedule, ReplayReport) {
     let mut orig_topo = factory();
     let schedule = record_original(&mut orig_topo, flows, original, seed, mtu);
+    let mut replay_topo = orig_topo.rewired();
     drop(orig_topo);
-    let mut replay_topo = factory();
     let report = replay_schedule(&mut replay_topo, &schedule, mode);
     (schedule, report)
 }

@@ -99,22 +99,21 @@ impl Default for PoissonConfig {
 
 /// Estimate, for a uniform all-to-all traffic matrix, how many host pairs
 /// route across each link; returns the per-link expected *relative* load
-/// (pair-paths per link). One representative path is resolved per pair
-/// (per-flow ECMP averages out at the calibration fidelity we need).
+/// (pair-paths per link). One representative path is walked per pair
+/// (per-flow ECMP averages out at the calibration fidelity we need),
+/// destination-major like the routing table: the counts are whole
+/// numbers, so addition order cannot change them.
 fn pair_paths_per_link(topo: &Topology) -> Vec<f64> {
     let mut count = vec![0f64; topo.net.links.len()];
     let hosts = &topo.hosts;
-    for (i, &s) in hosts.iter().enumerate() {
-        for (j, &d) in hosts.iter().enumerate() {
+    for (j, &d) in hosts.iter().enumerate() {
+        for (i, &s) in hosts.iter().enumerate() {
             if i == j {
                 continue;
             }
-            let path = topo
-                .routes
-                .resolve_path(s, d, FlowId((i * hosts.len() + j) as u64));
-            for &l in path.links.iter() {
-                count[l.0 as usize] += 1.0;
-            }
+            let flow = FlowId((i * hosts.len() + j) as u64);
+            topo.routes
+                .for_each_hop(s, d, flow, |l| count[l.0 as usize] += 1.0);
         }
     }
     count
@@ -256,6 +255,58 @@ mod tests {
             "calibrated load {:.3} Gbps",
             load / 1e9
         );
+    }
+
+    /// The rate as it was computed before the hop visitor: one
+    /// `resolve_path` per host pair, source-major.
+    fn reference_host_rate(t: &Topology, cfg: &PoissonConfig) -> f64 {
+        let mut paths = vec![0f64; t.net.links.len()];
+        let hosts = &t.hosts;
+        for (i, &s) in hosts.iter().enumerate() {
+            for (j, &d) in hosts.iter().enumerate() {
+                if i == j {
+                    continue;
+                }
+                let flow = FlowId((i * hosts.len() + j) as u64);
+                for &l in t.routes.resolve_path(s, d, flow).links.iter() {
+                    paths[l.0 as usize] += 1.0;
+                }
+            }
+        }
+        let h = hosts.len() as f64;
+        let mean_bytes = cfg.sizes.mean_pkts() * cfg.pkt_bytes as f64;
+        let mut worst = 0f64;
+        for &l in &t.core_links {
+            let per_lambda = paths[l.0 as usize] / (h - 1.0) * mean_bytes * 8.0;
+            worst = worst.max(per_lambda / t.net.links[l.0 as usize].bw.as_bps() as f64);
+        }
+        cfg.utilization / worst
+    }
+
+    #[test]
+    fn calibration_is_bit_identical_to_the_resolve_path_reference() {
+        use ups_topo::{fattree, internet2, rocketfuel};
+        let k4 = fattree::build(&fattree::FatTreeConfig::for_k(4), TraceLevel::Off);
+        // The fat-tree is the case with real ECMP sets on host routes:
+        // an edge switch has two aggregation uplinks toward another pod.
+        let (a, b) = (k4.hosts[0], *k4.hosts.last().unwrap());
+        let uplink = k4.routes.resolve_path(a, b, FlowId(0)).links[0];
+        let edge_switch = k4.net.links[uplink.0 as usize].to;
+        assert!(k4.routes.ecmp_width(edge_switch, b) > 1);
+        let topos = [
+            k4,
+            internet2::default_topology(TraceLevel::Off),
+            rocketfuel::build(&rocketfuel::RocketFuelConfig::default(), TraceLevel::Off),
+        ];
+        for t in &topos {
+            let cfg = PoissonConfig::default();
+            assert_eq!(
+                calibrate_host_rate(t, &cfg).to_bits(),
+                reference_host_rate(t, &cfg).to_bits(),
+                "{}",
+                t.name
+            );
+        }
     }
 
     #[test]

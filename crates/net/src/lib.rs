@@ -27,7 +27,7 @@ pub use chaos::{ChaosPolicy, ChaosTotals, JamSpec};
 pub use fifo::Fifo;
 pub use link::{Link, LinkStats, PortActions};
 pub use network::{App, LinkPolicy, Network};
-pub use node::{NextHop, Node, NodeKind};
+pub use node::{Node, NodeKind};
 pub use packet::{FlowId, LinkId, NodeId, Packet, PacketId, PacketKind, Path, SchedHeader};
 pub use routing::RoutingTable;
 pub use scheduler::{EvictOutcome, Queued, Scheduler};

@@ -48,7 +48,7 @@
 
 use crate::chaos::{self, ChaosPhase, ChaosPolicy, ChaosTotals};
 use crate::link::Link;
-use crate::node::{NextHop, Node, NodeKind};
+use crate::node::{Node, NodeKind};
 use crate::packet::{FlowId, LinkId, NodeId, Packet, PacketId, PacketKind, Path, SchedHeader};
 use crate::routing::RoutingTable;
 use crate::scheduler::Scheduler;
@@ -191,7 +191,7 @@ pub struct Network {
     /// batch (see the module docs).
     napps: usize,
     next_pkt_id: u64,
-    /// Frozen forwarding state; `Some` once `compute_routes` has run.
+    /// Forwarding state; `Some` once `compute_routes` has run.
     routing: Option<Arc<RoutingTable>>,
     /// Every link so far has finite bandwidth and positive propagation
     /// delay — the precondition for starting a queued transmission inline
@@ -399,10 +399,10 @@ impl Network {
     // Routing
     // ------------------------------------------------------------------
 
-    /// Compute shortest-path next-hop tables for every (node, destination)
-    /// pair and freeze them into a [`RoutingTable`]. Link cost =
-    /// propagation delay + transmission time of a 1500-byte packet;
-    /// equal-cost next hops form a deterministic ECMP set.
+    /// Compute shortest-path next hops for every (node, destination)
+    /// pair, straight into a [`RoutingTable`]. Link cost = propagation
+    /// delay + transmission time of a 1500-byte packet; equal-cost next
+    /// hops form a deterministic ECMP set.
     ///
     /// The returned handle is the injection API's proof that routes
     /// exist: [`Network::inject`] takes `&RoutingTable`, so injecting
@@ -411,79 +411,29 @@ impl Network {
     /// resolve paths at run time.
     #[must_use = "injection consumes the routing handle"]
     pub fn compute_routes(&mut self) -> Arc<RoutingTable> {
-        let n = self.nodes.len();
-        // in_links[v] = links arriving at v (for the reverse Dijkstra).
-        let mut in_links: Vec<Vec<LinkId>> = vec![Vec::new(); n];
-        for l in &self.links {
-            in_links[l.to.0 as usize].push(l.id);
-        }
-        for node in &mut self.nodes {
-            node.routes = vec![NextHop::None; n];
-        }
-
-        // Per-link cost, computed once: `tx_time` is a 128-bit division,
-        // and the relaxation loops below would otherwise repeat it for
-        // every (destination, edge) pair — the dominant cost of routing
-        // a few-hundred-node topology.
-        let cost: Vec<u64> = self
-            .links
-            .iter()
-            .map(|l| (l.prop + l.bw.tx_time(1500)).as_ps())
-            .collect();
-
-        // One reverse-Dijkstra per destination. The scratch vectors are
-        // reused across destinations so the whole pass allocates only
-        // for the ECMP sets it actually stores.
-        let mut dist: Vec<u64> = Vec::new();
-        let mut heap = std::collections::BinaryHeap::new();
-        let mut best: Vec<LinkId> = Vec::new();
-        for dest in 0..n {
-            dist.clear();
-            dist.resize(n, u64::MAX);
-            dist[dest] = 0;
-            heap.clear();
-            heap.push(std::cmp::Reverse((0u64, dest as u32)));
-            while let Some(std::cmp::Reverse((d, v))) = heap.pop() {
-                if d > dist[v as usize] {
-                    continue;
-                }
-                for &lid in &in_links[v as usize] {
-                    let l = &self.links[lid.0 as usize];
-                    let u = l.from.0 as usize;
-                    let nd = d + cost[lid.0 as usize];
-                    if nd < dist[u] {
-                        dist[u] = nd;
-                        heap.push(std::cmp::Reverse((nd, u as u32)));
-                    }
-                }
-            }
-            // Collect, per node, all outgoing links on a shortest path.
-            for u in 0..n {
-                if u == dest || dist[u] == u64::MAX {
-                    continue;
-                }
-                best.clear();
-                for &lid in &self.nodes[u].out_links {
-                    let l = &self.links[lid.0 as usize];
-                    if dist[l.to.0 as usize] != u64::MAX
-                        && cost[lid.0 as usize] + dist[l.to.0 as usize] == dist[u]
-                    {
-                        best.push(lid);
-                    }
-                }
-                self.nodes[u].routes[dest] = match best.len() {
-                    0 => NextHop::None,
-                    1 => NextHop::One(best[0]),
-                    _ => NextHop::Ecmp(best.as_slice().into()),
-                };
-            }
-        }
-        let table = Arc::new(RoutingTable::freeze(self));
+        let table = Arc::new(RoutingTable::shortest_paths(self.nodes.len(), &self.links));
         self.routing = Some(Arc::clone(&table));
         table
     }
 
-    /// The frozen routing table. Panics if [`Network::compute_routes`]
+    /// A fresh network over the same nodes and links: new event queue,
+    /// packet arena and telemetry (same [`TraceLevel`]), every port at
+    /// its construction default (FIFO, unbounded, non-preemptive, no
+    /// chaos, zeroed stats), no applications — and the same routing
+    /// table, shared. Equal to wiring the network a second time.
+    pub fn rewired(&self) -> Network {
+        let mut net = Network::new(self.telemetry.level);
+        for node in &self.nodes {
+            net.add_node(node.name.clone(), node.kind);
+        }
+        for l in &self.links {
+            net.add_link(l.from, l.to, l.bw, l.prop);
+        }
+        net.routing = self.routing.clone();
+        net
+    }
+
+    /// The routing table. Panics if [`Network::compute_routes`]
     /// has not run (or the topology changed since): run-time path
     /// resolution (e.g. a transport opening a reverse path) goes through
     /// this accessor.

@@ -1,13 +1,12 @@
-//! Nodes (hosts and routers) and their static routing state.
+//! Nodes (hosts and routers).
 //!
-//! Routing is computed once at build time ([`crate::network::Network::compute_routes`])
-//! and then frozen: the paper's model takes `path(p)` as part of the input,
-//! so packets are source-routed along paths resolved from these tables at
-//! injection time. Equal-cost multipath is resolved per-flow by a
-//! deterministic hash, which keeps a flow on one path (and keeps original
-//! and replay runs on identical paths).
+//! A node is a name, a kind and its output ports. Routing state lives
+//! in the network-wide [`crate::RoutingTable`]
+//! ([`crate::network::Network::compute_routes`]): the paper's model
+//! takes `path(p)` as part of the input, so packets are source-routed
+//! along paths resolved from that table at injection time.
 
-use crate::packet::{FlowId, LinkId, NodeId};
+use crate::packet::{LinkId, NodeId};
 
 /// Whether a node sources/sinks traffic or only forwards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,46 +15,6 @@ pub enum NodeKind {
     Host,
     /// Store-and-forward router.
     Router,
-}
-
-/// Next-hop choice toward one destination.
-#[derive(Debug, Clone, Default)]
-pub enum NextHop {
-    /// Destination unreachable (or is this node itself).
-    #[default]
-    None,
-    /// Single shortest path.
-    One(LinkId),
-    /// Equal-cost set; a flow hash picks one member.
-    Ecmp(Box<[LinkId]>),
-}
-
-impl NextHop {
-    /// Resolve the next link for `flow`, deterministically.
-    pub fn pick(&self, flow: FlowId) -> Option<LinkId> {
-        match self {
-            NextHop::None => None,
-            NextHop::One(l) => Some(*l),
-            NextHop::Ecmp(ls) => {
-                // SplitMix-style avalanche of the flow id: consecutive flow
-                // ids must spread across the ECMP set.
-                let mut z = flow.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^= z >> 31;
-                Some(ls[(z % ls.len() as u64) as usize])
-            }
-        }
-    }
-
-    /// Number of equal-cost choices (0 if unreachable).
-    pub fn width(&self) -> usize {
-        match self {
-            NextHop::None => 0,
-            NextHop::One(_) => 1,
-            NextHop::Ecmp(ls) => ls.len(),
-        }
-    }
 }
 
 /// A network node.
@@ -69,52 +28,21 @@ pub struct Node {
     pub kind: NodeKind,
     /// Outgoing links, in creation order.
     pub out_links: Vec<LinkId>,
-    /// Next-hop table indexed by destination `NodeId`.
-    pub routes: Vec<NextHop>,
 }
 
 impl Node {
-    /// Create a node with empty routing state.
+    /// Create a node with no links.
     pub fn new(id: NodeId, name: String, kind: NodeKind) -> Node {
         Node {
             id,
             name,
             kind,
             out_links: Vec::new(),
-            routes: Vec::new(),
         }
     }
 
     /// True if this node is an end host.
     pub fn is_host(&self) -> bool {
         self.kind == NodeKind::Host
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ecmp_pick_is_deterministic_and_spreads() {
-        let hop = NextHop::Ecmp(vec![LinkId(0), LinkId(1), LinkId(2), LinkId(3)].into());
-        let mut counts = [0u32; 4];
-        for f in 0..4000 {
-            let a = hop.pick(FlowId(f)).unwrap();
-            let b = hop.pick(FlowId(f)).unwrap();
-            assert_eq!(a, b, "same flow must always take the same link");
-            counts[a.0 as usize] += 1;
-        }
-        for c in counts {
-            assert!(c > 700, "skewed ECMP spread: {counts:?}");
-        }
-    }
-
-    #[test]
-    fn none_and_one_behave() {
-        assert_eq!(NextHop::None.pick(FlowId(1)), None);
-        assert_eq!(NextHop::One(LinkId(7)).pick(FlowId(1)), Some(LinkId(7)));
-        assert_eq!(NextHop::None.width(), 0);
-        assert_eq!(NextHop::One(LinkId(7)).width(), 1);
     }
 }

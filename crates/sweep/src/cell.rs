@@ -100,9 +100,10 @@ pub struct DistMetrics {
 
 /// The record-and-replay pipeline shared by the sweep engine and
 /// `ups-bench`'s `run_replay`: record `coord.sched`'s schedule on a
-/// fresh topology (default web workload, 1500-byte MTU), rebuild, and
-/// replay under `mode`. Pure in its arguments — same inputs, same
-/// outputs — which is what lets the pool run cells in any order.
+/// fresh topology (default web workload, 1500-byte MTU), take its
+/// `rewired()` copy, and replay on that under `mode`. Pure in its
+/// arguments — same inputs, same outputs — which is what lets the pool
+/// run cells in any order.
 pub fn record_and_replay(
     coord: &CellCoord,
     sim: &SimScale,
@@ -163,11 +164,11 @@ pub fn record_and_replay_observed(
     let flows = workload.build(&orig_topo, coord.util, sim.horizon, seed);
     let schedule = record_original(&mut orig_topo, &flows, coord.sched, seed, 1500);
     let series = orig_topo.net.take_series();
-    drop(orig_topo);
     // The record leg always runs clean — chaos perturbs the *replay*
     // only, so the degradation curve measures how the recorded schedule
     // survives an unreliable network, not a different schedule.
-    let mut replay_topo = coord.topo.build(sim);
+    let mut replay_topo = orig_topo.rewired();
+    drop(orig_topo);
     let (report, chaos) = match coord.chaos.to_policy() {
         None => (replay_schedule(&mut replay_topo, &schedule, mode), None),
         Some(policy) => {
@@ -301,7 +302,7 @@ impl CellPipeline {
 
 /// The deadline pipeline's observed replicate: record EDF on virtual
 /// deadlines (clean — chaos perturbs the replay leg only, like the
-/// classic pipeline), rebuild, replay under the candidate named by
+/// classic pipeline), rewire, replay under the candidate named by
 /// `coord.sched`, and reduce the replay's delivery telemetry to
 /// per-flow deadline outcomes.
 pub fn record_and_replay_deadline_observed(
@@ -320,8 +321,8 @@ pub fn record_and_replay_deadline_observed(
     let flows = workload.build(&orig_topo, coord.util, sim.horizon, seed);
     let ds = record_deadline_original(&mut orig_topo, &flows, 1500);
     let series = orig_topo.net.take_series();
+    let mut replay_topo = orig_topo.rewired();
     drop(orig_topo);
-    let mut replay_topo = coord.topo.build(sim);
     let (report, chaos) = match coord.chaos.to_policy() {
         None => (replay_deadline(&mut replay_topo, &ds, mode), None),
         Some(policy) => {

@@ -55,7 +55,7 @@ pub enum LinkTier {
 pub struct Topology {
     /// The wired network with routes computed (schedulers still FIFO).
     pub net: Network,
-    /// The frozen routing table from the builder's `compute_routes()` —
+    /// The routing table from the builder's `compute_routes()` —
     /// injection and workload calibration resolve paths through this.
     pub routes: Arc<RoutingTable>,
     /// Human-readable name, e.g. `"I2:1Gbps-10Gbps"`.
@@ -71,6 +71,21 @@ pub struct Topology {
 }
 
 impl Topology {
+    /// The same topology on a fresh network ([`Network::rewired`]):
+    /// equal to a second run of the builder without its routing pass.
+    /// A replay leg takes this from the topology its record leg used.
+    pub fn rewired(&self) -> Topology {
+        Topology {
+            net: self.net.rewired(),
+            routes: Arc::clone(&self.routes),
+            name: self.name.clone(),
+            hosts: self.hosts.clone(),
+            core_links: self.core_links.clone(),
+            access_links: self.access_links.clone(),
+            host_links: self.host_links.clone(),
+        }
+    }
+
     /// The slowest core-link bandwidth — the paper's bottleneck, whose
     /// single-MTU transmission time is the overdue threshold `T`.
     pub fn bottleneck_core_bw(&self) -> Bandwidth {

@@ -2,9 +2,10 @@
 //!
 //! Three contracts from the hot-path redesign, checked end-to-end:
 //!
-//! * the frozen [`RoutingTable`] resolves byte-identical paths to the
-//!   legacy per-hop [`NextHop::pick`] walk, on random connected
-//!   topologies and random flow ids;
+//! * the [`RoutingTable`] holds, for every `(node, destination)` of a
+//!   random topology, exactly the out-links that Bellman–Ford distances
+//!   computed here put on a shortest path, in creation order, and a
+//!   flow takes member `hash % width` at every hop;
 //! * batched same-instant drain produces bit-identical telemetry to the
 //!   single-event reference mode (`set_batched_drain(false)`);
 //! * a deadline-tagged flow ([`FlowDesc::deadline`]) is served ahead of
@@ -65,21 +66,46 @@ fn random_connected(n: u32, extra: u32, seed: u64) -> Network {
     net
 }
 
-/// The pre-freeze reference: walk the per-node `NextHop` tables hop by
-/// hop, re-picking the ECMP member at every node as the old forwarding
-/// path did.
-fn legacy_walk(net: &Network, src: NodeId, dst: NodeId, flow: FlowId) -> Vec<u32> {
-    let mut links = Vec::new();
-    let mut at = src;
-    while at != dst {
-        let hop = net.nodes[at.0 as usize].routes[dst.0 as usize]
-            .pick(flow)
-            .unwrap_or_else(|| panic!("no route {at:?} -> {dst:?}"));
-        links.push(hop.0);
-        at = net.links[hop.0 as usize].to;
-        assert!(links.len() <= 64, "routing loop");
+/// Routing cost of a link, from first principles: propagation delay
+/// plus 1500 bytes at the link rate, in picoseconds (exact for the
+/// rates [`random_connected`] draws).
+fn link_cost_ps(net: &Network, link: u32) -> u64 {
+    let l = &net.links[link as usize];
+    l.prop.as_ps() + 1500 * 8 * 1_000_000_000_000 / l.bw.as_bps()
+}
+
+/// Bellman–Ford distances to `dest` over the network's links
+/// (`u64::MAX` = cannot reach it).
+fn distances_to(net: &Network, dest: NodeId) -> Vec<u64> {
+    let mut dist = vec![u64::MAX; net.nodes.len()];
+    dist[dest.0 as usize] = 0;
+    for _ in 0..net.nodes.len() {
+        for l in &net.links {
+            let (u, v) = (l.from.0 as usize, l.to.0 as usize);
+            if dist[v] != u64::MAX {
+                dist[u] = dist[u].min(dist[v] + link_cost_ps(net, l.id.0));
+            }
+        }
     }
-    links
+    dist
+}
+
+/// What the table must hold for `(node, dest)`: the node's out-links
+/// that continue a shortest path, in creation order.
+fn shortest_out_links(net: &Network, dist: &[u64], node: NodeId, dest: NodeId) -> Vec<u32> {
+    let here = dist[node.0 as usize];
+    if node == dest || here == u64::MAX {
+        return Vec::new();
+    }
+    net.nodes[node.0 as usize]
+        .out_links
+        .iter()
+        .map(|l| l.0)
+        .filter(|&l| {
+            let next = dist[net.links[l as usize].to.0 as usize];
+            next != u64::MAX && link_cost_ps(net, l) + next == here
+        })
+        .collect()
 }
 
 /// Run the dumbbell contention workload and return its telemetry as
@@ -156,31 +182,73 @@ fn dumbbell_flows(specs: &[(u64, u64, u64)]) -> Vec<FlowDesc> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// The frozen flat table and the legacy per-hop pick walk resolve the
-    /// same links, bandwidths, and delays for every (src, dst, flow).
+    /// The table agrees with Bellman–Ford on every `(node, dest)` pair:
+    /// same equal-cost set, same member per hash; and `resolve_path`
+    /// and `for_each_hop` walk those picks from source to destination.
     #[test]
-    fn routing_table_matches_legacy_walk(
+    fn routing_table_matches_bellman_ford_oracle(
         n in 3u32..12,
         extra in 0u32..12,
         seed in 0u64..u64::MAX,
         flows in prop::collection::vec(0u64..u64::MAX, 1..16),
     ) {
         let mut net = random_connected(n, extra, seed);
+        if seed % 2 == 1 {
+            net.add_router("island"); // unreachable both ways
+        }
         let table: Arc<RoutingTable> = net.compute_routes();
-        for &f in &flows {
-            let src = NodeId((f % n as u64) as u32);
-            let dst = NodeId((f / 7 % n as u64) as u32);
-            if src == dst {
-                continue;
+        // The flow hash is the SplitMix64 step of the flow id.
+        let hashes: Vec<u64> = flows
+            .iter()
+            .map(|&f| {
+                let mut state = f;
+                mix(&mut state)
+            })
+            .collect();
+        for (&f, &h) in flows.iter().zip(&hashes) {
+            prop_assert_eq!(RoutingTable::flow_hash(FlowId(f)), h);
+        }
+        let nodes = net.nodes.len() as u32;
+        for dest in (0..nodes).map(NodeId) {
+            let dist = distances_to(&net, dest);
+            for node in (0..nodes).map(NodeId) {
+                let want = shortest_out_links(&net, &dist, node, dest);
+                prop_assert_eq!(table.ecmp_width(node, dest), want.len());
+                for &h in hashes.iter().chain(&[0, 1, 2, 3, u64::MAX]) {
+                    let pick = want.get((h % want.len().max(1) as u64) as usize);
+                    prop_assert_eq!(
+                        table.next_hop(node, dest, h).map(|l| l.0),
+                        pick.copied(),
+                        "{:?} -> {:?} hash {}", node, dest, h
+                    );
+                }
             }
-            let path = table.resolve_path(src, dst, FlowId(f));
-            let want = legacy_walk(&net, src, dst, FlowId(f));
-            let got: Vec<u32> = path.links.iter().map(|l| l.0).collect();
-            prop_assert_eq!(&got, &want, "paths diverge for flow {}", f);
-            for (k, &lid) in path.links.iter().enumerate() {
-                let l = &net.links[lid.0 as usize];
-                prop_assert_eq!(path.bw[k], l.bw);
-                prop_assert_eq!(path.prop[k], l.prop);
+            for (&f, &h) in flows.iter().zip(&hashes) {
+                let src = NodeId((f % n as u64) as u32);
+                if src == dest || dist[src.0 as usize] == u64::MAX {
+                    continue;
+                }
+                // The oracle's own walk of the picks.
+                let (mut at, mut want, mut cost) = (src, Vec::new(), 0);
+                while at != dest {
+                    let set = shortest_out_links(&net, &dist, at, dest);
+                    let l = set[(h % set.len() as u64) as usize];
+                    want.push(l);
+                    cost += link_cost_ps(&net, l);
+                    at = net.links[l as usize].to;
+                }
+                prop_assert_eq!(cost, dist[src.0 as usize], "not a shortest path");
+                let path = table.resolve_path(src, dest, FlowId(f));
+                let got: Vec<u32> = path.links.iter().map(|l| l.0).collect();
+                prop_assert_eq!(&got, &want, "paths diverge for flow {}", f);
+                let mut visited = Vec::new();
+                table.for_each_hop(src, dest, FlowId(f), |l| visited.push(l.0));
+                prop_assert_eq!(&visited, &want, "visitor diverges for flow {}", f);
+                for (k, &lid) in path.links.iter().enumerate() {
+                    let l = &net.links[lid.0 as usize];
+                    prop_assert_eq!(path.bw[k], l.bw);
+                    prop_assert_eq!(path.prop[k], l.prop);
+                }
             }
         }
     }
