@@ -29,15 +29,14 @@
 //! this module hand-builds its headers.)
 
 use crate::replay::{score_replay, ReplayMode, ReplayReport};
-use crate::schedule::RecordedSchedule;
+use crate::schedule::{RecordedSchedule, ScheduleSource};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use ups_metrics::{DeadlineLedger, DeadlineStats};
-use ups_net::{LinkPolicy, PacketKind, SchedHeader, Telemetry, TraceLevel};
+use ups_net::{LinkPolicy, SchedHeader, Telemetry, TraceLevel};
 use ups_sched::{edf, lstf_with, priority, LstfKeyMode, SchedKind};
 use ups_sim::{Dur, Time};
 use ups_topo::Topology;
-use ups_transport::FlowDesc;
+use ups_transport::{FlowDesc, PacedFlows};
 
 /// Virtual-deadline budget for packets of flows that carry no real
 /// deadline: `D = i + tmin + BEST_EFFORT_BUDGET`. Far above any budget
@@ -150,37 +149,17 @@ pub fn record_deadline_original(
     );
     topo.net
         .configure_links(|_| LinkPolicy::keep().buffer(None).scheduler(Box::new(edf())));
-    let routes = Arc::clone(&topo.routes);
-    let mut tags = Vec::new();
-    for f in flows {
-        let path = routes.resolve_path(f.src, f.dst, f.id);
-        let pace = path.bw[0].tx_time(mtu);
-        let tmin = path.tmin(mtu);
-        for seq in 0..f.pkts {
-            let at = f.start + pace * seq;
-            let tag = virtual_deadline(f, at, tmin);
-            let hdr = SchedHeader {
-                slack: tag.d_abs.signed_since(at) - tmin.as_i64(),
-                prio: tag.d_abs.as_ps() as i64,
-                hop_times: None,
-            };
-            topo.net.inject_on_path(
-                at,
-                f.id,
-                seq,
-                mtu,
-                f.src,
-                f.dst,
-                Arc::clone(&path),
-                hdr,
-                PacketKind::Data {
-                    bytes: mtu.saturating_sub(40),
-                },
-            );
-            tags.push(tag);
+    let mut source = PacedFlows::new(&topo.routes, flows, mtu, |f, _seq, at, tmin| {
+        let tag = virtual_deadline(f, at, tmin);
+        SchedHeader {
+            slack: tag.d_abs.signed_since(at) - tmin.as_i64(),
+            prio: tag.d_abs.as_ps() as i64,
+            hop_times: None,
         }
-    }
-    topo.net.run_to_completion();
+    });
+    let mut tags = Vec::new();
+    source.for_each_packet(|f, _seq, at, tmin| tags.push(virtual_deadline(f, at, tmin)));
+    topo.net.run_source(&mut source);
     let schedule = RecordedSchedule::from_telemetry(&topo.net.telemetry);
     assert_eq!(
         schedule.packets.len(),
@@ -236,8 +215,9 @@ fn replay_deadline_impl(
         }
     });
 
-    for (rec, tag) in ds.schedule.packets.iter().zip(&ds.tags) {
-        let hdr = match mode {
+    let mut source = ScheduleSource::new(&ds.schedule, |k, rec| {
+        let tag = &ds.tags[k];
+        match mode {
             DeadlineMode::Edf => SchedHeader {
                 slack: 0,
                 prio: tag.d_abs.as_ps() as i64,
@@ -255,22 +235,9 @@ fn replay_deadline_impl(
                 prio: if tag.tagged { 0 } else { 7 },
                 hop_times: None,
             },
-        };
-        topo.net.inject_on_path(
-            rec.i,
-            rec.flow,
-            rec.seq,
-            rec.size,
-            rec.src,
-            rec.dst,
-            Arc::clone(&rec.path),
-            hdr,
-            PacketKind::Data {
-                bytes: rec.size.saturating_sub(40),
-            },
-        );
-    }
-    topo.net.run_to_completion();
+        }
+    });
+    topo.net.run_source(&mut source);
 
     let tel = &topo.net.telemetry;
     if !allow_loss {

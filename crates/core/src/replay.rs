@@ -14,9 +14,9 @@
 //! (Appendix B).
 
 use crate::omniscient::omniscient;
-use crate::schedule::RecordedSchedule;
+use crate::schedule::{RecordedSchedule, ScheduleSource};
 use std::sync::Arc;
-use ups_net::{LinkPolicy, PacketKind, SchedHeader, Telemetry, TraceLevel};
+use ups_net::{LinkPolicy, SchedHeader, Telemetry, TraceLevel};
 use ups_sched::{edf, lstf_with, priority, LstfKeyMode, SchedKind};
 use ups_sim::Dur;
 use ups_topo::Topology;
@@ -232,40 +232,25 @@ fn replay_schedule_impl(
         }
     });
 
-    // Inject the identical input with mode-specific headers.
-    for rec in &schedule.packets {
-        let hdr = match mode {
-            ReplayMode::Lstf { .. } => SchedHeader {
-                slack: rec.slack(),
-                prio: 0,
-                hop_times: None,
-            },
-            ReplayMode::Priority | ReplayMode::Edf => SchedHeader {
-                slack: 0,
-                prio: rec.o.as_ps() as i64,
-                hop_times: None,
-            },
-            ReplayMode::Omniscient => SchedHeader {
-                slack: 0,
-                prio: 0,
-                hop_times: Some(Arc::from(rec.hop_tx_start.clone())),
-            },
-        };
-        topo.net.inject_on_path(
-            rec.i,
-            rec.flow,
-            rec.seq,
-            rec.size,
-            rec.src,
-            rec.dst,
-            Arc::clone(&rec.path),
-            hdr,
-            PacketKind::Data {
-                bytes: rec.size.saturating_sub(40),
-            },
-        );
-    }
-    topo.net.run_to_completion();
+    // The identical input, with mode-specific headers.
+    let mut source = ScheduleSource::new(schedule, |_, rec| match mode {
+        ReplayMode::Lstf { .. } => SchedHeader {
+            slack: rec.slack(),
+            prio: 0,
+            hop_times: None,
+        },
+        ReplayMode::Priority | ReplayMode::Edf => SchedHeader {
+            slack: 0,
+            prio: rec.o.as_ps() as i64,
+            hop_times: None,
+        },
+        ReplayMode::Omniscient => SchedHeader {
+            slack: 0,
+            prio: 0,
+            hop_times: Some(Arc::from(rec.hop_tx_start.clone())),
+        },
+    });
+    topo.net.run_source(&mut source);
 
     let tel = &topo.net.telemetry;
     if !allow_loss {
@@ -282,8 +267,8 @@ fn replay_schedule_impl(
 }
 
 /// Score a completed replay run against the recorded schedule: replay
-/// packet ids are assigned in injection order, which is exactly the
-/// recorded order (telemetry keeps one dense record per injection even
+/// packet ids follow the source's registration order, which is exactly
+/// the recorded order (telemetry keeps one dense record per packet even
 /// for packets that are later dropped). Shared by the `o(p)`-target
 /// replays above and the deadline-objective replays
 /// ([`crate::deadline`]), which build their own headers but score the

@@ -8,7 +8,9 @@
 //! Figure 1's delay-ratio CDF).
 
 use std::sync::Arc;
-use ups_net::{FlowId, NodeId, Path, Telemetry};
+use ups_net::{
+    FlowId, InjectSource, Injection, NodeId, PacketKind, PacketRecord, Path, SchedHeader, Telemetry,
+};
 use ups_sim::{Dur, Time};
 
 /// One packet of a recorded schedule.
@@ -156,10 +158,107 @@ impl RecordedSchedule {
     }
 }
 
+/// A recorded schedule as replay input: the identical packets, ingress
+/// times `i(p)` and paths, with headers from `header(k, packet k)`,
+/// called when packet `k` is sent. Source order is recorded order, so
+/// a replay's `telemetry.packets` lines up with the schedule.
+///
+/// Borrows the schedule for the length of the run
+/// ([`Network::run_source`](ups_net::Network::run_source)); its own
+/// state is the send order, four bytes per packet.
+pub(crate) struct ScheduleSource<'a, H> {
+    packets: &'a [RecordedPacket],
+    /// Packet indices sorted by `(i(p), index)`.
+    order: Vec<u32>,
+    /// Position in `order` of the next packet to send.
+    next: usize,
+    header: H,
+}
+
+impl<'a, H> ScheduleSource<'a, H>
+where
+    H: FnMut(usize, &RecordedPacket) -> SchedHeader,
+{
+    pub(crate) fn new(schedule: &'a RecordedSchedule, header: H) -> Self {
+        let packets = &schedule.packets[..];
+        let n = u32::try_from(packets.len()).expect("schedule of more than u32::MAX packets");
+        let mut order: Vec<u32> = (0..n).collect();
+        // Stable: recorded order breaks ties. Recorded order is a
+        // concatenation of per-flow ascending runs, which the merge
+        // sort exploits.
+        order.sort_by_key(|&k| packets[k as usize].i);
+        ScheduleSource {
+            packets,
+            order,
+            next: 0,
+            header,
+        }
+    }
+}
+
+impl<H> std::fmt::Debug for ScheduleSource<'_, H> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScheduleSource")
+            .field("packets", &self.packets.len())
+            .field("next", &self.next)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<H> InjectSource for ScheduleSource<'_, H>
+where
+    H: FnMut(usize, &RecordedPacket) -> SchedHeader,
+{
+    fn packets(&self) -> u64 {
+        self.packets.len() as u64
+    }
+
+    fn records(&self, out: &mut Vec<PacketRecord>) {
+        out.extend(self.packets.iter().map(|p| {
+            PacketRecord::pending(
+                p.flow,
+                p.seq,
+                p.size,
+                p.src,
+                p.dst,
+                p.i,
+                Arc::clone(&p.path),
+            )
+        }));
+    }
+
+    fn next_at(&self) -> Option<Time> {
+        let &k = self.order.get(self.next)?;
+        Some(self.packets[k as usize].i)
+    }
+
+    fn pull_due(&mut self, now: Time) -> Option<Injection> {
+        let k = *self.order.get(self.next)? as usize;
+        let p = &self.packets[k];
+        if p.i != now {
+            return None;
+        }
+        self.next += 1;
+        Some(Injection {
+            index: k as u64,
+            flow: p.flow,
+            seq: p.seq,
+            size: p.size,
+            src: p.src,
+            dst: p.dst,
+            path: Arc::clone(&p.path),
+            hdr: (self.header)(k, p),
+            kind: PacketKind::Data {
+                bytes: p.size.saturating_sub(40),
+            },
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ups_net::{PacketKind, SchedHeader, TraceLevel};
+    use ups_net::TraceLevel;
     use ups_sim::Bandwidth;
     use ups_topo::simple::line;
 

@@ -18,9 +18,8 @@
 
 use super::{realize, PacketPlan, UnitNet, EPS, UNIT};
 use crate::replay::{replay_schedule, ReplayMode, ReplayReport};
-use crate::schedule::RecordedSchedule;
-use std::sync::Arc;
-use ups_net::{FlowId, PacketKind, SchedHeader};
+use crate::schedule::{RecordedSchedule, ScheduleSource};
+use ups_net::{FlowId, SchedHeader};
 use ups_sched::priority;
 
 /// Build the Figure 6 network and schedule.
@@ -65,24 +64,12 @@ pub fn priority_replay(prios: [i64; 3]) -> ReplayReport {
             .buffer(None)
             .scheduler(Box::new(priority()))
     });
-    for (k, rec) in sched.packets.iter().enumerate() {
-        topo.net.inject_on_path(
-            rec.i,
-            rec.flow,
-            rec.seq,
-            rec.size,
-            rec.src,
-            rec.dst,
-            Arc::clone(&rec.path),
-            SchedHeader {
-                slack: 0,
-                prio: prios[k],
-                hop_times: None,
-            },
-            PacketKind::Data { bytes: 1460 },
-        );
-    }
-    topo.net.run_to_completion();
+    let mut source = ScheduleSource::new(&sched, |k, _| SchedHeader {
+        slack: 0,
+        prio: prios[k],
+        hop_times: None,
+    });
+    topo.net.run_source(&mut source);
     let tel = &topo.net.telemetry;
     let mut lateness = Vec::new();
     let mut overdue = 0;

@@ -40,9 +40,12 @@ pub fn run(files: &[SourceFile], root: &Path, report: &mut Report) {
 /// before any data-plane event, and telemetry observation pops last so
 /// it can never reorder the data plane. This rule parses the `mod
 /// class` constants in network.rs and enforces: `CHAOS` is the strict
-/// minimum, `OBSERVE` the strict maximum, values are unique, every
-/// `class::X` use resolves to a declared constant, and no declared
-/// constant is dead.
+/// minimum, `OBSERVE` the strict maximum, `INJECT` pops directly before
+/// `ARRIVE` (the packets an injection source sends at an instant lead
+/// that instant's arrival batch — the order bulk pre-loading produced,
+/// see `crates/net/src/source.rs`), values are unique, every `class::X`
+/// use resolves to a declared constant, and no declared constant is
+/// dead.
 fn event_class_order(files: &[SourceFile], report: &mut Report) {
     let Some(f) = files.iter().find(|f| f.rel == NETWORK_RS) else {
         return;
@@ -108,8 +111,10 @@ fn event_class_order(files: &[SourceFile], report: &mut Report) {
             item: Some(item.to_string()),
             message,
             hint: "same-instant pop order is (time, class, seq): chaos must \
-                   settle first (strict minimum) and OBSERVE must pop last \
-                   (strict maximum) or artifacts change byte-for-byte",
+                   settle first (strict minimum), injections must lead the \
+                   arrivals of their instant (INJECT directly before ARRIVE) \
+                   and OBSERVE must pop last (strict maximum) or artifacts \
+                   change byte-for-byte",
         });
     }
     // Uniqueness.
@@ -164,6 +169,25 @@ fn event_class_order(files: &[SourceFile], report: &mut Report) {
                 );
             }
         }
+    }
+    // INJECT directly before ARRIVE: lower, with no class in between.
+    match (consts.get("INJECT"), consts.get("ARRIVE")) {
+        (Some(&(inj, line)), Some(&(arr, _))) => {
+            if inj >= arr || consts.values().any(|&(v, _)| inj < v && v < arr) {
+                flag(
+                    report,
+                    line,
+                    "INJECT",
+                    format!("INJECT ({inj}) does not pop directly before ARRIVE ({arr})"),
+                );
+            }
+        }
+        _ => flag(
+            report,
+            0,
+            "INJECT",
+            "no INJECT/ARRIVE event class pair declared".to_string(),
+        ),
     }
     // Usage resolution: every `class::X` (X all-caps) across the
     // workspace must be declared, and every declared class used.

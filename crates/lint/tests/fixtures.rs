@@ -107,9 +107,9 @@ fn event_class_order_catches_tie_and_undeclared_use() {
     let r = fixture("event_class_order");
     let t = triples(&r);
     // OBSERVE==TIMER tie: flagged once for the shared value and once
-    // for OBSERVE not being the strict maximum; plus the undeclared
-    // `class::DEPART` use.
-    assert_eq!(t.len(), 3, "{t:?}");
+    // for OBSERVE not being the strict maximum; INJECT above ARRIVE;
+    // plus the undeclared `class::DEPART` use.
+    assert_eq!(t.len(), 4, "{t:?}");
     assert!(t.iter().all(|(rule, _, _)| *rule == "event-class-order"));
     assert!(r
         .findings
@@ -122,8 +122,12 @@ fn event_class_order_catches_tie_and_undeclared_use() {
     assert!(r
         .findings
         .iter()
-        .any(|f| f.line == 16 && f.message.contains("class::DEPART")));
-    assert_eq!(r.checked.event_classes, 4);
+        .any(|f| f.line == 7 && f.message.contains("directly before ARRIVE")));
+    assert!(r
+        .findings
+        .iter()
+        .any(|f| f.line == 19 && f.message.contains("class::DEPART")));
+    assert_eq!(r.checked.event_classes, 5);
 }
 
 #[test]

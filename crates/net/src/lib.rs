@@ -20,6 +20,7 @@ pub mod packet;
 pub mod routing;
 pub mod scheduler;
 pub mod slab;
+pub mod source;
 pub mod testutil;
 pub mod trace;
 
@@ -32,4 +33,5 @@ pub use packet::{FlowId, LinkId, NodeId, Packet, PacketId, PacketKind, Path, Sch
 pub use routing::RoutingTable;
 pub use scheduler::{EvictOutcome, Queued, Scheduler};
 pub use slab::{PacketRef, PacketSlab};
+pub use source::{InjectSource, Injection};
 pub use trace::{Counters, HopTimes, PacketRecord, Telemetry, TraceLevel};

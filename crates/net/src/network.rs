@@ -1,9 +1,12 @@
 //! The network: nodes, links, the event loop, and the application hook.
 //!
 //! This is the ns-2 replacement. A [`Network`] owns every node and link,
-//! a deterministic future-event list, and per-packet telemetry. Four
+//! a deterministic future-event list, and per-packet telemetry. Five
 //! event kinds drive everything, ordered by class within an instant:
 //!
+//! * `Inject` — the feeder of the registered [`InjectSource`]: every
+//!   open-loop packet due now enters the network at the front of this
+//!   instant's arrivals (see [`crate::source`]);
 //! * `Arrive` — a packet has fully arrived at a node (store-and-forward:
 //!   forwarding decisions happen only on complete packets);
 //! * `Timer` — an application timer (TCP retransmission, flow arrivals);
@@ -13,8 +16,8 @@
 //!   the complete queue (the formal model's semantics).
 //!
 //! Applications ([`App`]) attach to host nodes and may inject packets and
-//! set timers; the replay experiments instead pre-schedule open-loop UDP
-//! injections directly.
+//! set timers; the replay experiments instead register an open-loop
+//! [`InjectSource`] that the network pulls from as the clock advances.
 //!
 //! # Hot-path batching
 //!
@@ -38,7 +41,7 @@
 //!   bandwidth and positive propagation delay, a completion whose queue
 //!   is non-empty starts the next transmission inline rather than through
 //!   a deferred event. Inline starts are safe exactly then: all
-//!   same-instant arrivals pop (class 1) before any completion (class 3),
+//!   same-instant arrivals pop (`ARRIVE`) before any completion (`TX_DONE`),
 //!   and with positive delays no *new* same-instant arrival can be
 //!   created once completions are being processed — so the scheduler
 //!   state seen inline equals what the deferred `StartTx` would have
@@ -53,18 +56,19 @@ use crate::packet::{FlowId, LinkId, NodeId, Packet, PacketId, PacketKind, Path, 
 use crate::routing::RoutingTable;
 use crate::scheduler::Scheduler;
 use crate::slab::{PacketRef, PacketSlab};
+use crate::source::{InjectSource, Injection};
 use crate::trace::{HopTimes, Telemetry, TraceLevel};
 use std::sync::Arc;
 use ups_obs::{NetSeries, SamplePoint};
 use ups_sim::{Bandwidth, Dur, EventQueue, Time};
 
 /// Simulation events, in same-instant ordering-class order: chaos
-/// transitions settle first (class 0), then arrivals (1), application
-/// timers (2), transmission completions (3), and transmission-start
-/// decisions last — so a port choosing what to send at time `t` sees
-/// every packet that has arrived by `t`, as the paper's formal model
-/// assumes, and a failure at `t` is in force before anything else
-/// happens at `t`.
+/// transitions settle first, then the injection feeder, forwarded
+/// arrivals, application timers, transmission completions, and
+/// transmission-start decisions last — so a port choosing what to send
+/// at time `t` sees every packet that has arrived by `t`, as the
+/// paper's formal model assumes, and a failure at `t` is in force
+/// before anything else happens at `t`.
 ///
 /// `Arrive` carries a [`PacketRef`] into the network's [`PacketSlab`],
 /// not the packet itself: the event is 16 bytes and scheduling a hop
@@ -72,6 +76,9 @@ use ups_sim::{Bandwidth, Dur, EventQueue, Time};
 /// event — one heap allocation per packet-hop).
 #[derive(Debug)]
 enum Ev {
+    /// The registered [`InjectSource`] has packets due now. At most one
+    /// is pending; it re-arms itself at the source's next instant.
+    Inject,
     /// Packet fully arrived at `node` (injection or store-and-forward hop).
     Arrive { node: NodeId, pkt: PacketRef },
     /// Application timer at `node`.
@@ -88,9 +95,10 @@ enum Ev {
 }
 
 /// Event ordering classes (see [`Ev`]). Infinite-bandwidth "wire" links
-/// start eagerly (class 4, before scheduler decisions at class 5) so a
-/// packet cascading through zero-time hops reaches its next real queue
-/// within the same instant, before any port there picks what to send.
+/// start eagerly (`START_WIRE`, before scheduler decisions at
+/// `START_TX`) so a packet cascading through zero-time hops reaches its
+/// next real queue within the same instant, before any port there picks
+/// what to send.
 mod class {
     /// Chaos-layer transitions settle before any same-instant data-plane
     /// event, so a failure or jam at `t` is in force for every arrival
@@ -98,16 +106,42 @@ mod class {
     /// installed; the class shift below is uniform, so chaos-free runs
     /// pop in exactly the pre-chaos relative order.
     pub const CHAOS: u8 = 0;
-    pub const ARRIVE: u8 = 1;
-    pub const TIMER: u8 = 2;
-    pub const TX_DONE: u8 = 3;
-    pub const START_WIRE: u8 = 4;
-    pub const START_TX: u8 = 5;
+    /// The injection feeder pops directly before the arrivals of its
+    /// instant — nothing may sit between the two — so the packets it
+    /// pulls lead that instant's arrival batch (the order contract of
+    /// [`crate::source`]).
+    pub const INJECT: u8 = 1;
+    pub const ARRIVE: u8 = 2;
+    pub const TIMER: u8 = 3;
+    pub const TX_DONE: u8 = 4;
+    pub const START_WIRE: u8 = 5;
+    pub const START_TX: u8 = 6;
     /// Telemetry sampling pops *after every data-plane class* at an
     /// instant, so an observation sees the settled state of time `t`
     /// and can never reorder data-plane pops — the invariant that keeps
     /// artifacts byte-identical with sampling on.
-    pub const OBSERVE: u8 = 6;
+    pub const OBSERVE: u8 = 7;
+}
+
+/// A packet entering the network at `at`, nothing traversed yet.
+fn new_packet(id: PacketId, at: Time, inj: Injection) -> Box<Packet> {
+    Box::new(Packet {
+        id,
+        flow: inj.flow,
+        seq: inj.seq,
+        size: inj.size,
+        tx_left: None,
+        src: inj.src,
+        dst: inj.dst,
+        created: at,
+        path: inj.path,
+        hops_done: 0,
+        hdr: inj.hdr,
+        kind: inj.kind,
+        qdelay: Dur::ZERO,
+        hop_arrive: at,
+        hop_first_tx: at,
+    })
 }
 
 /// An application endpoint attached to a host node.
@@ -126,10 +160,8 @@ pub trait App: std::fmt::Debug + Send {
 /// [`Network::configure_links`]. Every field defaults to "keep the
 /// link's current setting"; builder methods opt individual knobs in.
 ///
-/// This replaces the former mutator sprawl (`set_scheduler`,
-/// `set_all_schedulers`, `set_all_buffers`, `set_all_preemptive`) with
-/// one composable value, so an experiment states its whole port policy in
-/// a single closure:
+/// One composable value, so an experiment states its whole port policy
+/// in a single closure:
 ///
 /// ```ignore
 /// net.configure_links(|l| {
@@ -191,6 +223,14 @@ pub struct Network {
     /// batch (see the module docs).
     napps: usize,
     next_pkt_id: u64,
+    /// The attached injection source, while it has packets left to send
+    /// (a source lent through [`Network::run_source`] is never stored).
+    source: Option<Box<dyn InjectSource + Send>>,
+    /// Packet id of the registered source's index 0.
+    source_base: u64,
+    /// A feeder [`Ev::Inject`] is pending, i.e. the registered source
+    /// has packets left to send.
+    feeding: bool,
     /// Forwarding state; `Some` once `compute_routes` has run.
     routing: Option<Arc<RoutingTable>>,
     /// Every link so far has finite bandwidth and positive propagation
@@ -235,6 +275,9 @@ impl Network {
             apps: Vec::new(),
             napps: 0,
             next_pkt_id: 0,
+            source: None,
+            source_base: 0,
+            feeding: false,
             routing: None,
             eager_ok: true,
             batch: true,
@@ -317,30 +360,6 @@ impl Network {
                 l.preemptive = on;
             }
         }
-    }
-
-    /// Install a scheduler on one link.
-    #[deprecated(note = "use configure_links with LinkPolicy::keep().scheduler(..)")]
-    pub fn set_scheduler(&mut self, link: LinkId, sched: Box<dyn Scheduler>) {
-        self.links[link.0 as usize].set_scheduler(sched);
-    }
-
-    /// Install schedulers on every link from a factory.
-    #[deprecated(note = "use configure_links with LinkPolicy::keep().scheduler(..)")]
-    pub fn set_all_schedulers(&mut self, mut make: impl FnMut(&Link) -> Box<dyn Scheduler>) {
-        self.configure_links(|l| LinkPolicy::keep().scheduler(make(l)));
-    }
-
-    /// Set every link's buffer capacity (bytes); `None` = unbounded.
-    #[deprecated(note = "use configure_links with LinkPolicy::keep().buffer(..)")]
-    pub fn set_all_buffers(&mut self, bytes: Option<u64>) {
-        self.configure_links(|_| LinkPolicy::keep().buffer(bytes));
-    }
-
-    /// Enable or disable preemptive transmission on every link.
-    #[deprecated(note = "use configure_links with LinkPolicy::keep().preemptive(..)")]
-    pub fn set_all_preemptive(&mut self, on: bool) {
-        self.configure_links(|_| LinkPolicy::keep().preemptive(on));
     }
 
     /// Install a chaos perturbation layer (see [`crate::chaos`]): the
@@ -447,8 +466,10 @@ impl Network {
     // Injection and timers
     // ------------------------------------------------------------------
 
-    /// Inject a packet at `at` (≥ now) on an explicit path.
-    /// Returns the assigned packet id.
+    /// Inject one packet at `at` (≥ now) on an explicit path, as its
+    /// own pre-scheduled arrival. For transports that send at `now` and
+    /// for hand-built tests; open-loop workloads go through an
+    /// [`InjectSource`] instead. Returns the assigned packet id.
     #[allow(clippy::too_many_arguments)]
     pub fn inject_on_path(
         &mut self,
@@ -464,23 +485,19 @@ impl Network {
     ) -> PacketId {
         let id = PacketId(self.next_pkt_id);
         self.next_pkt_id += 1;
-        let pkt = Box::new(Packet {
-            id,
+        let inj = Injection {
+            index: 0,
             flow,
             seq,
             size,
-            tx_left: None,
             src,
             dst,
-            created: at,
             path,
-            hops_done: 0,
             hdr,
             kind,
-            qdelay: Dur::ZERO,
-            hop_arrive: at,
-            hop_first_tx: at,
-        });
+        };
+        let pkt = new_packet(id, at, inj);
+        self.telemetry.on_register(&pkt);
         self.telemetry.on_inject(&pkt);
         let pkt = self.slab.insert(pkt);
         self.queue
@@ -507,6 +524,69 @@ impl Network {
         self.inject_on_path(at, flow, seq, size, src, dst, path, hdr, kind)
     }
 
+    /// Hand the network an open-loop source to pull from: packet ids
+    /// are reserved and `telemetry.packets` written now, each packet is
+    /// built when the clock reaches its send instant (see
+    /// [`crate::source`] for the ordering contract). One source at a
+    /// time: panics while an earlier source still has packets to send —
+    /// no caller interleaves two open-loop inputs, and merging their
+    /// same-instant order would need a rule nobody has asked for. A new
+    /// source may be attached once the previous one is exhausted.
+    pub fn attach_source(&mut self, src: Box<dyn InjectSource + Send>) {
+        self.register(&*src);
+        if self.feeding {
+            self.source = Some(src);
+        }
+    }
+
+    /// Like [`Network::attach_source`] for a source that only lives for
+    /// this call (it may borrow, e.g. a recorded schedule): register
+    /// it, then run until the event queue drains.
+    pub fn run_source(&mut self, src: &mut dyn InjectSource) -> Time {
+        self.register(src);
+        while self.step_with(Some(&mut *src)) {}
+        self.drained()
+    }
+
+    /// Reserve ids, write records and arm the feeder for `src`.
+    fn register(&mut self, src: &dyn InjectSource) {
+        assert!(
+            !self.feeding,
+            "an injection source is still feeding this network; one open-loop source at a time"
+        );
+        self.source_base = self.next_pkt_id;
+        self.telemetry.register_source(src, self.source_base);
+        self.next_pkt_id += src.packets();
+        if let Some(at) = src.next_at() {
+            assert!(at >= self.queue.now(), "source starts in the past");
+            self.queue.push(at, class::INJECT, Ev::Inject);
+            self.feeding = true;
+        }
+    }
+
+    /// The feeder fired: pull every packet due at `now`, in source
+    /// order, into `arrive_scratch` — the front of this instant's
+    /// arrival batch — and re-arm at the source's next instant. Each
+    /// packet counts as one event (its arrival at the source node); the
+    /// feeder itself is bookkeeping and is not counted.
+    fn pull_due(&mut self, src: &mut dyn InjectSource, now: Time) {
+        while let Some(inj) = src.pull_due(now) {
+            let node = inj.src;
+            let pkt = new_packet(PacketId(self.source_base + inj.index), now, inj);
+            self.telemetry.counters.events += 1;
+            self.telemetry.on_inject(&pkt);
+            let pref = self.slab.insert(pkt);
+            self.arrive_scratch.push((node, pref));
+        }
+        self.feeding = match src.next_at() {
+            Some(at) => {
+                self.queue.push(at, class::INJECT, Ev::Inject);
+                true
+            }
+            None => false,
+        };
+    }
+
     /// Arm an application timer at `node` to fire at `at`.
     pub fn set_timer(&mut self, node: NodeId, at: Time, id: u64) {
         self.queue.push(at, class::TIMER, Ev::Timer { node, id });
@@ -526,17 +606,20 @@ impl Network {
         self.queue.len()
     }
 
-    /// Packets currently travelling between events (injected or
-    /// propagating toward their next hop; excludes packets sitting in
-    /// link queues).
+    /// Packets in the network now: sent and neither delivered nor
+    /// dropped yet — queued at a port, being serialized, or propagating.
+    /// A packet an [`InjectSource`] has not sent yet is not in the
+    /// network; one pre-scheduled with [`Network::inject_on_path`]
+    /// counts from the call. Zero after a drained run, or a packet
+    /// leaked.
     pub fn packets_in_flight(&self) -> usize {
-        self.slab.len()
+        self.telemetry.counters.in_flight() as usize
     }
 
     /// Peak simultaneous [`packets_in_flight`](Network::packets_in_flight)
-    /// count — the packet arena's high-water mark (capacity diagnostics).
+    /// count.
     pub fn peak_packets_in_flight(&self) -> usize {
-        self.slab.high_water()
+        self.telemetry.counters.peak_in_flight as usize
     }
 
     /// Select batched (default) or single-event reference stepping. The
@@ -550,6 +633,13 @@ impl Network {
     /// mode — one same-instant run of arrivals or completions for a
     /// single link. Returns `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
+        self.step_with(None)
+    }
+
+    /// [`Network::step`], with the injection source lent by
+    /// [`Network::run_source`] when there is one (`None`: the feeder
+    /// pulls from the attached source).
+    fn step_with(&mut self, lent: Option<&mut dyn InjectSource>) -> bool {
         let Some((now, ev)) = self.queue.pop() else {
             return false;
         };
@@ -559,46 +649,40 @@ impl Network {
             self.observe(now);
             return true;
         }
-        self.telemetry.counters.events += 1;
+        if !matches!(ev, Ev::Inject) {
+            self.telemetry.counters.events += 1;
+        }
         match ev {
+            Ev::Inject => {
+                self.arrive_scratch.clear();
+                match lent {
+                    Some(src) => self.pull_due(src, now),
+                    None => {
+                        let Some(mut src) = self.source.take() else {
+                            panic!("injection feeder fired with no source attached")
+                        };
+                        self.pull_due(&mut *src, now);
+                        if self.feeding {
+                            self.source = Some(src);
+                        }
+                    }
+                }
+                if self.batch {
+                    self.drain_arrivals(now);
+                } else {
+                    let due = std::mem::take(&mut self.arrive_scratch);
+                    for &(node, pkt) in &due {
+                        self.handle_arrive(node, pkt, now);
+                    }
+                    self.arrive_scratch = due;
+                }
+            }
             Ev::Arrive { node, pkt } => {
                 if self.batch {
                     self.arrive_scratch.clear();
                     self.slab.prefetch(pkt);
                     self.arrive_scratch.push((node, pkt));
-                    while let Some((_, ev)) = self
-                        .queue
-                        .pop_if(|t, e| t == now && matches!(e, Ev::Arrive { .. }))
-                    {
-                        self.telemetry.counters.events += 1;
-                        let Ev::Arrive { node, pkt } = ev else {
-                            unreachable!("predicate admits arrivals only")
-                        };
-                        // Warm later batch members while earlier ones are
-                        // grouped and admitted.
-                        self.slab.prefetch(pkt);
-                        self.arrive_scratch.push((node, pkt));
-                    }
-                    // The scratch now holds *every* arrival at this
-                    // instant. If nothing can add more work at `now` —
-                    // network is eager-safe, no app callbacks, and no
-                    // same-instant timer pending — each port may start
-                    // transmitting inline once its whole group is
-                    // admitted, eliding the deferred `StartTx` event.
-                    let inline_ok = self.eager_ok
-                        && self.napps == 0
-                        && !matches!(
-                            self.queue.peek_cur(),
-                            Some((t, Ev::Timer { .. })) if t == now
-                        );
-                    if self.arrive_scratch.len() == 1 {
-                        // Singleton instant (the common case): no grouping
-                        // to do, skip the batch scratch machinery.
-                        self.arrive_scratch.clear();
-                        self.handle_arrive_single(node, pkt, now, inline_ok);
-                    } else {
-                        self.handle_arrive_batch(now, inline_ok);
-                    }
+                    self.drain_arrivals(now);
                 } else {
                     self.handle_arrive(node, pkt, now);
                 }
@@ -645,6 +729,45 @@ impl Network {
             }
         }
         true
+    }
+
+    /// Batched mode: `arrive_scratch` holds the head of this instant's
+    /// arrival batch (the packets the feeder just pulled, or the one
+    /// arrival that popped). Drain every further same-instant `Arrive`
+    /// into it and process the batch.
+    fn drain_arrivals(&mut self, now: Time) {
+        while let Some((_, ev)) = self
+            .queue
+            .pop_if(|t, e| t == now && matches!(e, Ev::Arrive { .. }))
+        {
+            self.telemetry.counters.events += 1;
+            let Ev::Arrive { node, pkt } = ev else {
+                unreachable!("predicate admits arrivals only")
+            };
+            // Warm later batch members while earlier ones are grouped
+            // and admitted.
+            self.slab.prefetch(pkt);
+            self.arrive_scratch.push((node, pkt));
+        }
+        // The scratch now holds *every* arrival at this instant. If
+        // nothing can add more work at `now` — network is eager-safe,
+        // no app callbacks, and no same-instant timer pending — each
+        // port may start transmitting inline once its whole group is
+        // admitted, eliding the deferred `StartTx` event.
+        let inline_ok = self.eager_ok
+            && self.napps == 0
+            && !matches!(
+                self.queue.peek_cur(),
+                Some((t, Ev::Timer { .. })) if t == now
+            );
+        if let [(node, pkt)] = self.arrive_scratch[..] {
+            // Singleton instant (the common case): no grouping to do,
+            // skip the batch scratch machinery.
+            self.arrive_scratch.clear();
+            self.handle_arrive_single(node, pkt, now, inline_ok);
+        } else {
+            self.handle_arrive_batch(now, inline_ok);
+        }
     }
 
     /// Enable deterministic state sampling at the given cadence
@@ -704,7 +827,7 @@ impl Network {
             queued_bytes,
             max_queue_pkts,
             busy_links,
-            in_flight: self.slab.len() as u64,
+            in_flight: self.telemetry.counters.in_flight(),
             busy_ps_total,
         });
         // Reschedule only while other events remain: the sampler must
@@ -730,6 +853,13 @@ impl Network {
     /// Run until the event queue is fully drained.
     pub fn run_to_completion(&mut self) -> Time {
         while self.step() {}
+        self.drained()
+    }
+
+    /// The event queue just drained: every arena slot had a pending
+    /// `Arrive`, so the arena must be empty too.
+    fn drained(&self) -> Time {
+        debug_assert!(self.slab.is_empty(), "packet arena leaked a slot");
         self.queue.now()
     }
 

@@ -4,11 +4,19 @@
 //! heap allocation *per hop* of every packet, right on the hot path. The
 //! [`PacketSlab`] replaces that: packets live in slots, events carry a
 //! 4-byte [`PacketRef`] index, and freed slots go on a free list for
-//! reuse. Packets are stored boxed — allocated once at injection — so a
-//! slab insert or remove moves 8 bytes, not the ~180-byte `Packet`, and
-//! the same box travels through queue entries and back untouched. In
-//! steady state inserting and removing packets performs **zero** heap
-//! allocation.
+//! reuse. Packets are stored boxed — allocated once, when they are sent
+//! — so a slab insert or remove moves 8 bytes, not the 144-byte
+//! `Packet`, and the same box travels through queue entries and back
+//! untouched. In steady state inserting and removing packets performs
+//! **zero** heap allocation.
+//!
+//! Open-loop input reaches the arena through an
+//! [`InjectSource`](crate::source::InjectSource), which builds a packet
+//! at its send instant, so the arena holds only packets travelling
+//! between events *in the network*, never packets a leg will send
+//! later. (Packets pre-scheduled one by one with
+//! `Network::inject_on_path` do wait in a slot until they are due;
+//! transports inject at `now`.)
 //!
 //! A `PacketRef` is only as alive as the slot it names: removing a packet
 //! invalidates its ref, and the slot may be handed to a different packet
@@ -28,9 +36,6 @@ pub struct PacketRef(u32);
 pub struct PacketSlab {
     slots: Vec<Option<Box<Packet>>>,
     free: Vec<u32>,
-    /// Peak simultaneously-live packet count (diagnostics: how much
-    /// packet state the simulation actually keeps in flight).
-    high_water: usize,
 }
 
 impl PacketSlab {
@@ -53,7 +58,6 @@ impl PacketSlab {
                 idx
             }
         };
-        self.high_water = self.high_water.max(self.len());
         PacketRef(idx)
     }
 
@@ -107,11 +111,6 @@ impl PacketSlab {
         self.len() == 0
     }
 
-    /// Peak simultaneously-live packet count over the slab's lifetime.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
     /// Total slots ever allocated (live + reusable).
     pub fn capacity(&self) -> usize {
         self.slots.len()
@@ -151,7 +150,6 @@ mod tests {
             live.push(slab.insert(pkt));
             assert_eq!(slab.capacity(), 2, "slab grew at hop {hop}");
         }
-        assert_eq!(slab.high_water(), 2);
     }
 
     #[test]

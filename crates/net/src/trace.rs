@@ -7,6 +7,7 @@
 //! (24 bytes × hops × packets), so the level is configurable.
 
 use crate::packet::{FlowId, NodeId, Packet, PacketId, Path};
+use crate::source::InjectSource;
 use std::sync::Arc;
 use ups_obs::{LifeEvent, LifeKind, LifecycleRing};
 use ups_sim::{Dur, Time};
@@ -74,6 +75,31 @@ pub struct PacketRecord {
 }
 
 impl PacketRecord {
+    /// The record of a packet that is registered but not yet sent:
+    /// undelivered, no hops.
+    pub fn pending(
+        flow: FlowId,
+        seq: u64,
+        size: u32,
+        src: NodeId,
+        dst: NodeId,
+        created: Time,
+        path: Arc<Path>,
+    ) -> PacketRecord {
+        PacketRecord {
+            flow,
+            seq,
+            size,
+            src,
+            dst,
+            created,
+            delivered: None,
+            dropped: false,
+            path,
+            hops: Vec::new(),
+        }
+    }
+
     /// Uncongested transit time for this packet over its path.
     pub fn tmin(&self) -> Dur {
         self.path.tmin(self.size)
@@ -115,6 +141,17 @@ pub struct Counters {
     pub bytes_delivered: u64,
     /// Events processed by the main loop.
     pub events: u64,
+    /// Most packets ever in the network at once (see
+    /// [`Counters::in_flight`]).
+    pub peak_in_flight: u64,
+}
+
+impl Counters {
+    /// Packets in the network now: sent and neither delivered nor
+    /// dropped yet — queued, being serialized, or propagating.
+    pub fn in_flight(&self) -> u64 {
+        self.injected - self.delivered - self.dropped
+    }
 }
 
 /// Telemetry sink owned by the network.
@@ -174,35 +211,57 @@ impl Telemetry {
         }
     }
 
-    /// Record a packet injection; id must be dense and sequential.
-    pub fn on_inject(&mut self, pkt: &Packet) {
-        self.counters.injected += 1;
-        if self.lifecycle.is_some() {
-            self.life(pkt.created, LifeKind::Inject, pkt, pkt.src.0);
-        }
+    /// Registration half of an injection: append the packet's pending
+    /// record, so `packets[id]` exists before the packet is sent. Ids
+    /// must be dense and sequential. Sources register in bulk through
+    /// [`Telemetry::register_source`]; the packet is counted as
+    /// injected only when it is sent ([`Telemetry::on_inject`]).
+    pub fn on_register(&mut self, pkt: &Packet) {
         if self.level == TraceLevel::Off {
             return;
         }
         debug_assert_eq!(pkt.id.0 as usize, self.packets.len());
+        self.packets.push(PacketRecord::pending(
+            pkt.flow,
+            pkt.seq,
+            pkt.size,
+            pkt.src,
+            pkt.dst,
+            pkt.created,
+            Arc::clone(&pkt.path),
+        ));
+    }
+
+    /// Register every packet of `src` at once, in source-index order,
+    /// starting at id `base`.
+    pub fn register_source(&mut self, src: &dyn InjectSource, base: u64) {
+        if self.level == TraceLevel::Off {
+            return;
+        }
+        assert_eq!(base as usize, self.packets.len(), "packet ids not dense");
+        src.records(&mut self.packets);
+        assert_eq!(
+            self.packets.len() as u64,
+            base + src.packets(),
+            "source registered a different number of records than packets"
+        );
+    }
+
+    /// Fire half of an injection: the packet enters the network now.
+    pub fn on_inject(&mut self, pkt: &Packet) {
+        self.counters.injected += 1;
+        self.counters.peak_in_flight = self.counters.peak_in_flight.max(self.counters.in_flight());
+        if self.lifecycle.is_some() {
+            self.life(pkt.created, LifeKind::Inject, pkt, pkt.src.0);
+        }
         // At `Hops` level every hop will push one entry; sizing the vec
         // to the (known, fixed) path length up front means the per-hop
         // record append never reallocates.
-        let hops = match self.level {
-            TraceLevel::Hops => Vec::with_capacity(pkt.path.hops()),
-            _ => Vec::new(),
-        };
-        self.packets.push(PacketRecord {
-            flow: pkt.flow,
-            seq: pkt.seq,
-            size: pkt.size,
-            src: pkt.src,
-            dst: pkt.dst,
-            created: pkt.created,
-            delivered: None,
-            dropped: false,
-            path: Arc::clone(&pkt.path),
-            hops,
-        });
+        if self.level == TraceLevel::Hops {
+            self.packets[pkt.id.0 as usize]
+                .hops
+                .reserve_exact(pkt.path.hops());
+        }
     }
 
     /// Record a completed hop.

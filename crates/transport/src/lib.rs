@@ -17,4 +17,4 @@ pub mod udp;
 pub use flow::{ack_flow, data_flow, is_ack_flow, FlowDesc, FlowResult, ACK_FLOW_BIT};
 pub use header::{HeaderStamper, PrioPolicy, SlackPolicy};
 pub use tcp::{install_tcp, SharedResults, TcpConfig, TcpHost};
-pub use udp::{inject_udp_flows, inject_udp_packets, UdpPacket};
+pub use udp::{inject_udp_flows, PacedFlows};

@@ -55,7 +55,7 @@ fn workspace_is_clean_and_anchors_were_checked() {
             .parse()
             .unwrap_or(0)
     };
-    assert!(checked("event_classes") >= 7, "event classes: {report}");
+    assert!(checked("event_classes") >= 8, "event classes: {report}");
     assert!(checked("scenarios") >= 8, "scenarios: {report}");
     assert!(checked("obs_hooks") >= 5, "obs hooks: {report}");
     assert!(checked("unsafe_blocks") >= 1, "unsafe blocks: {report}");
