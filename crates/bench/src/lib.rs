@@ -1,39 +1,54 @@
-//! `ups-bench` — the experiment harness.
+//! `ups-bench` — the paper's experiments.
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), all built
-//! on the shared runners in this library so the integration tests can
-//! exercise the same code at reduced scale:
+//! Every table, figure and ablation of the paper runs through the one
+//! `sweep` binary at the workspace root; this crate holds what it runs:
 //!
-//! | Binary | Reproduces |
-//! |---|---|
-//! | `table1` | Table 1 — LSTF replayability across utilizations, link speeds, topologies, original schedulers |
-//! | `fig1_delay_ratio` | Figure 1 — CDF of queueing-delay ratio (LSTF : original) |
-//! | `fig2_fct` | Figure 2 — mean FCT by flow size, FIFO/SJF/SRPT/LSTF |
-//! | `fig3_tail` | Figure 3 — tail packet delays, FIFO vs LSTF(≡FIFO+) |
-//! | `fig4_fairness` | Figure 4 — Jain fairness convergence, FIFO/FQ/LSTF@rest |
-//! | `ablation_preempt` | §2.3(5) — preemptive LSTF on SJF/LIFO replays |
-//! | `ablation_priority` | §2.3(7) — Priority(o) vs LSTF vs EDF vs omniscient |
-//! | `ablation_lstf_key` | DESIGN.md ablation — last-bit vs pure-deadline keys |
-//! | `congestion_points` | §2.2 diagnostic — congestion points per packet |
-//! | `all_experiments` | everything above at the configured scale |
-//! | `sweep` | declarative parallel grid sweeps and registered scenarios with JSON/CSV artifacts (lives at the workspace root; engine + scenario registry in `ups-sweep`) |
-//!
-//! Every binary accepts `--full` for paper-like scale (all runs are still
-//! laptop-sized) and `--seed N`; the default "quick" scale finishes each
-//! experiment in seconds. Sweep-backed experiments (`table1`, the four
-//! `fig*` binaries, `all_experiments`, `sweep`) also take `--jobs N`
-//! (worker threads — output is byte-identical for every value) and
-//! `--replicates N` (seed replicates per grid cell, reported as mean ±
-//! stddev on every scalar and every plotted point); the figure binaries
-//! additionally take `--out DIR` and write JSON/CSV artifacts there
-//! (default `target/sweep/` — schema in `ups-sweep`'s crate docs).
-//! `sweep diff old.json new.json` compares two artifacts for regression
-//! detection.
+//! * [`EXPERIMENTS`] ([`experiments`]) — the table `sweep --grid NAME`
+//!   resolves after the named grids and the scenario registry: `fig1` …
+//!   `fig4`, the three ablations, `congestion-points`,
+//!   `ext-weighted-fairness`, and `paper` (Table 1 plus all of them).
+//!   `sweep scenarios list` prints it; `docs/EXPERIMENTS.md` has the
+//!   paper-vs-measured discussion.
+//! * [`runners`] — the functions behind the entries, each returning
+//!   structured data so the integration tests can check the same code at
+//!   a tiny scale. Table 1 itself is the `table1` named grid of
+//!   `ups-sweep`.
+//! * [`Scale`] — the quick/full scale, seed, worker and replicate knobs
+//!   that `sweep`'s scale flags set. Output is byte-identical for every
+//!   `--jobs` value; figures write JSON/CSV artifacts under `--out`
+//!   (default `target/sweep/`, schema in `ups-sweep`'s crate docs).
 
 #![forbid(unsafe_code)]
 
+/// Write a line to stdout, swallowing write failures: when stdout is
+/// piped through e.g. `head`, the reader can close the pipe before the
+/// run finishes, and std maps the resulting `EPIPE` to a `println!`
+/// panic (Rust ignores SIGPIPE). A run must still write its JSON/CSV
+/// artifacts and exit cleanly in that case, so every stdout write of
+/// the `sweep` binary and of the experiment printers goes through
+/// `out!`/`out_inline!`. Diagnostics on stderr keep using `eprintln!`.
+#[macro_export]
+macro_rules! out {
+    () => { $crate::out!("") };
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
+
+/// [`out!`] without the trailing newline (the `print!` analogue).
+#[macro_export]
+macro_rules! out_inline {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = write!(std::io::stdout(), $($arg)*);
+    }};
+}
+
+pub mod experiments;
 pub mod runners;
 pub mod scale;
 
+pub use experiments::{print_sweep_report, Experiment, EXPERIMENTS};
 pub use runners::*;
 pub use scale::Scale;

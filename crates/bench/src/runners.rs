@@ -1,8 +1,9 @@
-//! Shared experiment runners: each returns structured data; the binaries
-//! format it. Integration tests call these at [`Scale::quick`].
+//! Experiment runners: each returns structured data. The
+//! [`EXPERIMENTS`](crate::EXPERIMENTS) table pairs every runner with
+//! its printer for `sweep --grid`, and the integration tests call the
+//! same functions at a tiny scale.
 
 use crate::scale::Scale;
-use std::path::Path;
 use ups_core::objectives::Scheme;
 use ups_core::replay::{record_original, replay_schedule, ReplayMode, ReplayReport};
 use ups_core::workload::{default_udp_workload, to_flow_descs};
@@ -11,14 +12,8 @@ use ups_metrics::{bucket_means, Cdf, FairnessPoint, SizeBuckets};
 use ups_net::TraceLevel;
 use ups_sched::{LstfKeyMode, SchedKind};
 use ups_sim::{Bandwidth, Dur, Time};
-use ups_sweep::{
-    run_fig_with, run_sweep, CellMetrics, DistMetrics, FigAxis, FigReport, FigSpec, SweepSpec,
-};
+use ups_sweep::{run_fig_with, CellMetrics, DistMetrics, FigAxis, FigReport, FigSpec, TopoKind};
 use ups_topo::internet2::{self, I2Config, I2Variant};
-
-// The topology selector lives in `ups-sweep` now (it is grid
-// vocabulary); re-exported here so existing call sites keep working.
-pub use ups_sweep::TopoKind;
 
 /// One row of a replayability table.
 #[derive(Debug, Clone)]
@@ -97,34 +92,6 @@ fn replay_row(
     }
 }
 
-/// Table 1: all scenario rows. A thin client of the sweep engine — the
-/// grid runs on `scale.jobs` worker threads with `scale.replicates`
-/// seed replicates per cell, and each row carries the per-cell means.
-/// With one replicate the rows are exactly the legacy serial values.
-pub fn table1(scale: &Scale) -> Vec<ReplayRow> {
-    let spec = SweepSpec::table1()
-        .with_seed(scale.seed)
-        .with_replicates(scale.replicates);
-    let report = run_sweep(&spec, &scale.sim(), scale.jobs);
-    let mode = ReplayMode::lstf().label().to_string();
-    report
-        .results
-        .iter()
-        .map(|r| ReplayRow {
-            topo: r.coord.topo.label(),
-            util: r.coord.util,
-            original: r.coord.sched.label(),
-            mode: mode.clone(),
-            total: r.total.mean.round() as usize,
-            frac_overdue: r.frac_overdue.mean,
-            frac_gt_t: r.frac_gt_t.mean,
-            t_us: r.t_us.mean,
-            max_cp: r.max_cp.mean.round() as usize,
-            mean_slack_us: r.mean_slack_us.mean,
-        })
-        .collect()
-}
-
 /// The six original schedulers Figure 1 replays.
 pub fn fig1_originals() -> [SchedKind; 6] {
     [
@@ -157,16 +124,6 @@ pub fn fig1_cell(scale: &Scale, orig: SchedKind, seed: u64) -> Cdf {
     };
     let (report, _) = ups_sweep::record_and_replay(&coord, &scale.sim(), seed, ReplayMode::lstf());
     Cdf::new(report.qdelay_ratios)
-}
-
-/// Figure 1: per-original-scheduler CDFs of the queueing-delay ratio
-/// (one run at the scale's base seed; [`fig1_report`] is the multi-seed
-/// sweep variant).
-pub fn fig1(scale: &Scale) -> Vec<(&'static str, Cdf)> {
-    fig1_originals()
-        .into_iter()
-        .map(|orig| (orig.label(), fig1_cell(scale, orig, scale.seed)))
-        .collect()
 }
 
 /// Figure 1 through the sweep engine: every original scheduler ×
@@ -227,13 +184,11 @@ pub fn fig2_schemes() -> Vec<Scheme> {
 /// One Figure-2 cell: TCP flows (seed-drawn workload, 5 MB buffers)
 /// under `scheme`, FCTs bucketed by flow size.
 pub fn fig2_cell(scale: &Scale, buckets: &SizeBuckets, scheme: &Scheme, seed: u64) -> FctResult {
-    let kind = TopoKind::I2(I2Variant::Default1g10g);
-    let topo = kind.build(&scale.sim());
+    let topo = TopoKind::I2(I2Variant::Default1g10g).build(&scale.sim());
     let flows = default_udp_workload(&topo, 0.7, scale.horizon, seed);
-    drop(topo);
     let horizon = Time::ZERO + scale.horizon * 40 + Dur::from_secs(2);
     let buffer = 5_000_000; // 5 MB, as in §3.1
-    let res = ups_core::run_fct(kind.build(&scale.sim()), &flows, scheme, buffer, horizon);
+    let res = ups_core::run_fct(topo, &flows, scheme, buffer, horizon);
     let done: Vec<_> = res.iter().filter(|r| r.completed.is_some()).collect();
     let sizes: Vec<u64> = done.iter().map(|r| r.desc.pkts).collect();
     let fcts: Vec<f64> = done
@@ -251,18 +206,6 @@ pub fn fig2_cell(scale: &Scale, buckets: &SizeBuckets, scheme: &Scheme, seed: u6
         completed: (done.len(), res.len()),
         buckets: bucket_means(buckets, &sizes, &fcts),
     }
-}
-
-/// Figure 2: mean FCT by flow-size bucket under FIFO / SJF / SRPT /
-/// LSTF(fs×D), TCP with finite buffers (one run at the base seed;
-/// [`fig2_report`] is the multi-seed sweep variant).
-pub fn fig2(scale: &Scale) -> (SizeBuckets, Vec<FctResult>) {
-    let buckets = SizeBuckets::paper_fig2();
-    let results = fig2_schemes()
-        .iter()
-        .map(|scheme| fig2_cell(scale, &buckets, scheme, scale.seed))
-        .collect();
-    (buckets, results)
 }
 
 /// Figure 2 through the sweep engine: per-bucket mean FCT with mean ±
@@ -328,11 +271,9 @@ pub fn fig3_percentile_axis() -> Vec<f64> {
 /// An empty workload (e.g. `--horizon-ms 0`) yields all-zero statistics
 /// rather than a quantile panic, matching `fig1_cell`'s empty handling.
 pub fn fig3_cell(scale: &Scale, scheme: &Scheme, seed: u64) -> TailResult {
-    let kind = TopoKind::I2(I2Variant::Default1g10g);
-    let topo = kind.build(&scale.sim());
+    let topo = TopoKind::I2(I2Variant::Default1g10g).build(&scale.sim());
     let flows = default_udp_workload(&topo, 0.7, scale.horizon, seed);
-    drop(topo);
-    let delays = ups_core::run_tail_delays(kind.build(&scale.sim()), &flows, scheme, 1500, None);
+    let delays = ups_core::run_tail_delays(topo, &flows, scheme, 1500, None);
     let cdf = Cdf::new(delays);
     let q = |p: f64| if cdf.is_empty() { 0.0 } else { cdf.quantile(p) };
     TailResult {
@@ -343,16 +284,6 @@ pub fn fig3_cell(scale: &Scale, scheme: &Scheme, seed: u64) -> TailResult {
         max: q(1.0),
         cdf,
     }
-}
-
-/// Figure 3: per-packet delays under FIFO vs LSTF with constant slack
-/// (≡ FIFO+), open-loop UDP so the load is identical (one run at the
-/// base seed; [`fig3_report`] is the multi-seed sweep variant).
-pub fn fig3(scale: &Scale) -> Vec<TailResult> {
-    fig3_schemes()
-        .iter()
-        .map(|scheme| fig3_cell(scale, scheme, scale.seed))
-        .collect()
 }
 
 /// Figure 3 through the sweep engine: delay at fixed percentiles with
@@ -410,19 +341,16 @@ fn fig4_windows() -> (Dur, Time) {
 /// the core, shortened propagation delays, jittered flow starts, and
 /// LSTF slack from the virtual-clock rule at several `rest` estimates.
 pub fn fig4_cell(scale: &Scale, scheme: &Scheme, seed: u64) -> Vec<FairnessPoint> {
-    let factory = || {
-        internet2::build(
-            &I2Config {
-                variant: I2Variant::Access10g10g,
-                core_bw: Bandwidth::gbps(10),
-                edges_per_core: scale.edges_per_core,
-                core_prop_scale_percent: 10,
-                ..Default::default()
-            },
-            TraceLevel::Delivery,
-        )
-    };
-    let topo = factory();
+    let topo = internet2::build(
+        &I2Config {
+            variant: I2Variant::Access10g10g,
+            core_bw: Bandwidth::gbps(10),
+            edges_per_core: scale.edges_per_core,
+            core_prop_scale_percent: 10,
+            ..Default::default()
+        },
+        TraceLevel::Delivery,
+    );
     let n_flows = (topo.hosts.len() * 9 / 10).max(2);
     let flows = to_flow_descs(&ups_flowgen::long_lived_flows(
         &topo,
@@ -430,19 +358,8 @@ pub fn fig4_cell(scale: &Scale, scheme: &Scheme, seed: u64) -> Vec<FairnessPoint
         Dur::from_millis(5),
         seed,
     ));
-    drop(topo);
     let (window, horizon) = fig4_windows();
-    ups_core::run_fairness(factory(), &flows, scheme, window, horizon, None)
-}
-
-/// Figure 4: Jain fairness convergence for long-lived TCP flows (one
-/// run at the base seed; [`fig4_report`] is the multi-seed sweep
-/// variant).
-pub fn fig4(scale: &Scale) -> Vec<(String, Vec<FairnessPoint>)> {
-    fig4_schemes()
-        .iter()
-        .map(|scheme| (scheme.label(), fig4_cell(scale, scheme, scale.seed)))
-        .collect()
+    ups_core::run_fairness(topo, &flows, scheme, window, horizon, None)
 }
 
 /// Figure 4 through the sweep engine: the per-window Jain index with
@@ -507,7 +424,6 @@ pub fn ablation_priority(scale: &Scale) -> Vec<ReplayRow> {
     let mut orig_topo = kind.build(&scale.sim());
     let flows = default_udp_workload(&orig_topo, 0.7, scale.horizon, scale.seed);
     let schedule = record_original(&mut orig_topo, &flows, SchedKind::Random, scale.seed, 1500);
-    drop(orig_topo);
     [
         ReplayMode::lstf(),
         ReplayMode::Priority,
@@ -516,8 +432,7 @@ pub fn ablation_priority(scale: &Scale) -> Vec<ReplayRow> {
     ]
     .into_iter()
     .map(|mode| {
-        let mut topo = kind.build(&scale.sim());
-        let report = replay_schedule(&mut topo, &schedule, mode);
+        let report = replay_schedule(&mut orig_topo.rewired(), &schedule, mode);
         replay_row(
             kind.label(),
             0.7,
@@ -573,96 +488,6 @@ pub fn congestion_points(scale: &Scale) -> Vec<(String, Vec<usize>, f64)> {
     .collect()
 }
 
-/// Format a replay-row table for stdout.
-pub fn print_replay_rows(title: &str, rows: &[ReplayRow]) {
-    println!("\n=== {title} ===");
-    println!(
-        "{:<18} {:>5} {:<9} {:<14} {:>9} {:>12} {:>10} {:>8} {:>7} {:>12}",
-        "Topology",
-        "Util",
-        "Original",
-        "Replay",
-        "Packets",
-        "FracOverdue",
-        "Frac>T",
-        "T(us)",
-        "MaxCP",
-        "MeanSlack(us)"
-    );
-    for r in rows {
-        println!(
-            "{:<18} {:>4.0}% {:<9} {:<14} {:>9} {:>12.6} {:>10.6} {:>8.1} {:>7} {:>12.1}",
-            r.topo,
-            r.util * 100.0,
-            r.original,
-            r.mode,
-            r.total,
-            r.frac_overdue,
-            r.frac_gt_t,
-            r.t_us,
-            r.max_cp,
-            r.mean_slack_us
-        );
-    }
-}
-
-/// Format a figure report for stdout: header, per-series scalar
-/// summaries, then the mean ± stddev curve table (one column per
-/// series, one row per x-axis point).
-pub fn print_fig_report(report: &FigReport) {
-    println!("\n=== {} ===", report.title);
-    println!(
-        "scale {}, {} replicate(s), base seed {} (output is identical for every --jobs value)",
-        report.scale, report.replicates, report.base_seed
-    );
-    if !report.scalar_names.is_empty() {
-        println!();
-        print!("{:<16}", "series");
-        for name in &report.scalar_names {
-            print!(" {name:>22}");
-        }
-        println!();
-        for r in &report.results {
-            print!("{:<16}", r.series);
-            for s in &r.scalars {
-                print!(" {:>13.4} ±{:>7.4}", s.mean, s.stddev);
-            }
-            println!();
-        }
-    }
-    println!();
-    print!("{:<12}", report.axis.name);
-    for r in &report.results {
-        print!(" {:>20}", r.series);
-    }
-    println!();
-    for (i, &x) in report.axis.xs.iter().enumerate() {
-        let row_label = report
-            .axis
-            .labels
-            .as_ref()
-            .map_or_else(|| format!("{x}"), |labels| labels[i].clone());
-        print!("{row_label:<12}");
-        for r in &report.results {
-            let s = &r.points[i];
-            print!(" {:>11.4} ±{:>7.4}", s.mean, s.stddev);
-        }
-        println!();
-    }
-}
-
-/// Write a figure report's JSON + CSV artifacts under `out`, printing
-/// the paths; exits(1) on an IO error (binary-level helper).
-pub fn write_fig_artifacts(report: &FigReport, out: &Path) {
-    match report.write(out) {
-        Ok((json, csv)) => println!("\nwrote {} and {}", json.display(), csv.display()),
-        Err(e) => {
-            eprintln!("error: writing artifacts to {}: {e}", out.display());
-            std::process::exit(1);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -701,14 +526,14 @@ mod tests {
 
     #[test]
     fn fig1_report_matches_single_run_at_one_replicate() {
-        // With one replicate the sweep path must reproduce the legacy
-        // serial path exactly — same seed, same cells, same CDF values.
+        // With one replicate the sweep path must reproduce a direct
+        // serial run exactly — same seed, same cells, same CDF values.
         let scale = tiny();
         let report = fig1_report(&scale);
-        let legacy = fig1(&scale);
-        assert_eq!(report.results.len(), legacy.len());
+        let direct = fig1_originals().map(|o| (o.label(), fig1_cell(&scale, o, scale.seed)));
+        assert_eq!(report.results.len(), direct.len());
         let xs = fig1_ratio_axis();
-        for (r, (label, cdf)) in report.results.iter().zip(&legacy) {
+        for (r, (label, cdf)) in report.results.iter().zip(&direct) {
             assert_eq!(&r.series, label);
             assert_eq!(r.replicates, 1);
             for (s, &x) in r.points.iter().zip(&xs) {

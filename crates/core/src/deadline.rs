@@ -28,11 +28,11 @@
 //! identity exactly where it matters, on infeasible deadlines; hence
 //! this module hand-builds its headers.)
 
-use crate::replay::{score_replay, ReplayMode, ReplayReport};
-use crate::schedule::{RecordedSchedule, ScheduleSource};
+use crate::replay::{replay_with, ReplayMode, ReplayReport};
+use crate::schedule::{RecordedPacket, RecordedSchedule};
 use std::collections::BTreeMap;
 use ups_metrics::{DeadlineLedger, DeadlineStats};
-use ups_net::{LinkPolicy, SchedHeader, Telemetry, TraceLevel};
+use ups_net::{LinkPolicy, SchedHeader, Scheduler, Telemetry, TraceLevel};
 use ups_sched::{edf, lstf_with, priority, LstfKeyMode, SchedKind};
 use ups_sim::{Dur, Time};
 use ups_topo::Topology;
@@ -178,7 +178,7 @@ pub fn replay_deadline(
     ds: &DeadlineSchedule,
     mode: DeadlineMode,
 ) -> ReplayReport {
-    replay_deadline_impl(topo, ds, mode, false)
+    replay_tagged(topo, ds, mode, false)
 }
 
 /// Like [`replay_deadline`], but tolerant of packet loss: undelivered
@@ -188,34 +188,25 @@ pub fn replay_deadline_lossy(
     ds: &DeadlineSchedule,
     mode: DeadlineMode,
 ) -> ReplayReport {
-    replay_deadline_impl(topo, ds, mode, true)
+    replay_tagged(topo, ds, mode, true)
 }
 
-fn replay_deadline_impl(
+/// The deadline candidates: which scheduler each [`DeadlineMode`]
+/// installs and how it stamps a packet from its [`DeadlineTag`].
+fn replay_tagged(
     topo: &mut Topology,
     ds: &DeadlineSchedule,
     mode: DeadlineMode,
     allow_loss: bool,
 ) -> ReplayReport {
-    assert_eq!(
-        topo.net.telemetry.level,
-        TraceLevel::Hops,
-        "replay scoring requires hop-level tracing"
-    );
-    assert_eq!(
-        topo.net.telemetry.counters.injected, 0,
-        "replay needs a fresh topology build"
-    );
-    topo.net.configure_links(|_| {
-        let base = LinkPolicy::keep().buffer(None);
+    let scheduler = || -> Box<dyn Scheduler> {
         match mode {
-            DeadlineMode::Edf => base.scheduler(Box::new(edf())),
-            DeadlineMode::Lstf => base.scheduler(Box::new(lstf_with(LstfKeyMode::LastBit))),
-            DeadlineMode::Prio => base.scheduler(Box::new(priority())),
+            DeadlineMode::Edf => Box::new(edf()),
+            DeadlineMode::Lstf => Box::new(lstf_with(LstfKeyMode::LastBit)),
+            DeadlineMode::Prio => Box::new(priority()),
         }
-    });
-
-    let mut source = ScheduleSource::new(&ds.schedule, |k, rec| {
+    };
+    let header = |k: usize, rec: &RecordedPacket| {
         let tag = &ds.tags[k];
         match mode {
             DeadlineMode::Edf => SchedHeader {
@@ -236,22 +227,16 @@ fn replay_deadline_impl(
                 hop_times: None,
             },
         }
-    });
-    topo.net.run_source(&mut source);
-
-    let tel = &topo.net.telemetry;
-    if !allow_loss {
-        assert_eq!(tel.counters.dropped, 0, "replay must be drop-free");
-    }
-    let max_size = ds
-        .schedule
-        .packets
-        .iter()
-        .map(|p| p.size)
-        .max()
-        .unwrap_or(1500);
-    let t = topo.net.bottleneck_bw().tx_time(max_size);
-    score_replay(&ds.schedule, tel, mode.replay_mode(), allow_loss, t)
+    };
+    replay_with(
+        topo,
+        &ds.schedule,
+        mode.replay_mode(),
+        scheduler,
+        false,
+        header,
+        allow_loss,
+    )
 }
 
 /// Reduce a run's delivery telemetry to per-flow deadline outcomes
@@ -394,5 +379,24 @@ mod tests {
         );
         assert_eq!(DeadlineMode::from_sched(SchedKind::Fifo), None);
         assert_eq!(DeadlineMode::Prio.label(), "Priority");
+    }
+
+    #[test]
+    fn lossy_lstf_deadline_replay_on_the_star_matches_recorded_values() {
+        // The deadline twin of `replay`'s recorded-values test: what the
+        // commit before the merge into `replay_with` printed.
+        let flows = star_flows(&star_factory(), 6, Dur::from_micros(1));
+        let (topo, ds) = record(&flows);
+        let mut copy = topo.rewired();
+        copy.net.install_chaos(Time::from_millis(1), |_| {
+            Some(ups_net::ChaosPolicy::new(9).drop_prob(0.1))
+        });
+        let report = replay_deadline_lossy(&mut copy, &ds, DeadlineMode::Lstf);
+        let us12: [i64; 23] = [
+            -1, -1, -2, -3, 0, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -3,
+            -4,
+        ];
+        assert_eq!(report.lateness, us12.map(|k| k * 12_000_000));
+        assert_eq!((report.lost, report.t), (7, Dur::from_micros(12)));
     }
 }

@@ -14,9 +14,9 @@
 //! (Appendix B).
 
 use crate::omniscient::omniscient;
-use crate::schedule::{RecordedSchedule, ScheduleSource};
+use crate::schedule::{RecordedPacket, RecordedSchedule, ScheduleSource};
 use std::sync::Arc;
-use ups_net::{LinkPolicy, SchedHeader, Telemetry, TraceLevel};
+use ups_net::{LinkPolicy, SchedHeader, Scheduler, Telemetry, TraceLevel};
 use ups_sched::{edf, lstf_with, priority, LstfKeyMode, SchedKind};
 use ups_sim::Dur;
 use ups_topo::Topology;
@@ -188,7 +188,7 @@ pub fn replay_schedule(
     schedule: &RecordedSchedule,
     mode: ReplayMode,
 ) -> ReplayReport {
-    replay_schedule_impl(topo, schedule, mode, false)
+    replay_classic(topo, schedule, mode, false)
 }
 
 /// Like [`replay_schedule`], but tolerant of packet loss: a packet the
@@ -202,38 +202,33 @@ pub fn replay_schedule_lossy(
     schedule: &RecordedSchedule,
     mode: ReplayMode,
 ) -> ReplayReport {
-    replay_schedule_impl(topo, schedule, mode, true)
+    replay_classic(topo, schedule, mode, true)
 }
 
-fn replay_schedule_impl(
+/// The `o(p)`-target candidates: which scheduler each [`ReplayMode`]
+/// installs and how it stamps a recorded packet's header.
+fn replay_classic(
     topo: &mut Topology,
     schedule: &RecordedSchedule,
     mode: ReplayMode,
     allow_loss: bool,
 ) -> ReplayReport {
-    assert_eq!(
-        topo.net.telemetry.level,
-        TraceLevel::Hops,
-        "replay scoring requires hop-level tracing"
-    );
-    assert_eq!(
-        topo.net.telemetry.counters.injected, 0,
-        "replay needs a fresh topology build"
-    );
-    topo.net.configure_links(|_| {
-        let base = LinkPolicy::keep().buffer(None);
+    let scheduler = || -> Box<dyn Scheduler> {
         match mode {
-            ReplayMode::Lstf { preemptive, key } => base
-                .scheduler(Box::new(lstf_with(key)))
-                .preemptive(preemptive),
-            ReplayMode::Priority => base.scheduler(Box::new(priority())),
-            ReplayMode::Edf => base.scheduler(Box::new(edf())),
-            ReplayMode::Omniscient => base.scheduler(Box::new(omniscient())),
+            ReplayMode::Lstf { key, .. } => Box::new(lstf_with(key)),
+            ReplayMode::Priority => Box::new(priority()),
+            ReplayMode::Edf => Box::new(edf()),
+            ReplayMode::Omniscient => Box::new(omniscient()),
         }
-    });
-
-    // The identical input, with mode-specific headers.
-    let mut source = ScheduleSource::new(schedule, |_, rec| match mode {
+    };
+    let preemptive = matches!(
+        mode,
+        ReplayMode::Lstf {
+            preemptive: true,
+            ..
+        }
+    );
+    let header = |_: usize, rec: &RecordedPacket| match mode {
         ReplayMode::Lstf { .. } => SchedHeader {
             slack: rec.slack(),
             prio: 0,
@@ -249,8 +244,43 @@ fn replay_schedule_impl(
             prio: 0,
             hop_times: Some(Arc::from(rec.hop_tx_start.clone())),
         },
+    };
+    replay_with(
+        topo, schedule, mode, scheduler, preemptive, header, allow_loss,
+    )
+}
+
+/// The one replay leg, shared by the `o(p)`-target replays above and
+/// the deadline-objective replays ([`crate::deadline`]): re-run the
+/// identical recorded input on a fresh `topo` with `scheduler()` on
+/// every port and `header` stamping each packet, then score it against
+/// the recorded output times. `mode` only labels the report.
+pub(crate) fn replay_with(
+    topo: &mut Topology,
+    schedule: &RecordedSchedule,
+    mode: ReplayMode,
+    scheduler: impl Fn() -> Box<dyn Scheduler>,
+    preemptive: bool,
+    header: impl FnMut(usize, &RecordedPacket) -> SchedHeader,
+    allow_loss: bool,
+) -> ReplayReport {
+    assert_eq!(
+        topo.net.telemetry.level,
+        TraceLevel::Hops,
+        "replay scoring requires hop-level tracing"
+    );
+    assert_eq!(
+        topo.net.telemetry.counters.injected, 0,
+        "replay needs a fresh topology build"
+    );
+    topo.net.configure_links(|_| {
+        LinkPolicy::keep()
+            .buffer(None)
+            .scheduler(scheduler())
+            .preemptive(preemptive)
     });
-    topo.net.run_source(&mut source);
+    topo.net
+        .run_source(&mut ScheduleSource::new(schedule, header));
 
     let tel = &topo.net.telemetry;
     if !allow_loss {
@@ -269,11 +299,8 @@ fn replay_schedule_impl(
 /// Score a completed replay run against the recorded schedule: replay
 /// packet ids follow the source's registration order, which is exactly
 /// the recorded order (telemetry keeps one dense record per packet even
-/// for packets that are later dropped). Shared by the `o(p)`-target
-/// replays above and the deadline-objective replays
-/// ([`crate::deadline`]), which build their own headers but score the
-/// same way.
-pub(crate) fn score_replay(
+/// for packets that are later dropped).
+fn score_replay(
     schedule: &RecordedSchedule,
     tel: &Telemetry,
     mode: ReplayMode,
@@ -509,5 +536,24 @@ mod tests {
         );
         assert!(!report.qdelay_ratios.is_empty());
         assert!(report.qdelay_ratios.iter().all(|&r| r >= 0.0));
+    }
+
+    #[test]
+    fn lossy_lstf_replay_on_the_star_matches_recorded_values() {
+        // Lateness, losses and `T` as printed by the commit before the
+        // classic and deadline replay legs were merged into `replay_with`.
+        let flows = star_flows(&star_factory(), 6);
+        let mut orig = star_factory();
+        let schedule = record_original(&mut orig, &flows, SchedKind::Random, 3, 1500);
+        let mut copy = orig.rewired();
+        copy.net.install_chaos(Time::from_millis(1), |_| {
+            Some(ups_net::ChaosPolicy::new(9).drop_prob(0.1))
+        });
+        let report = replay_schedule_lossy(&mut copy, &schedule, ReplayMode::lstf());
+        let us12: [i64; 23] = [
+            0, -4, -1, -4, -3, 0, 0, -4, -1, -3, -4, 0, -4, -4, -1, -1, -1, 0, 0, 0, -1, -4, -4,
+        ];
+        assert_eq!(report.lateness, us12.map(|k| k * 12_000_000));
+        assert_eq!((report.lost, report.t), (7, Dur::from_micros(12)));
     }
 }

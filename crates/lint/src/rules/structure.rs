@@ -16,8 +16,12 @@ use std::path::Path;
 
 /// Anchor file for the event-class contract.
 const NETWORK_RS: &str = "crates/net/src/network.rs";
-/// Anchor file for the scenario registry.
-const SCENARIO_RS: &str = "crates/sweep/src/scenario.rs";
+/// Anchor files and table names of the two registries `sweep --grid`
+/// resolves: the scenario registry and the paper's experiments.
+const REGISTRIES: [(&str, &str); 2] = [
+    ("crates/sweep/src/scenario.rs", "REGISTRY"),
+    ("crates/bench/src/experiments.rs", "EXPERIMENTS"),
+];
 /// Scenario catalogue document, relative to the lint root.
 const SCENARIOS_MD: &str = "docs/SCENARIOS.md";
 /// Directory prefix of the observability crate.
@@ -234,46 +238,53 @@ fn event_class_order(files: &[SourceFile], report: &mut Report) {
     }
 }
 
-/// `scenario-docs`: every scenario in `REGISTRY` must be catalogued in
-/// docs/SCENARIOS.md (as a backticked name), and every backticked `##`
-/// heading in the catalogue must name a registered scenario — the
-/// registry and its documentation cannot drift apart silently.
+/// `scenario-docs`: every entry of the scenario `REGISTRY` and of the
+/// `EXPERIMENTS` table must be catalogued in docs/SCENARIOS.md (as a
+/// backticked name), and every backticked `##` heading in the catalogue
+/// must name an entry of one of them — what `sweep --grid` runs and its
+/// documentation cannot drift apart silently.
 fn scenario_docs(files: &[SourceFile], root: &Path, report: &mut Report) {
-    let Some(f) = files.iter().find(|f| f.rel == SCENARIO_RS) else {
-        return;
-    };
-    let toks = f.toks();
-    let Some(reg) = toks.iter().position(|t| t.is_ident("REGISTRY")) else {
-        return;
-    };
-    // Names appear as `name: "..."` field inits after the REGISTRY
-    // token; collect them until the array's closing `]` at depth 0.
-    let mut names: Vec<(String, u32)> = Vec::new();
-    let mut i = reg;
-    // Advance to the opening `[` of the array literal (skip the type's
-    // `&[Scenario]` brackets by waiting for `= & [`).
-    while i < toks.len() && !(toks[i].is_punct('=')) {
-        i += 1;
-    }
-    let mut depth = 0usize;
-    let mut entered = false;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.is_punct('[') {
-            depth += 1;
-            entered = true;
-        } else if t.is_punct(']') {
-            depth -= 1;
-            if entered && depth == 0 {
-                break;
-            }
-        } else if t.is_ident("name")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|t| t.kind == TokKind::Str)
-        {
-            names.push((toks[i + 2].text.clone(), toks[i + 2].line));
+    // (name, declaring file, line), over every registry that is present.
+    let mut names: Vec<(String, &str, u32)> = Vec::new();
+    for (rel, table) in REGISTRIES {
+        let Some(f) = files.iter().find(|f| f.rel == rel) else {
+            continue;
+        };
+        let toks = f.toks();
+        let Some(reg) = toks.iter().position(|t| t.is_ident(table)) else {
+            continue;
+        };
+        // Names appear as `name: "..."` field inits after the table's
+        // token; collect them until the array's closing `]` at depth 0.
+        // Advance to the opening `[` of the array literal (skip the
+        // type's `&[Scenario]` brackets by waiting for `= & [`).
+        let mut i = reg;
+        while i < toks.len() && !(toks[i].is_punct('=')) {
+            i += 1;
         }
-        i += 1;
+        let mut depth = 0usize;
+        let mut entered = false;
+        while i < toks.len() {
+            let t = &toks[i];
+            if t.is_punct('[') {
+                depth += 1;
+                entered = true;
+            } else if t.is_punct(']') {
+                depth -= 1;
+                if entered && depth == 0 {
+                    break;
+                }
+            } else if t.is_ident("name")
+                && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
+                && toks.get(i + 2).is_some_and(|t| t.kind == TokKind::Str)
+            {
+                names.push((toks[i + 2].text.clone(), rel, toks[i + 2].line));
+            }
+            i += 1;
+        }
+    }
+    if names.is_empty() {
+        return;
     }
     report.checked.scenarios = names.len();
     let doc_path = root.join(SCENARIOS_MD);
@@ -286,7 +297,7 @@ fn scenario_docs(files: &[SourceFile], root: &Path, report: &mut Report) {
                 line: 0,
                 item: None,
                 message: format!(
-                    "{SCENARIOS_MD} is missing but REGISTRY has {} scenarios",
+                    "{SCENARIOS_MD} is missing but {} scenarios and experiments are registered",
                     names.len()
                 ),
                 hint: "document every registered scenario in docs/SCENARIOS.md",
@@ -294,21 +305,21 @@ fn scenario_docs(files: &[SourceFile], root: &Path, report: &mut Report) {
             return;
         }
     };
-    for (name, line) in &names {
+    for (name, rel, line) in &names {
         if !doc.contains(&format!("`{name}`")) {
             report.findings.push(Finding {
                 rule: "scenario-docs",
-                file: SCENARIO_RS.to_string(),
+                file: rel.to_string(),
                 line: *line,
                 item: Some(name.clone()),
                 message: format!("scenario `{name}` is not documented in {SCENARIOS_MD}"),
                 hint: "add a `## `name`` section to docs/SCENARIOS.md (params, \
-                       repro command, artifact path) or remove the registry entry",
+                       repro command, artifact path) or remove the entry",
             });
         }
     }
     // Reverse direction: headings must name registered scenarios.
-    let registered: BTreeSet<&str> = names.iter().map(|(n, _)| n.as_str()).collect();
+    let registered: BTreeSet<&str> = names.iter().map(|(n, ..)| n.as_str()).collect();
     for (idx, line) in doc.lines().enumerate() {
         let Some(rest) = line.strip_prefix("## `") else {
             continue;
@@ -322,9 +333,9 @@ fn scenario_docs(files: &[SourceFile], root: &Path, report: &mut Report) {
                 file: SCENARIOS_MD.to_string(),
                 line: (idx + 1) as u32,
                 item: Some(name.to_string()),
-                message: format!("documented scenario `{name}` is not in REGISTRY"),
-                hint: "register the scenario in crates/sweep/src/scenario.rs or \
-                       drop the stale section",
+                message: format!("documented scenario `{name}` is not registered"),
+                hint: "register it in crates/sweep/src/scenario.rs (or the \
+                       experiments table in crates/bench) or drop the stale section",
             });
         }
     }

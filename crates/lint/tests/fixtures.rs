@@ -136,13 +136,15 @@ fn scenario_docs_checks_both_directions() {
     assert_eq!(
         triples(&r),
         vec![
+            ("scenario-docs", "crates/bench/src/experiments.rs", 4),
             ("scenario-docs", "crates/sweep/src/scenario.rs", 9),
             ("scenario-docs", "docs/SCENARIOS.md", 7),
         ]
     );
-    assert!(r.findings[0].message.contains("`ghost`"));
-    assert!(r.findings[1].message.contains("`phantom`"));
-    assert_eq!(r.checked.scenarios, 2);
+    assert!(r.findings[0].message.contains("`spectre`"));
+    assert!(r.findings[1].message.contains("`ghost`"));
+    assert!(r.findings[2].message.contains("`phantom`"));
+    assert_eq!(r.checked.scenarios, 4);
 }
 
 #[test]

@@ -18,6 +18,7 @@ use ups_core::RecordedSchedule;
 use ups_net::Telemetry;
 use ups_obs::NetSeries;
 use ups_sim::Time;
+use ups_topo::Topology;
 use ups_transport::FlowDesc;
 
 /// Per-replicate measurements of one grid cell (the sweep analogue of
@@ -160,9 +161,73 @@ pub fn record_and_replay_observed(
     mode: ReplayMode,
     workload: WorkloadKind,
 ) -> ObservedRun {
+    observed_leg(
+        coord,
+        sim,
+        seed,
+        workload,
+        |topo, flows| record_original(topo, flows, coord.sched, seed, 1500),
+        |topo, schedule, lossy| {
+            let replay = if lossy {
+                replay_schedule_lossy
+            } else {
+                replay_schedule
+            };
+            replay(topo, schedule, mode)
+        },
+        |schedule| schedule,
+    )
+}
+
+/// The deadline pipeline's observed replicate: record EDF on virtual
+/// deadlines, replay under the candidate named by `coord.sched`, and
+/// reduce the replay's delivery telemetry to per-flow deadline outcomes.
+pub fn record_and_replay_deadline_observed(
+    coord: &CellCoord,
+    sim: &SimScale,
+    seed: u64,
+    workload: WorkloadKind,
+) -> ObservedRun {
+    let mode = DeadlineMode::from_sched(coord.sched).unwrap_or_else(|| {
+        panic!(
+            "deadline-replay cells take EDF/LSTF/Priority sched coordinates, got {}",
+            coord.sched.label()
+        )
+    });
+    observed_leg(
+        coord,
+        sim,
+        seed,
+        workload,
+        |topo, flows| record_deadline_original(topo, flows, 1500),
+        |topo, ds, lossy| {
+            let replay = if lossy {
+                replay_deadline_lossy
+            } else {
+                replay_deadline
+            };
+            replay(topo, ds, mode)
+        },
+        |ds| ds.schedule,
+    )
+}
+
+/// The one observed leg both pipelines run: build the cell's topology,
+/// draw its flows, `record` the original, harvest the sampler series,
+/// and `replay` on the [`rewired`](Topology::rewired) copy — strict, or
+/// lossy under the cell's chaos policy.
+fn observed_leg<S>(
+    coord: &CellCoord,
+    sim: &SimScale,
+    seed: u64,
+    workload: WorkloadKind,
+    record: impl FnOnce(&mut Topology, &[FlowDesc]) -> S,
+    replay: impl FnOnce(&mut Topology, &S, bool) -> ReplayReport,
+    schedule_of: impl FnOnce(S) -> RecordedSchedule,
+) -> ObservedRun {
     let mut orig_topo = coord.topo.build(sim);
     let flows = workload.build(&orig_topo, coord.util, sim.horizon, seed);
-    let schedule = record_original(&mut orig_topo, &flows, coord.sched, seed, 1500);
+    let recorded = record(&mut orig_topo, &flows);
     let series = orig_topo.net.take_series();
     // The record leg always runs clean — chaos perturbs the *replay*
     // only, so the degradation curve measures how the recorded schedule
@@ -170,7 +235,7 @@ pub fn record_and_replay_observed(
     let mut replay_topo = orig_topo.rewired();
     drop(orig_topo);
     let (report, chaos) = match coord.chaos.to_policy() {
-        None => (replay_schedule(&mut replay_topo, &schedule, mode), None),
+        None => (replay(&mut replay_topo, &recorded, false), None),
         Some(policy) => {
             // Windows are precomputed to a horizon; replay drains past
             // the arrival horizon, so leave generous headroom.
@@ -178,7 +243,7 @@ pub fn record_and_replay_observed(
             replay_topo
                 .net
                 .install_chaos(chaos_horizon, |_| Some(policy.clone()));
-            let report = replay_schedule_lossy(&mut replay_topo, &schedule, mode);
+            let report = replay(&mut replay_topo, &recorded, true);
             let totals = replay_topo.net.chaos_totals();
             let cell = ChaosCell {
                 fidelity: report.fidelity(),
@@ -192,7 +257,7 @@ pub fn record_and_replay_observed(
     let deadline = deadline_cell(&flows, &replay_topo.net.telemetry);
     ObservedRun {
         report,
-        schedule,
+        schedule: schedule_of(recorded),
         deadline,
         chaos,
         series,
@@ -297,57 +362,6 @@ impl CellPipeline {
         metrics.deadline = run.deadline;
         metrics.chaos = run.chaos;
         metrics
-    }
-}
-
-/// The deadline pipeline's observed replicate: record EDF on virtual
-/// deadlines (clean — chaos perturbs the replay leg only, like the
-/// classic pipeline), rewire, replay under the candidate named by
-/// `coord.sched`, and reduce the replay's delivery telemetry to
-/// per-flow deadline outcomes.
-pub fn record_and_replay_deadline_observed(
-    coord: &CellCoord,
-    sim: &SimScale,
-    seed: u64,
-    workload: WorkloadKind,
-) -> ObservedRun {
-    let mode = DeadlineMode::from_sched(coord.sched).unwrap_or_else(|| {
-        panic!(
-            "deadline-replay cells take EDF/LSTF/Priority sched coordinates, got {}",
-            coord.sched.label()
-        )
-    });
-    let mut orig_topo = coord.topo.build(sim);
-    let flows = workload.build(&orig_topo, coord.util, sim.horizon, seed);
-    let ds = record_deadline_original(&mut orig_topo, &flows, 1500);
-    let series = orig_topo.net.take_series();
-    let mut replay_topo = orig_topo.rewired();
-    drop(orig_topo);
-    let (report, chaos) = match coord.chaos.to_policy() {
-        None => (replay_deadline(&mut replay_topo, &ds, mode), None),
-        Some(policy) => {
-            let chaos_horizon = Time::ZERO + sim.horizon * 8;
-            replay_topo
-                .net
-                .install_chaos(chaos_horizon, |_| Some(policy.clone()));
-            let report = replay_deadline_lossy(&mut replay_topo, &ds, mode);
-            let totals = replay_topo.net.chaos_totals();
-            let cell = ChaosCell {
-                fidelity: report.fidelity(),
-                frac_lost: report.frac_lost(),
-                chaos_drops: totals.drops,
-                outage_us: totals.outage.as_micros_f64(),
-            };
-            (report, Some(cell))
-        }
-    };
-    let deadline = deadline_cell(&flows, &replay_topo.net.telemetry);
-    ObservedRun {
-        report,
-        schedule: ds.schedule,
-        deadline,
-        chaos,
-        series,
     }
 }
 

@@ -29,17 +29,14 @@
 //! * [`diff`](mod@diff) compares two artifacts structurally, keyed by
 //!   grid coordinate, under a configurable tolerance — the primitive
 //!   behind `sweep diff` and cross-run regression detection in CI;
-//! * [`perf`] is the machine-readable perf history behind `sweep
-//!   bench`: one JSON line per benchmark run, plus the min-vs-prior-best
-//!   regression gate (`--gate-pct`);
 //! * [`scenario`] is the registry of named experiment scenarios —
 //!   topology build × workload family × grid — behind
 //!   `sweep --grid <scenario>` and the `sweep scenarios` subcommand
 //!   (see `docs/SCENARIOS.md` for the catalogue).
 //!
 //! The `sweep` binary at the workspace root (`cargo run --release --bin
-//! sweep`) is the CLI; `ups-bench`'s `table1`, `all_experiments`, and
-//! the four `fig*` binaries are thin clients of [`run_sweep`] /
+//! sweep`) is the CLI; the paper's figures (`sweep --grid fig1` …, the
+//! `EXPERIMENTS` table in `ups-bench`) are thin clients of
 //! [`run_fig_with`].
 //!
 //! # Artifact schema
@@ -187,7 +184,6 @@ pub mod cell;
 pub mod diff;
 pub mod engine;
 pub mod grid;
-pub mod perf;
 pub mod pool;
 pub mod scenario;
 pub mod telemetry;
@@ -207,6 +203,5 @@ pub use grid::{
     CellCoord, ChaosSpec, FigAxis, FigJob, FigSpec, Job, SimScale, SweepSpec, TopoKind,
     DEFAULT_CHAOS_SEED,
 };
-pub use perf::PerfEntry;
 pub use scenario::Scenario;
 pub use telemetry::{run_telemetry_sweep, TelemetryCell, TelemetryReport, TelemetrySeries};

@@ -262,8 +262,8 @@ pub const REGISTRY: &[Scenario] = &[
         detail: "The paper-scale pFabric fat-tree: 16 core, 32 aggregation, \
                  32 edge switches, 10 Gbps everywhere. Full bisection means \
                  overdue fractions stay near zero until utilization gets \
-                 high; this grid is also the scale leg of the PR 4 \
-                 event-core claim (see crates/bench/benches/large_topo.rs).",
+                 high; the benchmark's dc-k8-web-chaos workload runs on \
+                 this topology.",
         topo: TopoKind::FatTreeK(8),
         workload: WorkloadKind::Web,
         pipeline: CellPipeline::Replay,

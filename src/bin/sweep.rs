@@ -1,200 +1,329 @@
-//! `sweep` — the declarative, parallel experiment-sweep CLI.
+//! `sweep` — the one way to run an experiment.
 //!
-//! Expands a named grid (default: the paper's Table 1) or a registered
-//! scenario into cells × seed replicates, executes the jobs on a
-//! scoped-thread worker pool, prints per-cell mean ± stddev, and writes
-//! JSON + CSV artifacts under `target/sweep/` (override with `--out
-//! DIR`). The artifacts are byte-identical for every `--jobs` value.
+//! `--grid NAME` runs, in this order of lookup: a named grid (`table1`,
+//! the default; `smoke`, `util`, `sched`, `topo`), a registered scenario
+//! (`ups_sweep::scenario`, catalogued in `docs/SCENARIOS.md`), or one of
+//! the paper's experiments (`ups_bench::EXPERIMENTS`: `fig1`…`fig4`, the
+//! ablations, `paper`). Grids and scenarios expand into cells × seed
+//! replicates, run on a scoped-thread worker pool, print per-cell mean ±
+//! stddev and write JSON + CSV artifacts under `target/sweep/` (override
+//! with `--out DIR`); experiments print their own report and the figures
+//! write the same kind of artifacts. Output is byte-identical for every
+//! `--jobs` value.
 //!
-//! The `scenarios` subcommand lists, describes, and runs the scenario
-//! registry (`ups_sweep::scenario` — topology × workload × grid; the
-//! catalogue is documented in `docs/SCENARIOS.md`). The `diff`
-//! subcommand compares two JSON artifacts (table or figure)
-//! structurally, keyed by grid coordinate, and exits nonzero when they
-//! diverge beyond the given tolerance — the cross-run regression check.
-//! The `bench` subcommand times end-to-end fat-tree forwarding, appends
-//! the result to a machine-readable perf history
-//! (`target/sweep/perf-history.jsonl`), and with `--gate-pct` exits
-//! nonzero when the run regressed past the best prior entry:
+//! `scenarios` lists what `--grid` accepts beyond the named grids and
+//! describes a scenario; `diff` compares two JSON artifacts (table or
+//! figure) structurally, keyed by grid coordinate, and exits nonzero
+//! when they diverge beyond the given tolerance — the cross-run
+//! regression check.
 //!
 //! ```sh
 //! cargo run --release --bin sweep -- --jobs 4 --replicates 3
 //! cargo run --release --bin sweep -- --grid dc-k8-incast --jobs 4
+//! cargo run --release --bin sweep -- --grid fig1 --replicates 2
 //! cargo run --release --bin sweep -- scenarios list
 //! cargo run --release --bin sweep -- scenarios describe rocketfuel-full
-//! cargo run --release --bin sweep -- scenarios run dc-k4-incast-sched
 //! cargo run --release --bin sweep -- diff baseline.json target/sweep/table1.json
-//! cargo run --release --bin sweep -- bench --iters 5 --gate-pct 20
 //! ```
 
-use std::path::{Path, PathBuf};
-use ups_bench::Scale;
+use std::path::PathBuf;
+use std::str::FromStr;
+use ups_bench::{experiments, out, out_inline, print_sweep_report, Scale};
 use ups_core::WorkloadKind;
-use ups_net::TraceLevel;
 use ups_sim::Dur;
 use ups_sweep::scenario::{self, Scenario};
 use ups_sweep::{
-    diff_artifacts, perf, run_sweep_with, run_telemetry_sweep, CellPipeline, ChaosSpec,
-    DiffOptions, PerfEntry, SweepReport, SweepSpec, TelemetryReport,
+    diff_artifacts, run_sweep_with, run_telemetry_sweep, CellPipeline, ChaosSpec, DiffOptions,
+    SweepSpec,
 };
 
-/// Write a line to stdout, swallowing write failures: when stdout is
-/// piped through e.g. `head`, the reader can close the pipe before the
-/// sweep finishes, and std maps the resulting `EPIPE` to a `println!`
-/// panic (Rust ignores SIGPIPE). The sweep must still write its JSON/CSV
-/// artifacts and exit cleanly in that case, so every stdout write in
-/// this binary goes through `out!`/`out_inline!` instead. Diagnostics on
-/// stderr keep using `eprintln!`.
-macro_rules! out {
-    ($($arg:tt)*) => {{
-        use std::io::Write as _;
-        let _ = writeln!(std::io::stdout(), $($arg)*);
-    }};
-}
-
-/// [`out!`] without the trailing newline (the `print!` analogue).
-macro_rules! out_inline {
-    ($($arg:tt)*) => {{
-        use std::io::Write as _;
-        let _ = write!(std::io::stdout(), $($arg)*);
-    }};
-}
-
-const GRIDS: &str = "table1 (default), smoke, util, sched, topo, or any \
-                     registered scenario (see `sweep scenarios list`)";
+const USAGE: &str = "\
+usage: sweep [--grid NAME] [--out DIR] [--telemetry] [chaos flags] [scale flags]
+       sweep scenarios [list | describe NAME | run NAME [flags as above]]
+       sweep diff OLD.json NEW.json [--rel-tol X] [--abs-tol X]
+  --grid NAME  what to run: table1 (default), smoke, util, sched, topo, a
+               registered scenario or an experiment of the paper (fig1..fig4,
+               ablation-*, paper, ...; `sweep scenarios list` prints both)
+  --out DIR    artifact directory (default: target/sweep)
+  --telemetry  sample queue/utilization time series on the event wheel and
+               additionally write <grid>_telemetry.json/.csv
+  --telemetry-interval-us N  sampling cadence in µs (default 250; implies --telemetry)
+  --chaos-drop-ppm N     perturb every cell's replay leg: i.i.d. drop rate in ppm
+  --chaos-seed N         chaos RNG seed (default: the fixed chaos seed)
+  --chaos-fail-period-us N / --chaos-fail-down-us N   periodic link failures
+  --chaos-jam-period-us N / --chaos-jam-burst-us N    periodic jamming windows
+  --rel-tol X  diff: relative tolerance per numeric value (default 0 = exact)
+  --abs-tol X  diff: absolute tolerance per numeric value (default 0 = exact)
+scale flags:
+  --full          paper-like scale (default: quick)
+  --seed N        base RNG seed (default: 1)
+  --horizon-ms N  flow-arrival horizon in milliseconds
+  --edges N       edge routers per core router on WAN topologies
+  --jobs N        worker threads (default: available parallelism; output
+                  is identical for every value; the single-seed ablations
+                  and diagnostics run serially)
+  --replicates N  seed replicates per grid cell or figure series, reported
+                  as mean +/- stddev (default: 1; the single-seed
+                  ablations and diagnostics ignore it)
+telemetry and chaos flags apply to grids and scenarios, not to experiments.";
 
 fn usage_exit(err: &str) -> ! {
-    eprintln!(
-        "error: {err}\n\
-         usage: sweep [--grid NAME] [--out DIR] [--telemetry] [scale flags]\n       \
-         sweep scenarios [list | describe NAME | run NAME [--out DIR] [scale flags]]\n       \
-         sweep diff OLD.json NEW.json [--rel-tol X] [--abs-tol X]\n       \
-         sweep bench [--iters N] [--gate-pct X] [--handicap F] [--trace-out FILE]\n             \
-         [--history FILE] [--out DIR] [scale flags]\n  \
-         --grid NAME  grid to run: {GRIDS}\n  \
-         --out DIR    artifact directory (default: target/sweep)\n  \
-         --telemetry  sample queue/utilization time series on the event wheel and\n               \
-         additionally write <grid>_telemetry.json/.csv\n  \
-         --telemetry-interval-us N  sampling cadence in µs (default 250; implies --telemetry)\n  \
-         --chaos-drop-ppm N     perturb every cell's replay leg: i.i.d. drop rate in ppm\n  \
-         --chaos-seed N         chaos RNG seed (default: the fixed chaos seed)\n  \
-         --chaos-fail-period-us N / --chaos-fail-down-us N   periodic link failures\n  \
-         --chaos-jam-period-us N / --chaos-jam-burst-us N    periodic jamming windows\n  \
-         --rel-tol X  diff: relative tolerance per numeric value (default 0 = exact)\n  \
-         --abs-tol X  diff: absolute tolerance per numeric value (default 0 = exact)\n  \
-         --iters N    bench: timed iterations (default 5)\n  \
-         --gate-pct X bench: fail (exit 1) when min time regresses more than X%\n               \
-         past the best prior history entry for this bench+scale\n  \
-         --handicap F bench: multiply measured times by F (gate self-test)\n  \
-         --trace-out FILE  bench: export the warmup run's packet lifecycle\n               \
-         ring as JSON Lines\n  \
-         --history FILE    bench: perf history path (default: <out>/perf-history.jsonl)\n\
-         {}",
-        ups_bench::scale::SCALE_FLAGS
-    );
+    eprintln!("error: {err}\n{USAGE}");
     std::process::exit(2);
 }
 
-/// Strip `--telemetry` / `--telemetry-interval-us N` out of `args`
-/// (they would trip `Scale::parse`'s strict unknown-flag check);
-/// returns the sampling cadence when telemetry was requested.
-fn take_telemetry_flags(args: &mut Vec<String>) -> Result<Option<Dur>, String> {
-    let mut on = false;
-    let mut interval_us: u64 = 250;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--telemetry" => {
-                on = true;
-                args.remove(i);
-            }
-            "--telemetry-interval-us" => {
-                let Some(v) = args.get(i + 1) else {
-                    return Err("--telemetry-interval-us requires a value".to_string());
-                };
-                interval_us = match v.parse::<u64>() {
-                    Ok(x) if x > 0 => x,
-                    _ => {
-                        return Err(
-                            "--telemetry-interval-us: expected a positive integer".to_string()
-                        )
-                    }
-                };
-                on = true;
-                args.drain(i..i + 2);
-            }
-            _ => i += 1,
-        }
-    }
-    Ok(on.then(|| Dur::from_micros(interval_us)))
+/// Everything the command line can say, from one pass over it.
+#[derive(Debug)]
+struct Args {
+    /// Bare words in order: the subcommand and its operands.
+    words: Vec<String>,
+    /// Every flag given, for the per-subcommand applicability check.
+    flags: Vec<String>,
+    grid: Option<String>,
+    out: PathBuf,
+    /// Sampling cadence, when telemetry was requested.
+    telemetry: Option<Dur>,
+    /// Override for *every* cell of the grid, when any chaos flag was given.
+    chaos: Option<ChaosSpec>,
+    tolerance: DiffOptions,
+    scale: Scale,
 }
 
-/// Strip the `--chaos-*` flags out of `args` (they would trip
-/// `Scale::parse`'s strict unknown-flag check); returns the
-/// [`ChaosSpec`] override when any chaos flag was given — the caller
-/// applies it to *every* cell of the grid it runs.
-fn take_chaos_flags(args: &mut Vec<String>) -> Result<Option<ChaosSpec>, String> {
-    let mut spec = ChaosSpec::OFF;
-    let mut any = false;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].clone();
-        let known = matches!(
-            flag.as_str(),
-            "--chaos-drop-ppm"
-                | "--chaos-seed"
-                | "--chaos-fail-period-us"
-                | "--chaos-fail-down-us"
-                | "--chaos-jam-period-us"
-                | "--chaos-jam-burst-us"
-        );
-        if !known {
-            i += 1;
-            continue;
-        }
-        let Some(v) = args.get(i + 1) else {
-            return Err(format!("{flag} requires a value"));
+/// The value of `flag`: the next argument, which must not itself be a
+/// flag — consuming one silently would both mis-scale the run and (for
+/// `--out`) write artifacts to a `./--flag/` directory.
+fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+    match it.next() {
+        Some(v) if !v.starts_with('-') => Ok(v),
+        Some(v) => Err(format!("{flag} requires a value, got flag `{v}`")),
+        None => Err(format!("{flag} requires a value")),
+    }
+}
+
+/// [`value`] parsed as a number; `what` names the accepted kind.
+fn number<T: FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    let v = value(it, flag)?;
+    v.parse()
+        .map_err(|_| format!("{flag}: expected {what}, got `{v}`"))
+}
+
+impl Args {
+    /// Parse an argument vector (without the program name). Unknown
+    /// flags and missing or unparseable values are errors.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let mut a = Args {
+            words: Vec::new(),
+            flags: Vec::new(),
+            grid: None,
+            out: PathBuf::from("target/sweep"),
+            telemetry: None,
+            chaos: None,
+            tolerance: DiffOptions::default(),
+            scale: Scale::quick(),
         };
-        let parsed: u64 = v
-            .parse()
-            .map_err(|_| format!("{flag}: expected a non-negative integer"))?;
-        let as_u32 =
-            |x: u64| u32::try_from(x).map_err(|_| format!("{flag}: value too large ({x})"));
-        match flag.as_str() {
-            "--chaos-drop-ppm" => {
-                spec.drop_ppm = as_u32(parsed)?;
-                if spec.drop_ppm > 1_000_000 {
-                    return Err("--chaos-drop-ppm: at most 1000000 (= drop everything)".to_string());
-                }
+        let (mut full, mut interval_us) = (false, 250u64);
+        let (mut seed, mut horizon_ms, mut edges, mut jobs, mut replicates) =
+            (None, None, None, None, None);
+        let it = &mut args.into_iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with('-') {
+                a.words.push(arg);
+                continue;
             }
-            "--chaos-seed" => spec.seed = parsed,
-            "--chaos-fail-period-us" => spec.fail_period_us = as_u32(parsed)?,
-            "--chaos-fail-down-us" => spec.fail_down_us = as_u32(parsed)?,
-            "--chaos-jam-period-us" => spec.jam_period_us = as_u32(parsed)?,
-            "--chaos-jam-burst-us" => spec.jam_burst_us = as_u32(parsed)?,
-            _ => unreachable!(),
+            let flag = arg.as_str();
+            let (int, tol) = ("an integer", "a non-negative number");
+            match flag {
+                "--grid" => a.grid = Some(value(it, flag)?),
+                "--out" => a.out = PathBuf::from(value(it, flag)?),
+                "--telemetry" => {}
+                "--telemetry-interval-us" => {
+                    interval_us = number(it, flag, "a positive integer")?;
+                    if interval_us == 0 {
+                        return Err(format!("{flag}: expected a positive integer, got `0`"));
+                    }
+                }
+                "--chaos-drop-ppm" => {
+                    let ppm = number(it, flag, int)?;
+                    if ppm > 1_000_000 {
+                        return Err(format!("{flag}: at most 1000000 (= drop everything)"));
+                    }
+                    a.chaos.get_or_insert(ChaosSpec::OFF).drop_ppm = ppm;
+                }
+                "--chaos-seed" => {
+                    a.chaos.get_or_insert(ChaosSpec::OFF).seed = number(it, flag, int)?
+                }
+                "--chaos-fail-period-us" => {
+                    a.chaos.get_or_insert(ChaosSpec::OFF).fail_period_us = number(it, flag, int)?
+                }
+                "--chaos-fail-down-us" => {
+                    a.chaos.get_or_insert(ChaosSpec::OFF).fail_down_us = number(it, flag, int)?
+                }
+                "--chaos-jam-period-us" => {
+                    a.chaos.get_or_insert(ChaosSpec::OFF).jam_period_us = number(it, flag, int)?
+                }
+                "--chaos-jam-burst-us" => {
+                    a.chaos.get_or_insert(ChaosSpec::OFF).jam_burst_us = number(it, flag, int)?
+                }
+                "--rel-tol" => a.tolerance.rel_tol = number(it, flag, tol)?,
+                "--abs-tol" => a.tolerance.abs_tol = number(it, flag, tol)?,
+                "--full" => full = true,
+                "--seed" => seed = Some(number(it, flag, int)?),
+                "--horizon-ms" => horizon_ms = Some(number(it, flag, int)?),
+                "--edges" => edges = Some(number::<usize>(it, flag, int)?.max(1)),
+                "--jobs" => jobs = Some(number::<usize>(it, flag, int)?.max(1)),
+                "--replicates" => replicates = Some(number::<usize>(it, flag, int)?.max(1)),
+                _ => return Err(format!("unknown flag `{flag}`")),
+            }
+            if flag.starts_with("--telemetry") {
+                a.telemetry = Some(Dur::from_micros(interval_us));
+            }
+            a.flags.push(arg);
         }
-        any = true;
-        args.drain(i..i + 2);
+        // `--full` picks the base scale wherever it stands; the explicit
+        // values then override it.
+        if full {
+            a.scale = Scale::full();
+        }
+        a.scale.seed = seed.unwrap_or(a.scale.seed);
+        a.scale.horizon = horizon_ms.map_or(a.scale.horizon, Dur::from_millis);
+        a.scale.edges_per_core = edges.unwrap_or(a.scale.edges_per_core);
+        a.scale.jobs = jobs.unwrap_or(a.scale.jobs);
+        a.scale.replicates = replicates.unwrap_or(a.scale.replicates);
+        if !(a.tolerance.rel_tol >= 0.0 && a.tolerance.abs_tol >= 0.0) {
+            return Err("--rel-tol/--abs-tol: expected a non-negative number".to_string());
+        }
+        let c = a.chaos.unwrap_or(ChaosSpec::OFF);
+        if c.fail_period_us > 0 && c.fail_down_us >= c.fail_period_us {
+            return Err(
+                "--chaos-fail-down-us must be less than --chaos-fail-period-us".to_string(),
+            );
+        }
+        if c.fail_down_us > 0 && c.fail_period_us == 0 {
+            return Err("--chaos-fail-down-us requires --chaos-fail-period-us".to_string());
+        }
+        if c.jam_period_us > 0 && c.jam_burst_us >= c.jam_period_us {
+            return Err("--chaos-jam-burst-us must be less than --chaos-jam-period-us".to_string());
+        }
+        if c.jam_burst_us > 0 && c.jam_period_us == 0 {
+            return Err("--chaos-jam-burst-us requires --chaos-jam-period-us".to_string());
+        }
+        Ok(a)
     }
-    if spec.fail_period_us > 0 && spec.fail_down_us >= spec.fail_period_us {
-        return Err("--chaos-fail-down-us must be less than --chaos-fail-period-us".to_string());
+
+    /// Exit 2 if a flag was given that `what` has no use for; a flag
+    /// that silently does nothing hides a mistyped command.
+    fn only(&self, what: &str, applies: impl Fn(&str) -> bool) {
+        if let Some(flag) = self.flags.iter().find(|f| !applies(f)) {
+            usage_exit(&format!("{flag} does not apply to {what}"));
+        }
     }
-    if spec.fail_down_us > 0 && spec.fail_period_us == 0 {
-        return Err("--chaos-fail-down-us requires --chaos-fail-period-us".to_string());
-    }
-    if spec.jam_period_us > 0 && spec.jam_burst_us >= spec.jam_period_us {
-        return Err("--chaos-jam-burst-us must be less than --chaos-jam-period-us".to_string());
-    }
-    if spec.jam_burst_us > 0 && spec.jam_period_us == 0 {
-        return Err("--chaos-jam-burst-us requires --chaos-jam-period-us".to_string());
-    }
-    Ok(any.then_some(spec))
 }
 
-/// Apply a `--chaos-*` override to every cell of the grid.
-fn apply_chaos(mut spec: SweepSpec, chaos: Option<ChaosSpec>) -> SweepSpec {
-    if let Some(c) = chaos {
+fn is_tolerance(flag: &str) -> bool {
+    flag.ends_with("-tol")
+}
+
+/// `sweep diff OLD NEW [--rel-tol X] [--abs-tol X]`: exit 0 when the
+/// artifacts match under the tolerance, 1 when they diverge (the
+/// regression signal for CI), 2 on usage/IO/parse errors.
+fn run_diff(old_path: &str, new_path: &str, opts: &DiffOptions) -> ! {
+    let read = |p: &str| {
+        std::fs::read_to_string(p).unwrap_or_else(|e| {
+            eprintln!("error: reading {p}: {e}");
+            std::process::exit(2);
+        })
+    };
+    let (old, new) = (read(old_path), read(new_path));
+    let report = diff_artifacts(&old, &new, opts).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    out!("sweep diff: {old_path} vs {new_path}");
+    out_inline!("{}", report.render());
+    if report.is_clean() {
+        out!("artifacts match");
+        std::process::exit(0);
+    }
+    out!("artifacts DIFFER");
+    std::process::exit(1);
+}
+
+/// Resolve `grid` — named grid, then scenario, then experiment — and
+/// run it.
+fn run(grid: &str, args: &Args) -> ! {
+    args.only("a run", |f| !is_tolerance(f));
+    let named = match grid {
+        "table1" => Some(SweepSpec::table1()),
+        "smoke" => Some(SweepSpec::smoke()),
+        "util" => Some(SweepSpec::util_grid()),
+        "sched" => Some(SweepSpec::sched_grid()),
+        "topo" => Some(SweepSpec::topo_grid()),
+        _ => None,
+    };
+    if let Some(spec) = named {
+        run_grid(spec, WorkloadKind::Web, CellPipeline::Replay, None, args);
+    }
+    if let Some(s) = scenario::find(grid) {
+        out!("scenario {}: {} [{}]", s.name, s.title, s.workload.label());
+        run_grid(s.spec(), s.workload, s.pipeline, Some(s), args);
+    }
+    let Some(e) = experiments::find(grid) else {
+        usage_exit(&format!(
+            "unknown grid `{grid}` — named grids: table1 (default), smoke, util, sched, topo; \
+             scenarios: {}; experiments: {}",
+            scenario::names().join(", "),
+            experiments::EXPERIMENTS
+                .iter()
+                .map(|e| e.name)
+                .collect::<Vec<_>>()
+                .join(", ")
+        ));
+    };
+    args.only(&format!("experiment `{grid}`"), |f| {
+        !f.starts_with("--telemetry") && !f.starts_with("--chaos")
+    });
+    let scale = &args.scale;
+    out!(
+        "experiment {}: {} (scale {}, seed {}, {} worker(s), {} replicate(s))",
+        e.name,
+        e.title,
+        scale.label,
+        scale.seed,
+        scale.jobs,
+        scale.replicates
+    );
+    exit_after_writing((e.run)(scale, &args.out), args);
+}
+
+fn exit_after_writing(written: std::io::Result<()>, args: &Args) -> ! {
+    match written {
+        Ok(()) => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: writing artifacts to {}: {e}", args.out.display());
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Run a grid (named or scenario) with its workload family and cell
+/// pipeline, with or without event-wheel telemetry sampling; print the
+/// table and write every artifact the run produced — table JSON/CSV,
+/// optional telemetry series, and (for deadline-replay scenarios) the
+/// miss-rate-vs-utilization figure.
+fn run_grid(
+    spec: SweepSpec,
+    workload: WorkloadKind,
+    pipeline: CellPipeline,
+    s: Option<&Scenario>,
+    args: &Args,
+) -> ! {
+    let scale = &args.scale;
+    let mut spec = spec.with_seed(scale.seed).with_replicates(scale.replicates);
+    if let Some(c) = args.chaos {
         out!(
             "chaos: overriding every cell (drop {} ppm, fail {}/{} us, jam {}/{} us, seed {})",
             c.drop_ppm,
@@ -208,305 +337,6 @@ fn apply_chaos(mut spec: SweepSpec, chaos: Option<ChaosSpec>) -> SweepSpec {
             cell.chaos = c;
         }
     }
-    spec
-}
-
-/// `sweep diff OLD NEW [--rel-tol X] [--abs-tol X]`: exit 0 when the
-/// artifacts match under the tolerance, 1 when they diverge (the
-/// regression signal for CI), 2 on usage/IO/parse errors.
-fn run_diff(args: &[String]) -> ! {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut opts = DiffOptions::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut tol = |flag: &str| -> f64 {
-            match it.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(x)) if x >= 0.0 => x,
-                Some(_) => usage_exit(&format!("{flag}: expected a non-negative number")),
-                None => usage_exit(&format!("{flag} requires a value")),
-            }
-        };
-        match a.as_str() {
-            "--rel-tol" => opts.rel_tol = tol("--rel-tol"),
-            "--abs-tol" => opts.abs_tol = tol("--abs-tol"),
-            other if other.starts_with('-') => usage_exit(&format!("unknown diff flag `{other}`")),
-            path => paths.push(PathBuf::from(path)),
-        }
-    }
-    let [old_path, new_path] = &paths[..] else {
-        usage_exit("diff takes exactly two artifact paths");
-    };
-    let read = |p: &PathBuf| {
-        std::fs::read_to_string(p).unwrap_or_else(|e| {
-            eprintln!("error: reading {}: {e}", p.display());
-            std::process::exit(2);
-        })
-    };
-    let (old, new) = (read(old_path), read(new_path));
-    let report = diff_artifacts(&old, &new, &opts).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    out!(
-        "sweep diff: {} vs {}",
-        old_path.display(),
-        new_path.display()
-    );
-    out_inline!("{}", report.render());
-    if report.is_clean() {
-        out!("artifacts match");
-        std::process::exit(0);
-    }
-    out!("artifacts DIFFER");
-    std::process::exit(1);
-}
-
-/// `sweep bench`: time end-to-end fat-tree web forwarding (the
-/// `large_topo` criterion bench's shape — build topology, inject the
-/// Poisson web workload, run the event loop to completion), append a
-/// [`PerfEntry`] to the JSONL perf history, and optionally gate against
-/// the best prior entry for the same bench + scale.
-///
-/// The warmup iteration doubles as the lifecycle-trace capture: it runs
-/// with a bounded [`ups_obs::LifecycleRing`] enabled so `--trace-out`
-/// can export the packet-event story without perturbing the timed
-/// iterations (which run with telemetry's default-off tracing).
-// Wall-clock here measures the engine, never the simulation: walltime
-// feeds perf.json as measurement output (allowed in lint.toml too).
-#[allow(clippy::disallowed_methods)]
-fn run_bench(args: &[String]) -> ! {
-    let mut rest: Vec<String> = args.to_vec();
-    let out = match ups_bench::scale::take_out_flag(&mut rest) {
-        Ok(out) => out,
-        Err(e) => usage_exit(&e),
-    };
-    let mut iters: u64 = 5;
-    let mut gate_pct: Option<f64> = None;
-    let mut handicap: f64 = 1.0;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut history_path: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < rest.len() {
-        let flag = rest[i].clone();
-        let mut value = || -> String {
-            match rest.get(i + 1) {
-                Some(v) => {
-                    let v = v.clone();
-                    rest.drain(i..i + 2);
-                    v
-                }
-                None => usage_exit(&format!("{flag} requires a value")),
-            }
-        };
-        match flag.as_str() {
-            "--iters" => {
-                iters = match value().parse::<u64>() {
-                    Ok(n) if n > 0 => n,
-                    _ => usage_exit("--iters: expected a positive integer"),
-                }
-            }
-            "--gate-pct" => {
-                gate_pct = match value().parse::<f64>() {
-                    Ok(x) if x >= 0.0 => Some(x),
-                    _ => usage_exit("--gate-pct: expected a non-negative number"),
-                }
-            }
-            "--handicap" => {
-                handicap = match value().parse::<f64>() {
-                    Ok(x) if x > 0.0 => x,
-                    _ => usage_exit("--handicap: expected a positive number"),
-                }
-            }
-            "--trace-out" => trace_out = Some(PathBuf::from(value())),
-            "--history" => history_path = Some(PathBuf::from(value())),
-            _ => i += 1,
-        }
-    }
-    let scale = match Scale::parse(&rest) {
-        Ok(s) => s,
-        Err(e) => usage_exit(&e),
-    };
-    let history_path = history_path.unwrap_or_else(|| out.join("perf-history.jsonl"));
-    let k = scale.fattree_k;
-    let bench_name = format!("fattree_k{k}_web_forwarding");
-    out!(
-        "bench {bench_name}: scale {}, {iters} timed iteration(s){}",
-        scale.label,
-        if handicap != 1.0 {
-            format!(", handicap x{handicap}")
-        } else {
-            String::new()
-        }
-    );
-
-    let build_topo =
-        || ups_topo::fattree::build(&ups_topo::fattree::FatTreeConfig::for_k(k), TraceLevel::Off);
-    let topo = build_topo();
-    let flows = WorkloadKind::Web.build(&topo, 0.7, scale.horizon, scale.seed);
-    let pkts: u64 = flows.iter().map(|f| f.pkts).sum();
-    drop(topo);
-
-    let run_once = |lifecycle_cap: Option<usize>| {
-        let mut topo = build_topo();
-        if let Some(cap) = lifecycle_cap {
-            topo.net.telemetry.enable_lifecycle(cap);
-        }
-        let mut stamper = ups_transport::HeaderStamper::zero();
-        let routes = std::sync::Arc::clone(&topo.routes);
-        ups_transport::inject_udp_flows(&mut topo.net, &routes, &flows, 1500, &mut stamper);
-        topo.net.run_to_completion();
-        topo
-    };
-
-    // Warmup + trace capture (untimed).
-    let warm = run_once(Some(65_536));
-    let delivered = warm.net.telemetry.counters.delivered;
-    if let Some(ring) = warm.net.telemetry.lifecycle.as_ref() {
-        out!(
-            "warmup: {delivered} pkts delivered, {} lifecycle events ({} retained)",
-            ring.total(),
-            ring.len()
-        );
-        if let Some(path) = &trace_out {
-            if let Err(e) = std::fs::write(path, ring.to_jsonl()) {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(2);
-            }
-            out!("wrote lifecycle trace {}", path.display());
-        }
-    }
-    drop(warm);
-
-    let mut times_ms: Vec<f64> = Vec::with_capacity(iters as usize);
-    for n in 1..=iters {
-        let t0 = std::time::Instant::now();
-        let topo = run_once(None);
-        let ms = t0.elapsed().as_secs_f64() * 1e3 * handicap;
-        std::hint::black_box(topo.net.telemetry.counters.delivered);
-        out!("  iter {n}: {ms:.3} ms");
-        times_ms.push(ms);
-    }
-    let min_ms = times_ms.iter().copied().fold(f64::INFINITY, f64::min);
-    let mean_ms = times_ms.iter().sum::<f64>() / times_ms.len() as f64;
-    let entry = PerfEntry {
-        bench: bench_name,
-        scale: scale.label.to_string(),
-        iters,
-        pkts,
-        min_ms,
-        mean_ms,
-        pkts_per_sec: pkts as f64 / (min_ms / 1e3),
-    };
-    out!(
-        "{}: min {min_ms:.3} ms, mean {mean_ms:.3} ms, {:.0} pkts/s",
-        entry.bench,
-        entry.pkts_per_sec
-    );
-
-    let prior_text = std::fs::read_to_string(&history_path).unwrap_or_default();
-    let history = match perf::parse_history(&prior_text) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("error: {e} (in {})", history_path.display());
-            std::process::exit(2);
-        }
-    };
-    // Append before gating: the history records what ran; the gate keys
-    // on the best prior entry, so a slow run cannot raise the bar.
-    if let Some(dir) = history_path.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: creating {}: {e}", dir.display());
-            std::process::exit(2);
-        }
-    }
-    let mut text = prior_text;
-    text.push_str(&entry.to_json_line());
-    text.push('\n');
-    if let Err(e) = std::fs::write(&history_path, text) {
-        eprintln!("error: writing {}: {e}", history_path.display());
-        std::process::exit(2);
-    }
-    out!(
-        "appended to {} ({} prior entries)",
-        history_path.display(),
-        history.len()
-    );
-
-    let Some(pct) = gate_pct else {
-        std::process::exit(0);
-    };
-    match perf::gate(&history, &entry, pct) {
-        Ok(None) => {
-            out!("perf gate: no prior baseline for this bench + scale; recorded");
-            std::process::exit(0);
-        }
-        Ok(Some(best)) => {
-            out!("perf gate: OK — min {min_ms:.3} ms vs prior best {best:.3} ms (+{pct}% allowed)");
-            std::process::exit(0);
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `sweep scenarios [list | describe NAME | run NAME ...]`.
-fn run_scenarios(args: &[String]) -> ! {
-    match args.first().map(String::as_str) {
-        None | Some("list") => {
-            out_inline!("{}", scenario::render_list());
-            out!("\nrun one:  sweep --grid <name>  (or: sweep scenarios run <name>)");
-            out!("details:  sweep scenarios describe <name>  ·  docs/SCENARIOS.md");
-            std::process::exit(0);
-        }
-        Some("describe") => {
-            let Some(name) = args.get(1) else {
-                usage_exit("scenarios describe takes a scenario name");
-            };
-            let Some(s) = scenario::find(name) else {
-                usage_exit(&format!(
-                    "unknown scenario `{name}` (see `sweep scenarios list`)"
-                ));
-            };
-            out_inline!("{}", s.describe());
-            std::process::exit(0);
-        }
-        Some("run") => {
-            let Some(name) = args.get(1) else {
-                usage_exit("scenarios run takes a scenario name");
-            };
-            let Some(s) = scenario::find(name) else {
-                usage_exit(&format!(
-                    "unknown scenario `{name}` (see `sweep scenarios list`)"
-                ));
-            };
-            let mut rest: Vec<String> = args[2..].to_vec();
-            let out = match ups_bench::scale::take_out_flag(&mut rest) {
-                Ok(out) => out,
-                Err(e) => usage_exit(&e),
-            };
-            let telemetry = match take_telemetry_flags(&mut rest) {
-                Ok(t) => t,
-                Err(e) => usage_exit(&e),
-            };
-            let chaos = match take_chaos_flags(&mut rest) {
-                Ok(c) => c,
-                Err(e) => usage_exit(&e),
-            };
-            let scale = match Scale::parse(&rest) {
-                Ok(sc) => sc,
-                Err(e) => usage_exit(&e),
-            };
-            run_scenario_grid(s, &scale, &out, telemetry, chaos);
-        }
-        Some(other) => usage_exit(&format!(
-            "unknown scenarios action `{other}` (list, describe, run)"
-        )),
-    }
-}
-
-fn announce(spec: &SweepSpec, scale: &Scale) {
     out!(
         "sweep `{}`: {} cells x {} replicate(s) = {} jobs on {} worker(s), scale {}",
         spec.name,
@@ -516,27 +346,34 @@ fn announce(spec: &SweepSpec, scale: &Scale) {
         scale.jobs,
         scale.label
     );
-}
-
-/// Print the table, write every artifact the run produced — table
-/// JSON/CSV, optional telemetry series, and (for deadline-replay
-/// scenarios) the miss-rate-vs-utilization figure — then exit.
-fn finish(
-    report: &SweepReport,
-    telem: Option<&TelemetryReport>,
-    s: Option<&Scenario>,
-    out: &Path,
-) -> ! {
-    print_report(report);
+    let sim = scale.sim();
+    let (report, telem) = match args.telemetry {
+        None => {
+            let report = run_sweep_with(&spec, sim.label, scale.jobs, |job| {
+                pipeline.cell(&job.coord, &sim, job.seed, workload)
+            });
+            (report, None)
+        }
+        Some(interval) => {
+            out!(
+                "telemetry: sampling every {} us on the event wheel",
+                interval.as_ps() / 1_000_000
+            );
+            let (report, telem) =
+                run_telemetry_sweep(&spec, &sim, scale.jobs, workload, pipeline, interval);
+            (report, Some(telem))
+        }
+    };
+    print_sweep_report(&report);
     let written = (|| -> std::io::Result<()> {
-        let (json, csv) = report.write(out)?;
+        let (json, csv) = report.write(&args.out)?;
         out!("\nwrote {} and {}", json.display(), csv.display());
         if let Some(t) = telem {
-            let (tj, tc) = t.write(out)?;
+            let (tj, tc) = t.write(&args.out)?;
             out!("wrote {} and {}", tj.display(), tc.display());
         }
-        if let Some(fig) = s.and_then(|s| s.miss_curves(report)) {
-            let (fj, fc) = fig.write(out)?;
+        if let Some(fig) = s.and_then(|s| s.miss_curves(&report)) {
+            let (fj, fc) = fig.write(&args.out)?;
             out!(
                 "wrote {} and {} (miss-rate-vs-utilization curves)",
                 fj.display(),
@@ -545,156 +382,155 @@ fn finish(
         }
         Ok(())
     })();
-    match written {
-        Ok(()) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("error: writing artifacts to {}: {e}", out.display());
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Run any grid (named or scenario) with its workload family and cell
-/// pipeline, with or without event-wheel telemetry sampling, and write
-/// the artifacts.
-fn execute_grid(
-    spec: &SweepSpec,
-    workload: WorkloadKind,
-    pipeline: CellPipeline,
-    scale: &Scale,
-    out: &Path,
-    telemetry: Option<Dur>,
-    s: Option<&Scenario>,
-) -> ! {
-    let sim = scale.sim();
-    let Some(interval) = telemetry else {
-        let report = run_sweep_with(spec, sim.label, scale.jobs, |job| {
-            pipeline.cell(&job.coord, &sim, job.seed, workload)
-        });
-        finish(&report, None, s, out);
-    };
-    out!(
-        "telemetry: sampling every {} us on the event wheel",
-        interval.as_ps() / 1_000_000
-    );
-    let (report, telem) = run_telemetry_sweep(spec, &sim, scale.jobs, workload, pipeline, interval);
-    finish(&report, Some(&telem), s, out);
-}
-
-fn run_scenario_grid(
-    s: &Scenario,
-    scale: &Scale,
-    out: &Path,
-    telemetry: Option<Dur>,
-    chaos: Option<ChaosSpec>,
-) -> ! {
-    let spec = apply_chaos(
-        s.spec()
-            .with_seed(scale.seed)
-            .with_replicates(scale.replicates),
-        chaos,
-    );
-    out!("scenario {}: {} [{}]", s.name, s.title, s.workload.label());
-    announce(&spec, scale);
-    execute_grid(
-        &spec,
-        s.workload,
-        s.pipeline,
-        scale,
-        out,
-        telemetry,
-        Some(s),
-    );
+    exit_after_writing(written, args);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("diff") => run_diff(&args[1..]),
-        Some("scenarios") => run_scenarios(&args[1..]),
-        Some("bench") => run_bench(&args[1..]),
-        _ => {}
-    }
-    // Split off the sweep-specific flags; everything else is scale.
-    let mut grid = "table1".to_string();
-    let mut out = PathBuf::from("target/sweep");
-    let mut scale_args: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--grid" => match it.next() {
-                Some(v) => grid = v,
-                None => usage_exit("--grid requires a value"),
-            },
-            "--out" => match it.next() {
-                Some(v) => out = PathBuf::from(v),
-                None => usage_exit("--out requires a value"),
-            },
-            _ => scale_args.push(a),
+    let args = Args::parse(std::env::args().skip(1)).unwrap_or_else(|e| usage_exit(&e));
+    let words: Vec<&str> = args.words.iter().map(String::as_str).collect();
+    match words[..] {
+        [] => run(args.grid.as_deref().unwrap_or("table1"), &args),
+        ["scenarios", "run", _] if args.grid.is_some() => {
+            usage_exit("`scenarios run NAME` and `--grid NAME` name the grid twice")
         }
+        ["scenarios", "run", name] => run(name, &args),
+        ["scenarios"] | ["scenarios", "list"] => {
+            args.only("scenarios list", |_| false);
+            out_inline!("{}", scenario::render_list());
+            out!("\nexperiments of the paper:");
+            out_inline!("{}", experiments::render_list());
+            out!("\nrun one:  sweep --grid <name>  (or: sweep scenarios run <name>)");
+            out!("details:  sweep scenarios describe <scenario>  ·  docs/SCENARIOS.md");
+        }
+        ["scenarios", "describe", name] => {
+            args.only("scenarios describe", |_| false);
+            let Some(s) = scenario::find(name) else {
+                usage_exit(&format!(
+                    "unknown scenario `{name}` (see `sweep scenarios list`)"
+                ));
+            };
+            out_inline!("{}", s.describe());
+        }
+        ["scenarios", "describe" | "run", ..] => {
+            usage_exit("scenarios describe/run take exactly one name")
+        }
+        ["scenarios", other, ..] => usage_exit(&format!(
+            "unknown scenarios action `{other}` (list, describe, run)"
+        )),
+        ["diff", old, new] => {
+            args.only("diff", is_tolerance);
+            run_diff(old, new, &args.tolerance)
+        }
+        ["diff", ..] => usage_exit("diff takes exactly two artifact paths"),
+        [other, ..] => usage_exit(&format!("unexpected argument `{other}`")),
     }
-    let telemetry = match take_telemetry_flags(&mut scale_args) {
-        Ok(t) => t,
-        Err(e) => usage_exit(&e),
-    };
-    let chaos = match take_chaos_flags(&mut scale_args) {
-        Ok(c) => c,
-        Err(e) => usage_exit(&e),
-    };
-    let scale = match Scale::parse(&scale_args) {
-        Ok(s) => s,
-        Err(e) => usage_exit(&e),
-    };
-    let spec = match grid.as_str() {
-        "table1" => SweepSpec::table1(),
-        "smoke" => SweepSpec::smoke(),
-        "util" => SweepSpec::util_grid(),
-        "sched" => SweepSpec::sched_grid(),
-        "topo" => SweepSpec::topo_grid(),
-        other => match scenario::find(other) {
-            Some(s) => run_scenario_grid(s, &scale, &out, telemetry, chaos),
-            None => usage_exit(&format!("unknown grid `{other}` (choose from: {GRIDS})")),
-        },
-    }
-    .with_seed(scale.seed)
-    .with_replicates(scale.replicates);
-    let spec = apply_chaos(spec, chaos);
-
-    announce(&spec, &scale);
-    execute_grid(
-        &spec,
-        WorkloadKind::Web,
-        CellPipeline::Replay,
-        &scale,
-        &out,
-        telemetry,
-        None,
-    );
 }
 
-fn print_report(report: &SweepReport) {
-    out!(
-        "\n{:<18} {:>5} {:<9} {:>9} {:>22} {:>22} {:>14}",
-        "Topology",
-        "Util",
-        "Original",
-        "Packets",
-        "FracOverdue",
-        "Frac>T",
-        "MeanSlack(us)"
-    );
-    for r in &report.results {
-        out!(
-            "{:<18} {:>4.0}% {:<9} {:>9.0} {:>12.6} ±{:>8.6} {:>12.6} ±{:>8.6} {:>14.1}",
-            r.coord.topo.label(),
-            r.coord.util * 100.0,
-            r.coord.sched.label(),
-            r.total.mean,
-            r.frac_overdue.mean,
-            r.frac_overdue.stddev,
-            r.frac_gt_t.mean,
-            r.frac_gt_t.stddev,
-            r.mean_slack_us.mean
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        Args::parse(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn empty_args_give_quick_defaults() {
+        let a = parse(&[]).unwrap();
+        assert_eq!(
+            (a.scale.label, a.scale.seed, a.scale.replicates),
+            ("quick", 1, 1)
+        );
+        assert!(a.scale.jobs >= 1);
+        assert_eq!(a.out, PathBuf::from("target/sweep"));
+        assert!(a.grid.is_none() && a.telemetry.is_none() && a.chaos.is_none());
+    }
+
+    #[test]
+    fn full_flag_applies_wherever_it_stands_and_values_override_it() {
+        let a = parse(&[
+            "--seed",
+            "9",
+            "--horizon-ms",
+            "25",
+            "--edges",
+            "4",
+            "--jobs",
+            "3",
+            "--replicates",
+            "5",
+            "--out",
+            "some/dir",
+            "--full",
+        ])
+        .unwrap();
+        let s = a.scale;
+        assert_eq!((s.label, s.fattree_k, s.seed), ("full", 8, 9));
+        assert_eq!(s.horizon, Dur::from_millis(25));
+        assert_eq!((s.edges_per_core, s.jobs, s.replicates), (4, 3, 5));
+        assert_eq!(a.out, PathBuf::from("some/dir"));
+        assert_eq!(a.flags.len(), 7);
+    }
+
+    #[test]
+    fn bad_flags_and_values_are_errors() {
+        assert!(parse(&["--frobnicate"])
+            .unwrap_err()
+            .contains("--frobnicate"));
+        for missing in [&["--seed"][..], &["--out"], &["--grid"], &["--rel-tol"]] {
+            assert!(parse(missing).unwrap_err().contains("requires a value"));
+        }
+        // A forgotten value before another flag must error, not swallow
+        // the flag as the value.
+        for swallowed in [&["--out", "--full"][..], &["--grid", "--jobs", "2"]] {
+            let err = parse(swallowed).unwrap_err();
+            assert!(err.contains("requires a value, got flag"), "{err}");
+        }
+        assert!(parse(&["--jobs", "many"])
+            .unwrap_err()
+            .contains("expected an integer"));
+        assert!(parse(&["--seed", "-3"]).is_err());
+        assert!(parse(&["--telemetry-interval-us", "0"]).is_err());
+        assert!(parse(&["--chaos-drop-ppm", "1000001"]).is_err());
+        assert!(parse(&["--chaos-fail-down-us", "5"])
+            .unwrap_err()
+            .contains("requires --chaos-fail-period-us"));
+        assert!(parse(&["--chaos-jam-period-us", "5", "--chaos-jam-burst-us", "5"]).is_err());
+        assert!(parse(&["--rel-tol", "nan"]).is_err());
+    }
+
+    #[test]
+    fn zero_jobs_edges_and_replicates_clamp_to_one() {
+        let s = parse(&["--jobs", "0", "--replicates", "0", "--edges", "0"])
+            .unwrap()
+            .scale;
+        assert_eq!((s.jobs, s.replicates, s.edges_per_core), (1, 1, 1));
+    }
+
+    #[test]
+    fn words_flags_telemetry_and_chaos_are_collected() {
+        let a = parse(&[
+            "scenarios",
+            "run",
+            "i2-web",
+            "--telemetry-interval-us",
+            "100",
+            "--chaos-seed",
+            "5",
+        ])
+        .unwrap();
+        assert_eq!(a.words, ["scenarios", "run", "i2-web"]);
+        assert_eq!(a.telemetry, Some(Dur::from_micros(100)));
+        assert_eq!(
+            a.chaos,
+            Some(ChaosSpec {
+                seed: 5,
+                ..ChaosSpec::OFF
+            })
+        );
+        assert_eq!(
+            parse(&["--telemetry"]).unwrap().telemetry,
+            Some(Dur::from_micros(250))
         );
     }
 }

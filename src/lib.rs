@@ -27,13 +27,14 @@
 //!   diffing).
 //!
 //! Start with `examples/quickstart.rs` (and `examples/scenario_tour.rs`
-//! for the scenario registry); the full experiment suite lives in
-//! `crates/bench` (one binary per table/figure of the paper — Table 1
-//! and Figures 1–4 run multi-seed through the sweep engine), and
-//! `cargo run --release --bin sweep` runs grid sweeps and registered
-//! scenarios in parallel with structured artifacts under
-//! `target/sweep/` (`sweep diff` compares two artifacts for
-//! regressions; `sweep scenarios list` prints the catalogue).
+//! for the scenario registry). `cargo run --release --bin sweep` is the
+//! one way to run an experiment: `--grid NAME` resolves the named grids
+//! (Table 1 is the default), the registered scenarios, and the paper's
+//! figures and ablations (the `EXPERIMENTS` table of `crates/bench` —
+//! Table 1 and Figures 1–4 run multi-seed and in parallel through the
+//! sweep engine), with structured artifacts under `target/sweep/`
+//! (`sweep diff` compares two artifacts for regressions;
+//! `sweep scenarios list` prints the catalogue).
 //! `docs/ARCHITECTURE.md` maps the workspace and its determinism
 //! invariants; `docs/EXPERIMENTS.md` is the reproduction guide;
 //! `docs/SCENARIOS.md` documents every registered scenario.

@@ -16,6 +16,7 @@ const EXAMPLES: &[&str] = &[
     "replay_failure_anatomy",
     "theory_demo",
     "scenario_tour",
+    "lifecycle_trace",
 ];
 
 fn run_example(name: &str) -> std::process::Output {

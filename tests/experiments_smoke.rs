@@ -1,13 +1,14 @@
-//! Smoke tests of the full experiment harness (`ups-bench` runners) at a
-//! tiny scale: every table/figure pipeline runs end-to-end and produces
-//! structurally sane output. (The bench binaries wrap exactly these
-//! functions, so this also guards the reproduction entry points.)
+//! Smoke tests of the paper's experiments at a tiny scale: every entry
+//! of `ups_bench::EXPERIMENTS` runs through the `run` that
+//! `sweep --grid NAME` calls, and the runners behind the entries produce
+//! structurally sane output.
 
 use ups_bench::{
-    ablation_lstf_key, ablation_preempt, ablation_priority, congestion_points, fig1, fig2_report,
-    fig3, fig4_report, table1, Scale,
+    ablation_lstf_key, ablation_preempt, ablation_priority, congestion_points, fig1_cell,
+    fig1_originals, fig2_report, fig3_cell, fig3_schemes, fig4_report, Scale, EXPERIMENTS,
 };
 use ups_sim::Dur;
+use ups_sweep::{run_sweep, SweepResult, SweepSpec};
 
 fn tiny() -> Scale {
     Scale {
@@ -15,37 +16,59 @@ fn tiny() -> Scale {
         horizon: Dur::from_millis(2),
         fattree_k: 4,
         seed: 3,
-        // table1 routes through the ups-sweep engine, so jobs > 1 makes
-        // this suite exercise the parallel worker pool under `cargo test`.
-        jobs: 4,
+        jobs: 4, // > 1, so the sweep-backed runners exercise the worker pool
         replicates: 1,
         label: "tiny",
     }
 }
 
 #[test]
+fn every_experiment_runs_through_the_cli() {
+    // `paper` is Table 1 plus every other entry's `run` under a
+    // `# name: title` header, so one `sweep --grid paper` at the tiny
+    // scale runs them all and a new table entry cannot go unrun.
+    let out = std::env::temp_dir().join(format!("ups-experiments-{}", std::process::id()));
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .args("--grid paper --edges 2 --horizon-ms 2 --seed 3 --jobs 4 --out".split(' '))
+        .arg(&out)
+        .output()
+        .expect("spawn sweep binary");
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(run.status.success(), "{stdout}");
+    for e in EXPERIMENTS.iter().filter(|e| e.name != "paper") {
+        let header = format!("# {}: {}", e.name, e.title);
+        assert!(stdout.contains(&header), "{} did not run", e.name);
+    }
+    assert!(out.join("table1.json").is_file() && out.join("fig4.csv").is_file());
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+#[test]
 fn table1_produces_all_fourteen_rows() {
     // Runs the Table-1 grid through the sweep engine on 4 workers.
-    let rows = table1(&tiny());
+    let scale = tiny();
+    let rows = run_sweep(&SweepSpec::table1().with_seed(3), &scale.sim(), scale.jobs).results;
     assert_eq!(rows.len(), 14);
     for r in &rows {
-        assert!(r.total > 0, "{}: empty run", r.topo);
-        assert!(r.frac_overdue <= 1.0 && r.frac_gt_t <= r.frac_overdue);
-        assert!(r.t_us > 0.0);
+        assert!(r.total.mean > 0.0, "{}: empty run", r.coord.topo.label());
+        assert!(r.frac_overdue.mean <= 1.0 && r.frac_gt_t.mean <= r.frac_overdue.mean);
+        assert!(r.t_us.mean > 0.0);
     }
-    // The table covers all three topology families.
-    assert!(rows.iter().any(|r| r.topo.starts_with("I2")));
-    assert!(rows.iter().any(|r| r.topo == "RocketFuel"));
-    assert!(rows.iter().any(|r| r.topo == "Datacenter"));
-    // And the five original schedulers of row 5.
+    // The table covers all three topology families and the five
+    // original schedulers of row 5.
+    for family in ["I2", "RocketFuel", "Datacenter"] {
+        let covered = |r: &SweepResult| r.coord.topo.label().starts_with(family);
+        assert!(rows.iter().any(covered), "missing {family}");
+    }
     for orig in ["FIFO", "FQ", "SJF", "LIFO", "FQ/FIFO+"] {
-        assert!(rows.iter().any(|r| r.original == orig), "missing {orig}");
+        let covered = |r: &SweepResult| r.coord.sched.label() == orig;
+        assert!(rows.iter().any(covered), "missing {orig}");
     }
 }
 
 #[test]
 fn fig1_cdfs_show_lstf_reducing_queueing() {
-    let curves = fig1(&tiny());
+    let curves = fig1_originals().map(|o| (o.label(), fig1_cell(&tiny(), o, 3)));
     assert_eq!(curves.len(), 6);
     for (label, cdf) in &curves {
         assert!(!cdf.is_empty(), "{label}: empty ratio CDF");
@@ -61,9 +84,8 @@ fn fig1_cdfs_show_lstf_reducing_queueing() {
 
 #[test]
 fn fig2_reports_buckets_for_every_scheme() {
-    // Through the sweep engine (a 1-replicate report reproduces the
-    // legacy serial values; jobs=4 exercises the pool) so the fig2
-    // distribution-grid wiring cannot rot untested.
+    // Through the sweep engine, so the fig2 distribution-grid wiring
+    // cannot rot untested.
     let report = fig2_report(&tiny());
     assert_eq!(report.results.len(), 4);
     // paper_fig2: ten bucket edges plus the open tail.
@@ -80,7 +102,10 @@ fn fig2_reports_buckets_for_every_scheme() {
 
 #[test]
 fn fig3_produces_tail_stats() {
-    let results = fig3(&tiny());
+    let results: Vec<_> = fig3_schemes()
+        .iter()
+        .map(|scheme| fig3_cell(&tiny(), scheme, 3))
+        .collect();
     assert_eq!(results.len(), 2);
     for r in &results {
         assert!(r.mean > 0.0 && r.p99 >= r.mean && r.max >= r.p999);

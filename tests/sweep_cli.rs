@@ -1,0 +1,34 @@
+//! `sweep`'s flag parsing through the actual binary: a flag is never
+//! taken as another flag's value, an unknown `--grid` is told what
+//! exists, and a usage error (exit 2) writes nothing.
+
+use std::process::Command;
+
+#[test]
+fn usage_errors_exit_two_and_write_nothing() {
+    let cwd = std::env::temp_dir().join(format!("ups-sweep-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).expect("create temp dir");
+    let known = ["smoke", "dc-k4-incast-sched", "ablation-preempt"];
+    for (args, wanted) in [
+        ("--grid smoke --out --full", &["--out requires a value"][..]),
+        ("--grid --jobs 2", &["--grid requires a value"]),
+        (
+            "scenarios run i2-web --out --full",
+            &["--out requires a value"],
+        ),
+        ("--grid nope", &known),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(args.split(' '))
+            .current_dir(&cwd)
+            .output()
+            .expect("spawn sweep binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+        for w in wanted {
+            assert!(stderr.contains(w), "{args}: no `{w}` in {stderr}");
+        }
+    }
+    // `remove_dir` only succeeds on an empty directory.
+    std::fs::remove_dir(&cwd).expect("a usage error left files behind");
+}
