@@ -34,10 +34,6 @@ impl Scheduler for Fifo {
         self.q.len()
     }
 
-    fn uses_tmin(&self) -> bool {
-        false
-    }
-
     fn is_fifo(&self) -> bool {
         true
     }

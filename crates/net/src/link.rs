@@ -164,9 +164,6 @@ pub struct Link {
     /// Whether an urgent arrival may suspend the in-flight transmission.
     pub preemptive: bool,
     sched: SchedSlot,
-    /// Cached [`Scheduler::uses_tmin`] so the per-admit fast path skips
-    /// both the virtual call and the remaining-path walk.
-    sched_uses_tmin: bool,
     /// One-entry serialization-time memo: `(size, tx_time(size))`. Real
     /// workloads transmit runs of equal-size packets, so this turns the
     /// per-admit and per-start 128-bit division into a compare.
@@ -201,7 +198,6 @@ impl Link {
             buffer: None,
             preemptive: false,
             sched: SchedSlot::Fifo(crate::fifo::Fifo::new()),
-            sched_uses_tmin: false,
             tx_memo: (0, Dur::ZERO),
             queued_bytes: 0,
             arrival_seq: 0,
@@ -220,7 +216,6 @@ impl Link {
             self.sched.is_empty() && self.inflight.is_none(),
             "cannot swap scheduler on a busy link"
         );
-        self.sched_uses_tmin = sched.uses_tmin();
         self.sched = if sched.is_fifo() && sched.is_empty() {
             SchedSlot::Fifo(crate::fifo::Fifo::new())
         } else {
@@ -664,18 +659,12 @@ impl Link {
             Some(left) => left,
             None => self.tx_time_memo(pkt.size),
         };
-        let remaining_tmin = if self.sched_uses_tmin {
-            pkt.remaining_tmin()
-        } else {
-            Dur::ZERO
-        };
         let seq = self.arrival_seq;
         self.arrival_seq += 1;
         Queued {
             pkt,
             enq_time: now,
             tx_dur,
-            remaining_tmin,
             arrival_seq: seq,
         }
     }

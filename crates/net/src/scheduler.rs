@@ -24,9 +24,6 @@ pub struct Queued {
     pub enq_time: Time,
     /// Its transmission time on this link (for the remaining bytes).
     pub tx_dur: Dur,
-    /// `tmin` from this hop (inclusive) to the destination — static
-    /// topology information the EDF scheduler is permitted to use.
-    pub remaining_tmin: Dur,
     /// Arrival order at this queue; used for deterministic FCFS
     /// tie-breaking (paper footnote 14).
     pub arrival_seq: u64,
@@ -96,14 +93,6 @@ pub trait Scheduler: std::fmt::Debug + Send {
     /// scheduler regardless of the port setting.
     fn urgency(&self, _q: &Queued) -> Option<i64> {
         None
-    }
-
-    /// Whether this scheduler reads [`Queued::remaining_tmin`]. Computing
-    /// it walks the packet's remaining path on every admit, so ports skip
-    /// it for schedulers that never look (FIFO). Defaults to `true`; only
-    /// override with `false` when no code path touches the field.
-    fn uses_tmin(&self) -> bool {
-        true
     }
 
     /// Whether this is the crate's drop-tail [`Fifo`](crate::fifo::Fifo).

@@ -51,7 +51,6 @@ pub fn queued_full(flow: u64, seq: u64, slack: i64, prio: i64, enq_ns: u64) -> Q
         pkt: Box::new(packet(seq, flow, seq, hdr)),
         enq_time: Time::from_nanos(enq_ns),
         tx_dur: Dur::from_micros(12),
-        remaining_tmin: Dur::from_micros(12),
         arrival_seq: seq,
     }
 }

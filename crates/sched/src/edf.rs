@@ -20,10 +20,12 @@ impl KeyPolicy for EdfPolicy {
         "EDF"
     }
     fn key(&self, q: &Queued) -> i64 {
-        // o(p) − tmin(p, α, dest) + T(p, α). `remaining_tmin` includes the
-        // local transmission time (tmin from this hop inclusive), so
-        // adding tx_dur back yields the Appendix E priority exactly.
-        q.pkt.hdr.prio - q.remaining_tmin.as_i64() + q.tx_dur.as_i64()
+        // o(p) − tmin(p, α, dest) + T(p, α). `remaining_tmin()` — static
+        // topology information EDF is permitted to use, walked here
+        // because no other scheduler reads it — includes the local
+        // transmission time (tmin from this hop inclusive), so adding
+        // tx_dur back yields the Appendix E priority exactly.
+        q.pkt.hdr.prio - q.pkt.remaining_tmin().as_i64() + q.tx_dur.as_i64()
     }
     fn preemptible(&self) -> bool {
         true
@@ -59,13 +61,13 @@ mod tests {
         // For a packet whose slack was initialized from o(p) and that has
         // not yet waited anywhere, the EDF key equals the LSTF deadline:
         // slack = o − i − tmin(src,dest); at the first hop enq = i, and
-        // remaining_tmin = tmin(src,dest) so
+        // remaining_tmin() = tmin(src,dest) so
         //   EDF key  = o − tmin + tx
         //   LSTF key = enq + slack + tx = i + (o − i − tmin) + tx.
         let o: i64 = 500_000_000;
         let enq_ns: u64 = 2;
         let q_edf = queued_full(0, 0, 0, o, enq_ns);
-        let tmin = q_edf.remaining_tmin.as_i64();
+        let tmin = q_edf.pkt.remaining_tmin().as_i64();
         let slack = o - (enq_ns as i64 * 1_000) - tmin;
         let q_lstf = queued_full(0, 0, slack, 0, enq_ns);
         assert_eq!(EdfPolicy.key(&q_edf), q_lstf.slack_deadline());

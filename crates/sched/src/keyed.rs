@@ -4,9 +4,10 @@
 //! LIFO — are "serve the queued packet with the smallest key, break ties
 //! FCFS". [`Keyed`] implements that once over an [`OrderedQueue`] keyed by
 //! `(key, arrival_seq)`, which stores compare keys struct-of-arrays style
-//! in one dense sorted vector (see [`crate::soa`]) and gives an O(1) max
-//! lookup for the drop-worst buffer policy and an O(1) min peek for
-//! preemption urgency.
+//! in one dense sorted deque (see [`crate::soa`]): the minimum to serve
+//! and the drop-worst maximum are the two ends, both O(1) to peek and to
+//! pop, and an enqueue tries the ends before it searches — most keys
+//! here are deadlines, so the latest arrival is usually the new maximum.
 
 use crate::soa::OrderedQueue;
 use ups_net::scheduler::{EvictOutcome, Queued, Scheduler};

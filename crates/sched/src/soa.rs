@@ -3,30 +3,45 @@
 //! [`Keyed`](crate::Keyed) and [`Fq`](crate::Fq) used to keep their
 //! packets in a `BTreeMap<(key, arrival_seq), Queued>`: every node a
 //! separate allocation, compare keys interleaved with ~50-byte payloads,
-//! so a pop or an ordered insert chased pointers through cold lines. Port
-//! queues are shallow (tens of packets, not thousands), which makes a
-//! sorted dense vector the better structure. [`OrderedQueue`] splits the
-//! state struct-of-arrays style:
+//! so a pop or an ordered insert chased pointers through cold lines.
+//! [`OrderedQueue`] splits the state struct-of-arrays style:
 //!
-//! * `order` — one flat `Vec` of `(key, arrival_seq, slot)` triples kept
-//!   sorted *descending*, so the packet to serve next sits at the back:
-//!   a pop is `Vec::pop`, a peek is `last()`, and the binary search of an
-//!   insert scans only this dense key array.
+//! * `order` — one `VecDeque` of `(key, arrival_seq, slot)` triples kept
+//!   sorted *descending*: the packet to serve next sits at the back
+//!   (a pop is `pop_back`, a peek is `back()`), the drop-worst victim at
+//!   the front (`pop_front`), and an insert shifts whichever side of
+//!   its position is shorter.
 //! * `slots` — the fat [`Queued`] payloads in a slot-reusing arena,
 //!   untouched until a packet is actually served or evicted.
+//!
+//! Inserts are admitted *ends first*: the new `(key, arrival_seq)` is
+//! compared with the front and the back before any search; a new maximum
+//! is a `push_front`, a new minimum a `push_back`, and only what falls
+//! strictly between is binary-searched. That follows the measured
+//! traffic (benchmark workloads, seed 1). Open-loop ports are shallow:
+//! mean depth 9–13 and never above 640 on the three sweep workloads,
+//! where 75–90% of inserts are already a new maximum. The closed-loop
+//! Figure 4 cell is not: its LSTF queues pass 4,000 entries, and there
+//! every insert made above depth 640 lands exactly at an end — 70% carry
+//! the latest slack deadline yet (late keys go to the cheap end), 30%
+//! the earliest. In a descending `Vec` the first kind paid a whole-queue
+//! memmove: 94% of the 697 M entries shifted per pass, against 70 k
+//! shifted here.
 //!
 //! The comparison key is exactly the old map key, `(key, arrival_seq)`,
 //! so service order — smallest key first, FCFS among equals — and the
 //! drop-worst victim are identical to the `BTreeMap` implementation.
 
+use std::collections::VecDeque;
 use ups_net::scheduler::Queued;
 
 /// A min-queue of [`Queued`] packets ordered by `(key, arrival_seq)`,
 /// stored struct-of-arrays; see the module docs.
 #[derive(Debug)]
 pub struct OrderedQueue<K> {
-    /// `(key, arrival_seq, slot)`, sorted descending: minimum at the back.
-    order: Vec<(K, u64, u32)>,
+    /// `(key, arrival_seq, slot)`, sorted descending: maximum at the
+    /// front, minimum at the back.
+    order: VecDeque<(K, u64, u32)>,
     /// Packet payloads, indexed by the `slot` field of `order` entries.
     slots: Vec<Option<Queued>>,
     /// Reusable empty slots.
@@ -37,7 +52,7 @@ impl<K: Copy + Ord> OrderedQueue<K> {
     /// An empty queue.
     pub fn new() -> OrderedQueue<K> {
         OrderedQueue {
-            order: Vec::new(),
+            order: VecDeque::new(),
             slots: Vec::new(),
             free: Vec::new(),
         }
@@ -68,44 +83,49 @@ impl<K: Copy + Ord> OrderedQueue<K> {
                 slot
             }
         };
-        // Descending sort: the insertion point is after every strictly
-        // greater (key, seq). arrival_seq is unique, so ties are impossible.
-        let at = self.order.partition_point(|&(k, s, _)| (k, s) > (key, seq));
+        // Ends first (see the module docs), then the search. arrival_seq
+        // is unique, so ties are impossible.
+        let (new, entry) = ((key, seq), (key, seq, slot));
+        let at = if self.order.front().map_or(true, |&(k, s, _)| new > (k, s)) {
+            self.order.push_front(entry);
+            0
+        } else if self.order.back().is_some_and(|&(k, s, _)| new < (k, s)) {
+            self.order.push_back(entry);
+            self.order.len() - 1
+        } else {
+            let at = self.order.partition_point(|&(k, s, _)| (k, s) > new);
+            self.order.insert(at, entry);
+            at
+        };
+        let rank = |i: usize| (self.order[i].0, self.order[i].1);
         debug_assert!(
-            !self
-                .order
-                .get(at)
-                .is_some_and(|&(k, s, _)| (k, s) == (key, seq)),
-            "duplicate (key, arrival_seq)"
+            (at == 0 || rank(at - 1) > new) && (at + 1 == self.order.len() || new > rank(at + 1)),
+            "insert broke the strictly descending (key, arrival_seq) order"
         );
-        self.order.insert(at, (key, seq, slot));
     }
 
     /// Remove and return the smallest-`(key, arrival_seq)` packet.
     pub fn pop_min(&mut self) -> Option<(K, Queued)> {
-        let (key, _, slot) = self.order.pop()?;
+        let (key, _, slot) = self.order.pop_back()?;
         Some((key, self.take(slot)))
     }
 
     /// Remove and return the largest-`(key, arrival_seq)` packet (the
     /// drop-worst eviction victim).
     pub fn pop_max(&mut self) -> Option<(K, Queued)> {
-        if self.order.is_empty() {
-            return None;
-        }
-        let (key, _, slot) = self.order.remove(0);
+        let (key, _, slot) = self.order.pop_front()?;
         Some((key, self.take(slot)))
     }
 
     /// The smallest queued packet, if any.
     pub fn peek_min(&self) -> Option<&Queued> {
-        let &(_, _, slot) = self.order.last()?;
+        let &(_, _, slot) = self.order.back()?;
         self.slots[slot as usize].as_ref()
     }
 
     /// The largest key currently queued.
     pub fn max_key(&self) -> Option<K> {
-        self.order.first().map(|&(key, _, _)| key)
+        self.order.front().map(|&(key, _, _)| key)
     }
 
     fn take(&mut self, slot: u32) -> Queued {

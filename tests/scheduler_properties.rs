@@ -7,12 +7,13 @@
 #![allow(clippy::disallowed_types)]
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use ups::net::testutil::queued_full;
 use ups::net::Fifo;
 use ups::net::{EvictOutcome, Queued, Scheduler};
 use ups::sched::{
     drr::Drr, edf::edf, fifoplus::fifo_plus, fq::Fq, lifo::Lifo, lstf::lstf, prio::sjf,
-    random::Random, srpt::Srpt, SchedKind,
+    random::Random, soa::OrderedQueue, srpt::Srpt, Lstf, SchedKind,
 };
 
 /// A generated packet description: (flow, slack, prio, enqueue ns).
@@ -151,6 +152,134 @@ proptest! {
             let s = kind.build(ups::net::LinkId(seed as u32), seed);
             prop_assert_eq!(s.len(), 0);
             prop_assert!(!s.name().is_empty());
+        }
+    }
+}
+
+/// One phase of the [`OrderedQueue`] model script: a mode and the raw
+/// values it consumes, one operation each.
+type Phase = (u8, Vec<i64>);
+
+fn phases() -> impl Strategy<Value = Vec<Phase>> {
+    let raw = prop::collection::vec(-1_000_000_000i64..1_000_000_000, 0..1024);
+    prop::collection::vec((0u8..7, raw), 1..24)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// `OrderedQueue` against a `BTreeMap` keyed like the map it once
+    /// was, under interleaved operations at depths up to 4,096. The
+    /// phases aim at each arm of the ends-first admit: strictly rising
+    /// runs (new maximum, front), strictly falling runs (new minimum,
+    /// back), uniform keys (the search), a narrow range (ties, FCFS by
+    /// `arrival_seq`); negative keys are late slack.
+    #[test]
+    fn ordered_queue_matches_btreemap_model(script in phases()) {
+        const MAX_DEPTH: usize = 4096;
+        let mut q: OrderedQueue<i64> = OrderedQueue::new();
+        // (key, arrival_seq) -> the packet's flow id, a payload tag.
+        let mut model: BTreeMap<(i64, u64), u64> = BTreeMap::new();
+        let mut seq = 0u64;
+        for (mode, raws) in script {
+            for (i, raw) in raws.into_iter().enumerate() {
+                let lo = model.first_key_value().map(|(&(k, _), _)| k);
+                let hi = model.last_key_value().map(|(&(k, _), _)| k);
+                let step = raw.rem_euclid(5) + 1;
+                let insert = match mode {
+                    0 => Some(raw),
+                    1 => Some(raw.rem_euclid(7) - 3),
+                    2 => Some(hi.map_or(raw, |k| k + step)),
+                    3 => Some(lo.map_or(raw, |k| k - step)),
+                    // A port in service: arrivals alternate with pops.
+                    4 if i % 2 == 0 => Some(raw),
+                    _ => None,
+                };
+                match insert {
+                    Some(key) if model.len() < MAX_DEPTH => {
+                        seq += 1;
+                        let tag = raw.unsigned_abs() % 64;
+                        q.insert(key, queued_full(tag, seq, 0, key, 0));
+                        model.insert((key, seq), tag);
+                    }
+                    Some(_) => {}
+                    None => {
+                        let (got, want) = if mode == 6 {
+                            (q.pop_max(), model.pop_last())
+                        } else {
+                            (q.pop_min(), model.pop_first())
+                        };
+                        let got = got.map(|(k, e)| ((k, e.arrival_seq), e.pkt.flow.0));
+                        prop_assert_eq!(got, want, "pop in mode {}", mode);
+                    }
+                }
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(q.is_empty(), model.is_empty());
+                prop_assert_eq!(
+                    q.peek_min().map(|e| e.arrival_seq),
+                    model.first_key_value().map(|(&(_, s), _)| s)
+                );
+                prop_assert_eq!(q.max_key(), model.last_key_value().map(|(&(k, _), _)| k));
+            }
+        }
+        // What is left drains in model order.
+        while let Some((key, e)) = q.pop_min() {
+            prop_assert_eq!(Some(((key, e.arrival_seq), e.pkt.flow.0)), model.pop_first());
+        }
+        prop_assert!(model.is_empty());
+    }
+
+    /// `Keyed` under what `Link::preempt` does: the packet in service
+    /// goes back into the queue with a fresh `arrival_seq` and a shorter
+    /// `tx_dur`, among fresh arrivals, services and drop-worst evictions.
+    #[test]
+    fn keyed_requeue_with_fresh_arrival_seq_matches_model(
+        ops in prop::collection::vec((0u8..5, -40i64..40), 1..600),
+    ) {
+        let mut s = lstf();
+        // (slack deadline, arrival_seq) -> packet seq.
+        let mut model: BTreeMap<(i64, u64), u64> = BTreeMap::new();
+        let mut arrival = 0u64;
+        let mut admit = |s: &mut Lstf, model: &mut BTreeMap<_, _>, mut q: Queued| {
+            arrival += 1;
+            q.arrival_seq = arrival;
+            model.insert((q.slack_deadline(), arrival), q.pkt.seq);
+            s.enqueue(q);
+        };
+        for (pkt_seq, (op, slack)) in ops.into_iter().enumerate() {
+            let pkt_seq = pkt_seq as u64;
+            match op {
+                0 | 1 => admit(&mut s, &mut model, queued_full(0, pkt_seq, slack, 0, 0)),
+                2 => {
+                    let got = s.dequeue().map(|q| q.pkt.seq);
+                    prop_assert_eq!(got, model.pop_first().map(|(_, v)| v));
+                }
+                3 => {
+                    if let Some(mut q) = s.dequeue() {
+                        prop_assert_eq!(Some(q.pkt.seq), model.pop_first().map(|(_, v)| v));
+                        q.tx_dur = ups::sim::Dur(q.tx_dur.as_ps() / 2);
+                        q.pkt.tx_left = Some(q.tx_dur);
+                        admit(&mut s, &mut model, q);
+                    }
+                }
+                _ => {
+                    let probe = queued_full(0, pkt_seq, slack, 0, 0);
+                    let worse = model
+                        .last_key_value()
+                        .is_some_and(|(&(k, _), _)| k > probe.slack_deadline());
+                    let want = if worse { model.pop_last().map(|(_, v)| v) } else { None };
+                    let got = match s.evict_for(&probe) {
+                        EvictOutcome::Evicted(v) => Some(v.pkt.seq),
+                        EvictOutcome::DropIncoming => None,
+                    };
+                    prop_assert_eq!(got, want, "drop-worst victim");
+                }
+            }
+            prop_assert_eq!(s.len(), model.len());
+            prop_assert_eq!(
+                s.peek().map(|p| p.seq),
+                model.first_key_value().map(|(_, &v)| v)
+            );
         }
     }
 }
