@@ -34,10 +34,16 @@
 //!    wheel advances, far events whose slot becomes current are merged
 //!    into the drain heap.
 //!
-//! All three tiers reuse their allocations in steady state (bucket `Vec`s
-//! are swapped with the drain heap's storage, never freed), so pushing
-//! and popping events performs no heap allocation once the simulation has
-//! warmed up.
+//! Storage follows the pending set. The drain heap keeps one allocation
+//! for the whole run, grown to its high-water mark. Entering a slot moves
+//! the bucket's entries into the drain heap's storage; the bucket index
+//! keeps only its 64-entry first-use reservation between slots, and
+//! anything it grew past that is freed — one bucket allocation per
+//! occupied slot at most, none per event. (An earlier design swapped the
+//! two storages instead, parking each spent drain heap at the index it
+//! had just drained; on the Figure 4 TCP row, whose runs never outlive
+//! the wheel, that pinned 62–93 MiB of bucket capacity against 2–3 MiB
+//! of pending events.)
 //!
 //! # Batch-slot API
 //!
@@ -59,7 +65,7 @@
 
 use crate::time::{Dur, Time};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// log2 of the wheel slot width in picoseconds (2^23 ps ≈ 8.4 µs — a
 /// handful of 1500 B transmission times at 1 Gbps, so events of the same
@@ -187,10 +193,10 @@ impl<E> EventQueue<E> {
             let idx = (slot & SLOT_MASK) as usize;
             let bucket = &mut self.buckets[idx];
             if bucket.capacity() == 0 {
-                // First lifetime use of this bucket: skip the doubling
-                // ladder — busy simulations put tens to hundreds of
-                // events in every active slot, and bucket storage is
-                // recycled, never freed.
+                // First use of this index, or its last slot outgrew the
+                // reservation `advance` keeps: skip the doubling ladder —
+                // busy simulations put tens to hundreds of events in
+                // every active slot.
                 bucket.reserve(64);
             }
             bucket.push(Reverse(Entry { key, event }));
@@ -204,9 +210,9 @@ impl<E> EventQueue<E> {
     /// Pop the earliest event, advancing the queue's notion of "now".
     pub fn pop(&mut self) -> Option<(Time, E)> {
         if self.cur.is_empty() {
-            self.advance()?;
+            self.advance();
         }
-        let Reverse(e) = self.cur.pop().expect("advance() fills the drain heap");
+        let Reverse(e) = self.cur.pop()?;
         self.now = e.key.time;
         Some((e.key.time, e.event))
     }
@@ -228,53 +234,49 @@ impl<E> EventQueue<E> {
     /// and redirect their pushes into the drain heap, degrading the
     /// wheel to a single binary heap.
     pub fn pop_if(&mut self, pred: impl FnOnce(Time, &E) -> bool) -> Option<(Time, E)> {
-        {
-            let Reverse(head) = self.cur.peek()?;
-            if !pred(head.key.time, &head.event) {
-                return None;
-            }
+        let head = self.cur.peek_mut()?;
+        if !pred(head.0.key.time, &head.0.event) {
+            return None;
         }
-        let Reverse(e) = self.cur.pop().expect("peeked entry");
+        let Reverse(e) = PeekMut::pop(head);
         self.now = e.key.time;
         Some((e.key.time, e.event))
     }
 
     /// Move `cur_slot` to the next slot holding events and load them into
-    /// the (empty) drain heap, merging wheel and far-heap sources.
-    /// Returns `None` when no events are pending anywhere.
-    fn advance(&mut self) -> Option<()> {
+    /// the (empty) drain heap, merging wheel and far-heap sources. Leaves
+    /// the drain heap empty when no events are pending anywhere.
+    fn advance(&mut self) {
         debug_assert!(self.cur.is_empty());
         let next_wheel = (self.wheel_len > 0).then(|| self.next_occupied_slot());
         let next_far = self.far.peek().map(|Reverse(e)| slot_of(e.key.time));
-        self.cur_slot = match (next_wheel, next_far) {
-            (Some(w), Some(f)) => w.min(f),
-            (Some(w), None) => w,
-            (None, Some(f)) => f,
-            (None, None) => return None,
+        let Some(slot) = next_wheel.into_iter().chain(next_far).min() else {
+            return;
         };
-        let idx = (self.cur_slot & SLOT_MASK) as usize;
+        self.cur_slot = slot;
+        let idx = (slot & SLOT_MASK) as usize;
         if self.occ[idx >> 6] & (1 << (idx & 63)) != 0 {
-            // Heapify the bucket in place (O(n), no copy), and hand the
-            // drained heap's storage back to the bucket slot so both
-            // allocations stay in rotation.
-            let bucket = std::mem::take(&mut self.buckets[idx]);
-            let drained = std::mem::replace(&mut self.cur, BinaryHeap::from(bucket));
-            self.buckets[idx] = drained.into_vec();
-            debug_assert!(self.buckets[idx].is_empty());
+            // Move the entries into the drain heap's own storage (one O(n)
+            // rebuild, as a heapify would be). The index keeps its
+            // 64-entry first-use reservation (see `push`) for its next
+            // slot; storage grown past it is freed.
+            let bucket = &mut self.buckets[idx];
+            self.cur.extend(bucket.drain(..));
+            if bucket.capacity() > 64 {
+                *bucket = Vec::new();
+            }
             self.occ[idx >> 6] &= !(1 << (idx & 63));
             self.wheel_len -= self.cur.len();
         }
         // Far events whose slot has come into range join the same drain
         // heap; later far slots stay put until a later advance.
-        while let Some(Reverse(top)) = self.far.peek() {
-            if slot_of(top.key.time) != self.cur_slot {
+        while let Some(top) = self.far.peek_mut() {
+            if slot_of(top.0.key.time) != slot {
                 break;
             }
-            let e = self.far.pop().expect("peeked entry");
-            self.cur.push(e);
+            self.cur.push(PeekMut::pop(top));
         }
         debug_assert!(!self.cur.is_empty(), "advanced to an empty slot");
-        Some(())
     }
 
     /// The smallest occupied slot strictly after `cur_slot`. Scans the
@@ -300,7 +302,6 @@ impl<E> EventQueue<E> {
         unreachable!("next_occupied_slot called on an empty wheel")
     }
 
-    /// Time of the next event without removing it.
     /// Peek the head of the current drain heap without touching the
     /// wheel. `None` means no event is pending at or before the current
     /// slot — in particular, no event at the current instant (every
@@ -309,26 +310,21 @@ impl<E> EventQueue<E> {
         self.cur.peek().map(|Reverse(e)| (e.key.time, &e.event))
     }
 
+    /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<Time> {
         if let Some(Reverse(e)) = self.cur.peek() {
             return Some(e.key.time);
         }
-        let wheel_min = (self.wheel_len > 0).then(|| {
-            let idx = (self.next_occupied_slot() & SLOT_MASK) as usize;
-            self.buckets[idx]
-                .iter()
-                .map(|Reverse(e)| e.key.time)
-                .min()
-                .expect("occupied bucket")
-        });
+        let wheel_min = (self.wheel_len > 0)
+            .then(|| self.next_occupied_slot())
+            .and_then(|slot| {
+                let bucket = &self.buckets[(slot & SLOT_MASK) as usize];
+                bucket.iter().map(|Reverse(e)| e.key.time).min()
+            });
         let far_min = self.far.peek().map(|Reverse(e)| e.key.time);
         // Earlier slots hold strictly earlier times, so a plain min over
         // the two tier heads is the global minimum.
-        match (wheel_min, far_min) {
-            (Some(w), Some(f)) => Some(w.min(f)),
-            (Some(w), None) => Some(w),
-            (None, f) => f,
-        }
+        wheel_min.into_iter().chain(far_min).min()
     }
 
     /// Current simulation time (time of the last popped event).
@@ -400,9 +396,10 @@ mod tests {
 
     #[test]
     fn late_push_of_lower_class_still_pops_first() {
-        // A zero-duration transmission pushes its TxDone (class 2) while
-        // StartTx events (class 3) are already pending at the same time:
-        // the TxDone must still pop first.
+        // A zero-duration transmission pushes its completion event in a
+        // lower class than the start-of-transmission events already
+        // pending at the same instant: the completion must still pop
+        // first.
         let mut q = EventQueue::new();
         let t = Time::from_micros(1);
         q.push(t, 3, "start-a");
@@ -559,5 +556,54 @@ mod tests {
         let got: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         let expect: Vec<u64> = keyed.iter().map(|&(_, _, s)| s).collect();
         assert_eq!(got, expect);
+    }
+
+    /// Storage follows the pending set across a wrap of the bucket
+    /// indices: a drained slot keeps no storage beyond the 64-entry
+    /// first-use reservation, and the drain heap stays at its own
+    /// high-water mark instead of trading allocations with the buckets.
+    /// Odd slots outgrow the reservation, even slots fit in it.
+    #[test]
+    fn bucket_storage_follows_the_pending_set() {
+        const BIG: u64 = 256; // bucket pushes per odd slot
+        const SMALL: u64 = 32; // bucket pushes per even slot
+        const CASCADE: usize = 64; // same-slot pushes while the slot drains
+        const AHEAD: u64 = 100; // slots filled ahead of the drain
+        let last_slot = NUM_SLOTS as u64 + 500;
+        let width = 1u64 << SLOT_BITS;
+        let fill = |q: &mut EventQueue<()>, slot: u64| {
+            let n = if slot % 2 == 1 { BIG } else { SMALL };
+            for i in 0..n {
+                let off = i.wrapping_mul(0x9E37_79B9) % width;
+                q.push(Time(slot * width + off), (i % 3) as u8, ());
+            }
+        };
+        let cur_cap_bound = (BIG as usize + CASCADE).next_power_of_two();
+
+        let mut q = EventQueue::new();
+        for slot in 1..=AHEAD {
+            fill(&mut q, slot);
+        }
+        let (mut slot, mut last) = (0, Time::ZERO);
+        while let Some((t, ())) = q.pop() {
+            assert!(t >= last, "popped {t} after {last}");
+            last = t;
+            if q.cur_slot != slot {
+                slot = q.cur_slot;
+                let kept = q.buckets[(slot & SLOT_MASK) as usize].capacity();
+                assert!(kept <= 64, "drained slot {slot} kept {kept} entries");
+                if slot + AHEAD <= last_slot {
+                    fill(&mut q, slot + AHEAD);
+                }
+                for _ in 0..CASCADE {
+                    q.push(t, 0, ());
+                }
+            }
+            let grown = q.cur.capacity();
+            assert!(grown <= cur_cap_bound, "drain heap grew to {grown} entries");
+        }
+        assert_eq!(slot, last_slot);
+        let parked: usize = q.buckets.iter().map(Vec::capacity).sum();
+        assert!(parked <= NUM_SLOTS * 64, "{parked} entries parked");
     }
 }

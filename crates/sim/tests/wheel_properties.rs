@@ -5,6 +5,11 @@
 //! horizon into the heap tier. This is the determinism invariant every
 //! replay artifact rests on: swap the queue implementation, keep the
 //! event order bit-for-bit.
+//!
+//! The script also drives the batch primitives the network's event loop
+//! relies on: `pop_if` (every batch is drained through it), `peek_time`
+//! (what `run_until` steers on) and `peek_cur`, whose contract is that
+//! every event at the last popped instant is already in the drain heap.
 
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -30,11 +35,24 @@ impl HeapModel {
     fn pop(&mut self) -> Option<(u64, u64)> {
         self.heap.pop().map(|Reverse((t, _, id))| (t, id))
     }
+
+    fn peek(&self) -> Option<(u64, u8, u64)> {
+        self.heap.peek().map(|&Reverse(head)| head)
+    }
 }
 
-/// One scripted operation: `pop` when `is_pop`, otherwise push at
-/// `now + dt` in `class`.
-type Op = (bool, u64, u8);
+#[derive(Clone, Copy, Debug)]
+enum Kind {
+    Push,
+    Pop,
+    /// Pop only a head at the last popped instant in the drawn class —
+    /// the shape of the network's batch drain.
+    PopIf,
+}
+
+/// One scripted operation: its kind, the push offset `dt` from the last
+/// popped instant, and the class pushed or accepted.
+type Op = (Kind, u64, u8);
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     let horizon = WHEEL_HORIZON.as_ps();
@@ -47,7 +65,12 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     ];
     prop::collection::vec(
         (
-            prop_oneof![Just(true), Just(false), Just(false)],
+            prop_oneof![
+                Just(Kind::Pop),
+                Just(Kind::PopIf),
+                Just(Kind::Push),
+                Just(Kind::Push)
+            ],
             dt,
             0u8..5,
         ),
@@ -60,33 +83,52 @@ proptest! {
 
     #[test]
     fn wheel_pops_in_reference_heap_order(script in ops()) {
-        let mut wheel: EventQueue<u64> = EventQueue::new();
+        let mut wheel: EventQueue<(u64, u8)> = EventQueue::new();
         let mut model = HeapModel::default();
         let mut now = 0u64;
 
-        for &(is_pop, dt, class) in &script {
-            if is_pop {
-                let got = wheel.pop();
-                let want = model.pop();
-                prop_assert_eq!(
-                    got.map(|(t, id)| (t.as_ps(), id)),
-                    want,
-                    "mid-script pop diverged at now={now}"
-                );
-                if let Some((t, _)) = got {
-                    now = t.as_ps();
+        for &(kind, dt, class) in &script {
+            match kind {
+                Kind::Push => {
+                    let t = now.saturating_add(dt);
+                    let id = model.push(t, class);
+                    wheel.push(Time(t), class, (id, class));
                 }
-            } else {
-                let t = now.saturating_add(dt);
-                let id = model.push(t, class);
-                wheel.push(Time(t), class, id);
+                Kind::Pop => {
+                    let got = wheel.pop().map(|(t, (id, _))| (t.as_ps(), id));
+                    prop_assert_eq!(got, model.pop(), "mid-script pop diverged at now={now}");
+                    if let Some((t, _)) = got {
+                        now = t;
+                    }
+                }
+                Kind::PopIf => {
+                    let got = wheel
+                        .pop_if(|t, &(_, c)| t.as_ps() == now && c == class)
+                        .map(|(t, (id, _))| (t.as_ps(), id));
+                    let want = match model.peek() {
+                        Some((t, c, _)) if t == now && c == class => model.pop(),
+                        _ => None,
+                    };
+                    prop_assert_eq!(got, want, "pop_if diverged at now={now}");
+                }
             }
             prop_assert_eq!(wheel.len(), model.heap.len());
+
+            let head = model.peek();
+            prop_assert_eq!(wheel.peek_time().map(|t| t.as_ps()), head.map(|(t, _, _)| t));
+            let cur = wheel.peek_cur().map(|(t, &(id, _))| (t.as_ps(), id));
+            prop_assert!(
+                cur.is_none() || cur == head.map(|(t, _, id)| (t, id)),
+                "peek_cur {cur:?} is not the head {head:?}"
+            );
+            if head.is_some_and(|(t, _, _)| t == now) {
+                prop_assert!(cur.is_some(), "an event at now={now} is outside the drain heap");
+            }
         }
 
         // Drain both to the end: every remaining event must agree too.
         loop {
-            let got = wheel.pop().map(|(t, id)| (t.as_ps(), id));
+            let got = wheel.pop().map(|(t, (id, _))| (t.as_ps(), id));
             let want = model.pop();
             prop_assert_eq!(got, want, "drain diverged");
             if got.is_none() {
