@@ -1,14 +1,30 @@
 //! The forwarding table: shortest-path routing straight into a flat
 //! next-hop array, plus path resolution.
 //!
-//! [`crate::Network::compute_routes`] runs one reverse Dijkstra per
-//! destination and appends each node's equal-cost out-links to a dense
-//! CSR-style `(destination, node) → [next-hop links]` array as it goes:
-//! the loop is destination-major, which is the table's layout. Resolving
-//! one hop is two array indexes, an offset lookup and an ECMP member
-//! pick. The table also snapshots each link's `(to, bw, prop)`, so a
-//! full source-route ([`RoutingTable::resolve_path`]) needs no access to
-//! the `Network`.
+//! [`crate::Network::compute_routes`] fills a dense CSR-style
+//! `(destination, node) → [next-hop links]` array one destination row at
+//! a time: the loop is destination-major, which is the table's layout.
+//! Resolving one hop is two array indexes, an offset lookup and an ECMP
+//! member pick. The table also snapshots each link's `(to, bw, prop)`,
+//! so a full source-route ([`RoutingTable::resolve_path`]) needs no
+//! access to the `Network`.
+//!
+//! A row costs one reverse Dijkstra plus a pass appending each node's
+//! equal-cost out-links — unless its destination `d` has a **gateway**:
+//! a node `g < d` that sends exactly one in-link of `d`, every other
+//! in-link of `d` coming from a *stub* of `d` (a node whose only in-link
+//! comes from `d` and whose only out-link goes to `d`, like a host
+//! behind its edge router). Every path into `d` then ends with `g → d`,
+//! so `dist(u, d) = dist(u, g) + cost(g → d)` and every other node picks
+//! the same out-links toward `d` as toward `g`: row `d` is row `g`
+//! copied, with `[g → d]` at `g`, nothing at `d` and `[q → d]` at each
+//! stub `q`. The paper's access pattern gives every edge router (gateway:
+//! its core router, stub: its host) and every host (gateway: its edge
+//! router) one, so only core routers run Dijkstra. The argument needs
+//! every link cost positive — a zero-cost cycle through `g` would put
+//! more than `g → d` on a shortest path from `g` — so a graph with any
+//! zero-cost link (instant, zero-delay theory wires) runs Dijkstra for
+//! every destination.
 //!
 //! The handle doubles as the API's proof of route finalization: packet
 //! injection ([`crate::Network::inject`]) takes `&RoutingTable`, so
@@ -37,7 +53,12 @@ pub struct RoutingTable {
     /// An empty range means unreachable (or `node == dest`).
     off: Box<[u32]>,
     /// Concatenated ECMP member links for every `(node, dest)` pair.
-    hops: Box<[LinkId]>,
+    /// Kept at its `n × n` reservation, not shrunk to its length: a
+    /// shrink hands a few KiB tail back to the allocator, small blocks
+    /// settle there, and the hole a dropped table leaves is then just
+    /// short of the next same-size table — which grows the heap by a
+    /// whole array instead of reusing it.
+    hops: Vec<LinkId>,
     /// Per-link receiving node, indexed by `LinkId`.
     link_to: Box<[NodeId]>,
     /// Per-link serialization rate, indexed by `LinkId`.
@@ -54,29 +75,91 @@ struct Edge {
     link: LinkId,
 }
 
-/// One direction of the link graph in CSR form: the edges of the node
-/// `at(link)` names are `edges[off[v]..off[v + 1]]`, in link creation
-/// order (the sort is stable).
-fn adjacency(
-    n: usize,
-    links: &[Link],
-    at: impl Fn(&Link) -> NodeId,
-    peer: impl Fn(&Link) -> NodeId,
-) -> (Vec<usize>, Vec<Edge>) {
-    let mut order: Vec<&Link> = links.iter().collect();
-    order.sort_by_key(|l| at(l).0);
-    let off = (0..=n)
-        .map(|v| order.partition_point(|l| (at(l).0 as usize) < v))
-        .collect();
-    let edges = order
-        .iter()
-        .map(|l| Edge {
-            peer: peer(l).0 as usize,
-            cost: (l.prop + l.bw.tx_time(1500)).as_ps(),
-            link: l.id,
-        })
-        .collect();
-    (off, edges)
+/// One direction of the link graph in CSR form: the edges of node `v`
+/// are `edges[off[v]..off[v + 1]]`, in link creation order (the sort is
+/// stable).
+struct Adjacency {
+    off: Vec<usize>,
+    edges: Vec<Edge>,
+}
+
+impl Adjacency {
+    /// Group `links` by the node `at(link)` names; `peer(link)` is the
+    /// other end.
+    fn new(
+        n: usize,
+        links: &[Link],
+        at: impl Fn(&Link) -> NodeId,
+        peer: impl Fn(&Link) -> NodeId,
+    ) -> Adjacency {
+        let mut order: Vec<&Link> = links.iter().collect();
+        order.sort_by_key(|l| at(l).0);
+        let off = (0..=n)
+            .map(|v| order.partition_point(|l| (at(l).0 as usize) < v))
+            .collect();
+        let edges = order
+            .iter()
+            .map(|l| Edge {
+                peer: peer(l).0 as usize,
+                cost: (l.prop + l.bw.tx_time(1500)).as_ps(),
+                link: l.id,
+            })
+            .collect();
+        Adjacency { off, edges }
+    }
+
+    fn of(&self, v: usize) -> &[Edge] {
+        &self.edges[self.off[v]..self.off[v + 1]]
+    }
+}
+
+/// The gateway of `dest` (module doc), if it has one. Leaves in
+/// `patches`, sorted by node, the entries where row `dest` differs from
+/// the gateway's row: the gateway's and each stub's link to `dest`, and
+/// no link at `dest`.
+fn gateway(
+    dest: usize,
+    inbound: &Adjacency,
+    outbound: &Adjacency,
+    patches: &mut Vec<(usize, Option<LinkId>)>,
+) -> Option<usize> {
+    let is_stub = |q: usize| {
+        matches!(inbound.of(q), [e] if e.peer == dest)
+            && matches!(outbound.of(q), [e] if e.peer == dest)
+    };
+    patches.clear();
+    patches.push((dest, None));
+    let mut found = None;
+    for e in inbound.of(dest) {
+        if !is_stub(e.peer) {
+            if found.is_some() || e.peer >= dest {
+                return None;
+            }
+            found = Some(e.peer);
+        }
+        patches.push((e.peer, Some(e.link)));
+    }
+    patches.sort_unstable_by_key(|&(node, _)| node);
+    found
+}
+
+/// `hops.len()` as the next CSR offset.
+fn end_offset(hops: &[LinkId]) -> u32 {
+    u32::try_from(hops.len()).expect("routing table exceeds u32 offsets")
+}
+
+/// Append the entries of nodes `a..b` from the finished row whose
+/// offsets start at `off[row]`: their links in one bulk copy, their
+/// offsets rebased onto the copy.
+fn copy_run(off: &mut Vec<u32>, hops: &mut Vec<LinkId>, row: usize, a: usize, b: usize) {
+    let (lo, hi) = (off[row + a], off[row + b]);
+    hops.extend_from_within(lo as usize..hi as usize);
+    let shift = end_offset(hops) - hi;
+    let start = off.len();
+    off.extend_from_within(row + a + 1..row + b + 1);
+    for o in &mut off[start..] {
+        *o += shift;
+    }
 }
 
 impl RoutingTable {
@@ -85,16 +168,36 @@ impl RoutingTable {
     /// delay + transmission time of a 1500-byte packet; a node's
     /// equal-cost out-links form its ECMP set, in creation order.
     pub(crate) fn shortest_paths(n: usize, links: &[Link]) -> RoutingTable {
-        let (in_off, inbound) = adjacency(n, links, |l| l.to, |l| l.from);
-        let (out_off, outbound) = adjacency(n, links, |l| l.from, |l| l.to);
+        let inbound = Adjacency::new(n, links, |l| l.to, |l| l.from);
+        let outbound = Adjacency::new(n, links, |l| l.from, |l| l.to);
+        // Gateway rows are exact only when no link is free (module doc).
+        let fold = inbound.edges.iter().all(|e| e.cost > 0);
 
         let mut off = Vec::with_capacity(n * n + 1);
         let mut hops = Vec::with_capacity(n * n);
         off.push(0u32);
-        // One reverse Dijkstra per destination, scratch reused.
+        // Scratch reused across destinations.
+        let mut patches = Vec::new();
         let mut dist: Vec<u64> = Vec::new();
         let mut heap = std::collections::BinaryHeap::new();
         for dest in 0..n {
+            let source = if fold {
+                gateway(dest, &inbound, &outbound, &mut patches)
+            } else {
+                None
+            };
+            if let Some(g) = source {
+                // Row `g` between the patches, the patches themselves.
+                let mut next = 0;
+                for &(node, link) in &patches {
+                    copy_run(&mut off, &mut hops, g * n, next, node);
+                    hops.extend(link);
+                    off.push(end_offset(&hops));
+                    next = node + 1;
+                }
+                copy_run(&mut off, &mut hops, g * n, next, n);
+                continue;
+            }
             dist.clear();
             dist.resize(n, u64::MAX);
             dist[dest] = 0;
@@ -104,7 +207,7 @@ impl RoutingTable {
                 if d > dist[v] {
                     continue;
                 }
-                for e in &inbound[in_off[v]..in_off[v + 1]] {
+                for e in inbound.of(v) {
                     let nd = d + e.cost;
                     if nd < dist[e.peer] {
                         dist[e.peer] = nd;
@@ -116,20 +219,20 @@ impl RoutingTable {
             // shortest path (none at the destination or out of reach).
             for (u, &du) in dist.iter().enumerate() {
                 if u != dest && du != u64::MAX {
-                    for e in &outbound[out_off[u]..out_off[u + 1]] {
+                    for e in outbound.of(u) {
                         let dv = dist[e.peer];
                         if dv != u64::MAX && e.cost + dv == du {
                             hops.push(e.link);
                         }
                     }
                 }
-                off.push(u32::try_from(hops.len()).expect("routing table exceeds u32 offsets"));
+                off.push(end_offset(&hops));
             }
         }
         RoutingTable {
             n,
             off: off.into(),
-            hops: hops.into(),
+            hops,
             link_to: links.iter().map(|l| l.to).collect(),
             link_bw: links.iter().map(|l| l.bw).collect(),
             link_prop: links.iter().map(|l| l.prop).collect(),
@@ -213,7 +316,8 @@ impl RoutingTable {
 
 #[cfg(test)]
 mod tests {
-    use crate::{FlowId, Network, RoutingTable, TraceLevel};
+    use super::{gateway, Adjacency};
+    use crate::{FlowId, LinkId, Network, NodeId, RoutingTable, TraceLevel};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use ups_sim::{Bandwidth, Dur};
 
@@ -275,5 +379,90 @@ mod tests {
             assert!(c > 700, "skewed ECMP spread: {counts:?}");
         }
         assert_eq!(rt.next_hop(a, a, 7), None, "a node has no hop to itself");
+    }
+
+    /// The next-hop set of `(node, dest)`.
+    fn entry(rt: &RoutingTable, node: usize, dest: usize) -> &[LinkId] {
+        let i = dest * rt.n + node;
+        &rt.hops[rt.off[i] as usize..rt.off[i + 1] as usize]
+    }
+
+    #[test]
+    fn a_zero_cost_link_turns_the_fold_off() {
+        // g <-> v at zero cost, host h behind g: h's gateway is g, but
+        // g -> v -> g costs nothing, so g -> v is on a shortest path to h
+        // too. The fold would give [g -> h] at g; Dijkstra gives both.
+        let mut net = Network::new(TraceLevel::Off);
+        let (g, v, h) = (net.add_router("g"), net.add_router("v"), net.add_host("h"));
+        let (gv, vg) = net.add_duplex(g, v, Bandwidth::INFINITE, Dur::ZERO);
+        let (hg, gh) = net.add_duplex(h, g, Bandwidth::gbps(1), Dur::from_micros(1));
+        let rt = net.compute_routes();
+        // Rows g, v, h; in each, the entries at g, v, h.
+        let want: [[&[LinkId]; 3]; 3] = [
+            [&[], &[vg], &[hg]],
+            [&[gv], &[], &[hg]],
+            [&[gv, gh], &[vg], &[]],
+        ];
+        for (dest, row) in want.iter().enumerate() {
+            for (node, &set) in row.iter().enumerate() {
+                assert_eq!(entry(&rt, node, dest), set, "node {node} -> dest {dest}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_host_and_edge_router_of_the_wan_builders_has_a_gateway() {
+        use ups_topo::{default_level, internet2, rocketfuel};
+        // `default_level()`: the builders take the library build's
+        // `TraceLevel`, which this test build of the crate cannot name.
+        let builds = [
+            (internet2::default_topology(default_level()), 10),
+            (
+                rocketfuel::build(&rocketfuel::RocketFuelConfig::full(), default_level()),
+                83,
+            ),
+        ];
+        for (topo, cores) in builds {
+            // The builder wired the library build of this crate; rewire
+            // its graph here to reach the private gateway test.
+            let mut net = Network::new(TraceLevel::Off);
+            for node in &topo.net.nodes {
+                if node.is_host() {
+                    net.add_host(node.name.as_str());
+                } else {
+                    net.add_router(node.name.as_str());
+                }
+            }
+            for l in &topo.net.links {
+                net.add_link(NodeId(l.from.0), NodeId(l.to.0), l.bw, l.prop);
+            }
+            let n = net.nodes.len();
+            let inbound = Adjacency::new(n, &net.links, |l| l.to, |l| l.from);
+            let outbound = Adjacency::new(n, &net.links, |l| l.from, |l| l.to);
+            let mut patches = Vec::new();
+            let mut dijkstras = 0;
+            for node in &net.nodes {
+                let gw = gateway(node.id.0 as usize, &inbound, &outbound, &mut patches);
+                let access = node.is_host() || node.name.starts_with("edge:");
+                assert_eq!(gw.is_some(), access, "{} in {}", node.name, topo.name);
+                if gw.is_some() {
+                    assert!(patches.len() <= 3, "{}: {patches:?}", node.name);
+                }
+                dijkstras += usize::from(gw.is_none());
+            }
+            assert_eq!(dijkstras, cores, "{}", topo.name);
+
+            // Folding changes no entry: an unreachable zero-cost pair of
+            // extra nodes turns it off for the whole graph.
+            let folded = net.compute_routes();
+            let (x, y) = (net.add_router("x"), net.add_router("y"));
+            net.add_duplex(x, y, Bandwidth::INFINITE, Dur::ZERO);
+            let plain = net.compute_routes();
+            for dest in 0..n {
+                for node in 0..n {
+                    assert_eq!(entry(&folded, node, dest), entry(&plain, node, dest));
+                }
+            }
+        }
     }
 }

@@ -39,17 +39,6 @@ use std::sync::Arc;
 use ups_net::{LinkId, Network, NodeId, RoutingTable, TraceLevel};
 use ups_sim::Bandwidth;
 
-/// Which tier a link belongs to (both directions classified the same).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkTier {
-    /// Router-to-router core link.
-    Core,
-    /// Edge-router to core-router access link.
-    Access,
-    /// Host NIC link.
-    Host,
-}
-
 /// A built topology: the network plus classification metadata.
 #[derive(Debug)]
 pub struct Topology {
@@ -96,17 +85,6 @@ impl Topology {
             .expect("topology has no core links")
     }
 
-    /// Tier of a given link.
-    pub fn tier(&self, l: LinkId) -> LinkTier {
-        if self.core_links.contains(&l) {
-            LinkTier::Core
-        } else if self.access_links.contains(&l) {
-            LinkTier::Access
-        } else {
-            LinkTier::Host
-        }
-    }
-
     /// Sanity checks every builder runs before returning: the topology
     /// has hosts, all hosts are mutually reachable, and every link is
     /// classified exactly once.
@@ -117,8 +95,10 @@ impl Topology {
         // Reachability spot check: first host can reach every other host.
         if let (Some(&a), true) = (self.hosts.first(), self.hosts.len() > 1) {
             for &b in &self.hosts[1..] {
-                let p = self.routes.resolve_path(a, b, ups_net::FlowId(0));
-                assert!(p.hops() >= 2, "degenerate path {a:?}->{b:?}");
+                let mut hops = 0;
+                self.routes
+                    .for_each_hop(a, b, ups_net::FlowId(0), |_| hops += 1);
+                assert!(hops >= 2, "degenerate path {a:?}->{b:?}");
             }
         }
     }

@@ -3,7 +3,9 @@
 //! Three contracts from the hot-path redesign, checked end-to-end:
 //!
 //! * the [`RoutingTable`] holds, for every `(node, destination)` of a
-//!   random topology, exactly the out-links that Bellman–Ford distances
+//!   random topology (with random edge-router → host chains hung off it,
+//!   which is where the table copies gateway rows instead of running
+//!   Dijkstra), exactly the out-links that Bellman–Ford distances
 //!   computed here put on a shortest path, in creation order, and a
 //!   flow takes member `hash % width` at every hop;
 //! * batched same-instant drain produces bit-identical telemetry to the
@@ -64,6 +66,33 @@ fn random_connected(n: u32, extra: u32, seed: u64) -> Network {
         net.add_duplex(a, b, bw, prop);
     }
     net
+}
+
+/// Hang `chains` access chains off random routers among the first `n`
+/// nodes: an edge router duplexed to the router and a host duplexed to
+/// the edge router, the shape `attach_edges_and_hosts` builds. Each chain
+/// takes one of three shapes, which the routing table must answer alike:
+/// the builder's wiring order (both rows copy their gateway's row), the
+/// host added before its edge router (the host's would-be gateway has
+/// the higher index, so it runs Dijkstra), or a second edge → host link
+/// (parallel links into a would-be stub: both run Dijkstra).
+fn hang_access_chains(net: &mut Network, n: u32, chains: u32, seed: u64) {
+    let mut s = !seed;
+    for _ in 0..chains {
+        let core = NodeId((mix(&mut s) % n as u64) as u32);
+        let shape = mix(&mut s) % 3;
+        let (edge, host) = if shape == 1 {
+            let host = net.add_host("host");
+            (net.add_router("edge"), host)
+        } else {
+            (net.add_router("edge"), net.add_host("host"))
+        };
+        net.add_duplex(edge, core, Bandwidth::gbps(1), Dur::from_micros(20));
+        net.add_duplex(host, edge, Bandwidth::gbps(10), Dur::from_micros(5));
+        if shape == 2 {
+            net.add_link(edge, host, Bandwidth::gbps(10), Dur::from_micros(5));
+        }
+    }
 }
 
 /// Routing cost of a link, from first principles: propagation delay
@@ -189,6 +218,7 @@ proptest! {
     fn routing_table_matches_bellman_ford_oracle(
         n in 3u32..12,
         extra in 0u32..12,
+        chains in 0u32..6,
         seed in 0u64..u64::MAX,
         flows in prop::collection::vec(0u64..u64::MAX, 1..16),
     ) {
@@ -196,6 +226,7 @@ proptest! {
         if seed % 2 == 1 {
             net.add_router("island"); // unreachable both ways
         }
+        hang_access_chains(&mut net, n, chains, seed);
         let table: Arc<RoutingTable> = net.compute_routes();
         // The flow hash is the SplitMix64 step of the flow id.
         let hashes: Vec<u64> = flows
@@ -224,7 +255,7 @@ proptest! {
                 }
             }
             for (&f, &h) in flows.iter().zip(&hashes) {
-                let src = NodeId((f % n as u64) as u32);
+                let src = NodeId((f % nodes as u64) as u32);
                 if src == dest || dist[src.0 as usize] == u64::MAX {
                     continue;
                 }
