@@ -33,10 +33,6 @@ impl Scheduler for Fifo {
     fn len(&self) -> usize {
         self.q.len()
     }
-
-    fn is_fifo(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

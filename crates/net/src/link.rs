@@ -61,88 +61,18 @@ struct InFlight {
 ///
 /// Transmission starts are *deferred*: `admit`/`tx_done` never begin a
 /// new transmission themselves; they set `want_start` and the network
-/// schedules a `StartTx` event at the same instant in a later event
-/// class. That way every packet arriving at time `t` — including ones
-/// cascading through zero-time links — is queued before the port picks
-/// what to send at `t`, exactly as the formal model's schedulers see it.
+/// calls [`Link::try_start`] once every packet arriving at the same
+/// instant — including ones cascading through zero-time links — is
+/// queued, so the port picks what to send at `t` from the queue the
+/// formal model's schedulers see.
 #[derive(Debug, Default)]
 pub struct PortActions {
-    /// The port is idle and has queued packets: schedule a `StartTx`.
+    /// The port is idle and has queued packets: start a transmission.
     pub want_start: bool,
     /// Packets dropped by the buffer-overflow policy.
     pub dropped: Vec<Box<Packet>>,
     /// Packet whose transmission was fully completed (forward it).
     pub completed: Option<Box<Packet>>,
-    /// `(tx_end, generation)` of a transmission the port started inline
-    /// on the wire fast path — the caller schedules its completion
-    /// exactly as it would for [`Link::try_start`]'s return.
-    pub started: Option<(Time, u64)>,
-}
-
-/// Dispatch slot for the port's scheduler. The default drop-tail FIFO
-/// gets a concrete arm so the ~5 scheduler calls per forwarded packet
-/// (admit, start, and the idle checks around them) inline down to
-/// `VecDeque` operations; any installed scheduler goes through the
-/// vtable as before. [`Link::set_scheduler`] routes an incoming box
-/// into the right arm via [`Scheduler::is_fifo`].
-#[derive(Debug)]
-enum SchedSlot {
-    Fifo(crate::fifo::Fifo),
-    Dyn(Box<dyn Scheduler>),
-}
-
-impl SchedSlot {
-    #[inline]
-    fn enqueue(&mut self, q: Queued) {
-        match self {
-            SchedSlot::Fifo(f) => f.enqueue(q),
-            SchedSlot::Dyn(s) => s.enqueue(q),
-        }
-    }
-
-    #[inline]
-    fn dequeue(&mut self) -> Option<Queued> {
-        match self {
-            SchedSlot::Fifo(f) => f.dequeue(),
-            SchedSlot::Dyn(s) => s.dequeue(),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            SchedSlot::Fifo(f) => f.len(),
-            SchedSlot::Dyn(s) => s.len(),
-        }
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    #[inline]
-    fn evict_for(&mut self, incoming: &Queued) -> crate::scheduler::EvictOutcome {
-        match self {
-            SchedSlot::Fifo(f) => f.evict_for(incoming),
-            SchedSlot::Dyn(s) => s.evict_for(incoming),
-        }
-    }
-
-    #[inline]
-    fn urgency(&self, q: &Queued) -> Option<i64> {
-        match self {
-            SchedSlot::Fifo(f) => f.urgency(q),
-            SchedSlot::Dyn(s) => s.urgency(q),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            SchedSlot::Fifo(f) => f.name(),
-            SchedSlot::Dyn(s) => s.name(),
-        }
-    }
 }
 
 /// A unidirectional link: `from`'s output port plus the wire to `to`.
@@ -163,7 +93,7 @@ pub struct Link {
     pub buffer: Option<u64>,
     /// Whether an urgent arrival may suspend the in-flight transmission.
     pub preemptive: bool,
-    sched: SchedSlot,
+    sched: Box<dyn Scheduler>,
     /// One-entry serialization-time memo: `(size, tx_time(size))`. Real
     /// workloads transmit runs of equal-size packets, so this turns the
     /// per-admit and per-start 128-bit division into a compare.
@@ -174,9 +104,9 @@ pub struct Link {
     /// Generation counter; a stored `TxDone` event is valid only if its
     /// generation matches (preemption invalidates scheduled completions).
     tx_gen: u64,
-    /// A `StartTx` event for this link is already scheduled at the
-    /// current instant — the network uses this to keep at most one
-    /// pending start decision per link.
+    /// A start decision for this link is already pending at the current
+    /// instant — a `StartTx` event, or a place on the network's list of
+    /// inline starts — so the network keeps at most one per link.
     pub(crate) start_pending: bool,
     /// Chaos runtime state, present only once a [`crate::ChaosPolicy`]
     /// is installed (see [`crate::Network::install_chaos`]). Chaos-free
@@ -197,7 +127,7 @@ impl Link {
             prop,
             buffer: None,
             preemptive: false,
-            sched: SchedSlot::Fifo(crate::fifo::Fifo::new()),
+            sched: Box::new(crate::fifo::Fifo::new()),
             tx_memo: (0, Dur::ZERO),
             queued_bytes: 0,
             arrival_seq: 0,
@@ -216,11 +146,7 @@ impl Link {
             self.sched.is_empty() && self.inflight.is_none(),
             "cannot swap scheduler on a busy link"
         );
-        self.sched = if sched.is_fifo() && sched.is_empty() {
-            SchedSlot::Fifo(crate::fifo::Fifo::new())
-        } else {
-            SchedSlot::Dyn(sched)
-        };
+        self.sched = sched;
     }
 
     /// `tx_time` through the one-entry per-link memo.
@@ -265,106 +191,8 @@ impl Link {
         act
     }
 
-    /// Admit a same-instant run of packets as one batch (the network's
-    /// batched drain hands over every consecutive arrival bound for this
-    /// port). Packets are admitted in order with identical per-packet
-    /// semantics to [`Link::admit`]; the single merged [`PortActions`]
-    /// carries all drops (in admission order) and one start request.
-    ///
-    /// With `inline` set, the caller guarantees this run is the port's
-    /// *complete* same-instant arrival group and that the start decision
-    /// is taken right now rather than through a deferred `StartTx`. Under
-    /// that guarantee a packet reaching an idle, empty, non-preemptive
-    /// port goes straight to the wire: the scheduler cannot be asked to
-    /// reorder a queue of one, so the enqueue/dequeue round trip (and its
-    /// zero-wait slack bookkeeping) is skipped and the completion is
-    /// returned in [`PortActions::started`].
-    pub fn admit_batch(
-        &mut self,
-        pkts: &mut Vec<Box<Packet>>,
-        now: Time,
-        inline: bool,
-    ) -> PortActions {
-        let mut act = PortActions::default();
-        let mut drain = pkts.drain(..);
-        if inline {
-            if let Some(pkt) = drain.next() {
-                if let Some(pkt) = self.wire_fast_path(pkt, now, &mut act) {
-                    self.admit_one(pkt, now, &mut act);
-                }
-            }
-        }
-        for pkt in drain {
-            self.admit_one(pkt, now, &mut act);
-        }
-        act.want_start = self.inflight.is_none() && !self.sched.is_empty();
-        act
-    }
-
-    /// Admit one packet outside any batch (the singleton case of
-    /// [`Link::admit_batch`], without the drain machinery).
-    pub fn admit_single(&mut self, pkt: Box<Packet>, now: Time, inline: bool) -> PortActions {
-        let mut act = PortActions::default();
-        let pkt = if inline {
-            self.wire_fast_path(pkt, now, &mut act)
-        } else {
-            Some(pkt)
-        };
-        if let Some(pkt) = pkt {
-            self.admit_one(pkt, now, &mut act);
-        }
-        act.want_start = self.inflight.is_none() && !self.sched.is_empty();
-        act
-    }
-
-    /// The wire fast path behind `inline` admission (see
-    /// [`Link::admit_batch`]): a packet reaching an idle, empty,
-    /// non-preemptive FIFO port with room goes straight to the wire,
-    /// skipping the scheduler round trip. Returns the packet back when
-    /// the port does not qualify.
-    ///
-    /// Only the devirtualized drop-tail FIFO qualifies: for it,
-    /// enqueue-then-immediate-dequeue of the only packet is provably a
-    /// no-op. A boxed scheduler may mutate state on *every* dequeue even
-    /// with one packet queued — `Random` consumes an RNG draw, DRR moves
-    /// its deficit round — so skipping the round trip would change its
-    /// later decisions.
-    #[inline]
-    fn wire_fast_path(
-        &mut self,
-        mut pkt: Box<Packet>,
-        now: Time,
-        act: &mut PortActions,
-    ) -> Option<Box<Packet>> {
-        if !matches!(self.sched, SchedSlot::Fifo(_))
-            || self.inflight.is_some()
-            || !self.sched.is_empty()
-            || self.preemptive
-            || self.chaos.is_some()
-            || self.buffer.is_some_and(|cap| (pkt.size as u64) > cap)
-        {
-            return Some(pkt);
-        }
-        pkt.tx_left = None;
-        let mut q = self.make_queued(pkt, now);
-        self.stats.enqueued += 1;
-        self.stats.max_queue_pkts = self.stats.max_queue_pkts.max(1);
-        q.pkt.hop_first_tx = now;
-        let tx_end = now + q.tx_dur;
-        self.tx_gen += 1;
-        self.inflight = Some(InFlight {
-            q,
-            tx_start: now,
-            tx_end,
-            urgency: None,
-        });
-        act.started = Some((tx_end, self.tx_gen));
-        None
-    }
-
-    /// Admission core shared by [`Link::admit`] and [`Link::admit_batch`]:
-    /// everything except the start-request decision, which depends on the
-    /// port state after the whole batch.
+    /// Admission core of [`Link::admit`]: everything except the
+    /// start-request decision, which reads the port state afterwards.
     fn admit_one(&mut self, mut pkt: Box<Packet>, now: Time, act: &mut PortActions) {
         // A failed link refuses arrivals outright (no queue entry, no
         // arrival-sequence draw — the packet never reached the port).
@@ -463,29 +291,9 @@ impl Link {
         act
     }
 
-    /// Process a same-instant run of `TxDone` events for this link as one
-    /// batch. At most one generation can match (each transmission posts
-    /// exactly one completion); the rest are stale completions from
-    /// preempted transmissions and are skipped without a call.
-    pub fn tx_done_batch(&mut self, gens: &[u64], now: Time) -> PortActions {
-        let mut act = PortActions::default();
-        for &gen in gens {
-            if gen != self.tx_gen {
-                continue; // stale completion from a preempted transmission
-            }
-            let mut a = self.tx_done(gen, now);
-            debug_assert!(act.completed.is_none(), "two live completions in one batch");
-            act.completed = a.completed;
-            act.want_start = a.want_start;
-            // A chaos wire loss surfaces as a drop instead of a completion.
-            act.dropped.append(&mut a.dropped);
-        }
-        act
-    }
-
     /// Begin transmitting the scheduler's next packet if the port is
-    /// idle and packets are queued. Called from the network's deferred
-    /// `StartTx` event; redundant calls are no-ops.
+    /// idle and packets are queued. Called by the network once the
+    /// instant's arrivals are admitted; redundant calls are no-ops.
     /// Returns the `(tx_end, generation)` pair for the completion event.
     pub fn try_start(&mut self, now: Time) -> Option<(Time, u64)> {
         if self.inflight.is_some() || self.chaos.as_ref().is_some_and(|c| c.blocked()) {

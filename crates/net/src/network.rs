@@ -19,35 +19,35 @@
 //! set timers; the replay experiments instead register an open-loop
 //! [`InjectSource`] that the network pulls from as the clock advances.
 //!
-//! # Hot-path batching
+//! # One arrival path
 //!
-//! Two hot-path optimizations are provably order-identical to the naive
-//! one-event-at-a-time loop and are on by default:
+//! [`Network::step`] handles one event, except that an instant's arrivals
+//! are one step: the first `Arrive` to pop (or the feeder, whose packets
+//! go first) drains every further same-instant `Arrive`, and the list is
+//! walked in pop order, each packet delivered or admitted to its port by
+//! [`Link::admit`] — the port mutations a one-event-at-a-time loop makes,
+//! in its order, since admission never touches the event queue.
 //!
-//! * **Batched same-instant drain.** When the event wheel's current slot
-//!   holds a run of same-instant events for the same link — arrivals
-//!   fanning into one output port, or transmission completions —
-//!   [`Network::step`] drains the run as one batch
-//!   ([`Link::admit_batch`] / [`Link::tx_done_batch`]), paying the event
-//!   dispatch and scheduler virtual-call overhead once per run instead of
-//!   once per packet. Batch members are processed in exactly their pop
-//!   order, and admitting a packet never touches the event queue, so the
-//!   sequence of link-state mutations is identical to single stepping
-//!   (the batch proptest cross-checks this). [`Network::set_batched_drain`]
-//!   selects the reference single-event mode.
-//! * **`StartTx` elision.** At most one `StartTx` is kept pending per
-//!   link (a per-link flag dedups the redundant requests that same-instant
-//!   arrivals used to push), and on networks where every link has finite
-//!   bandwidth and positive propagation delay, a completion whose queue
-//!   is non-empty starts the next transmission inline rather than through
-//!   a deferred event. Inline starts are safe exactly then: all
-//!   same-instant arrivals pop (`ARRIVE`) before any completion (`TX_DONE`),
-//!   and with positive delays no *new* same-instant arrival can be
-//!   created once completions are being processed — so the scheduler
-//!   state seen inline equals what the deferred `StartTx` would have
-//!   seen. Networks with infinite-bandwidth or zero-delay "theory" links
-//!   keep full deferral automatically, as do networks with a chaos
-//!   policy installed ([`Network::install_chaos`]).
+//! Starts are where the loop saves events. A port that wants a start
+//! keeps at most one pending `StartTx` (a per-link flag dedups requests),
+//! and on a network of finite-bandwidth, positive-delay links with no
+//! chaos policy ([`Network::install_chaos`]) most starts need no event:
+//!
+//! * an arrival drain with no app attached and no timer due at the same
+//!   instant lists each port that wants a start, and once the instant's
+//!   last arrival is admitted starts them in the order each first wanted
+//!   one;
+//! * a completion whose queue is non-empty starts the next transmission
+//!   right away.
+//!
+//! Inline starts are safe exactly then: all same-instant arrivals pop
+//! (`ARRIVE`) before any completion (`TX_DONE`), and with positive delays
+//! no *new* same-instant arrival can be created once they have — so each
+//! scheduler sees the queue the deferred `StartTx` would have seen.
+//! Infinite-bandwidth or zero-delay "theory" links keep full deferral.
+//! `tests/forwarding_equivalence.rs` holds this loop to a naive one
+//! written in the test (one heap event per pop, boxed packets, every
+//! start through a `StartTx`) on random topologies under every scheduler.
 
 use crate::chaos::{self, ChaosPhase, ChaosPolicy, ChaosTotals};
 use crate::link::Link;
@@ -220,7 +220,7 @@ pub struct Network {
     /// Number of attached applications. Zero means no callback can
     /// inject packets or arm timers mid-instant, which is one of the
     /// preconditions for starting transmissions inline from an arrival
-    /// batch (see the module docs).
+    /// drain (see the module docs).
     napps: usize,
     next_pkt_id: u64,
     /// The attached injection source, while it has packets left to send
@@ -237,20 +237,11 @@ pub struct Network {
     /// delay — the precondition for starting a queued transmission inline
     /// from a completion instead of deferring through a `StartTx` event.
     eager_ok: bool,
-    /// Batched same-instant drain (default). Off = reference mode: one
-    /// event per [`Network::step`], for equivalence tests.
-    batch: bool,
-    /// Scratch for the arrivals of one same-instant batch.
+    /// Scratch for the arrivals of one instant, in pop order.
     arrive_scratch: Vec<(NodeId, PacketRef)>,
-    /// Scratch for one same-link run of packets handed to `admit_batch`.
-    /// Packets live their whole life as `Box<Packet>` (slab slots, link
-    /// queues), so the run must carry the boxes, not unboxed copies.
-    #[allow(clippy::vec_box)]
-    run_scratch: Vec<Box<Packet>>,
-    /// Scratch for one same-link run of `TxDone` generations.
-    gen_scratch: Vec<u64>,
-    /// Scratch marking arrivals already claimed by an earlier run.
-    used_scratch: Vec<bool>,
+    /// Ports the current arrival drain starts inline once its last
+    /// arrival is admitted, in the order each first wanted a start.
+    start_scratch: Vec<LinkId>,
     /// Deterministic state sampler, when enabled (see
     /// [`Network::enable_sampling`]). Sampling is read-only over links
     /// and the packet arena — it mutates no data-plane state and is not
@@ -280,11 +271,8 @@ impl Network {
             feeding: false,
             routing: None,
             eager_ok: true,
-            batch: true,
             arrive_scratch: Vec::new(),
-            run_scratch: Vec::new(),
-            gen_scratch: Vec::new(),
-            used_scratch: Vec::new(),
+            start_scratch: Vec::new(),
             sampler: None,
         };
         if let Some(interval) = ups_obs::sample_interval() {
@@ -622,16 +610,10 @@ impl Network {
         self.telemetry.counters.peak_in_flight as usize
     }
 
-    /// Select batched (default) or single-event reference stepping. The
-    /// two are bit-identical in outcome — the reference mode exists so
-    /// the equivalence proptest has something to compare against.
-    pub fn set_batched_drain(&mut self, on: bool) {
-        self.batch = on;
-    }
-
-    /// Process the next pending work item: one event, or — in batched
-    /// mode — one same-instant run of arrivals or completions for a
-    /// single link. Returns `false` if the queue was empty.
+    /// Process the next pending event — or, when it is an arrival or the
+    /// injection feeder, every arrival of its instant, starting inline
+    /// the ports that may start now (see the module docs). Returns
+    /// `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
         self.step_with(None)
     }
@@ -654,7 +636,6 @@ impl Network {
         }
         match ev {
             Ev::Inject => {
-                self.arrive_scratch.clear();
                 match lent {
                     Some(src) => self.pull_due(src, now),
                     None => {
@@ -667,51 +648,14 @@ impl Network {
                         }
                     }
                 }
-                if self.batch {
-                    self.drain_arrivals(now);
-                } else {
-                    let due = std::mem::take(&mut self.arrive_scratch);
-                    for &(node, pkt) in &due {
-                        self.handle_arrive(node, pkt, now);
-                    }
-                    self.arrive_scratch = due;
-                }
+                self.drain_arrivals(now);
             }
             Ev::Arrive { node, pkt } => {
-                if self.batch {
-                    self.arrive_scratch.clear();
-                    self.slab.prefetch(pkt);
-                    self.arrive_scratch.push((node, pkt));
-                    self.drain_arrivals(now);
-                } else {
-                    self.handle_arrive(node, pkt, now);
-                }
+                self.slab.prefetch(pkt);
+                self.arrive_scratch.push((node, pkt));
+                self.drain_arrivals(now);
             }
-            Ev::TxDone { link, gen } => {
-                if self.batch {
-                    self.gen_scratch.clear();
-                    self.gen_scratch.push(gen);
-                    while let Some((_, ev)) = self.queue.pop_if(|t, e| {
-                        t == now && matches!(e, Ev::TxDone { link: l, .. } if *l == link)
-                    }) {
-                        self.telemetry.counters.events += 1;
-                        let Ev::TxDone { gen, .. } = ev else {
-                            unreachable!("predicate admits completions only")
-                        };
-                        self.gen_scratch.push(gen);
-                    }
-                    if self.gen_scratch.len() == 1 {
-                        self.handle_tx_done(link, gen, now);
-                    } else {
-                        let gens = std::mem::take(&mut self.gen_scratch);
-                        let actions = self.links[link.0 as usize].tx_done_batch(&gens, now);
-                        self.gen_scratch = gens;
-                        self.apply_port_actions(link, actions, now, true);
-                    }
-                } else {
-                    self.handle_tx_done(link, gen, now);
-                }
-            }
+            Ev::TxDone { link, gen } => self.handle_tx_done(link, gen, now),
             Ev::Timer { node, id } => self.dispatch_timer(node, id),
             Ev::StartTx { link } => self.handle_start_tx(link, now),
             Ev::Chaos { link, phase } => self.handle_chaos(link, phase, now),
@@ -731,10 +675,10 @@ impl Network {
         true
     }
 
-    /// Batched mode: `arrive_scratch` holds the head of this instant's
-    /// arrival batch (the packets the feeder just pulled, or the one
-    /// arrival that popped). Drain every further same-instant `Arrive`
-    /// into it and process the batch.
+    /// `arrive_scratch` holds the head of this instant's arrivals (the
+    /// packets the feeder just pulled, or the one arrival that popped).
+    /// Drain every further same-instant `Arrive` into it, deliver or
+    /// admit each packet in pop order, then take the inline starts.
     fn drain_arrivals(&mut self, now: Time) {
         while let Some((_, ev)) = self
             .queue
@@ -744,30 +688,48 @@ impl Network {
             let Ev::Arrive { node, pkt } = ev else {
                 unreachable!("predicate admits arrivals only")
             };
-            // Warm later batch members while earlier ones are grouped
-            // and admitted.
+            // Warm later arrivals while earlier ones are admitted.
             self.slab.prefetch(pkt);
             self.arrive_scratch.push((node, pkt));
         }
         // The scratch now holds *every* arrival at this instant. If
         // nothing can add more work at `now` — network is eager-safe,
         // no app callbacks, and no same-instant timer pending — each
-        // port may start transmitting inline once its whole group is
-        // admitted, eliding the deferred `StartTx` event.
+        // port may start transmitting once all of them are admitted,
+        // eliding the deferred `StartTx` event.
         let inline_ok = self.eager_ok
             && self.napps == 0
             && !matches!(
                 self.queue.peek_cur(),
                 Some((t, Ev::Timer { .. })) if t == now
             );
-        if let [(node, pkt)] = self.arrive_scratch[..] {
-            // Singleton instant (the common case): no grouping to do,
-            // skip the batch scratch machinery.
-            self.arrive_scratch.clear();
-            self.handle_arrive_single(node, pkt, now, inline_ok);
-        } else {
-            self.handle_arrive_batch(now, inline_ok);
+        let mut arrivals = std::mem::take(&mut self.arrive_scratch);
+        for (node, pref) in arrivals.drain(..) {
+            let mut pkt = self.slab.remove(pref);
+            if node == pkt.dst && pkt.at_destination() {
+                self.telemetry.on_deliver(&pkt, now);
+                self.dispatch_deliver(node, pkt);
+                continue;
+            }
+            let lid = pkt
+                .next_link()
+                .unwrap_or_else(|| panic!("packet {:?} stranded at {node:?}", pkt.id));
+            debug_assert_eq!(
+                self.links[lid.0 as usize].from, node,
+                "path inconsistent with arrival node"
+            );
+            pkt.hop_arrive = now;
+            let actions = self.links[lid.0 as usize].admit(pkt, now);
+            if self.apply_port_actions(lid, actions, now) {
+                self.request_start(lid, now, inline_ok);
+            }
         }
+        self.arrive_scratch = arrivals;
+        let mut starts = std::mem::take(&mut self.start_scratch);
+        for lid in starts.drain(..) {
+            self.handle_start_tx(lid, now);
+        }
+        self.start_scratch = starts;
     }
 
     /// Enable deterministic state sampling at the given cadence
@@ -856,132 +818,39 @@ impl Network {
         self.drained()
     }
 
-    /// The event queue just drained: every arena slot had a pending
-    /// `Arrive`, so the arena must be empty too.
+    /// The event queue just drained, so the run's books must close: the
+    /// arena is empty (every slot had a pending `Arrive`), every packet
+    /// sent was delivered or dropped and every drop was a port's, every
+    /// port is idle with nothing queued, and no link was busier than the
+    /// time that passed. Checked in debug builds.
     fn drained(&self) -> Time {
+        let (now, c) = (self.queue.now(), &self.telemetry.counters);
         debug_assert!(self.slab.is_empty(), "packet arena leaked a slot");
-        self.queue.now()
-    }
-
-    fn handle_arrive(&mut self, node: NodeId, pkt: PacketRef, now: Time) {
-        let mut pkt = self.slab.remove(pkt);
-        if node == pkt.dst && pkt.at_destination() {
-            self.telemetry.on_deliver(&pkt, now);
-            self.dispatch_deliver(node, pkt, now);
-            return;
-        }
-        let lid = pkt
-            .next_link()
-            .unwrap_or_else(|| panic!("packet {:?} stranded at {node:?}", pkt.id));
-        debug_assert_eq!(
-            self.links[lid.0 as usize].from, node,
-            "path inconsistent with arrival node"
+        debug_assert_eq!(c.in_flight(), 0, "packets neither delivered nor dropped");
+        debug_assert!(
+            self.links.iter().all(|l| !l.is_busy()
+                && l.queue_len() == 0
+                && l.queued_bytes() == 0
+                && l.stats.busy <= now - Time::ZERO),
+            "a port is busy, holds packets, or was busier than elapsed time at run end"
         );
-        pkt.hop_arrive = now;
-        let actions = self.links[lid.0 as usize].admit(pkt, now);
-        self.apply_port_actions(lid, actions, now, false);
-    }
-
-    /// Process an instant whose complete arrival set is one packet — the
-    /// common case — without the batch grouping machinery. Identical
-    /// per-packet semantics to [`Network::handle_arrive_batch`].
-    fn handle_arrive_single(&mut self, node: NodeId, pref: PacketRef, now: Time, inline_ok: bool) {
-        let mut pkt = self.slab.remove(pref);
-        if node == pkt.dst && pkt.at_destination() {
-            self.telemetry.on_deliver(&pkt, now);
-            self.dispatch_deliver(node, pkt, now);
-            return;
-        }
-        let lid = pkt
-            .next_link()
-            .unwrap_or_else(|| panic!("packet {:?} stranded at {node:?}", pkt.id));
         debug_assert_eq!(
-            self.links[lid.0 as usize].from, node,
-            "path inconsistent with arrival node"
+            self.links.iter().map(|l| l.stats.dropped).sum::<u64>(),
+            c.dropped,
+            "drops not accounted at a port"
         );
-        pkt.hop_arrive = now;
-        let actions = self.links[lid.0 as usize].admit_single(pkt, now, inline_ok);
-        self.apply_port_actions(lid, actions, now, inline_ok);
-    }
-
-    /// Process one same-instant batch of arrivals (`arrive_scratch`, in
-    /// pop order): deliveries dispatch singly; forwards bound for the
-    /// same output port are admitted as one run.
-    ///
-    /// With `inline_ok` (no app callbacks, eager-safe network, no
-    /// same-instant timer) the batch is the instant's *complete* arrival
-    /// set, so each port's group — consecutive or not — is gathered into
-    /// one run and the port starts transmitting inline right after, with
-    /// no deferred `StartTx` event. Admissions to different ports touch
-    /// disjoint state and per-port admission order is preserved, so the
-    /// outcome is identical to deferred stepping. Without `inline_ok`
-    /// only consecutive runs batch and starts stay deferred, keeping app
-    /// callbacks interleaved exactly as single stepping would.
-    fn handle_arrive_batch(&mut self, now: Time, inline_ok: bool) {
-        let scratch = std::mem::take(&mut self.arrive_scratch);
-        let mut run = std::mem::take(&mut self.run_scratch);
-        let mut used = std::mem::take(&mut self.used_scratch);
-        used.clear();
-        used.resize(scratch.len(), false);
-        let mut i = 0;
-        while i < scratch.len() {
-            if used[i] {
-                i += 1;
-                continue;
-            }
-            let (node, pref) = scratch[i];
-            i += 1;
-            let mut pkt = self.slab.remove(pref);
-            if node == pkt.dst && pkt.at_destination() {
-                self.telemetry.on_deliver(&pkt, now);
-                self.dispatch_deliver(node, pkt, now);
-                continue;
-            }
-            let lid = pkt
-                .next_link()
-                .unwrap_or_else(|| panic!("packet {:?} stranded at {node:?}", pkt.id));
-            debug_assert_eq!(
-                self.links[lid.0 as usize].from, node,
-                "path inconsistent with arrival node"
-            );
-            pkt.hop_arrive = now;
-            run.clear();
-            run.push(pkt);
-            // In deferred mode every joined packet is the consecutive
-            // head, so the outer index can skip past them afterward.
-            let mut consumed = 0;
-            for j in i..scratch.len() {
-                if used[j] {
-                    continue;
-                }
-                let (_, p2) = scratch[j];
-                let peek = self.slab.get(p2);
-                if peek.at_destination() || peek.next_link() != Some(lid) {
-                    if inline_ok {
-                        continue; // full grouping: keep scanning the instant
-                    }
-                    break; // deferred mode: consecutive runs only
-                }
-                let mut pkt2 = self.slab.remove(p2);
-                pkt2.hop_arrive = now;
-                run.push(pkt2);
-                used[j] = true;
-                if !inline_ok {
-                    consumed += 1;
-                }
-            }
-            i += consumed;
-            let actions = self.links[lid.0 as usize].admit_batch(&mut run, now, inline_ok);
-            self.apply_port_actions(lid, actions, now, inline_ok);
-        }
-        self.run_scratch = run;
-        self.arrive_scratch = scratch;
-        self.used_scratch = used;
+        now
     }
 
     fn handle_tx_done(&mut self, lid: LinkId, gen: u64, now: Time) {
         let actions = self.links[lid.0 as usize].tx_done(gen, now);
-        self.apply_port_actions(lid, actions, now, true);
+        if self.apply_port_actions(lid, actions, now) {
+            if self.eager_ok {
+                self.handle_start_tx(lid, now);
+            } else {
+                self.request_start(lid, now, false);
+            }
+        }
     }
 
     /// Apply one chaos transition to its link and route the fallout
@@ -996,7 +865,9 @@ impl Network {
             ChaosPhase::JamStart => link.chaos_jam_start(now),
             ChaosPhase::JamEnd => link.chaos_jam_end(now),
         };
-        self.apply_port_actions(lid, actions, now, false);
+        if self.apply_port_actions(lid, actions, now) {
+            self.request_start(lid, now, false);
+        }
     }
 
     fn handle_start_tx(&mut self, lid: LinkId, now: Time) {
@@ -1007,16 +878,19 @@ impl Network {
         }
     }
 
-    /// The port at `lid` is idle with packets queued: start a
-    /// transmission, either inline (`inline` set, on an eager-safe
-    /// network — see the module docs) or via a deduplicated deferred
-    /// `StartTx` event.
+    /// The port at `lid` is idle with packets queued: unless a start is
+    /// already pending, list it for the inline starts that close this
+    /// arrival drain (`inline`), or push a deferred `StartTx` event.
     fn request_start(&mut self, lid: LinkId, now: Time, inline: bool) {
-        if inline && self.eager_ok {
-            self.handle_start_tx(lid, now);
-        } else if !self.links[lid.0 as usize].start_pending {
-            self.links[lid.0 as usize].start_pending = true;
-            let cls = if self.links[lid.0 as usize].bw == Bandwidth::INFINITE {
+        let link = &mut self.links[lid.0 as usize];
+        if link.start_pending {
+            return;
+        }
+        link.start_pending = true;
+        if inline {
+            self.start_scratch.push(lid);
+        } else {
+            let cls = if link.bw == Bandwidth::INFINITE {
                 class::START_WIRE
             } else {
                 class::START_TX
@@ -1025,13 +899,14 @@ impl Network {
         }
     }
 
+    /// Record the drops and forward the completed packet of `actions`;
+    /// returns whether the port wants a transmission start.
     fn apply_port_actions(
         &mut self,
         lid: LinkId,
         actions: crate::link::PortActions,
         now: Time,
-        inline: bool,
-    ) {
+    ) -> bool {
         for dropped in actions.dropped {
             self.telemetry.on_drop(&dropped, now, lid.0);
         }
@@ -1049,16 +924,10 @@ impl Network {
             self.queue
                 .push(now + prop, class::ARRIVE, Ev::Arrive { node: to, pkt });
         }
-        if let Some((end, gen)) = actions.started {
-            self.queue
-                .push(end, class::TX_DONE, Ev::TxDone { link: lid, gen });
-        }
-        if actions.want_start {
-            self.request_start(lid, now, inline);
-        }
+        actions.want_start
     }
 
-    fn dispatch_deliver(&mut self, node: NodeId, pkt: Box<Packet>, _now: Time) {
+    fn dispatch_deliver(&mut self, node: NodeId, pkt: Box<Packet>) {
         if let Some(mut app) = self.apps[node.0 as usize].take() {
             app.on_deliver(self, node, &pkt);
             debug_assert!(
@@ -1149,20 +1018,32 @@ mod tests {
         (net, rt, h0, h1)
     }
 
+    /// Inject one default-header 1,500-byte data packet.
+    fn send(
+        net: &mut Network,
+        rt: &RoutingTable,
+        at: Time,
+        flow: u64,
+        seq: u64,
+        src: NodeId,
+        dst: NodeId,
+    ) {
+        let kind = PacketKind::Data { bytes: 1460 };
+        let hdr = SchedHeader::default();
+        net.inject(rt, at, FlowId(flow), seq, 1500, src, dst, hdr, kind);
+    }
+
+    /// Every packet's `(delivery ps, total qdelay ps)`.
+    fn outcomes(net: &Network) -> Vec<(Option<u64>, u64)> {
+        let recs = net.telemetry.packets.iter();
+        recs.map(|p| (p.delivered.map(|t| t.as_ps()), p.total_qdelay().as_ps()))
+            .collect()
+    }
+
     #[test]
     fn single_packet_end_to_end_latency_is_tmin() {
         let (mut net, rt, h0, h1) = line();
-        net.inject(
-            &rt,
-            Time::ZERO,
-            FlowId(0),
-            0,
-            1500,
-            h0,
-            h1,
-            SchedHeader::default(),
-            PacketKind::Data { bytes: 1460 },
-        );
+        send(&mut net, &rt, Time::ZERO, 0, 0, h0, h1);
         net.run_to_completion();
         let rec = &net.telemetry.packets[0];
         // 2 hops: 12us tx + 5us prop each = 34us.
@@ -1172,41 +1053,43 @@ mod tests {
         assert_eq!(net.telemetry.counters.delivered, 1);
     }
 
+    /// Back-to-back packets queue at the source NIC — and the `StartTx`
+    /// elision, counted. A packet of H hops costs one `Arrive` at its
+    /// source, then a `TxDone` and an `Arrive` per hop: 2H + 1 events
+    /// when every start is inline. An inert chaos policy changes no
+    /// outcome but defers every start through a `StartTx` event, one
+    /// per hop of every packet (each waits for its predecessor).
     #[test]
     fn back_to_back_packets_queue_at_source() {
-        let (mut net, rt, h0, h1) = line();
-        for s in 0..3 {
-            net.inject(
-                &rt,
-                Time::ZERO,
-                FlowId(0),
-                s,
-                1500,
-                h0,
-                h1,
-                SchedHeader::default(),
-                PacketKind::Data { bytes: 1460 },
+        for chaos in [false, true] {
+            let (mut net, rt, h0, h1) = line();
+            if chaos {
+                net.install_chaos(Time::from_millis(1), |_| Some(ChaosPolicy::new(0)));
+            }
+            for s in 0..3 {
+                send(&mut net, &rt, Time::ZERO, 0, s, h0, h1);
+            }
+            net.run_to_completion();
+            let (hops, pkts) = (2, 3);
+            let start_tx = if chaos { hops * pkts } else { 0 };
+            assert_eq!(
+                net.telemetry.counters.events,
+                (2 * hops + 1) * pkts + start_tx
             );
+            // Packet k leaves the host NIC at 12(k+1) us; delivery at +22us more.
+            for (k, rec) in net.telemetry.packets.iter().enumerate() {
+                let want = Time::from_micros(34 + 12 * k as u64);
+                assert_eq!(rec.delivered, Some(want), "packet {k}");
+            }
+            // Packets 1,2 waited at the host NIC: exactly one congestion point.
+            let recs = &net.telemetry.packets;
+            assert_eq!(recs[0].congestion_points(), 0);
+            assert_eq!(recs[1].congestion_points(), 1);
+            assert_eq!(recs[2].congestion_points(), 1);
+            // And their recorded queueing delays are 12us and 24us.
+            assert_eq!(recs[1].total_qdelay(), Dur::from_micros(12));
+            assert_eq!(recs[2].total_qdelay(), Dur::from_micros(24));
         }
-        net.run_to_completion();
-        // Packet k leaves the host NIC at 12(k+1) us; delivery at +22us more.
-        for (k, rec) in net.telemetry.packets.iter().enumerate() {
-            let want = Time::from_micros(34 + 12 * k as u64);
-            assert_eq!(rec.delivered, Some(want), "packet {k}");
-        }
-        // Packets 1,2 waited at the host NIC: exactly one congestion point.
-        assert_eq!(net.telemetry.packets[0].congestion_points(), 0);
-        assert_eq!(net.telemetry.packets[1].congestion_points(), 1);
-        assert_eq!(net.telemetry.packets[2].congestion_points(), 1);
-        // And their recorded queueing delays are 12us and 24us.
-        assert_eq!(
-            net.telemetry.packets[1].total_qdelay(),
-            Dur::from_micros(12)
-        );
-        assert_eq!(
-            net.telemetry.packets[2].total_qdelay(),
-            Dur::from_micros(24)
-        );
     }
 
     #[test]
@@ -1223,28 +1106,8 @@ mod tests {
         }
         net.add_duplex(r, h1, Bandwidth::gbps(1), Dur::from_micros(5));
         let rt = net.compute_routes();
-        net.inject(
-            &rt,
-            Time::ZERO,
-            FlowId(0),
-            0,
-            1500,
-            h0,
-            h1,
-            SchedHeader::default(),
-            PacketKind::Data { bytes: 1460 },
-        );
-        net.inject(
-            &rt,
-            Time::ZERO,
-            FlowId(1),
-            0,
-            1500,
-            h2,
-            h1,
-            SchedHeader::default(),
-            PacketKind::Data { bytes: 1460 },
-        );
+        send(&mut net, &rt, Time::ZERO, 0, 0, h0, h1);
+        send(&mut net, &rt, Time::ZERO, 1, 0, h2, h1);
         net.run_to_completion();
         let cps: Vec<usize> = net
             .telemetry
@@ -1287,17 +1150,7 @@ mod tests {
         let run = || {
             let (mut net, rt, h0, h1) = line();
             for s in 0..50 {
-                net.inject(
-                    &rt,
-                    Time::from_nanos(137 * s),
-                    FlowId(s % 3),
-                    s,
-                    1500,
-                    h0,
-                    h1,
-                    SchedHeader::default(),
-                    PacketKind::Data { bytes: 1460 },
-                );
+                send(&mut net, &rt, Time::from_nanos(137 * s), s % 3, s, h0, h1);
             }
             net.run_to_completion();
             net.telemetry
@@ -1311,8 +1164,10 @@ mod tests {
 
     #[test]
     fn batched_and_single_event_stepping_agree() {
-        // Same 60-packet fan-in run in batched and reference mode:
-        // delivery times, qdelay, and drop counts must be bit-identical.
+        // Same 60-packet fan-in run with inline starts after the batched
+        // same-instant drain, and with an inert chaos policy, which sends
+        // every start through its own `StartTx` event: delivery times,
+        // qdelay and drop counts must be bit-identical.
         let run = |batched: bool| {
             let mut net = Network::new(TraceLevel::Hops);
             let hs: Vec<NodeId> = (0..4).map(|i| net.add_host(format!("h{i}"))).collect();
@@ -1323,26 +1178,15 @@ mod tests {
             }
             net.add_duplex(r, sink, Bandwidth::gbps(1), Dur::from_micros(2));
             let rt = net.compute_routes();
-            net.set_batched_drain(batched);
+            if !batched {
+                net.install_chaos(Time::from_millis(1), |_| Some(ChaosPolicy::new(0)));
+            }
             for s in 0..60u64 {
-                net.inject(
-                    &rt,
-                    Time::from_nanos(500 * (s % 5)),
-                    FlowId(s % 4),
-                    s,
-                    1500,
-                    hs[(s % 4) as usize],
-                    sink,
-                    SchedHeader::default(),
-                    PacketKind::Data { bytes: 1460 },
-                );
+                let at = Time::from_nanos(500 * (s % 5));
+                send(&mut net, &rt, at, s % 4, s, hs[(s % 4) as usize], sink);
             }
             net.run_to_completion();
-            net.telemetry
-                .packets
-                .iter()
-                .map(|p| (p.delivered.map(|t| t.as_ps()), p.total_qdelay().as_ps()))
-                .collect::<Vec<_>>()
+            (outcomes(&net), net.telemetry.counters.dropped)
         };
         assert_eq!(run(true), run(false));
     }
@@ -1358,26 +1202,11 @@ mod tests {
                 net.enable_sampling(Dur::from_micros(7));
             }
             for s in 0..40 {
-                net.inject(
-                    &rt,
-                    Time::from_nanos(311 * s),
-                    FlowId(s % 2),
-                    s,
-                    1500,
-                    h0,
-                    h1,
-                    SchedHeader::default(),
-                    PacketKind::Data { bytes: 1460 },
-                );
+                send(&mut net, &rt, Time::from_nanos(311 * s), s % 2, s, h0, h1);
             }
             net.run_to_completion();
-            let outcomes: Vec<_> = net
-                .telemetry
-                .packets
-                .iter()
-                .map(|p| (p.delivered.map(|t| t.as_ps()), p.total_qdelay().as_ps()))
-                .collect();
-            (outcomes, net.telemetry.counters.events, net.take_series())
+            let events = net.telemetry.counters.events;
+            (outcomes(&net), events, net.take_series())
         };
         let (plain, plain_events, no_series) = run(false);
         let (sampled, sampled_events, series) = run(true);
@@ -1415,17 +1244,7 @@ mod tests {
         // deliveries must all be recorded as misses.
         net.telemetry.set_flow_deadlines(vec![(0, 1_000)]);
         for s in 0..4 {
-            net.inject(
-                &rt,
-                Time::ZERO,
-                FlowId(s % 2),
-                s,
-                1500,
-                h0,
-                h1,
-                SchedHeader::default(),
-                PacketKind::Data { bytes: 1460 },
-            );
+            send(&mut net, &rt, Time::ZERO, s % 2, s, h0, h1);
         }
         net.run_to_completion();
         assert_eq!(net.telemetry.counters.delivered, 4);

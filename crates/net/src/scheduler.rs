@@ -94,14 +94,6 @@ pub trait Scheduler: std::fmt::Debug + Send {
     fn urgency(&self, _q: &Queued) -> Option<i64> {
         None
     }
-
-    /// Whether this is the crate's drop-tail [`Fifo`](crate::fifo::Fifo).
-    /// Ports route the (empty) default scheduler into a statically
-    /// dispatched arm so the per-hop enqueue/dequeue pair inlines instead
-    /// of going through the vtable. Only the FIFO impl overrides this.
-    fn is_fifo(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

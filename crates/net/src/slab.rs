@@ -71,20 +71,6 @@ impl PacketSlab {
         pkt
     }
 
-    /// Borrow the packet at `r`.
-    pub fn get(&self, r: PacketRef) -> &Packet {
-        self.slots[r.0 as usize]
-            .as_deref()
-            .expect("PacketRef used after removal")
-    }
-
-    /// Mutably borrow the packet at `r`.
-    pub fn get_mut(&mut self, r: PacketRef) -> &mut Packet {
-        self.slots[r.0 as usize]
-            .as_deref_mut()
-            .expect("PacketRef used after removal")
-    }
-
     /// Hint the CPU to pull the packet at `r` into cache. The event loop
     /// issues this for the *next* event's packet while the current one is
     /// being processed: packets are touched once per hop with microseconds
@@ -129,10 +115,7 @@ mod tests {
         let r0 = slab.insert(Box::new(packet(0, 0, 0, SchedHeader::default())));
         let r1 = slab.insert(Box::new(packet(1, 1, 0, SchedHeader::default())));
         assert_eq!(slab.len(), 2);
-        assert_eq!(slab.get(r0).id.0, 0);
-        assert_eq!(slab.get(r1).id.0, 1);
-        slab.get_mut(r1).hops_done = 3;
-        assert_eq!(slab.remove(r1).hops_done, 3);
+        assert_eq!(slab.remove(r1).id.0, 1);
         assert_eq!(slab.remove(r0).id.0, 0);
         assert!(slab.is_empty());
     }

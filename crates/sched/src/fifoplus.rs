@@ -57,7 +57,7 @@ mod tests {
     }
 
     #[test]
-    fn without_upstream_delay_it_is_fifo() {
+    fn without_upstream_delay_it_serves_in_arrival_order() {
         let mut s = fifo_plus();
         for seq in 0..5 {
             s.enqueue(queued_full(0, seq, 0, 0, seq * 100));

@@ -148,8 +148,8 @@ impl ChaosSpec {
     }
 
     /// Lower into the `ups-net` policy, or `None` when disabled (so
-    /// disabled cells never even install the chaos hook and keep the
-    /// wire fast path).
+    /// disabled cells never even install the chaos hook and keep
+    /// inline starts).
     pub fn to_policy(&self) -> Option<ups_net::ChaosPolicy> {
         if !self.enabled() {
             return None;

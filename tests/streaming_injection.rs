@@ -11,7 +11,7 @@
 //!
 //! * the differential proptest covers random dumbbells and the k=4
 //!   fat-tree × {FIFO, Random, LSTF, EDF} × {clean, 1% wire loss, one
-//!   link-down window} × {batched, single-event} drain;
+//!   link-down window};
 //! * the named tests pin the ties the ordering argument rests on.
 
 use proptest::prelude::*;
@@ -211,7 +211,6 @@ struct Case {
     dumbbell: Option<usize>,
     sched: SchedKind,
     perturb: Perturb,
-    batched: bool,
     flows: usize,
     seed: u64,
 }
@@ -234,7 +233,6 @@ fn run_case(case: &Case, feed: Feed) -> Outcome {
             .scheduler(case.sched.build(l.id, case.seed))
             .buffer(buffer)
     });
-    topo.net.set_batched_drain(case.batched);
     let down = topo.core_links[0];
     match case.perturb {
         Perturb::Clean => {}
@@ -265,7 +263,6 @@ proptest! {
         shape in 0usize..4,
         sched in 0usize..4,
         perturb in 0usize..3,
-        batched in 0usize..2,
         flows in 1usize..14,
         seed in 0u64..u64::MAX,
     ) {
@@ -273,7 +270,6 @@ proptest! {
             dumbbell: (shape > 0).then_some(shape + 1),
             sched: [SchedKind::Fifo, SchedKind::Random, SchedKind::Lstf, SchedKind::Edf][sched],
             perturb: [Perturb::Clean, Perturb::Loss, Perturb::LinkDown][perturb],
-            batched: batched == 1,
             flows,
             seed,
         };
