@@ -6,7 +6,7 @@
 use crate::scale::Scale;
 use ups_core::objectives::Scheme;
 use ups_core::replay::{record_original, replay_schedule, ReplayMode, ReplayReport};
-use ups_core::workload::{default_udp_workload, to_flow_descs};
+use ups_core::workload::{default_udp_workload, to_flow_descs, WorkloadKind};
 use ups_core::RecordedSchedule;
 use ups_metrics::{bucket_means, Cdf, FairnessPoint, SizeBuckets};
 use ups_net::TraceLevel;
@@ -42,8 +42,8 @@ pub struct ReplayRow {
 
 /// Record an original schedule and replay it; returns the row plus the
 /// raw report (for CDFs) and the recorded schedule (for diagnostics).
-/// The pipeline itself is `ups_sweep::record_and_replay`, so figure
-/// runners and the sweep engine cannot drift apart.
+/// The pipeline itself is `ups_sweep::record_and_replay_observed`, so
+/// figure runners and the sweep engine cannot drift apart.
 pub fn run_replay(
     kind: TopoKind,
     scale: &Scale,
@@ -57,15 +57,21 @@ pub fn run_replay(
         util,
         chaos: ups_sweep::ChaosSpec::OFF,
     };
-    let (report, schedule) = ups_sweep::record_and_replay(&coord, &scale.sim(), scale.seed, mode);
+    let run = ups_sweep::record_and_replay_observed(
+        &coord,
+        &scale.sim(),
+        scale.seed,
+        mode,
+        WorkloadKind::Web,
+    );
     let row = replay_row(
         kind.label(),
         util,
         original.label(),
         mode.label().to_string(),
-        CellMetrics::of(&report, &schedule),
+        CellMetrics::of(&run.report, &run.schedule),
     );
-    (row, report, schedule)
+    (row, run.report, run.schedule)
 }
 
 /// Build a display row from the canonical metric reduction, so the
@@ -122,8 +128,14 @@ pub fn fig1_cell(scale: &Scale, orig: SchedKind, seed: u64) -> Cdf {
         util: 0.7,
         chaos: ups_sweep::ChaosSpec::OFF,
     };
-    let (report, _) = ups_sweep::record_and_replay(&coord, &scale.sim(), seed, ReplayMode::lstf());
-    Cdf::new(report.qdelay_ratios)
+    let run = ups_sweep::record_and_replay_observed(
+        &coord,
+        &scale.sim(),
+        seed,
+        ReplayMode::lstf(),
+        WorkloadKind::Web,
+    );
+    Cdf::new(run.report.qdelay_ratios)
 }
 
 /// Figure 1 through the sweep engine: every original scheduler ×

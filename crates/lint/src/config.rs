@@ -180,10 +180,10 @@ path = "src/bin/sweep.rs"
 justification = "perf timing" # trailing comment
 
 [[allow]]
-rule = "obs-off-gating"
-path = "crates/obs/src/hist.rs"
-item = "record"
-justification = "gated by caller"
+rule = "event-class-order"
+path = "crates/net/src/network.rs"
+item = "OBSERVE"
+justification = "sample text"
 
 [budgets.unwrap]
 "crates/net/src/link.rs" = 14
@@ -193,7 +193,7 @@ justification = "gated by caller"
         .unwrap();
         assert_eq!(cfg.allows.len(), 2);
         assert_eq!(cfg.allows[0].rule, "wall-clock");
-        assert_eq!(cfg.allows[1].item.as_deref(), Some("record"));
+        assert_eq!(cfg.allows[1].item.as_deref(), Some("OBSERVE"));
         assert_eq!(cfg.unwrap_budgets["crates/net/src/link.rs"], 14);
         assert_eq!(cfg.unwrap_budgets.len(), 2);
     }

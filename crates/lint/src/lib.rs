@@ -4,8 +4,8 @@
 //! any `--jobs N`, any rerun, any machine — rests on invariants that
 //! `rustc` cannot see: no hash-ordered iteration on the artifact path,
 //! no wall-clock or ambient entropy in simulation code, chaos events
-//! popping before data-plane events, observability erased by the `off`
-//! feature. This crate checks those invariants *statically*, over the
+//! popping before data-plane events and telemetry observation popping
+//! after them. This crate checks those invariants *statically*, over the
 //! source text, so a violation is caught in CI before it costs a
 //! baseline-diff debugging session (see CHANGES.md for the wire-fast-
 //! path RNG incident that motivated it: 65 diffing baselines from one
@@ -187,23 +187,23 @@ mod tests {
     fn item_narrowing_is_respected() {
         let cfg = Config {
             allows: vec![Allow {
-                rule: "obs-off-gating".into(),
-                path: "crates/obs/src/hist.rs".into(),
-                item: Some("record".into()),
-                justification: "gated by the caller".into(),
+                rule: "event-class-order".into(),
+                path: "crates/net/src/network.rs".into(),
+                item: Some("OBSERVE".into()),
+                justification: "sample text".into(),
                 line: 2,
             }],
             ..Config::default()
         };
         let mut r = Report::default();
-        let mut f = finding("obs-off-gating", "crates/obs/src/hist.rs");
-        f.item = Some("record".into());
+        let mut f = finding("event-class-order", "crates/net/src/network.rs");
+        f.item = Some("OBSERVE".into());
         r.findings.push(f);
-        let mut g = finding("obs-off-gating", "crates/obs/src/hist.rs");
-        g.item = Some("observe".into());
+        let mut g = finding("event-class-order", "crates/net/src/network.rs");
+        g.item = Some("CHAOS".into());
         r.findings.push(g);
         apply_allows(&cfg, &mut r);
         assert_eq!(r.suppressed, 1);
-        assert_eq!(r.findings[0].item.as_deref(), Some("observe"));
+        assert_eq!(r.findings[0].item.as_deref(), Some("CHAOS"));
     }
 }

@@ -28,7 +28,6 @@ pub struct Checked {
     pub files_scanned: usize,
     pub event_classes: usize,
     pub scenarios: usize,
-    pub obs_hooks: usize,
     pub unsafe_blocks: usize,
     pub suppressions_used: usize,
 }
@@ -82,13 +81,12 @@ impl Report {
         let _ = writeln!(
             out,
             "{} finding(s), {} suppressed · {} files · checked: {} event classes, \
-             {} scenarios, {} obs hooks, {} unsafe blocks",
+             {} scenarios, {} unsafe blocks",
             self.findings.len(),
             self.suppressed,
             self.checked.files_scanned,
             self.checked.event_classes,
             self.checked.scenarios,
-            self.checked.obs_hooks,
             self.checked.unsafe_blocks,
         );
         out
@@ -129,13 +127,12 @@ impl Report {
         let _ = write!(
             out,
             "  \"suppressed\": {},\n  \"checked\": {{\"files_scanned\": {}, \
-             \"event_classes\": {}, \"scenarios\": {}, \"obs_hooks\": {}, \
+             \"event_classes\": {}, \"scenarios\": {}, \
              \"unsafe_blocks\": {}, \"suppressions_used\": {}}}\n}}\n",
             self.suppressed,
             c.files_scanned,
             c.event_classes,
             c.scenarios,
-            c.obs_hooks,
             c.unsafe_blocks,
             c.suppressions_used,
         );

@@ -2,8 +2,7 @@
 //!
 //! Unlike the token rules, these correlate *multiple* files: the event
 //! class constants against their documented pop order and their uses,
-//! the scenario registry against docs/SCENARIOS.md, and the ups-obs
-//! public hooks against their compiled-out gating. Each rule skips
+//! and the scenario registry against docs/SCENARIOS.md. Each rule skips
 //! silently when its anchor file is absent (so fixture mini-trees can
 //! exercise one rule at a time); the `checked` counters in the report
 //! let the workspace self-run assert the anchors were actually found.
@@ -24,19 +23,10 @@ const REGISTRIES: [(&str, &str); 2] = [
 ];
 /// Scenario catalogue document, relative to the lint root.
 const SCENARIOS_MD: &str = "docs/SCENARIOS.md";
-/// Directory prefix of the observability crate.
-const OBS_PREFIX: &str = "crates/obs/src/";
-
-/// Recording-hook method names in ups-obs that must be compiled out by
-/// the `off` feature. A method with one of these names and a `&mut
-/// self` receiver is a hook; anything else (registration, readers,
-/// merge) may run unconditionally.
-const HOOK_VERBS: &[&str] = &["add", "inc", "raise", "record", "push", "observe", "sample"];
 
 pub fn run(files: &[SourceFile], root: &Path, report: &mut Report) {
     event_class_order(files, report);
     scenario_docs(files, root, report);
-    obs_off_gating(files, report);
 }
 
 /// `event-class-order`: the same-instant pop order of the event wheel
@@ -336,156 +326,6 @@ fn scenario_docs(files: &[SourceFile], root: &Path, report: &mut Report) {
                 message: format!("documented scenario `{name}` is not registered"),
                 hint: "register it in crates/sweep/src/scenario.rs (or the \
                        experiments table in crates/bench) or drop the stale section",
-            });
-        }
-    }
-}
-
-/// One parsed `pub fn` with a `&mut self` receiver in ups-obs.
-struct ObsMethod {
-    file: usize,
-    name: String,
-    line: u32,
-    /// Token range of the body.
-    body: (usize, usize),
-    gated: bool,
-}
-
-/// `obs-off-gating`: every public recording hook in ups-obs must be a
-/// no-op when the `off` feature is enabled — directly (its body tests
-/// `COMPILED` / `enabled()`) or transitively (it delegates to a gated
-/// hook). This is the zero-overhead-when-off contract as a source
-/// check: with it, `--features off` provably cannot change behavior,
-/// which is what lets telemetry stay compiled into release builds.
-fn obs_off_gating(files: &[SourceFile], report: &mut Report) {
-    let mut methods: Vec<ObsMethod> = Vec::new();
-    for (fi, f) in files.iter().enumerate() {
-        if !f.rel.starts_with(OBS_PREFIX) {
-            continue;
-        }
-        let toks = f.toks();
-        let mut i = 0;
-        while i < toks.len() {
-            if !toks[i].is_ident("pub") {
-                i += 1;
-                continue;
-            }
-            // Optional `pub(crate)` style visibility.
-            let mut j = i + 1;
-            if toks.get(j).is_some_and(|t| t.is_punct('(')) {
-                while j < toks.len() && !toks[j].is_punct(')') {
-                    j += 1;
-                }
-                j += 1;
-            }
-            if !toks.get(j).is_some_and(|t| t.is_ident("fn")) {
-                i += 1;
-                continue;
-            }
-            let Some(name_tok) = toks.get(j + 1).filter(|t| t.kind == TokKind::Ident) else {
-                i = j + 1;
-                continue;
-            };
-            // Parameter list.
-            let mut k = j + 2;
-            if !toks.get(k).is_some_and(|t| t.is_punct('(')) {
-                i = k;
-                continue;
-            }
-            let params_start = k;
-            let mut depth = 0usize;
-            while k < toks.len() {
-                if toks[k].is_punct('(') {
-                    depth += 1;
-                } else if toks[k].is_punct(')') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                k += 1;
-            }
-            let params = &toks[params_start..=k.min(toks.len() - 1)];
-            let mut_self = params
-                .windows(2)
-                .any(|w| w[0].is_ident("mut") && w[1].is_ident("self"));
-            // Body: the next `{` after the params (skipping `-> Type`).
-            let mut b = k + 1;
-            while b < toks.len() && !toks[b].is_punct('{') && !toks[b].is_punct(';') {
-                b += 1;
-            }
-            if !mut_self || !toks.get(b).is_some_and(|t| t.is_punct('{')) {
-                i = b;
-                continue;
-            }
-            let body_start = b + 1;
-            let mut depth = 1usize;
-            let mut e = body_start;
-            while e < toks.len() && depth > 0 {
-                if toks[e].is_punct('{') {
-                    depth += 1;
-                } else if toks[e].is_punct('}') {
-                    depth -= 1;
-                }
-                e += 1;
-            }
-            let gated = toks[body_start..e]
-                .iter()
-                .any(|t| t.is_ident("COMPILED") || t.is_ident("enabled"));
-            methods.push(ObsMethod {
-                file: fi,
-                name: name_tok.text.clone(),
-                line: name_tok.line,
-                body: (body_start, e),
-                gated,
-            });
-            i = e;
-        }
-    }
-    // Fixed point: a method delegating to a gated method is gated.
-    let names: Vec<String> = methods.iter().map(|m| m.name.clone()).collect();
-    loop {
-        let mut changed = false;
-        for mi in 0..methods.len() {
-            if methods[mi].gated {
-                continue;
-            }
-            let (lo, hi) = methods[mi].body;
-            let toks = files[methods[mi].file].toks();
-            let delegates = toks[lo..hi].windows(3).any(|w| {
-                w[0].is_ident("self")
-                    && w[1].is_punct('.')
-                    && w[2].kind == TokKind::Ident
-                    && names
-                        .iter()
-                        .enumerate()
-                        .any(|(other, n)| methods[other].gated && *n == w[2].text)
-            });
-            if delegates {
-                methods[mi].gated = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let hooks: Vec<&ObsMethod> = methods
-        .iter()
-        .filter(|m| HOOK_VERBS.contains(&m.name.as_str()))
-        .collect();
-    report.checked.obs_hooks = hooks.len();
-    for m in hooks {
-        if !m.gated {
-            report.findings.push(Finding {
-                rule: "obs-off-gating",
-                file: files[m.file].rel.clone(),
-                line: m.line,
-                item: Some(m.name.clone()),
-                message: format!("recording hook `{}` has no compiled-out no-op twin", m.name),
-                hint: "guard the body on `self.enabled()` / `COMPILED`, or \
-                       delegate to a hook that does — the `off` feature must \
-                       erase every recording path",
             });
         }
     }

@@ -148,19 +148,6 @@ fn scenario_docs_checks_both_directions() {
 }
 
 #[test]
-fn obs_off_gating_respects_delegation() {
-    let r = fixture("obs_off_gating");
-    // `inc` is gated directly, `raise` via delegation; only `record`
-    // is naked. `total` takes &self and is not a hook at all.
-    assert_eq!(
-        triples(&r),
-        vec![("obs-off-gating", "crates/obs/src/reg.rs", 21)]
-    );
-    assert_eq!(r.findings[0].item.as_deref(), Some("record"));
-    assert_eq!(r.checked.obs_hooks, 3);
-}
-
-#[test]
 fn suppression_hygiene_is_enforced() {
     let r = fixture("suppressions");
     let t = triples(&r);

@@ -9,7 +9,7 @@
 //! ledgers inherit the registry's exactly associative, commutative
 //! merge and fold to identical aggregates in any order.
 
-use ups_obs::{CounterId, HistId, ObsLevel, Registry};
+use ups_obs::{CounterId, HistId, Registry};
 use ups_sim::Time;
 
 /// Accumulates deadline-tagged flow outcomes into a metrics registry.
@@ -30,7 +30,7 @@ impl Default for DeadlineLedger {
 impl DeadlineLedger {
     /// An empty ledger with its metrics registered.
     pub fn new() -> DeadlineLedger {
-        let mut registry = Registry::new(ObsLevel::On);
+        let mut registry = Registry::new();
         let tagged = registry.counter("deadline_tagged");
         let missed = registry.counter("deadline_missed");
         let lateness_us = registry.histogram("lateness_us");

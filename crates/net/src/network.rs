@@ -739,13 +739,9 @@ impl Network {
     /// and in-flight population into a [`NetSeries`]. Sampling is
     /// strictly read-only, so all simulation outcomes are bit-identical
     /// with it on or off; it self-terminates when the event queue
-    /// drains, so `run_to_completion` still ends. No-op when `ups-obs`
-    /// is compiled with its `off` feature.
+    /// drains, so `run_to_completion` still ends.
     pub fn enable_sampling(&mut self, interval: Dur) {
         assert!(interval > Dur::ZERO, "sampling interval must be positive");
-        if !ups_obs::COMPILED {
-            return;
-        }
         if self.sampler.is_none() {
             self.queue
                 .push(self.queue.now() + interval, class::OBSERVE, Ev::Observe);
@@ -1216,21 +1212,19 @@ mod tests {
             "sampling leaked into the event counter"
         );
         assert!(no_series.is_none());
-        if ups_obs::COMPILED {
-            let series = series.expect("sampling was enabled");
-            assert!(!series.samples.is_empty());
-            assert_eq!(series.links, 4, "line() has two duplex links");
-            // Samples are strictly ordered and on the cadence grid.
-            for w in series.samples.windows(2) {
-                assert!(w[0].t < w[1].t);
-            }
-            assert!(series
-                .samples
-                .iter()
-                .all(|s| s.t.as_ps() % Dur::from_micros(7).as_ps() == 0));
-            // Mid-run congestion is visible: some sample saw a queue.
-            assert!(series.samples.iter().any(|s| s.queued_pkts > 0));
+        let series = series.expect("sampling was enabled");
+        assert!(!series.samples.is_empty());
+        assert_eq!(series.links, 4, "line() has two duplex links");
+        // Samples are strictly ordered and on the cadence grid.
+        for w in series.samples.windows(2) {
+            assert!(w[0].t < w[1].t);
         }
+        assert!(series
+            .samples
+            .iter()
+            .all(|s| s.t.as_ps() % Dur::from_micros(7).as_ps() == 0));
+        // Mid-run congestion is visible: some sample saw a queue.
+        assert!(series.samples.iter().any(|s| s.queued_pkts > 0));
     }
 
     /// The lifecycle ring records inject/enqueue/tx-start/deliver in
@@ -1248,9 +1242,6 @@ mod tests {
         }
         net.run_to_completion();
         assert_eq!(net.telemetry.counters.delivered, 4);
-        if !ups_obs::COMPILED {
-            return;
-        }
         let ring = net.telemetry.lifecycle.as_ref().unwrap();
         let count = |kind: ups_obs::LifeKind| ring.iter().filter(|e| e.kind == kind).count();
         assert_eq!(count(ups_obs::LifeKind::Inject), 4);

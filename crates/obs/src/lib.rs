@@ -6,17 +6,16 @@
 //! byte-exact, so a telemetry hook that consumed a random number,
 //! reordered an event, or rounded a float differently would show up as
 //! a results regression. This crate therefore provides three surfaces
-//! that are integer-exact, allocation-free on the hot path, and
-//! no-ops when disabled:
+//! that are integer-exact and allocation-free on the hot path:
 //!
 //! * [`Registry`] — named integer counters, gauges, and fixed
 //!   log2-bucket [`Histogram`]s with dense-index handles. Recording is
-//!   a bounds-checked array bump behind a branch on [`ObsLevel`]; with
-//!   the `off` cargo feature the bodies compile out entirely
-//!   ([`COMPILED`] is `false`). Registries merge associatively and
-//!   commutatively by name, so per-shard or per-cell registries
-//!   aggregate to the same totals in any order — the property the
-//!   parallel sweep pool needs for `--jobs`-independent artifacts.
+//!   a bounds-checked array bump, always on: results are computed
+//!   through it (`ups-metrics`' deadline ledger). Registries merge
+//!   associatively and commutatively by name, so per-shard or per-cell
+//!   registries aggregate to the same totals in any order — the
+//!   property the parallel sweep pool needs for `--jobs`-independent
+//!   artifacts.
 //! * [`NetSeries`] / [`SamplePoint`] — time-series samples of queue
 //!   depth, link utilization, and in-flight population. The *sampling
 //!   cadence* is driven by the simulation's own event wheel (see
@@ -31,6 +30,10 @@
 //!   construction; the ring keeps the most recent `cap` events plus an
 //!   exact total count.
 //!
+//! Telemetry has one off-switch, and it is the default: no sampling
+//! cadence set and no lifecycle ring attached. A network built that way
+//! schedules no observation event and writes no sample or ring entry.
+//!
 //! The crate sits at the bottom of the workspace DAG (only `ups-sim`
 //! above it) so every layer — net, metrics, sweep, bench — can record
 //! into it without cycles.
@@ -43,19 +46,12 @@ mod ring;
 mod series;
 
 pub use hist::Histogram;
-pub use registry::{CounterId, GaugeId, HistId, ObsLevel, Registry};
+pub use registry::{CounterId, GaugeId, HistId, Registry};
 pub use ring::{LifeEvent, LifeKind, LifecycleRing};
 pub use series::{NetSeries, SamplePoint};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use ups_sim::Dur;
-
-/// False when the `off` cargo feature compiled all recording out.
-///
-/// Recording methods check this first; because it is a `const`, an
-/// `off` build reduces them to empty inlinable bodies — the strongest
-/// form of the zero-overhead-when-off contract.
-pub const COMPILED: bool = cfg!(not(feature = "off"));
 
 /// Process-wide default sampling cadence in picoseconds; 0 = off.
 ///
@@ -72,11 +68,7 @@ static SAMPLE_INTERVAL_PS: AtomicU64 = AtomicU64::new(0);
 /// Tests that flip this global must serialize with each other; the
 /// sweep CLI sets it once before spawning workers.
 pub fn set_sample_interval(interval: Option<Dur>) {
-    let ps = match interval {
-        Some(d) if COMPILED => d.as_ps(),
-        _ => 0,
-    };
-    SAMPLE_INTERVAL_PS.store(ps, Ordering::Relaxed);
+    SAMPLE_INTERVAL_PS.store(interval.map_or(0, Dur::as_ps), Ordering::Relaxed);
 }
 
 /// The process-wide default sampling cadence, if any.
@@ -97,11 +89,7 @@ mod tests {
     fn sample_interval_round_trips() {
         assert_eq!(sample_interval(), None);
         set_sample_interval(Some(Dur::from_micros(250)));
-        if COMPILED {
-            assert_eq!(sample_interval(), Some(Dur::from_micros(250)));
-        } else {
-            assert_eq!(sample_interval(), None);
-        }
+        assert_eq!(sample_interval(), Some(Dur::from_micros(250)));
         set_sample_interval(None);
         assert_eq!(sample_interval(), None);
     }

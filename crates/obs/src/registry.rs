@@ -1,19 +1,6 @@
 //! Named integer metrics with dense handles and associative merge.
 
 use crate::hist::Histogram;
-use crate::COMPILED;
-
-/// Runtime telemetry level. [`ObsLevel::Off`] makes every recording
-/// method an early-return branch; the `off` cargo feature removes even
-/// that branch at compile time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ObsLevel {
-    /// Record nothing.
-    Off,
-    /// Record counters, gauges, and histograms.
-    #[default]
-    On,
-}
 
 /// Dense handle for a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +22,6 @@ pub struct HistId(usize);
 /// per-shard registries fold to the same aggregate in any order.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    level: ObsLevel,
     counter_names: Vec<String>,
     counters: Vec<u64>,
     gauge_names: Vec<String>,
@@ -45,18 +31,9 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// An empty registry recording at `level`.
-    pub fn new(level: ObsLevel) -> Registry {
-        Registry {
-            level,
-            ..Registry::default()
-        }
-    }
-
-    /// True when recording methods actually record.
-    #[inline(always)]
-    pub fn enabled(&self) -> bool {
-        COMPILED && self.level != ObsLevel::Off
+    /// An empty registry.
+    pub fn new() -> Registry {
+        Registry::default()
     }
 
     /// Register (or look up) a counter by name.
@@ -92,9 +69,7 @@ impl Registry {
     /// Add to a counter.
     #[inline(always)]
     pub fn add(&mut self, id: CounterId, n: u64) {
-        if self.enabled() {
-            self.counters[id.0] += n;
-        }
+        self.counters[id.0] += n;
     }
 
     /// Increment a counter by one.
@@ -106,7 +81,7 @@ impl Registry {
     /// Raise a gauge to at least `v` (gauges are high-water marks).
     #[inline(always)]
     pub fn raise(&mut self, id: GaugeId, v: u64) {
-        if self.enabled() && self.gauges[id.0] < v {
+        if self.gauges[id.0] < v {
             self.gauges[id.0] = v;
         }
     }
@@ -114,9 +89,7 @@ impl Registry {
     /// Record a histogram sample.
     #[inline(always)]
     pub fn record(&mut self, id: HistId, v: u64) {
-        if self.enabled() {
-            self.hists[id.0].record(v);
-        }
+        self.hists[id.0].record(v);
     }
 
     /// Current value of a counter by name, 0 if unregistered.
@@ -182,7 +155,7 @@ mod tests {
     use super::*;
 
     fn shard(seed: u64) -> Registry {
-        let mut r = Registry::new(ObsLevel::On);
+        let mut r = Registry::new();
         let c = r.counter("pkts");
         let g = r.gauge("peak_queue");
         let h = r.histogram("lateness_us");
@@ -198,7 +171,7 @@ mod tests {
 
     #[test]
     fn record_and_read_back() {
-        let mut r = Registry::new(ObsLevel::On);
+        let mut r = Registry::new();
         let c = r.counter("delivered");
         let g = r.gauge("peak");
         let h = r.histogram("delay");
@@ -207,24 +180,11 @@ mod tests {
         r.raise(g, 10);
         r.raise(g, 3);
         r.record(h, 100);
-        if COMPILED {
-            assert_eq!(r.counter_value("delivered"), 5);
-            assert_eq!(r.gauge_value("peak"), 10);
-            assert_eq!(r.hist("delay").unwrap().count(), 1);
-        } else {
-            assert_eq!(r.counter_value("delivered"), 0);
-        }
+        assert_eq!(r.counter_value("delivered"), 5);
+        assert_eq!(r.gauge_value("peak"), 10);
+        assert_eq!(r.hist("delay").unwrap().count(), 1);
         // Registration is idempotent.
         assert_eq!(r.counter("delivered"), c);
-    }
-
-    #[test]
-    fn off_level_records_nothing() {
-        let mut r = Registry::new(ObsLevel::Off);
-        let c = r.counter("x");
-        r.add(c, 100);
-        assert_eq!(r.counter_value("x"), 0);
-        assert!(!r.enabled());
     }
 
     /// Registry merge is associative and commutative across shard
@@ -232,16 +192,13 @@ mod tests {
     /// overlap (registration order differs between folds).
     #[test]
     fn merge_is_order_independent() {
-        if !COMPILED {
-            return;
-        }
         let (a, b, c) = (shard(1), shard(2), shard(3));
-        let mut extra = Registry::new(ObsLevel::On);
+        let mut extra = Registry::new();
         let id = extra.counter("only_in_one_shard");
         extra.add(id, 9);
 
         let fold = |order: &[&Registry]| {
-            let mut acc = Registry::new(ObsLevel::On);
+            let mut acc = Registry::new();
             for r in order {
                 acc.merge(r);
             }

@@ -1,6 +1,5 @@
 //! Bounded ring buffer of packet/flow lifecycle events.
 
-use crate::COMPILED;
 use ups_sim::Time;
 
 /// What happened to a packet (or flow) at an instant.
@@ -81,9 +80,6 @@ impl LifecycleRing {
     /// Record an event, overwriting the oldest if full.
     #[inline]
     pub fn push(&mut self, ev: LifeEvent) {
-        if !COMPILED {
-            return;
-        }
         if self.buf.len() < self.cap {
             self.buf.push(ev);
         } else {
@@ -149,9 +145,6 @@ mod tests {
 
     #[test]
     fn wraps_and_keeps_most_recent() {
-        if !COMPILED {
-            return;
-        }
         let mut r = LifecycleRing::new(3);
         for i in 0..5 {
             r.push(ev(i, LifeKind::Enqueue, i));
@@ -164,9 +157,6 @@ mod tests {
 
     #[test]
     fn jsonl_lines_parse_as_flat_objects() {
-        if !COMPILED {
-            return;
-        }
         let mut r = LifecycleRing::new(8);
         r.push(ev(1, LifeKind::Inject, 0));
         r.push(ev(2, LifeKind::Drop, 1));

@@ -113,9 +113,16 @@ impl Json {
     /// arrays, objects — which is all any sweep artifact contains.
     /// Numbers without a sign, fraction, or exponent parse as
     /// [`Json::UInt`]; everything else numeric as [`Json::Num`].
-    /// Trailing non-whitespace after the document is an error.
+    /// Trailing non-whitespace after the document is an error, and so
+    /// is nesting deeper than 128 arrays/objects (artifacts nest a
+    /// handful of levels; the limit keeps a hostile file from exhausting
+    /// the stack).
     pub fn parse(input: &str) -> Result<Json, String> {
-        let mut p = Parser { input, pos: 0 };
+        let mut p = Parser {
+            input,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -126,12 +133,17 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts.
+const MAX_DEPTH: usize = 128;
+
 /// Byte-cursor recursive-descent parser for [`Json::parse`]. The cursor
 /// only ever rests on a char boundary: every non-ASCII advance consumes
 /// a whole `char`, everything else is ASCII.
 struct Parser<'a> {
     input: &'a str,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -166,8 +178,21 @@ impl Parser<'_> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")))
+            }
+            Some(b'[') => {
+                self.depth += 1;
+                let v = self.array();
+                self.depth -= 1;
+                v
+            }
+            Some(b'{') => {
+                self.depth += 1;
+                let v = self.object();
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -231,12 +256,16 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            let hex = self
+                            // Exactly four hex digits (`from_str_radix`
+                            // would also take a sign).
+                            let code = self
                                 .input
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("malformed \\u escape"))?;
+                                .and_then(|hex| {
+                                    hex.chars()
+                                        .try_fold(0, |acc, c| Some(acc * 16 + c.to_digit(16)?))
+                                })
+                                .ok_or_else(|| self.err("malformed \\u escape"))?;
                             out.push(
                                 char::from_u32(code)
                                     .ok_or_else(|| self.err("invalid \\u code point"))?,
@@ -714,6 +743,18 @@ mod tests {
         assert!(Json::parse("{\"a\": }").is_err());
         assert!(Json::parse("[1, 2] trailing").is_err());
         assert!(Json::parse("").is_err());
+        assert!(Json::parse("\"\\u+041\"").is_err());
+        assert!(Json::parse("\"\\u004\"").is_err());
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        // Far past the limit, and unterminated: an error, not a stack
+        // overflow.
+        assert!(Json::parse(&"[{\"k\": ".repeat(100_000)).is_err());
     }
 
     fn fig_report() -> crate::engine::FigReport {

@@ -99,35 +99,6 @@ pub struct DistMetrics {
     pub points: Vec<f64>,
 }
 
-/// The record-and-replay pipeline shared by the sweep engine and
-/// `ups-bench`'s `run_replay`: record `coord.sched`'s schedule on a
-/// fresh topology (default web workload, 1500-byte MTU), take its
-/// `rewired()` copy, and replay on that under `mode`. Pure in its
-/// arguments — same inputs, same outputs — which is what lets the pool
-/// run cells in any order.
-pub fn record_and_replay(
-    coord: &CellCoord,
-    sim: &SimScale,
-    seed: u64,
-    mode: ReplayMode,
-) -> (ReplayReport, RecordedSchedule) {
-    record_and_replay_workload(coord, sim, seed, mode, WorkloadKind::Web)
-}
-
-/// [`record_and_replay`] generalized over the workload family — the
-/// pipeline the scenario registry runs, where a grid pairs its topology
-/// with incast or deadline-mix traffic instead of the default web flows.
-pub fn record_and_replay_workload(
-    coord: &CellCoord,
-    sim: &SimScale,
-    seed: u64,
-    mode: ReplayMode,
-    workload: WorkloadKind,
-) -> (ReplayReport, RecordedSchedule) {
-    let run = record_and_replay_observed(coord, sim, seed, mode, workload);
-    (run.report, run.schedule)
-}
-
 /// Everything one observed replicate produced: the replay score, the
 /// recorded schedule, deadline outcomes (when the workload tagged
 /// flows), and — when process-wide sampling is enabled
@@ -149,11 +120,25 @@ pub struct ObservedRun {
     pub series: Option<NetSeries>,
 }
 
-/// [`record_and_replay_workload`] with observability harvested: the
-/// record-run sampler series is taken before the topology drops, and
-/// the replay's delivery telemetry is reduced to deadline outcomes.
-/// Strictly read-only over both runs — the report and schedule are
-/// bit-identical to the unobserved pipeline's.
+impl ObservedRun {
+    /// The replicate's cell metrics, deadline and chaos outcomes included.
+    pub fn metrics(&self) -> CellMetrics {
+        CellMetrics {
+            deadline: self.deadline,
+            chaos: self.chaos,
+            ..CellMetrics::of(&self.report, &self.schedule)
+        }
+    }
+}
+
+/// The record-and-replay pipeline shared by the sweep engine and
+/// `ups-bench`'s runners: record `coord.sched`'s schedule on a fresh
+/// topology (`workload` traffic, 1500-byte MTU), take its `rewired()`
+/// copy, and replay on that under `mode`. The record-run sampler series
+/// is taken before the topology drops, and the replay's delivery
+/// telemetry is reduced to deadline outcomes; observing is strictly
+/// read-only over both runs. Pure in its arguments — same inputs, same
+/// outputs — which is what lets the pool run cells in any order.
 pub fn record_and_replay_observed(
     coord: &CellCoord,
     sim: &SimScale,
@@ -176,39 +161,6 @@ pub fn record_and_replay_observed(
             replay(topo, schedule, mode)
         },
         |schedule| schedule,
-    )
-}
-
-/// The deadline pipeline's observed replicate: record EDF on virtual
-/// deadlines, replay under the candidate named by `coord.sched`, and
-/// reduce the replay's delivery telemetry to per-flow deadline outcomes.
-pub fn record_and_replay_deadline_observed(
-    coord: &CellCoord,
-    sim: &SimScale,
-    seed: u64,
-    workload: WorkloadKind,
-) -> ObservedRun {
-    let mode = DeadlineMode::from_sched(coord.sched).unwrap_or_else(|| {
-        panic!(
-            "deadline-replay cells take EDF/LSTF/Priority sched coordinates, got {}",
-            coord.sched.label()
-        )
-    });
-    observed_leg(
-        coord,
-        sim,
-        seed,
-        workload,
-        |topo, flows| record_deadline_original(topo, flows, 1500),
-        |topo, ds, lossy| {
-            let replay = if lossy {
-                replay_deadline_lossy
-            } else {
-                replay_deadline
-            };
-            replay(topo, ds, mode)
-        },
-        |ds| ds.schedule,
     )
 }
 
@@ -297,24 +249,6 @@ impl CellMetrics {
     }
 }
 
-/// Run one sweep job: [`record_and_replay`] under (non-preemptive)
-/// LSTF, reduced to the cell's replayability metrics.
-pub fn run_cell(coord: &CellCoord, sim: &SimScale, seed: u64) -> CellMetrics {
-    let (report, schedule) = record_and_replay(coord, sim, seed, ReplayMode::lstf());
-    CellMetrics::of(&report, &schedule)
-}
-
-/// [`run_cell`] with an explicit workload family — the job runner
-/// behind [`crate::scenario::Scenario::run`].
-pub fn run_cell_workload(
-    coord: &CellCoord,
-    sim: &SimScale,
-    seed: u64,
-    workload: WorkloadKind,
-) -> CellMetrics {
-    CellPipeline::Replay.cell(coord, sim, seed, workload)
-}
-
 /// Which record-and-replay leg a scenario's cells run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellPipeline {
@@ -343,8 +277,31 @@ impl CellPipeline {
             CellPipeline::Replay => {
                 record_and_replay_observed(coord, sim, seed, ReplayMode::lstf(), workload)
             }
+            // Record EDF on virtual deadlines, replay under the candidate
+            // named by `coord.sched`.
             CellPipeline::DeadlineReplay => {
-                record_and_replay_deadline_observed(coord, sim, seed, workload)
+                let mode = DeadlineMode::from_sched(coord.sched).unwrap_or_else(|| {
+                    panic!(
+                        "deadline-replay cells take EDF/LSTF/Priority sched coordinates, got {}",
+                        coord.sched.label()
+                    )
+                });
+                observed_leg(
+                    coord,
+                    sim,
+                    seed,
+                    workload,
+                    |topo, flows| record_deadline_original(topo, flows, 1500),
+                    |topo, ds, lossy| {
+                        let replay = if lossy {
+                            replay_deadline_lossy
+                        } else {
+                            replay_deadline
+                        };
+                        replay(topo, ds, mode)
+                    },
+                    |ds| ds.schedule,
+                )
             }
         }
     }
@@ -357,11 +314,7 @@ impl CellPipeline {
         seed: u64,
         workload: WorkloadKind,
     ) -> CellMetrics {
-        let run = self.observed(coord, sim, seed, workload);
-        let mut metrics = CellMetrics::of(&run.report, &run.schedule);
-        metrics.deadline = run.deadline;
-        metrics.chaos = run.chaos;
-        metrics
+        self.observed(coord, sim, seed, workload).metrics()
     }
 }
 
@@ -382,6 +335,10 @@ mod tests {
         }
     }
 
+    fn web_cell(coord: &CellCoord, seed: u64) -> CellMetrics {
+        CellPipeline::Replay.cell(coord, &tiny(), seed, WorkloadKind::Web)
+    }
+
     #[test]
     fn run_cell_is_deterministic_in_seed() {
         let coord = CellCoord {
@@ -390,15 +347,15 @@ mod tests {
             util: 0.5,
             chaos: ChaosSpec::OFF,
         };
-        let a = run_cell(&coord, &tiny(), 7);
-        let b = run_cell(&coord, &tiny(), 7);
+        let a = web_cell(&coord, 7);
+        let b = web_cell(&coord, 7);
         assert!(a.total > 0);
         assert_eq!(a.total, b.total);
         assert_eq!(a.frac_overdue, b.frac_overdue);
         assert_eq!(a.mean_slack_us, b.mean_slack_us);
         assert!(a.chaos.is_none());
         // A different seed draws a different workload.
-        let c = run_cell(&coord, &tiny(), 8);
+        let c = web_cell(&coord, 8);
         assert_ne!(a.total, c.total);
     }
 
@@ -414,8 +371,8 @@ mod tests {
             chaos: ChaosSpec::drop(50_000), // 5% — heavy, so losses show
             ..clean
         };
-        let a = run_cell_workload(&clean, &tiny(), 7, WorkloadKind::Web);
-        let b = run_cell_workload(&lossy, &tiny(), 7, WorkloadKind::Web);
+        let a = web_cell(&clean, 7);
+        let b = web_cell(&lossy, 7);
         // Chaos perturbs only the replay leg: the recorded schedule (and
         // thus the packet population) is identical across drop rates.
         assert_eq!(a.total, b.total);
@@ -425,7 +382,7 @@ mod tests {
         assert!(chaos.frac_lost > 0.0);
         assert!(chaos.fidelity < 1.0);
         // Deterministic for a fixed seed.
-        let b2 = run_cell_workload(&lossy, &tiny(), 7, WorkloadKind::Web);
+        let b2 = web_cell(&lossy, 7);
         assert_eq!(b.chaos, b2.chaos);
     }
 }

@@ -3,9 +3,10 @@
 //! scalar Table-1 cells ([`run_sweep_with`]) and distribution-payload
 //! figure cells ([`run_fig_with`]) alike.
 
-use crate::cell::{run_cell, CellMetrics, DistMetrics};
+use crate::cell::{CellMetrics, CellPipeline, DistMetrics};
 use crate::grid::{CellCoord, FigAxis, FigJob, FigSpec, Job, SimScale, SweepSpec};
 use crate::pool::run_indexed;
+use ups_core::workload::WorkloadKind;
 use ups_metrics::Welford;
 
 /// Mean ± spread of one metric over a cell's seed replicates.
@@ -178,12 +179,12 @@ pub(crate) fn aggregate_cells(
     }
 }
 
-/// Run `spec`'s record-and-replay cells at `sim` scale on up to `jobs`
-/// worker threads. The aggregate report is byte-identical for any
-/// `jobs` value.
+/// Run `spec`'s record-and-replay cells (web traffic, replayed under
+/// non-preemptive LSTF) at `sim` scale on up to `jobs` worker threads.
+/// The aggregate report is byte-identical for any `jobs` value.
 pub fn run_sweep(spec: &SweepSpec, sim: &SimScale, jobs: usize) -> SweepReport {
     run_sweep_with(spec, sim.label, jobs, |job| {
-        run_cell(&job.coord, sim, job.seed)
+        CellPipeline::Replay.cell(&job.coord, sim, job.seed, WorkloadKind::Web)
     })
 }
 

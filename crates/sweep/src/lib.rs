@@ -190,9 +190,8 @@ pub mod telemetry;
 
 pub use artifact::Json;
 pub use cell::{
-    record_and_replay, record_and_replay_deadline_observed, record_and_replay_observed,
-    record_and_replay_workload, run_cell, run_cell_workload, CellMetrics, CellPipeline, ChaosCell,
-    DeadlineCell, DistMetrics, ObservedRun,
+    record_and_replay_observed, CellMetrics, CellPipeline, ChaosCell, DeadlineCell, DistMetrics,
+    ObservedRun,
 };
 pub use diff::{diff_artifacts, DiffOptions, DiffReport};
 pub use engine::{

@@ -113,10 +113,7 @@ pub fn run_telemetry_sweep(
     let expanded = spec.jobs();
     let measured = run_indexed(&expanded, jobs, |_, job| {
         let run = pipeline.observed(&job.coord, sim, job.seed, workload);
-        let mut metrics = CellMetrics::of(&run.report, &run.schedule);
-        metrics.deadline = run.deadline;
-        metrics.chaos = run.chaos;
-        (metrics, run.series)
+        (run.metrics(), run.series)
     });
     ups_obs::set_sample_interval(previous);
 
@@ -340,19 +337,15 @@ mod tests {
         assert_eq!(*telemetry.xs_us.last().unwrap(), 4000.0);
         let cell = &telemetry.cells[0];
         assert_eq!(cell.series.len(), 4);
-        if ups_obs::COMPILED {
-            assert_eq!(cell.replicates, 2);
-            assert!(cell.links > 0);
-            // The network was busy at some point: some sample saw queued
-            // packets or a positive utilization.
-            let busy = cell
-                .series
-                .iter()
-                .any(|s| s.points.iter().any(|p| p.mean > 0.0));
-            assert!(busy, "every telemetry series is identically zero");
-        } else {
-            assert_eq!(cell.replicates, 0);
-        }
+        assert_eq!(cell.replicates, 2);
+        assert!(cell.links > 0);
+        // The network was busy at some point: some sample saw queued
+        // packets or a positive utilization.
+        let busy = cell
+            .series
+            .iter()
+            .any(|s| s.points.iter().any(|p| p.mean > 0.0));
+        assert!(busy, "every telemetry series is identically zero");
         // The artifact self-diffs clean and parses back.
         let json = telemetry.to_json();
         assert!(json.starts_with("{\n  \"kind\": \"telemetry\""));

@@ -8,11 +8,11 @@ use proptest::prelude::*;
 use ups::core::replay::{record_original, replay_schedule_lossy, ReplayMode};
 use ups::core::WorkloadKind;
 use ups::net::{ChaosPolicy, FlowId, JamSpec, TraceLevel};
-use ups::obs::{ObsLevel, Registry};
+use ups::obs::Registry;
 use ups::sched::SchedKind;
 use ups::sim::{Bandwidth, Dur, Time, PS_PER_US};
 use ups::sweep::{
-    run_cell_workload, run_sweep_with, CellCoord, ChaosSpec, SimScale, SweepSpec, TopoKind,
+    run_sweep_with, CellCoord, CellMetrics, CellPipeline, ChaosSpec, SimScale, SweepSpec, TopoKind,
 };
 use ups::topo::internet2::I2Variant;
 use ups::topo::simple::star;
@@ -25,6 +25,11 @@ fn tiny() -> SimScale {
         fattree_k: 4,
         label: "tiny",
     }
+}
+
+/// One replicate of a web cell through the classic replay pipeline.
+fn web_cell(coord: &CellCoord, sim: &SimScale, seed: u64) -> CellMetrics {
+    CellPipeline::Replay.cell(coord, sim, seed, WorkloadKind::Web)
 }
 
 fn i2_cell(chaos: ChaosSpec) -> CellCoord {
@@ -76,7 +81,7 @@ proptest! {
         let spec = grid_for(chaos);
         let run = |jobs| {
             run_sweep_with(&spec, sim.label, jobs, |job| {
-                run_cell_workload(&job.coord, &sim, job.seed, WorkloadKind::Web)
+                web_cell(&job.coord, &sim, job.seed)
             })
         };
         let serial = run(1);
@@ -98,11 +103,11 @@ proptest! {
         (seed_a, seed_b) in (0u64..100, 100u64..200),
     ) {
         let sim = tiny();
-        let clean = run_cell_workload(&i2_cell(ChaosSpec::OFF), &sim, workload_seed, WorkloadKind::Web);
+        let clean = web_cell(&i2_cell(ChaosSpec::OFF), &sim, workload_seed);
         let spec_a = ChaosSpec { seed: seed_a, ..ChaosSpec::drop(drop_ppm) };
         let spec_b = ChaosSpec { seed: seed_b, ..ChaosSpec::drop(drop_ppm) };
-        let a = run_cell_workload(&i2_cell(spec_a), &sim, workload_seed, WorkloadKind::Web);
-        let b = run_cell_workload(&i2_cell(spec_b), &sim, workload_seed, WorkloadKind::Web);
+        let a = web_cell(&i2_cell(spec_a), &sim, workload_seed);
+        let b = web_cell(&i2_cell(spec_b), &sim, workload_seed);
 
         // Record-side metrics are untouched by any chaos configuration.
         prop_assert!(clean.chaos.is_none());
@@ -115,7 +120,7 @@ proptest! {
         // The perturbation is live and deterministic in its own seed.
         let ca = a.chaos.expect("perturbed cell must report chaos outcomes");
         prop_assert!(ca.frac_lost > 0.0, "{} ppm drew no losses", drop_ppm);
-        let a2 = run_cell_workload(&i2_cell(spec_a), &sim, workload_seed, WorkloadKind::Web);
+        let a2 = web_cell(&i2_cell(spec_a), &sim, workload_seed);
         prop_assert_eq!(a.chaos, a2.chaos, "chaos outcomes not reproducible");
     }
 }
@@ -185,7 +190,7 @@ fn chaos_counters_export_consistently_and_reproduce() {
     assert_eq!(totals.jams, links.iter().map(|l| l.stats.chaos_jams).sum());
 
     // And the registry export mirrors the totals, name for name.
-    let mut reg = Registry::new(ObsLevel::On);
+    let mut reg = Registry::new();
     topo.net.export_chaos_metrics(&mut reg);
     assert_eq!(reg.counter_value("chaos_drops"), totals.drops);
     assert_eq!(reg.counter_value("chaos_link_downs"), totals.downs);

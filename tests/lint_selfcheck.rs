@@ -57,7 +57,6 @@ fn workspace_is_clean_and_anchors_were_checked() {
     };
     assert!(checked("event_classes") >= 8, "event classes: {report}");
     assert!(checked("scenarios") >= 8, "scenarios: {report}");
-    assert!(checked("obs_hooks") >= 5, "obs hooks: {report}");
     assert!(checked("unsafe_blocks") >= 1, "unsafe blocks: {report}");
     assert!(checked("files_scanned") >= 100, "files scanned: {report}");
 }

@@ -51,12 +51,61 @@ fn table_artifact_is_byte_identical_with_sampling_on() {
 
     assert_eq!(off.to_json(), on.to_json(), "JSON artifacts differ");
     assert_eq!(off.to_csv(), on.to_csv(), "CSV artifacts differ");
-    if ups_obs::COMPILED {
-        assert!(
-            telem.cells.iter().all(|c| c.replicates == 2),
-            "sampling on actually produced series for every replicate"
-        );
-    }
+    assert!(
+        telem.cells.iter().all(|c| c.replicates == 2),
+        "sampling on actually produced series for every replicate"
+    );
+}
+
+/// Deadline pipeline: the `i2-deadline-replay` cells (EDF recorded,
+/// replayed by EDF / LSTF / Priority), whose deadline columns are
+/// computed through the `ups-obs` registry, serialize byte-identically
+/// with sampling on — table and miss-rate figure alike — and every cell
+/// carries deadline outcomes.
+#[test]
+fn deadline_artifacts_are_byte_identical_with_sampling_on() {
+    let _guard = SAMPLER.lock().unwrap();
+    let mut sim = Scale::quick().sim();
+    sim.edges_per_core = 2; // tiny topology keeps this test fast
+    sim.horizon = Dur::from_millis(2);
+    let scenario = ups_sweep::scenario::find("i2-deadline-replay").expect("registered");
+    assert_eq!(scenario.pipeline, CellPipeline::DeadlineReplay);
+    let spec = scenario.spec();
+
+    assert_eq!(ups_obs::sample_interval(), None, "sampling leaked on");
+    let off = scenario.run_spec(&spec, &sim, 2);
+
+    let (on, telem) = run_telemetry_sweep(
+        &spec,
+        &sim,
+        2,
+        scenario.workload,
+        scenario.pipeline,
+        Dur::from_micros(50),
+    );
+    assert_eq!(ups_obs::sample_interval(), None);
+
+    assert!(
+        off.results
+            .iter()
+            .all(|r| r.deadline.is_some_and(|d| d.tagged.mean > 0.0)),
+        "every deadline-replay cell reports tagged flows"
+    );
+    assert_eq!(off.to_json(), on.to_json(), "JSON artifacts differ");
+    assert_eq!(off.to_csv(), on.to_csv(), "CSV artifacts differ");
+    let (fig_off, fig_on) = (
+        scenario.miss_curves(&off).expect("deadline scenario"),
+        scenario.miss_curves(&on).expect("deadline scenario"),
+    );
+    assert_eq!(
+        fig_off.to_json(),
+        fig_on.to_json(),
+        "figure artifacts differ"
+    );
+    assert!(
+        telem.cells.iter().all(|c| c.replicates == 1),
+        "sampling on actually produced series for every cell"
+    );
 }
 
 /// Figure pipeline: Figure 1's end-to-end artifact (record → replay →
