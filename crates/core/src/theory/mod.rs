@@ -17,8 +17,9 @@
 //! Submodules [`fig5`], [`fig6`], [`fig7`] encode the three
 //! counterexamples and assert their published outcomes.
 
-// Hash maps here are keyed-lookup-only (annotated in-line for the
-// determinism lint); clippy's blanket type ban is relaxed file-wide.
+// Hash maps here serve keyed lookups only: nothing iterates them, so
+// no hash order can reach a result. Clippy's hash-type ban is relaxed
+// file-wide.
 #![allow(clippy::disallowed_types)]
 
 pub mod fig5;

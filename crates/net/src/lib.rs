@@ -11,6 +11,10 @@
 //! `ups-topo`), transport protocols (see `ups-transport`), and the
 //! replay/universality machinery (see `ups-core`).
 
+// The one crate that may not `forbid(unsafe_code)` (the packet prefetch
+// hint): every `unsafe` block states why it is sound.
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod chaos;
 pub mod fifo;
 pub mod link;

@@ -13,6 +13,11 @@
 //! packet is picked for transmission, its header slack is decremented by
 //! the time it waited in this queue (§2.1).
 
+// Hot path: a panic here aborts a whole sweep. Each remaining `expect`
+// guards an invariant the event loop maintains and carries its own
+// `allow` with the reason, so a new one is visible in review.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::chaos::LinkChaos;
 use crate::packet::{LinkId, NodeId, Packet};
 use crate::scheduler::{EvictOutcome, Queued, Scheduler};
@@ -259,6 +264,10 @@ impl Link {
 
     /// The `TxDone` event for generation `gen` fired. Returns the completed
     /// packet (if the event is still valid) and possibly a new `TxDone`.
+    // A current generation has its packet in flight: `try_start` hands
+    // generations out, and whatever takes the packet early (preemption,
+    // a chaos kill) bumps the generation as it does.
+    #[allow(clippy::expect_used)]
     pub fn tx_done(&mut self, gen: u64, now: Time) -> PortActions {
         let mut act = PortActions::default();
         if gen != self.tx_gen {
@@ -346,6 +355,9 @@ impl Link {
     /// spent stays spent (fluid model); the packet re-queues with its
     /// exact remaining wire time and waits again. Time-based tracking
     /// means repeated preemption neither loses nor fabricates capacity.
+    // Only `admit_one` calls this, and only when the in-flight packet
+    // is less urgent than the arrival — so one is in flight.
+    #[allow(clippy::expect_used)]
     fn preempt(&mut self, now: Time) {
         let fl = self.inflight.take().expect("preempt with idle port");
         debug_assert!(fl.tx_end > now, "preempting a finished transmission");
@@ -390,6 +402,8 @@ impl Link {
     /// queue are lost (every [`Scheduler`] drains through its own
     /// `dequeue`, so internal state stays consistent), and arrivals are
     /// refused until [`Link::chaos_recover`].
+    // Chaos events exist only for links `install_chaos` gave a policy.
+    #[allow(clippy::expect_used)]
     pub(crate) fn chaos_fail(&mut self, now: Time) -> PortActions {
         let mut act = PortActions::default();
         self.chaos_kill_inflight(now, &mut act);
@@ -411,6 +425,8 @@ impl Link {
 
     /// The link comes back up; service resumes if packets are queued
     /// (they can only have arrived while merely jammed, not down).
+    // Chaos events exist only for links `install_chaos` gave a policy.
+    #[allow(clippy::expect_used)]
     pub(crate) fn chaos_recover(&mut self, now: Time) -> PortActions {
         let mut act = PortActions::default();
         let ch = self.chaos.as_mut().expect("chaos_recover without a policy");
@@ -429,6 +445,8 @@ impl Link {
     /// A jamming window opens: the in-service packet is lost and the
     /// transmitter stays silent, but — unlike a failure — the queue
     /// survives and keeps accepting arrivals.
+    // Chaos events exist only for links `install_chaos` gave a policy.
+    #[allow(clippy::expect_used)]
     pub(crate) fn chaos_jam_start(&mut self, now: Time) -> PortActions {
         let mut act = PortActions::default();
         self.chaos_kill_inflight(now, &mut act);
@@ -445,6 +463,8 @@ impl Link {
     }
 
     /// The jamming window closes; service resumes on the surviving queue.
+    // Chaos events exist only for links `install_chaos` gave a policy.
+    #[allow(clippy::expect_used)]
     pub(crate) fn chaos_jam_end(&mut self, now: Time) -> PortActions {
         let mut act = PortActions::default();
         let ch = self.chaos.as_mut().expect("chaos_jam_end without a policy");

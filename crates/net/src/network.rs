@@ -49,6 +49,10 @@
 //! written in the test (one heap event per pop, boxed packets, every
 //! start through a `StartTx`) on random topologies under every scheduler.
 
+// Hot path: see `link.rs` — each remaining `expect` carries its own
+// `allow` with the reason.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::chaos::{self, ChaosPhase, ChaosPolicy, ChaosTotals};
 use crate::link::Link;
 use crate::node::{Node, NodeKind};
@@ -444,6 +448,9 @@ impl Network {
     /// has not run (or the topology changed since): run-time path
     /// resolution (e.g. a transport opening a reverse path) goes through
     /// this accessor.
+    // A missing table is a caller bug (routes are computed before any
+    // packet is injected), not a run-time condition.
+    #[allow(clippy::expect_used)]
     pub fn routing(&self) -> &Arc<RoutingTable> {
         self.routing
             .as_ref()
@@ -989,6 +996,9 @@ impl Network {
 
     /// The slowest link bandwidth in the network (paper's threshold `T` is
     /// one transmission time on this bottleneck).
+    // A link-less network has no bottleneck to quote; callers build the
+    // topology first.
+    #[allow(clippy::expect_used)]
     pub fn bottleneck_bw(&self) -> Bandwidth {
         self.links
             .iter()
@@ -1034,6 +1044,44 @@ mod tests {
         let recs = net.telemetry.packets.iter();
         recs.map(|p| (p.delivered.map(|t| t.as_ps()), p.total_qdelay().as_ps()))
             .collect()
+    }
+
+    /// The same-instant pop order is a determinism contract: chaos
+    /// settles before any data-plane event, the injection feeder pops
+    /// directly before the arrivals it leads (no class in between), and
+    /// observation pops after everything it observes. A class this list
+    /// leaves out is either unused (`dead_code` in the lib build) or
+    /// pushed somewhere this test does not order — add it here.
+    #[test]
+    fn event_classes_pop_in_contract_order() {
+        let classes = [
+            class::CHAOS,
+            class::INJECT,
+            class::ARRIVE,
+            class::TIMER,
+            class::TX_DONE,
+            class::START_WIRE,
+            class::START_TX,
+            class::OBSERVE,
+        ];
+        let mut sorted = classes;
+        sorted.sort_unstable();
+        assert!(
+            sorted.windows(2).all(|w| w[0] < w[1]),
+            "two classes share a value"
+        );
+        assert_eq!(sorted[0], class::CHAOS, "CHAOS is not the lowest class");
+        assert_eq!(
+            sorted[sorted.len() - 1],
+            class::OBSERVE,
+            "OBSERVE is not the highest class"
+        );
+        let inject = sorted.iter().position(|&c| c == class::INJECT).unwrap();
+        assert_eq!(
+            sorted.get(inject + 1),
+            Some(&class::ARRIVE),
+            "INJECT does not pop directly before ARRIVE"
+        );
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! the flow's deficit counter, and the flow sends head packets while its
 //! deficit covers them.
 
-// Hash maps here are keyed-lookup-only (annotated in-line for the
-// determinism lint); clippy's blanket type ban is relaxed file-wide.
+// Both hash maps are read and written by FlowId key only; service order
+// comes exclusively from the `active` VecDeque, so hash iteration order
+// never reaches an artifact. Clippy's hash-type ban is relaxed
+// file-wide.
 #![allow(clippy::disallowed_types)]
 
-// lint: keyed-lookup-only(file) — both HashMaps are read/written by
-// FlowId key only; service order comes exclusively from the `active`
-// VecDeque, so hash iteration order never reaches an artifact.
 use std::collections::{HashMap, VecDeque};
 use ups_net::scheduler::{Queued, Scheduler};
 use ups_net::FlowId;

@@ -12,13 +12,11 @@
 //! On overflow, the victim is the newest packet of the flow holding the
 //! *worst* best-priority (pFabric drops from the lowest-priority flow).
 
-// Hash maps here are keyed-lookup-only (annotated in-line for the
-// determinism lint); clippy's blanket type ban is relaxed file-wide.
+// `flows` is only indexed by FlowId; flow selection always goes through
+// the ordered `index` BTreeSet, so hash iteration order never influences
+// service order. Clippy's hash-type ban is relaxed file-wide.
 #![allow(clippy::disallowed_types)]
 
-// lint: keyed-lookup-only(file) — `flows` is only indexed by FlowId;
-// flow selection always goes through the ordered `index` BTreeSet, so
-// hash iteration order never influences service order.
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use ups_net::scheduler::{EvictOutcome, Queued, Scheduler};
 use ups_net::FlowId;

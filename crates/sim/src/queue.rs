@@ -63,6 +63,9 @@
 //! this equivalence against a reference heap model under random
 //! interleaved push/pop.
 
+// Hot path, and free of panicking unwraps: keep it that way.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::time::{Dur, Time};
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};

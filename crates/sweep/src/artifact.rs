@@ -10,6 +10,11 @@
 //!
 //! See the crate-level docs for the field-by-field artifact schema.
 
+// Debug output is not format-stable across toolchains, so no `{:?}` may
+// reach an artifact: every `write!`/`writeln!` here goes through an
+// explicit Display path. (`format!` is not covered by this lint.)
+#![deny(clippy::use_debug)]
+
 use crate::engine::{FigReport, Stat, SweepReport, SweepResult};
 use std::fmt::Write as _;
 use std::io;

@@ -15,6 +15,11 @@
 //! the `topo`/`original`/`util` coordinate keys, series objects carry
 //! `series`, and points carry their own `x` (µs).
 
+// Debug output is not format-stable across toolchains, so no `{:?}` may
+// reach an artifact: every `write!`/`writeln!` here goes through an
+// explicit Display path. (`format!` is not covered by this lint.)
+#![deny(clippy::use_debug)]
+
 use crate::artifact::{csv_field, Json};
 use crate::cell::{CellMetrics, CellPipeline};
 use crate::engine::{aggregate_cells, Stat, SweepReport};

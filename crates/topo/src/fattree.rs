@@ -7,8 +7,9 @@
 //! ECMP sets in `ups-net` fan flows across the `(k/2)²` core paths by
 //! flow hash, as real datacenters do.
 
-// Hash maps here are keyed-lookup-only (annotated in-line for the
-// determinism lint); clippy's blanket type ban is relaxed file-wide.
+// Hash maps here serve keyed lookups only: nothing iterates them, so
+// no hash order can reach a result. Clippy's hash-type ban is relaxed
+// file-wide.
 #![allow(clippy::disallowed_types)]
 
 use crate::Topology;

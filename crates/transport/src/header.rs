@@ -12,8 +12,9 @@
 //! needs and is owned by whichever component injects packets (a host's
 //! transport endpoint, or the UDP open-loop injector).
 
-// Hash maps here are keyed-lookup-only (annotated in-line for the
-// determinism lint); clippy's blanket type ban is relaxed file-wide.
+// Hash maps here serve keyed lookups only: nothing iterates them, so
+// no hash order can reach a result. Clippy's hash-type ban is relaxed
+// file-wide.
 #![allow(clippy::disallowed_types)]
 
 use std::collections::HashMap;

@@ -11,8 +11,9 @@
 //! One [`TcpHost`] app per host multiplexes all its sender and receiver
 //! connections. Flow starts are armed as timers at install time.
 
-// Hash maps here are keyed-lookup-only (annotated in-line for the
-// determinism lint); clippy's blanket type ban is relaxed file-wide.
+// Hash maps here serve keyed lookups only: nothing iterates them, so
+// no hash order can reach a result. Clippy's hash-type ban is relaxed
+// file-wide.
 #![allow(clippy::disallowed_types)]
 
 use crate::flow::{ack_flow, data_flow, is_ack_flow, FlowDesc, FlowResult};

@@ -30,7 +30,7 @@ use std::path::PathBuf;
 use std::str::FromStr;
 use ups_bench::{experiments, out, out_inline, print_sweep_report, Scale};
 use ups_core::WorkloadKind;
-use ups_sim::Dur;
+use ups_sim::{Dur, PS_PER_MS, PS_PER_US};
 use ups_sweep::scenario::{self, Scenario};
 use ups_sweep::{
     diff_artifacts, run_sweep_with, run_telemetry_sweep, CellPipeline, ChaosSpec, DiffOptions,
@@ -111,6 +111,14 @@ fn number<T: FromStr>(
         .map_err(|_| format!("{flag}: expected {what}, got `{v}`"))
 }
 
+/// `n` whole units of `ps_per` picoseconds, or an error naming `flag`
+/// when the span does not fit the picosecond clock.
+fn span(n: u64, ps_per: u64, flag: &str) -> Result<Dur, String> {
+    n.checked_mul(ps_per)
+        .map(Dur)
+        .ok_or_else(|| format!("{flag}: `{n}` is too long for the picosecond clock"))
+}
+
 impl Args {
     /// Parse an argument vector (without the program name). Unknown
     /// flags and missing or unparseable values are errors.
@@ -125,8 +133,8 @@ impl Args {
             tolerance: DiffOptions::default(),
             scale: Scale::quick(),
         };
-        let (mut full, mut interval_us) = (false, 250u64);
-        let (mut seed, mut horizon_ms, mut edges, mut jobs, mut replicates) =
+        let (mut full, mut interval) = (false, Dur::from_micros(250));
+        let (mut seed, mut horizon, mut edges, mut jobs, mut replicates) =
             (None, None, None, None, None);
         let it = &mut args.into_iter();
         while let Some(arg) = it.next() {
@@ -141,10 +149,11 @@ impl Args {
                 "--out" => a.out = PathBuf::from(value(it, flag)?),
                 "--telemetry" => {}
                 "--telemetry-interval-us" => {
-                    interval_us = number(it, flag, "a positive integer")?;
-                    if interval_us == 0 {
+                    let us = number(it, flag, "a positive integer")?;
+                    if us == 0 {
                         return Err(format!("{flag}: expected a positive integer, got `0`"));
                     }
+                    interval = span(us, PS_PER_US, flag)?;
                 }
                 "--chaos-drop-ppm" => {
                     let ppm = number(it, flag, int)?;
@@ -172,14 +181,14 @@ impl Args {
                 "--abs-tol" => a.tolerance.abs_tol = number(it, flag, tol)?,
                 "--full" => full = true,
                 "--seed" => seed = Some(number(it, flag, int)?),
-                "--horizon-ms" => horizon_ms = Some(number(it, flag, int)?),
+                "--horizon-ms" => horizon = Some(span(number(it, flag, int)?, PS_PER_MS, flag)?),
                 "--edges" => edges = Some(number::<usize>(it, flag, int)?.max(1)),
                 "--jobs" => jobs = Some(number::<usize>(it, flag, int)?.max(1)),
                 "--replicates" => replicates = Some(number::<usize>(it, flag, int)?.max(1)),
                 _ => return Err(format!("unknown flag `{flag}`")),
             }
             if flag.starts_with("--telemetry") {
-                a.telemetry = Some(Dur::from_micros(interval_us));
+                a.telemetry = Some(interval);
             }
             a.flags.push(arg);
         }
@@ -189,10 +198,18 @@ impl Args {
             a.scale = Scale::full();
         }
         a.scale.seed = seed.unwrap_or(a.scale.seed);
-        a.scale.horizon = horizon_ms.map_or(a.scale.horizon, Dur::from_millis);
+        a.scale.horizon = horizon.unwrap_or(a.scale.horizon);
         a.scale.edges_per_core = edges.unwrap_or(a.scale.edges_per_core);
         a.scale.jobs = jobs.unwrap_or(a.scale.jobs);
         a.scale.replicates = replicates.unwrap_or(a.scale.replicates);
+        // Replicate `r` runs at seed `seed + r`.
+        let last_replicate = a.scale.replicates as u64 - 1;
+        if a.scale.seed.checked_add(last_replicate).is_none() {
+            return Err(format!(
+                "--seed {} leaves no room for {} replicates below 2^64",
+                a.scale.seed, a.scale.replicates
+            ));
+        }
         if !(a.tolerance.rel_tol >= 0.0 && a.tolerance.abs_tol >= 0.0) {
             return Err("--rel-tol/--abs-tol: expected a non-negative number".to_string());
         }
@@ -429,6 +446,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn parse(args: &[&str]) -> Result<Args, String> {
         Args::parse(args.iter().map(|s| s.to_string()))
@@ -532,5 +550,48 @@ mod tests {
             parse(&["--telemetry"]).unwrap().telemetry,
             Some(Dur::from_micros(250))
         );
+    }
+
+    /// Every flag `Args::parse` knows, plus values that are zero,
+    /// negative, not a number, `u64::MAX`, 2^58 (wraps to 0 as
+    /// picoseconds of a µs count) and a bare word.
+    const SOUP: &[&str] = &[
+        "--grid",
+        "--out",
+        "--telemetry",
+        "--telemetry-interval-us",
+        "--chaos-drop-ppm",
+        "--chaos-seed",
+        "--chaos-fail-period-us",
+        "--chaos-fail-down-us",
+        "--chaos-jam-period-us",
+        "--chaos-jam-burst-us",
+        "--rel-tol",
+        "--abs-tol",
+        "--full",
+        "--seed",
+        "--horizon-ms",
+        "--edges",
+        "--jobs",
+        "--replicates",
+        "0",
+        "-3",
+        "nan",
+        "18446744073709551615",
+        "288230376151711744",
+        "smoke",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Whatever the command line, a bad one is a usage error (exit
+        /// 2), never a backtrace.
+        #[test]
+        fn parse_never_panics_on_flag_soup(
+            picks in proptest::collection::vec(0usize..SOUP.len(), 0..12),
+        ) {
+            let _ = Args::parse(picks.iter().map(|&i| SOUP[i].to_string()));
+        }
     }
 }

@@ -5,7 +5,8 @@
 //! doc or example silently strands every link to it. This test scans
 //! the repo's markdown, extracts relative links, and asserts each
 //! target exists. External URLs and intra-page anchors are skipped
-//! (the suite runs offline).
+//! (the suite runs offline). It also holds docs/SCENARIOS.md to the
+//! grids `sweep --grid` can run.
 
 use std::path::{Path, PathBuf};
 
@@ -84,6 +85,32 @@ fn every_relative_markdown_link_resolves() {
     assert!(
         checked > 0,
         "link checker found no links — extractor broken?"
+    );
+}
+
+/// What `sweep --grid` runs and its catalogue cannot drift apart: every
+/// registered scenario and every experiment of the paper appears
+/// backticked in docs/SCENARIOS.md, and every ``## `name` `` heading
+/// there names one of them.
+#[test]
+fn every_runnable_grid_is_catalogued_and_every_heading_is_runnable() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("docs/SCENARIOS.md");
+    let doc = std::fs::read_to_string(&path).expect("reading docs/SCENARIOS.md");
+    let mut names = ups::sweep::scenario::names();
+    names.extend(ups_bench::EXPERIMENTS.iter().map(|e| e.name));
+    let missing: Vec<_> = names
+        .iter()
+        .filter(|n| !doc.contains(&format!("`{n}`")))
+        .collect();
+    assert!(missing.is_empty(), "not in docs/SCENARIOS.md: {missing:?}");
+    let stale: Vec<_> = doc
+        .lines()
+        .filter_map(|l| l.strip_prefix("## `")?.split('`').next())
+        .filter(|h| !names.contains(h))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "headings naming nothing runnable: {stale:?}"
     );
 }
 

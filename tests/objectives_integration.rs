@@ -2,8 +2,9 @@
 //! pipelines) at reduced scale, asserting the paper's qualitative
 //! outcomes.
 
-// Hash maps here are keyed-lookup-only (annotated in-line for the
-// determinism lint); clippy's blanket type ban is relaxed file-wide.
+// Hash maps here serve keyed lookups only: nothing iterates them, so
+// no hash order can reach a result. Clippy's hash-type ban is relaxed
+// file-wide.
 #![allow(clippy::disallowed_types)]
 
 use std::collections::HashMap;

@@ -1,6 +1,7 @@
 //! `sweep`'s flag parsing through the actual binary: a flag is never
 //! taken as another flag's value, an unknown `--grid` is told what
-//! exists, and a usage error (exit 2) writes nothing.
+//! exists, a value too large to run is refused, and a usage error
+//! (exit 2) writes nothing.
 
 use std::process::Command;
 
@@ -17,6 +18,17 @@ fn usage_errors_exit_two_and_write_nothing() {
             &["--out requires a value"],
         ),
         ("--grid nope", &known),
+        // Values that overflow the picosecond clock or the replicate
+        // seeds are refused, not wrapped.
+        (
+            "--grid smoke --telemetry-interval-us 288230376151711744",
+            &["--telemetry-interval-us"],
+        ),
+        ("--grid smoke --horizon-ms 18446744074", &["--horizon-ms"]),
+        (
+            "--grid smoke --seed 18446744073709551615 --replicates 2",
+            &["--seed"],
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
             .args(args.split(' '))
