@@ -65,11 +65,11 @@ struct InFlight {
 /// What the network must do after handing an event to a link.
 ///
 /// Transmission starts are *deferred*: `admit`/`tx_done` never begin a
-/// new transmission themselves; they set `want_start` and the network
-/// calls [`Link::try_start`] once every packet arriving at the same
-/// instant — including ones cascading through zero-time links — is
-/// queued, so the port picks what to send at `t` from the queue the
-/// formal model's schedulers see.
+/// new transmission themselves; they set `want_start`, the network
+/// lists the port, and it calls [`Link::try_start`] once the instant
+/// has settled — every packet arriving at it, including ones cascading
+/// through zero-time links, is queued — so the port picks what to send
+/// at `t` from the queue the formal model's schedulers see.
 #[derive(Debug, Default)]
 pub struct PortActions {
     /// The port is idle and has queued packets: start a transmission.
@@ -109,9 +109,8 @@ pub struct Link {
     /// Generation counter; a stored `TxDone` event is valid only if its
     /// generation matches (preemption invalidates scheduled completions).
     tx_gen: u64,
-    /// A start decision for this link is already pending at the current
-    /// instant — a `StartTx` event, or a place on the network's list of
-    /// inline starts — so the network keeps at most one per link.
+    /// This link is on the network's start list for the current
+    /// instant, so the network lists it at most once.
     pub(crate) start_pending: bool,
     /// Chaos runtime state, present only once a [`crate::ChaosPolicy`]
     /// is installed (see [`crate::Network::install_chaos`]). Chaos-free

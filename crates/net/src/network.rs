@@ -1,7 +1,7 @@
 //! The network: nodes, links, the event loop, and the application hook.
 //!
 //! This is the ns-2 replacement. A [`Network`] owns every node and link,
-//! a deterministic future-event list, and per-packet telemetry. Five
+//! a deterministic future-event list, and per-packet telemetry. Four
 //! event kinds drive everything, ordered by class within an instant:
 //!
 //! * `Inject` — the feeder of the registered [`InjectSource`]: every
@@ -10,10 +10,9 @@
 //! * `Arrive` — a packet has fully arrived at a node (store-and-forward:
 //!   forwarding decisions happen only on complete packets);
 //! * `Timer` — an application timer (TCP retransmission, flow arrivals);
-//! * `TxDone` — a link finished serializing a packet;
-//! * `StartTx` — a deferred transmission-start decision, processed after
-//!   every same-instant arrival has settled so the port's scheduler sees
-//!   the complete queue (the formal model's semantics).
+//! * `TxDone` — a link finished serializing a packet.
+//!
+//! Transmission starts are not events (see *One start rule* below).
 //!
 //! Applications ([`App`]) attach to host nodes and may inject packets and
 //! set timers; the replay experiments instead register an open-loop
@@ -28,26 +27,23 @@
 //! [`Link::admit`] — the port mutations a one-event-at-a-time loop makes,
 //! in its order, since admission never touches the event queue.
 //!
-//! Starts are where the loop saves events. A port that wants a start
-//! keeps at most one pending `StartTx` (a per-link flag dedups requests),
-//! and on a network of finite-bandwidth, positive-delay links with no
-//! chaos policy ([`Network::install_chaos`]) most starts need no event:
+//! # One start rule
 //!
-//! * an arrival drain with no app attached and no timer due at the same
-//!   instant lists each port that wants a start, and once the instant's
-//!   last arrival is admitted starts them in the order each first wanted
-//!   one;
-//! * a completion whose queue is non-empty starts the next transmission
-//!   right away.
-//!
-//! Inline starts are safe exactly then: all same-instant arrivals pop
-//! (`ARRIVE`) before any completion (`TX_DONE`), and with positive delays
-//! no *new* same-instant arrival can be created once they have — so each
-//! scheduler sees the queue the deferred `StartTx` would have seen.
-//! Infinite-bandwidth or zero-delay "theory" links keep full deferral.
+//! A port that wants to transmit joins a start list (a per-link flag
+//! dedups it) and starts once its instant has settled: at the end of a
+//! step whose next event is later, or is a sampling tick. So a port
+//! choosing what to send at `t` sees every packet that has arrived by
+//! `t`, as the paper's formal model assumes, whatever app, timer or
+//! chaos policy is present. Infinite-bandwidth "wire" ports start
+//! first, one at a time: a wire completes at the instant it starts, and
+//! that completion — and the packet it cascades through zero-delay hops
+//! to its next real queue — must be processed before any port there
+//! picks what to send. Then every finite port starts, in the order each
+//! first wanted a start. A packet of H hops costs 2H + 1 events: its
+//! source arrival, then a `TxDone` and an `Arrive` per hop.
 //! `tests/forwarding_equivalence.rs` holds this loop to a naive one
 //! written in the test (one heap event per pop, boxed packets, every
-//! start through a `StartTx`) on random topologies under every scheduler.
+//! start its own event) on random topologies under every scheduler.
 
 // Hot path: see `link.rs` — each remaining `expect` carries its own
 // `allow` with the reason.
@@ -62,17 +58,18 @@ use crate::scheduler::Scheduler;
 use crate::slab::{PacketRef, PacketSlab};
 use crate::source::{InjectSource, Injection};
 use crate::trace::{HopTimes, Telemetry, TraceLevel};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use ups_obs::{NetSeries, SamplePoint};
 use ups_sim::{Bandwidth, Dur, EventQueue, Time};
 
 /// Simulation events, in same-instant ordering-class order: chaos
 /// transitions settle first, then the injection feeder, forwarded
-/// arrivals, application timers, transmission completions, and
-/// transmission-start decisions last — so a port choosing what to send
-/// at time `t` sees every packet that has arrived by `t`, as the
-/// paper's formal model assumes, and a failure at `t` is in force
-/// before anything else happens at `t`.
+/// arrivals, application timers and transmission completions; the
+/// instant's transmission starts follow them all (see the module docs),
+/// so a port choosing what to send at time `t` sees every packet that
+/// has arrived by `t`, as the paper's formal model assumes, and a
+/// failure at `t` is in force before anything else happens at `t`.
 ///
 /// `Arrive` carries a [`PacketRef`] into the network's [`PacketSlab`],
 /// not the packet itself: the event is 16 bytes and scheduling a hop
@@ -89,8 +86,6 @@ enum Ev {
     Timer { node: NodeId, id: u64 },
     /// Link `link` finished the transmission tagged `gen`.
     TxDone { link: LinkId, gen: u64 },
-    /// Deferred transmission-start decision for `link`.
-    StartTx { link: LinkId },
     /// Chaos-layer state transition for `link` (see [`crate::chaos`];
     /// exists only when [`Network::install_chaos`] compiled a policy).
     Chaos { link: LinkId, phase: ChaosPhase },
@@ -98,11 +93,8 @@ enum Ev {
     Observe,
 }
 
-/// Event ordering classes (see [`Ev`]). Infinite-bandwidth "wire" links
-/// start eagerly (`START_WIRE`, before scheduler decisions at
-/// `START_TX`) so a packet cascading through zero-time hops reaches its
-/// next real queue within the same instant, before any port there picks
-/// what to send.
+/// Event ordering classes (see [`Ev`]). Starts have no class: an
+/// instant's starts run once no data-plane class is left at it.
 mod class {
     /// Chaos-layer transitions settle before any same-instant data-plane
     /// event, so a failure or jam at `t` is in force for every arrival
@@ -118,13 +110,12 @@ mod class {
     pub const ARRIVE: u8 = 2;
     pub const TIMER: u8 = 3;
     pub const TX_DONE: u8 = 4;
-    pub const START_WIRE: u8 = 5;
-    pub const START_TX: u8 = 6;
     /// Telemetry sampling pops *after every data-plane class* at an
-    /// instant, so an observation sees the settled state of time `t`
-    /// and can never reorder data-plane pops — the invariant that keeps
-    /// artifacts byte-identical with sampling on.
-    pub const OBSERVE: u8 = 7;
+    /// instant, and so after the instant's starts: an observation sees
+    /// the settled state of time `t` and can never reorder data-plane
+    /// pops — the invariant that keeps artifacts byte-identical with
+    /// sampling on.
+    pub const OBSERVE: u8 = 5;
 }
 
 /// A packet entering the network at `at`, nothing traversed yet.
@@ -221,11 +212,6 @@ pub struct Network {
     /// Arena for packets travelling between events (see [`PacketSlab`]).
     slab: PacketSlab,
     apps: Vec<Option<Box<dyn App>>>,
-    /// Number of attached applications. Zero means no callback can
-    /// inject packets or arm timers mid-instant, which is one of the
-    /// preconditions for starting transmissions inline from an arrival
-    /// drain (see the module docs).
-    napps: usize,
     next_pkt_id: u64,
     /// The attached injection source, while it has packets left to send
     /// (a source lent through [`Network::run_source`] is never stored).
@@ -237,15 +223,14 @@ pub struct Network {
     feeding: bool,
     /// Forwarding state; `Some` once `compute_routes` has run.
     routing: Option<Arc<RoutingTable>>,
-    /// Every link so far has finite bandwidth and positive propagation
-    /// delay — the precondition for starting a queued transmission inline
-    /// from a completion instead of deferring through a `StartTx` event.
-    eager_ok: bool,
     /// Scratch for the arrivals of one instant, in pop order.
     arrive_scratch: Vec<(NodeId, PacketRef)>,
-    /// Ports the current arrival drain starts inline once its last
-    /// arrival is admitted, in the order each first wanted a start.
-    start_scratch: Vec<LinkId>,
+    /// Infinite-bandwidth ports that want a start at the current
+    /// instant, in first-want order; they start first, one at a time.
+    wire_starts: VecDeque<LinkId>,
+    /// Finite-bandwidth ports that want a start at the current instant,
+    /// in first-want order; they start together after the wires.
+    starts: Vec<LinkId>,
     /// Deterministic state sampler, when enabled (see
     /// [`Network::enable_sampling`]). Sampling is read-only over links
     /// and the packet arena — it mutates no data-plane state and is not
@@ -268,15 +253,14 @@ impl Network {
             queue: EventQueue::new(),
             slab: PacketSlab::new(),
             apps: Vec::new(),
-            napps: 0,
             next_pkt_id: 0,
             source: None,
             source_base: 0,
             feeding: false,
             routing: None,
-            eager_ok: true,
             arrive_scratch: Vec::new(),
-            start_scratch: Vec::new(),
+            wire_starts: VecDeque::new(),
+            starts: Vec::new(),
             sampler: None,
         };
         if let Some(interval) = ups_obs::sample_interval() {
@@ -315,12 +299,6 @@ impl Network {
         self.links.push(Link::new(id, from, to, bw, prop));
         self.nodes[from.0 as usize].out_links.push(id);
         self.routing = None;
-        // "Theory" links (instant serialization or zero-delay wires) can
-        // cascade new same-instant arrivals while completions are being
-        // processed, so they force fully deferred transmission starts.
-        if bw == Bandwidth::INFINITE || prop == Dur::ZERO {
-            self.eager_ok = false;
-        }
         id
     }
 
@@ -362,11 +340,6 @@ impl Network {
     /// here, so the run is a pure function of `(topology, workload,
     /// policy, horizon)`; the i.i.d. wire-loss stream is forked per link
     /// from the policy seed, independent of every workload RNG.
-    ///
-    /// Installing any policy disables the inline-start elision: chaos
-    /// transitions mutate port state mid-instant, so chaotic runs keep
-    /// the fully deferred reference semantics (correctness never
-    /// depended on the elision — only chaos-free speed does).
     pub fn install_chaos(
         &mut self,
         horizon: Time,
@@ -383,7 +356,6 @@ impl Network {
                     .push(t, class::CHAOS, Ev::Chaos { link: lid, phase });
             }
             self.links[i].chaos = Some(Box::new(state));
-            self.eager_ok = false;
         }
     }
 
@@ -393,17 +365,13 @@ impl Network {
             self.nodes[node.0 as usize].is_host(),
             "apps attach to hosts only"
         );
-        if self.apps[node.0 as usize].replace(app).is_none() {
-            self.napps += 1;
-        }
+        self.apps[node.0 as usize] = Some(app);
     }
 
     /// Detach and return the application at `node`, if any. Used after a
     /// run to harvest application-level results (e.g. flow completions).
     pub fn take_app(&mut self, node: NodeId) -> Option<Box<dyn App>> {
-        let app = self.apps[node.0 as usize].take();
-        self.napps -= app.is_some() as usize;
-        app
+        self.apps[node.0 as usize].take()
     }
 
     // ------------------------------------------------------------------
@@ -618,9 +586,9 @@ impl Network {
     }
 
     /// Process the next pending event — or, when it is an arrival or the
-    /// injection feeder, every arrival of its instant, starting inline
-    /// the ports that may start now (see the module docs). Returns
-    /// `false` if the queue was empty.
+    /// injection feeder, every arrival of its instant — then, if that
+    /// settled the instant, start the ports that want to transmit (see
+    /// the module docs). Returns `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
         self.step_with(None)
     }
@@ -664,28 +632,53 @@ impl Network {
             }
             Ev::TxDone { link, gen } => self.handle_tx_done(link, gen, now),
             Ev::Timer { node, id } => self.dispatch_timer(node, id),
-            Ev::StartTx { link } => self.handle_start_tx(link, now),
             Ev::Chaos { link, phase } => self.handle_chaos(link, phase, now),
             Ev::Observe => unreachable!("handled before dispatch"),
         }
-        // Cache-warm the state the *next* pending event will touch while
-        // this step's stores are still retiring: packets are accessed
-        // once per hop with thousands of events between touches, so the
-        // first access of each hop otherwise pays a full cache miss.
-        if let Some((_, ev)) = self.queue.peek_cur() {
-            match ev {
-                Ev::Arrive { pkt, .. } => self.slab.prefetch(*pkt),
-                Ev::TxDone { link, .. } => self.links[link.0 as usize].prefetch_inflight(),
-                _ => {}
+        self.settle(now);
+        true
+    }
+
+    /// Start the listed ports if the instant `now` has settled — no
+    /// data-plane event is left at it — wires first and one at a time,
+    /// since each wire's completion lands at `now`; then every finite
+    /// port, in first-want order (their completions land after `now`).
+    ///
+    /// Each peek also cache-warms the state the *next* pending event
+    /// will touch while this step's stores are still retiring: packets
+    /// are accessed once per hop with thousands of events between
+    /// touches, so the first access of each hop otherwise pays a full
+    /// cache miss.
+    fn settle(&mut self, now: Time) {
+        loop {
+            if let Some((t, ev)) = self.queue.peek_cur() {
+                match ev {
+                    Ev::Arrive { pkt, .. } => self.slab.prefetch(*pkt),
+                    Ev::TxDone { link, .. } => self.links[link.0 as usize].prefetch_inflight(),
+                    _ => {}
+                }
+                if t == now && !matches!(ev, Ev::Observe) {
+                    return;
+                }
+            }
+            match self.wire_starts.pop_front() {
+                Some(lid) => self.start_tx(lid, now),
+                None => break,
             }
         }
-        true
+        if !self.starts.is_empty() {
+            let mut starts = std::mem::take(&mut self.starts);
+            for lid in starts.drain(..) {
+                self.start_tx(lid, now);
+            }
+            self.starts = starts;
+        }
     }
 
     /// `arrive_scratch` holds the head of this instant's arrivals (the
     /// packets the feeder just pulled, or the one arrival that popped).
-    /// Drain every further same-instant `Arrive` into it, deliver or
-    /// admit each packet in pop order, then take the inline starts.
+    /// Drain every further same-instant `Arrive` into it, then deliver
+    /// or admit each packet in pop order.
     fn drain_arrivals(&mut self, now: Time) {
         while let Some((_, ev)) = self
             .queue
@@ -699,17 +692,6 @@ impl Network {
             self.slab.prefetch(pkt);
             self.arrive_scratch.push((node, pkt));
         }
-        // The scratch now holds *every* arrival at this instant. If
-        // nothing can add more work at `now` — network is eager-safe,
-        // no app callbacks, and no same-instant timer pending — each
-        // port may start transmitting once all of them are admitted,
-        // eliding the deferred `StartTx` event.
-        let inline_ok = self.eager_ok
-            && self.napps == 0
-            && !matches!(
-                self.queue.peek_cur(),
-                Some((t, Ev::Timer { .. })) if t == now
-            );
         let mut arrivals = std::mem::take(&mut self.arrive_scratch);
         for (node, pref) in arrivals.drain(..) {
             let mut pkt = self.slab.remove(pref);
@@ -728,15 +710,10 @@ impl Network {
             pkt.hop_arrive = now;
             let actions = self.links[lid.0 as usize].admit(pkt, now);
             if self.apply_port_actions(lid, actions, now) {
-                self.request_start(lid, now, inline_ok);
+                self.request_start(lid);
             }
         }
         self.arrive_scratch = arrivals;
-        let mut starts = std::mem::take(&mut self.start_scratch);
-        for lid in starts.drain(..) {
-            self.handle_start_tx(lid, now);
-        }
-        self.start_scratch = starts;
     }
 
     /// Enable deterministic state sampling at the given cadence
@@ -848,11 +825,7 @@ impl Network {
     fn handle_tx_done(&mut self, lid: LinkId, gen: u64, now: Time) {
         let actions = self.links[lid.0 as usize].tx_done(gen, now);
         if self.apply_port_actions(lid, actions, now) {
-            if self.eager_ok {
-                self.handle_start_tx(lid, now);
-            } else {
-                self.request_start(lid, now, false);
-            }
+            self.request_start(lid);
         }
     }
 
@@ -869,11 +842,11 @@ impl Network {
             ChaosPhase::JamEnd => link.chaos_jam_end(now),
         };
         if self.apply_port_actions(lid, actions, now) {
-            self.request_start(lid, now, false);
+            self.request_start(lid);
         }
     }
 
-    fn handle_start_tx(&mut self, lid: LinkId, now: Time) {
+    fn start_tx(&mut self, lid: LinkId, now: Time) {
         self.links[lid.0 as usize].start_pending = false;
         if let Some((end, gen)) = self.links[lid.0 as usize].try_start(now) {
             self.queue
@@ -881,24 +854,18 @@ impl Network {
         }
     }
 
-    /// The port at `lid` is idle with packets queued: unless a start is
-    /// already pending, list it for the inline starts that close this
-    /// arrival drain (`inline`), or push a deferred `StartTx` event.
-    fn request_start(&mut self, lid: LinkId, now: Time, inline: bool) {
+    /// The port at `lid` is idle with packets queued: list it for a
+    /// start once the instant settles, unless it is listed already.
+    fn request_start(&mut self, lid: LinkId) {
         let link = &mut self.links[lid.0 as usize];
         if link.start_pending {
             return;
         }
         link.start_pending = true;
-        if inline {
-            self.start_scratch.push(lid);
+        if link.bw == Bandwidth::INFINITE {
+            self.wire_starts.push_back(lid);
         } else {
-            let cls = if link.bw == Bandwidth::INFINITE {
-                class::START_WIRE
-            } else {
-                class::START_TX
-            };
-            self.queue.push(now, cls, Ev::StartTx { link: lid });
+            self.starts.push(lid);
         }
     }
 
@@ -1046,6 +1013,16 @@ mod tests {
             .collect()
     }
 
+    /// An app that does nothing: attaching it must change no outcome
+    /// and no event count.
+    #[derive(Debug)]
+    struct Idle;
+
+    impl App for Idle {
+        fn on_deliver(&mut self, _: &mut Network, _: NodeId, _: &Packet) {}
+        fn on_timer(&mut self, _: &mut Network, _: NodeId, _: u64) {}
+    }
+
     /// The same-instant pop order is a determinism contract: chaos
     /// settles before any data-plane event, the injection feeder pops
     /// directly before the arrivals it leads (no class in between), and
@@ -1060,8 +1037,6 @@ mod tests {
             class::ARRIVE,
             class::TIMER,
             class::TX_DONE,
-            class::START_WIRE,
-            class::START_TX,
             class::OBSERVE,
         ];
         let mut sorted = classes;
@@ -1097,33 +1072,36 @@ mod tests {
         assert_eq!(net.telemetry.counters.delivered, 1);
     }
 
-    /// Back-to-back packets queue at the source NIC — and the `StartTx`
-    /// elision, counted. A packet of H hops costs one `Arrive` at its
-    /// source, then a `TxDone` and an `Arrive` per hop: 2H + 1 events
-    /// when every start is inline. An inert chaos policy changes no
-    /// outcome but defers every start through a `StartTx` event, one
-    /// per hop of every packet (each waits for its predecessor).
+    /// Back-to-back packets queue at the source NIC — and the event
+    /// law, counted. A packet of H hops costs one `Arrive` at its
+    /// source, then a `TxDone` and an `Arrive` per hop: 2H + 1 events,
+    /// whether the network is plain, carries an inert chaos policy, or
+    /// has an app attached.
     #[test]
     fn back_to_back_packets_queue_at_source() {
-        for chaos in [false, true] {
+        for case in ["plain", "inert chaos", "idle app"] {
             let (mut net, rt, h0, h1) = line();
-            if chaos {
-                net.install_chaos(Time::from_millis(1), |_| Some(ChaosPolicy::new(0)));
+            match case {
+                "inert chaos" => {
+                    net.install_chaos(Time::from_millis(1), |_| Some(ChaosPolicy::new(0)))
+                }
+                "idle app" => net.attach_app(h1, Box::new(Idle)),
+                _ => {}
             }
             for s in 0..3 {
                 send(&mut net, &rt, Time::ZERO, 0, s, h0, h1);
             }
             net.run_to_completion();
             let (hops, pkts) = (2, 3);
-            let start_tx = if chaos { hops * pkts } else { 0 };
             assert_eq!(
                 net.telemetry.counters.events,
-                (2 * hops + 1) * pkts + start_tx
+                (2 * hops + 1) * pkts,
+                "{case}"
             );
             // Packet k leaves the host NIC at 12(k+1) us; delivery at +22us more.
             for (k, rec) in net.telemetry.packets.iter().enumerate() {
                 let want = Time::from_micros(34 + 12 * k as u64);
-                assert_eq!(rec.delivered, Some(want), "packet {k}");
+                assert_eq!(rec.delivered, Some(want), "{case}: packet {k}");
             }
             // Packets 1,2 waited at the host NIC: exactly one congestion point.
             let recs = &net.telemetry.packets;
@@ -1204,35 +1182,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn batched_and_single_event_stepping_agree() {
-        // Same 60-packet fan-in run with inline starts after the batched
-        // same-instant drain, and with an inert chaos policy, which sends
-        // every start through its own `StartTx` event: delivery times,
-        // qdelay and drop counts must be bit-identical.
-        let run = |batched: bool| {
-            let mut net = Network::new(TraceLevel::Hops);
-            let hs: Vec<NodeId> = (0..4).map(|i| net.add_host(format!("h{i}"))).collect();
-            let r = net.add_router("r");
-            let sink = net.add_host("sink");
-            for &h in &hs {
-                net.add_duplex(h, r, Bandwidth::gbps(1), Dur::from_micros(2));
-            }
-            net.add_duplex(r, sink, Bandwidth::gbps(1), Dur::from_micros(2));
-            let rt = net.compute_routes();
-            if !batched {
-                net.install_chaos(Time::from_millis(1), |_| Some(ChaosPolicy::new(0)));
-            }
-            for s in 0..60u64 {
-                let at = Time::from_nanos(500 * (s % 5));
-                send(&mut net, &rt, at, s % 4, s, hs[(s % 4) as usize], sink);
-            }
-            net.run_to_completion();
-            (outcomes(&net), net.telemetry.counters.dropped)
-        };
-        assert_eq!(run(true), run(false));
     }
 
     /// Sampling is pure observation: enabling it changes no delivery

@@ -148,8 +148,7 @@ impl ChaosSpec {
     }
 
     /// Lower into the `ups-net` policy, or `None` when disabled (so
-    /// disabled cells never even install the chaos hook and keep
-    /// inline starts).
+    /// disabled cells never even install the chaos hook).
     pub fn to_policy(&self) -> Option<ups_net::ChaosPolicy> {
         if !self.enabled() {
             return None;

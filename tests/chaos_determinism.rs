@@ -5,9 +5,13 @@
 //! seed itself) never changes the recorded schedule it perturbs.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use ups::core::replay::{record_original, replay_schedule_lossy, ReplayMode};
 use ups::core::WorkloadKind;
-use ups::net::{ChaosPolicy, FlowId, JamSpec, TraceLevel};
+use ups::net::{
+    App, ChaosPolicy, FlowId, JamSpec, Network, NodeId, Packet, PacketKind, RoutingTable,
+    SchedHeader, TraceLevel,
+};
 use ups::obs::Registry;
 use ups::sched::SchedKind;
 use ups::sim::{Bandwidth, Dur, Time, PS_PER_US};
@@ -123,6 +127,99 @@ proptest! {
         let a2 = web_cell(&i2_cell(spec_a), &sim, workload_seed);
         prop_assert_eq!(a.chaos, a2.chaos, "chaos outcomes not reproducible");
     }
+}
+
+/// Inject one default-header 1,500-byte data packet.
+fn send_one(
+    net: &mut Network,
+    routes: &RoutingTable,
+    at: Time,
+    flow: u64,
+    seq: u64,
+    src: NodeId,
+    dst: NodeId,
+) {
+    let kind = PacketKind::Data { bytes: 1460 };
+    let hdr = SchedHeader::default();
+    net.inject(routes, at, FlowId(flow), seq, 1500, src, dst, hdr, kind);
+}
+
+/// The probe's app: when its timer fires, it sends one packet from its
+/// host to `to`.
+#[derive(Debug)]
+struct SendOnTimer {
+    to: NodeId,
+}
+
+impl App for SendOnTimer {
+    fn on_deliver(&mut self, _: &mut Network, _: NodeId, _: &Packet) {}
+
+    fn on_timer(&mut self, net: &mut Network, node: NodeId, _: u64) {
+        let (routes, now) = (Arc::clone(net.routing()), net.now());
+        send_one(net, &routes, now, 1, 0, node, self.to);
+    }
+}
+
+/// Every packet's `(delivery ps, total queueing delay ps)`, in id order.
+fn outcomes(net: &Network) -> Vec<(Option<u64>, u64)> {
+    let recs = net.telemetry.packets.iter();
+    recs.map(|p| (p.delivered.map(|t| t.as_ps()), p.total_qdelay().as_ps()))
+        .collect()
+}
+
+/// An installed but inert chaos policy changes no outcome, with an app
+/// attached or without (`docs/CHAOS.md`, invariant 3).
+///
+/// The probe is a 4-node star with 1 Gbps, 1 µs links. Host `a` queues
+/// two packets to `c` at 0; an app at `b` sends one to `c` from a timer
+/// at 12 µs, the instant `a`'s NIC finishes its first. Both NICs want a
+/// start at 12 µs, `b`'s first (timers pop before completions), so
+/// `b`'s packet reaches the hub's port to `c` ahead of `a`'s second:
+/// delivered at 38 µs, `a`'s at 50 µs. The fan-in sends 60 packets from
+/// four hosts to a fifth, with no app.
+#[test]
+fn an_inert_chaos_policy_changes_no_outcome() {
+    let inert = |net: &mut Network| {
+        net.install_chaos(Time::from_millis(1), |_| Some(ChaosPolicy::new(0)));
+    };
+    let probe = |chaos: bool| {
+        let mut t = star(3, Bandwidth::gbps(1), Dur::from_micros(1), TraceLevel::Hops);
+        let (a, b, c) = (t.hosts[0], t.hosts[1], t.hosts[2]);
+        if chaos {
+            inert(&mut t.net);
+        }
+        for seq in 0..2 {
+            send_one(&mut t.net, &t.routes, Time::ZERO, 0, seq, a, c);
+        }
+        t.net.attach_app(b, Box::new(SendOnTimer { to: c }));
+        t.net.set_timer(b, Time::from_micros(12), 0);
+        t.net.run_to_completion();
+        outcomes(&t.net)
+    };
+    let clean = probe(false);
+    assert_eq!(clean, probe(true), "an inert policy moved a delivery");
+    let delivered_us: Vec<_> = clean.iter().map(|o| o.0.map(|ps| ps / PS_PER_US)).collect();
+    // `a`'s two packets, then `b`'s.
+    assert_eq!(delivered_us, [Some(26), Some(50), Some(38)]);
+
+    let fan_in = |chaos: bool| {
+        let mut t = star(5, Bandwidth::gbps(1), Dur::from_micros(2), TraceLevel::Hops);
+        if chaos {
+            inert(&mut t.net);
+        }
+        for s in 0..60u64 {
+            let at = Time::from_nanos(500 * (s % 5));
+            let (src, dst) = (t.hosts[(s % 4) as usize], t.hosts[4]);
+            send_one(&mut t.net, &t.routes, at, s % 4, s, src, dst);
+        }
+        t.net.run_to_completion();
+        (outcomes(&t.net), t.net.telemetry.counters.dropped)
+    };
+    assert_eq!(
+        fan_in(false),
+        fan_in(true),
+        "an inert policy moved a fan-in delivery"
+    );
 }
 
 /// All three perturbation kinds at once on a replay leg: the aggregate

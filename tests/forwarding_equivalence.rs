@@ -8,14 +8,16 @@
 //!   Dijkstra), exactly the out-links that Bellman–Ford distances
 //!   computed here put on a shortest path, in creation order, and a
 //!   flow takes member `hash % width` at every hop;
-//! * the product's event loop (one arrival path, inline starts) makes
+//! * the product's event loop (one arrival path, one start rule) makes
 //!   the run that a naive loop written here makes — one `BinaryHeap`
 //!   event per pop, boxed packets carried in the events, every start
-//!   through a deduplicated `StartTx`, over the same `ups::net::Link`
-//!   port state machines driven through `admit`, `try_start` and
-//!   `tx_done`: every packet's `HopTimes`, delivery and drop and every
-//!   link's `LinkStats` agree on random connected topologies, the
-//!   dumbbell and the k=4 fat-tree under all twelve `SchedKind`s;
+//!   its own deduplicated `StartTx` event, over the same
+//!   `ups::net::Link` port state machines driven through `admit`,
+//!   `try_start` and `tx_done`: every packet's `HopTimes`, delivery and
+//!   drop and every link's `LinkStats` agree on random connected
+//!   topologies, the dumbbell, the k=4 fat-tree and random theory
+//!   networks (unit congestion points joined by infinite-bandwidth
+//!   wires) under all twelve `SchedKind`s;
 //! * a deadline-tagged flow ([`FlowDesc::deadline`]) is served ahead of
 //!   best-effort traffic under LSTF, because open-loop injection
 //!   initializes its header slack from the real remaining time budget.
@@ -24,6 +26,7 @@ use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
+use ups::core::theory::{Cp, FlowPath, UnitNet};
 use ups::net::{
     ChaosPolicy, FlowId, HopTimes, Link, LinkPolicy, Network, NodeId, Packet, PacketId, PacketKind,
     Path, PortActions, RoutingTable, SchedHeader, Telemetry, TraceLevel,
@@ -276,12 +279,13 @@ proptest! {
 // ----------------------------------------------------------------------
 
 /// Same-instant event classes of the naive loop, in the product's order
-/// (it has no chaos, feeder, timer or sampling events, and its inputs
-/// have no infinite-bandwidth links, whose starts take a class of their
-/// own in the product).
+/// (it has no chaos, feeder, timer or sampling events). An
+/// infinite-bandwidth "wire" port starts in a class ahead of every
+/// other start, as the product starts wires first.
 const ARRIVE: u8 = 0;
 const TX_DONE: u8 = 1;
-const START_TX: u8 = 2;
+const START_WIRE: u8 = 2;
+const START_TX: u8 = 3;
 
 /// A naive event: the packet itself rides in its `Arrive`.
 #[derive(Debug)]
@@ -301,8 +305,8 @@ struct Fate {
 
 /// The simplest loop that can run the product's ports: pop one event
 /// from a `BinaryHeap` keyed `(time, class, push order)`, hand it to its
-/// [`Link`], push what follows. No slab, no arrival drain, no inline
-/// start — a port that wants one gets a deduplicated `StartTx`.
+/// [`Link`], push what follows. No slab, no arrival drain, no start
+/// list — a port that wants a start gets a deduplicated `StartTx`.
 struct Naive {
     links: Vec<Link>,
     start_pending: Vec<bool>,
@@ -332,7 +336,12 @@ impl Naive {
         }
         if act.want_start && !self.start_pending[link] {
             self.start_pending[link] = true;
-            self.push(now, START_TX, NaiveEv::StartTx { link });
+            let class = if self.links[link].bw == Bandwidth::INFINITE {
+                START_WIRE
+            } else {
+                START_TX
+            };
+            self.push(now, class, NaiveEv::StartTx { link });
         }
     }
 
@@ -408,18 +417,67 @@ fn random_sends(routes: &RoutingTable, ends: &[NodeId], n: usize, seed: u64) -> 
         .collect()
 }
 
+/// A random theory network — 1–3 `UnitNet` congestion points (zero-delay
+/// ports of half, one or two units) joined by infinite-bandwidth wires,
+/// zero-delay or not — with 2–5 flow paths across random sequences of
+/// them, and `n` packets on those paths sent on a half-unit grid, so
+/// packets tie at congestion points and cascade through wires within
+/// one instant.
+fn unit_net_sends(n: usize, seed: u64) -> (Network, Vec<Send>) {
+    let mut s = seed;
+    let mut un = UnitNet::new();
+    let cps: Vec<Cp> = (0..1 + mix(&mut s) % 3)
+        .map(|k| un.cp(&format!("c{k}"), [50, 100, 200][(mix(&mut s) % 3) as usize]))
+        .collect();
+    let flows: Vec<FlowPath> = (0..2 + mix(&mut s) % 4)
+        .map(|f| {
+            // A random order of the congestion points, cut to a random
+            // non-empty prefix.
+            let mut route = cps.clone();
+            for i in (1..route.len()).rev() {
+                route.swap(i, (mix(&mut s) % (i as u64 + 1)) as usize);
+            }
+            route.truncate(1 + (mix(&mut s) % route.len() as u64) as usize);
+            let pre: Vec<u64> = route
+                .iter()
+                .map(|_| [0, 0, 50, 100][(mix(&mut s) % 4) as usize])
+                .collect();
+            un.flow_path(&format!("f{f}"), &route, &pre)
+        })
+        .collect();
+    let sends = (0..n)
+        .map(|_| {
+            let f = (mix(&mut s) % flows.len() as u64) as usize;
+            Send {
+                at: Time::from_nanos(6_000 * (mix(&mut s) % 16)),
+                flow: FlowId(f as u64),
+                src: flows[f].src,
+                dst: flows[f].dst,
+                size: [1500, 1500, 576, 64][(mix(&mut s) % 4) as usize],
+                path: un.path(&flows[f]),
+                hdr: SchedHeader {
+                    slack: (mix(&mut s) % 200_000_000) as i64,
+                    prio: (mix(&mut s) % 8) as i64,
+                    hop_times: None,
+                },
+            }
+        })
+        .collect();
+    (un.net, sends)
+}
+
 /// Run `sends` on `net` (routes computed, FIFO ports) under `kind` in
 /// the product and in the naive loop; return both `(fates, stats)`,
 /// each link's `LinkStats` in its `Debug` form (every field).
-/// `eager: false` installs an inert chaos policy, which changes no
-/// outcome but sends every product start through a `StartTx` event.
+/// `inert_chaos` installs a chaos policy that perturbs nothing in the
+/// product, which must change no outcome.
 fn product_and_naive(
     mut net: Network,
     sends: &[Send],
     kind: SchedKind,
     buffer: Option<u64>,
     preemptive: bool,
-    eager: bool,
+    inert_chaos: bool,
 ) -> [(Vec<Fate>, Vec<String>); 2] {
     let mut naive = Naive {
         links: net
@@ -445,7 +503,7 @@ fn product_and_naive(
             .buffer(buffer)
             .preemptive(preemptive)
     });
-    if !eager {
+    if inert_chaos {
         net.install_chaos(Time::from_millis(1), |_| Some(ChaosPolicy::new(3)));
     }
     for (i, p) in sends.iter().enumerate() {
@@ -552,24 +610,23 @@ fn dumbbell_sends(specs: &[(u64, u64, u64)]) -> (Network, Vec<Send>) {
     (t.net, sends)
 }
 
-/// The product's batched same-instant drain leaves every per-link
-/// counter — admitted, dropped, completed, bytes, busy time, queue
-/// high-water mark — identical to the naive loop's single-event
-/// stepping, under all twelve constructible scheduling disciplines, on
-/// the dumbbell with a finite shared buffer.
+/// The product's event loop leaves every per-link counter — admitted,
+/// dropped, completed, bytes, busy time, queue high-water mark —
+/// identical to the naive loop's, under all twelve constructible
+/// scheduling disciplines, on the dumbbell with a finite shared buffer.
 #[test]
-fn link_stats_parity_batched_vs_single_across_schedulers() {
+fn link_stats_match_naive_loop_across_schedulers() {
     // Overlapping bursts: 130 packets of demand against a ~20-packet
     // shared buffer on the 1 Gbps bottleneck forces drops under every
     // scheduler.
     let specs = [(40, 0, 0), (40, 2, 500), (25, 5, 0), (25, 7, 300)];
     for kind in SchedKind::ALL {
         let (net, sends) = dumbbell_sends(&specs);
-        let [(product, batched), (naive, single)] =
-            product_and_naive(net, &sends, kind, Some(30_000), false, true);
+        let [(product, product_stats), (naive, naive_stats)] =
+            product_and_naive(net, &sends, kind, Some(30_000), false, false);
         assert_eq!(
-            batched,
-            single,
+            product_stats,
+            naive_stats,
             "per-link stats diverge under {}",
             kind.label()
         );
@@ -597,42 +654,46 @@ proptest! {
 
     /// The product's event loop and the naive loop make the same run —
     /// every packet's hops, delivery and drop, every link's counters —
-    /// on random connected topologies, dumbbells and the k=4 fat-tree,
-    /// under all twelve schedulers, with an unbounded or a finite
-    /// buffer, preemption off or on, and inline or deferred starts.
+    /// on random connected topologies, dumbbells, the k=4 fat-tree and
+    /// random theory networks, under all twelve schedulers, with an
+    /// unbounded or a finite buffer, preemption off or on, and an inert
+    /// chaos policy or none.
     #[test]
     fn event_loop_matches_naive_reference_loop(
-        shape in 0usize..3,
+        shape in 0usize..4,
         finite in 0u8..2,
         preemptive in 0u8..2,
-        eager in 0u8..2,
+        inert_chaos in 0u8..2,
         n in 4u32..10,
         packets in 1usize..80,
         seed in 0u64..u64::MAX,
     ) {
         let buffer = (finite == 1).then_some(6_000);
-        let (preemptive, eager) = (preemptive == 1, eager == 1);
+        let (preemptive, inert_chaos) = (preemptive == 1, inert_chaos == 1);
         let build = || match shape {
             0 => {
                 let mut net = random_connected(n, n / 2, seed);
                 let routes = net.compute_routes();
                 let ends: Vec<NodeId> = (0..n).map(NodeId).collect();
-                (net, routes, ends)
+                let sends = random_sends(&routes, &ends, packets, seed);
+                (net, sends)
             }
             1 => {
                 let t = dumbbell(3, Bandwidth::gbps(10), Bandwidth::gbps(1), Dur::from_micros(2), TraceLevel::Off);
-                (t.net, t.routes, t.hosts)
+                let sends = random_sends(&t.routes, &t.hosts, packets, seed);
+                (t.net, sends)
             }
-            _ => {
+            2 => {
                 let t = fattree::build(&fattree::FatTreeConfig::for_k(4), TraceLevel::Off);
-                (t.net, t.routes, t.hosts)
+                let sends = random_sends(&t.routes, &t.hosts, packets, seed);
+                (t.net, sends)
             }
+            _ => unit_net_sends(packets, seed),
         };
         for kind in SchedKind::ALL {
-            let (net, routes, ends) = build();
-            let sends = random_sends(&routes, &ends, packets, seed);
+            let (net, sends) = build();
             let [(product, product_stats), (naive, naive_stats)] =
-                product_and_naive(net, &sends, kind, buffer, preemptive, eager);
+                product_and_naive(net, &sends, kind, buffer, preemptive, inert_chaos);
             prop_assert!(naive.iter().any(|f| f.delivered.is_some()), "vacuous case");
             prop_assert_eq!(product.len(), naive.len());
             for (i, (p, q)) in product.iter().zip(&naive).enumerate() {
@@ -642,19 +703,19 @@ proptest! {
         }
     }
 
-    /// The product's batched same-instant drain is bit-identical to the
-    /// naive loop's single-event stepping on LSTF dumbbells with a finite
-    /// shared buffer (so drop-worst eviction runs, not just admission):
-    /// same deliveries, same drops, same per-hop timestamps.
+    /// The product's event loop is bit-identical to the naive loop on
+    /// LSTF dumbbells with a finite shared buffer (so drop-worst
+    /// eviction runs, not just admission): same deliveries, same drops,
+    /// same per-hop timestamps.
     #[test]
-    fn batched_drain_matches_single_stepping(
+    fn lstf_dumbbell_matches_naive_loop(
         specs in prop::collection::vec((1u64..25, 0u64..30, 0u64..600), 1..6),
     ) {
         let (net, sends) = dumbbell_sends(&specs);
-        let [(batched, batched_stats), (single, single_stats)] =
-            product_and_naive(net, &sends, SchedKind::Lstf, Some(30_000), false, true);
-        prop_assert_eq!(batched, single, "per-packet telemetry diverges");
-        prop_assert_eq!(batched_stats, single_stats, "per-link stats diverge");
+        let [(product, product_stats), (naive, naive_stats)] =
+            product_and_naive(net, &sends, SchedKind::Lstf, Some(30_000), false, false);
+        prop_assert_eq!(product, naive, "per-packet telemetry diverges");
+        prop_assert_eq!(product_stats, naive_stats, "per-link stats diverge");
     }
 }
 

@@ -187,8 +187,8 @@ fn lossy_replay_fidelity_degrades_monotonically_with_drop_rate() {
     assert_eq!(r0.fidelity(), 1.0 - strict.frac_overdue());
 
     // An installed-but-inert policy (drop rate 0, no windows) must not
-    // change a single delivery either, even though it disables inline
-    // starts — chaos off means byte-identical, not merely similar.
+    // change a single delivery either — chaos off means byte-identical,
+    // not merely similar.
     let mut inert_topo = factory();
     inert_topo
         .net

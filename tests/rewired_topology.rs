@@ -137,8 +137,8 @@ fn chaos_on_the_source_does_not_leak_into_the_copy() {
     assert_same_wiring(&copy, &kind.build(&sim));
     assert_pristine(&copy.net);
 
-    // A run on the copy loses nothing, and takes the chaos-free event
-    // path (inline starts) exactly as a fresh build does.
+    // A run on the copy loses nothing, and pops exactly the events a
+    // fresh build pops.
     let mut fresh = kind.build(&sim);
     let flows = WorkloadKind::Web.build(&fresh, 0.7, sim.horizon, 5);
     let a = record_original(&mut copy, &flows, SchedKind::Fifo, 5, 1500);

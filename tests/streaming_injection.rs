@@ -296,9 +296,8 @@ fn flow(id: u64, src: NodeId, dst: NodeId, pkts: u64, start: Time) -> FlowDesc {
 }
 
 /// A 2+2 dumbbell with uniform finite links: no chaos, no apps, no
-/// theory links — the network on which same-instant groups start
-/// transmitting inline (`inline_ok`).
-fn inline_dumbbell(level: TraceLevel) -> Topology {
+/// theory links.
+fn plain_dumbbell(level: TraceLevel) -> Topology {
     dumbbell(
         2,
         Bandwidth::gbps(1),
@@ -316,7 +315,7 @@ fn inline_dumbbell(level: TraceLevel) -> Topology {
 fn two_flows_on_one_nic_due_at_the_same_picosecond() {
     for sched in [SchedKind::Random, SchedKind::Lstf] {
         let run = |feed: Feed| {
-            let mut topo = inline_dumbbell(TraceLevel::Hops);
+            let mut topo = plain_dumbbell(TraceLevel::Hops);
             topo.net
                 .configure_links(|l| LinkPolicy::keep().scheduler(sched.build(l.id, 3)));
             let h = topo.hosts.clone();
@@ -478,7 +477,7 @@ fn injection_and_forwarded_arrival_at_the_same_instant_for_the_same_port() {
 #[test]
 fn run_until_stops_between_two_injections_and_resumes() {
     let run = |feed: Feed| {
-        let mut topo = inline_dumbbell(TraceLevel::Hops);
+        let mut topo = plain_dumbbell(TraceLevel::Hops);
         let h = topo.hosts.clone();
         let flows = [
             flow(0, h[0], h[2], 5, Time::ZERO),
@@ -507,7 +506,7 @@ fn run_until_stops_between_two_injections_and_resumes() {
 #[test]
 fn source_registered_at_now_greater_than_zero() {
     let run = |feed: Feed| {
-        let mut topo = inline_dumbbell(TraceLevel::Hops);
+        let mut topo = plain_dumbbell(TraceLevel::Hops);
         let h = topo.hosts.clone();
         let mut st = stamper();
         feed_udp(
@@ -541,7 +540,7 @@ fn source_registered_at_now_greater_than_zero() {
 #[test]
 #[should_panic(expected = "one open-loop source at a time")]
 fn second_inject_udp_flows_while_the_first_is_live_panics() {
-    let mut topo = inline_dumbbell(TraceLevel::Delivery);
+    let mut topo = plain_dumbbell(TraceLevel::Delivery);
     let h = topo.hosts.clone();
     let mut st = stamper();
     let first = [flow(0, h[0], h[2], 4, Time::ZERO)];
@@ -556,7 +555,7 @@ fn second_inject_udp_flows_while_the_first_is_live_panics() {
 #[test]
 fn trace_level_off_registers_no_records() {
     let run = |feed: Feed| {
-        let mut topo = inline_dumbbell(TraceLevel::Hops);
+        let mut topo = plain_dumbbell(TraceLevel::Hops);
         topo.net.telemetry = Telemetry::new(TraceLevel::Off);
         let h = topo.hosts.clone();
         let flows = [
@@ -578,7 +577,7 @@ fn trace_level_off_registers_no_records() {
 /// what is in the network, not what the leg will ever send.
 #[test]
 fn lifecycle_injects_are_in_time_order_and_in_flight_is_in_network() {
-    let mut topo = inline_dumbbell(TraceLevel::Delivery);
+    let mut topo = plain_dumbbell(TraceLevel::Delivery);
     topo.net.telemetry.enable_lifecycle(1024);
     let h = topo.hosts.clone();
     // Opposite directions: the flows share no port, so nothing queues.
