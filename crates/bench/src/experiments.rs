@@ -103,7 +103,8 @@ pub const EXPERIMENTS: &[Experiment] = &[
         title: "§2.2 diagnostic — congestion points per packet, per topology",
         run: |scale, _| {
             for (topo, hist, mean_slack_us) in congestion_points(scale) {
-                let total: usize = hist.iter().sum();
+                // An empty schedule has no packets: print zero shares.
+                let total = hist.iter().sum::<usize>().max(1);
                 out_inline!("{topo:<18} mean slack {mean_slack_us:>8.1}us  ");
                 for (k, &n) in hist.iter().enumerate() {
                     out_inline!("cp{k}: {:.3}  ", n as f64 / total as f64);

@@ -124,7 +124,6 @@ pub fn run_fct(
     buffer: u64,
     horizon: Time,
 ) -> Vec<FlowResult> {
-    assert!(!flows.is_empty());
     let kind = scheme.sched_kind();
     topo.net.configure_links(|l| {
         ups_net::LinkPolicy::keep()

@@ -878,7 +878,7 @@ impl Network {
         now: Time,
     ) -> bool {
         for dropped in actions.dropped {
-            self.telemetry.on_drop(&dropped, now, lid.0);
+            self.telemetry.on_drop(&dropped);
         }
         if let Some(pkt) = actions.completed {
             let times = HopTimes {
@@ -887,7 +887,6 @@ impl Network {
                 tx_end: now,
             };
             self.telemetry.on_hop(pkt.id, times);
-            self.telemetry.on_hop_lifecycle(&pkt, lid.0, times);
             let to = self.links[lid.0 as usize].to;
             let prop = self.links[lid.0 as usize].prop;
             let pkt = self.slab.insert(pkt);
@@ -944,21 +943,6 @@ impl Network {
             t.outage += l.stats.chaos_outage;
         }
         t
-    }
-
-    /// Accumulate the chaos counters into an [`ups_obs::Registry`]:
-    /// `chaos_drops`, `chaos_link_downs`, `chaos_jam_windows`, and
-    /// `chaos_outage_us` (total down/jam time, µs).
-    pub fn export_chaos_metrics(&self, reg: &mut ups_obs::Registry) {
-        let t = self.chaos_totals();
-        let id = reg.counter("chaos_drops");
-        reg.add(id, t.drops);
-        let id = reg.counter("chaos_link_downs");
-        reg.add(id, t.downs);
-        let id = reg.counter("chaos_jam_windows");
-        reg.add(id, t.jams);
-        let id = reg.counter("chaos_outage_us");
-        reg.add(id, t.outage.as_ps() / ups_sim::PS_PER_US);
     }
 
     /// The slowest link bandwidth in the network (paper's threshold `T` is
@@ -1222,35 +1206,6 @@ mod tests {
             .all(|s| s.t.as_ps() % Dur::from_micros(7).as_ps() == 0));
         // Mid-run congestion is visible: some sample saw a queue.
         assert!(series.samples.iter().any(|s| s.queued_pkts > 0));
-    }
-
-    /// The lifecycle ring records inject/enqueue/tx-start/deliver in
-    /// timestamp-faithful form and flags deadline misses, without
-    /// changing outcomes.
-    #[test]
-    fn lifecycle_ring_records_packet_story() {
-        let (mut net, rt, h0, h1) = line();
-        net.telemetry.enable_lifecycle(256);
-        // Flow 0 gets an absurdly tight absolute deadline, so its
-        // deliveries must all be recorded as misses.
-        net.telemetry.set_flow_deadlines(vec![(0, 1_000)]);
-        for s in 0..4 {
-            send(&mut net, &rt, Time::ZERO, s % 2, s, h0, h1);
-        }
-        net.run_to_completion();
-        assert_eq!(net.telemetry.counters.delivered, 4);
-        let ring = net.telemetry.lifecycle.as_ref().unwrap();
-        let count = |kind: ups_obs::LifeKind| ring.iter().filter(|e| e.kind == kind).count();
-        assert_eq!(count(ups_obs::LifeKind::Inject), 4);
-        assert_eq!(count(ups_obs::LifeKind::Deliver), 4);
-        // 2 hops per packet.
-        assert_eq!(count(ups_obs::LifeKind::Enqueue), 8);
-        assert_eq!(count(ups_obs::LifeKind::TxStart), 8);
-        // Only flow 0's two packets miss the 1 ns deadline.
-        assert_eq!(count(ups_obs::LifeKind::DeadlineMiss), 2);
-        let jsonl = ring.to_jsonl();
-        assert_eq!(jsonl.lines().count(), ring.len());
-        assert!(jsonl.contains("\"kind\":\"deadline_miss\""));
     }
 
     #[test]

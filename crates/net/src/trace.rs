@@ -9,7 +9,6 @@
 use crate::packet::{FlowId, NodeId, Packet, PacketId, Path};
 use crate::source::InjectSource;
 use std::sync::Arc;
-use ups_obs::{LifeEvent, LifeKind, LifecycleRing};
 use ups_sim::{Dur, Time};
 
 /// How much to record.
@@ -66,7 +65,9 @@ pub struct PacketRecord {
     pub created: Time,
     /// Exit time `o(p)` (full arrival at destination), if delivered.
     pub delivered: Option<Time>,
-    /// True if dropped at some buffer.
+    /// True if dropped: by a buffer, a down or jammed link, or wire
+    /// loss. At [`TraceLevel::Hops`] the dropping port is
+    /// `path.links[hops.len()]`, the link of the first unfinished hop.
     pub dropped: bool,
     /// The route; hop `k`'s times are `hops[k]`, over link `path.links[k]`.
     pub path: Arc<Path>,
@@ -163,14 +164,6 @@ pub struct Telemetry {
     pub counters: Counters,
     /// Per-packet records, indexed by `PacketId` (dense).
     pub packets: Vec<PacketRecord>,
-    /// Bounded lifecycle trace ring, when enabled (see
-    /// [`Telemetry::enable_lifecycle`]). `None` — the default — keeps
-    /// every hook below to a single branch.
-    pub lifecycle: Option<LifecycleRing>,
-    /// Absolute flow deadlines `(flow, deadline_ps)`, sorted by flow,
-    /// consulted for deadline-miss lifecycle events. Only populated by
-    /// [`Telemetry::set_flow_deadlines`].
-    flow_deadlines: Vec<(u64, u64)>,
 }
 
 impl Telemetry {
@@ -179,35 +172,6 @@ impl Telemetry {
         Telemetry {
             level,
             ..Default::default()
-        }
-    }
-
-    /// Keep a bounded ring of the most recent `cap` packet lifecycle
-    /// events (inject, enqueue, tx-start, deliver, drop, deadline-miss),
-    /// exportable with [`LifecycleRing::to_jsonl`]. Off by default; the
-    /// ring is pure observation and never changes simulation outcomes.
-    pub fn enable_lifecycle(&mut self, cap: usize) {
-        self.lifecycle = Some(LifecycleRing::new(cap));
-    }
-
-    /// Register absolute flow deadlines (`(flow, deadline_ps)`): a
-    /// delivery after its flow's deadline additionally records a
-    /// [`LifeKind::DeadlineMiss`] event in the lifecycle ring.
-    pub fn set_flow_deadlines(&mut self, mut deadlines: Vec<(u64, u64)>) {
-        deadlines.sort_unstable();
-        self.flow_deadlines = deadlines;
-    }
-
-    #[inline]
-    fn life(&mut self, t: Time, kind: LifeKind, pkt: &Packet, loc: u32) {
-        if let Some(ring) = self.lifecycle.as_mut() {
-            ring.push(LifeEvent {
-                t,
-                kind,
-                flow: pkt.flow.0,
-                seq: pkt.seq,
-                loc,
-            });
         }
     }
 
@@ -251,9 +215,6 @@ impl Telemetry {
     pub fn on_inject(&mut self, pkt: &Packet) {
         self.counters.injected += 1;
         self.counters.peak_in_flight = self.counters.peak_in_flight.max(self.counters.in_flight());
-        if self.lifecycle.is_some() {
-            self.life(pkt.created, LifeKind::Inject, pkt, pkt.src.0);
-        }
         // At `Hops` level every hop will push one entry; sizing the vec
         // to the (known, fixed) path length up front means the per-hop
         // record append never reallocates.
@@ -272,16 +233,6 @@ impl Telemetry {
         self.packets[id.0 as usize].hops.push(times);
     }
 
-    /// Record queue/wire lifecycle events for a completed hop. The hop's
-    /// enqueue and tx-start become known only once it finishes, so both
-    /// are recorded here carrying their true timestamps.
-    pub fn on_hop_lifecycle(&mut self, pkt: &Packet, link: u32, times: HopTimes) {
-        if self.lifecycle.is_some() {
-            self.life(times.arrive, LifeKind::Enqueue, pkt, link);
-            self.life(times.tx_start, LifeKind::TxStart, pkt, link);
-        }
-    }
-
     /// Record final delivery.
     pub fn on_deliver(&mut self, pkt: &Packet, now: Time) {
         self.counters.delivered += 1;
@@ -289,26 +240,13 @@ impl Telemetry {
         if self.level != TraceLevel::Off {
             self.packets[pkt.id.0 as usize].delivered = Some(now);
         }
-        if self.lifecycle.is_some() {
-            self.life(now, LifeKind::Deliver, pkt, pkt.dst.0);
-            let missed = self
-                .flow_deadlines
-                .binary_search_by_key(&pkt.flow.0, |&(f, _)| f)
-                .is_ok_and(|i| now.as_ps() > self.flow_deadlines[i].1);
-            if missed {
-                self.life(now, LifeKind::DeadlineMiss, pkt, pkt.dst.0);
-            }
-        }
     }
 
-    /// Record a drop at a link buffer.
-    pub fn on_drop(&mut self, pkt: &Packet, now: Time, link: u32) {
+    /// Record a drop (see [`PacketRecord::dropped`] for where).
+    pub fn on_drop(&mut self, pkt: &Packet) {
         self.counters.dropped += 1;
         if self.level != TraceLevel::Off {
             self.packets[pkt.id.0 as usize].dropped = true;
-        }
-        if self.lifecycle.is_some() {
-            self.life(now, LifeKind::Drop, pkt, link);
         }
     }
 

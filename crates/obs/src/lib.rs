@@ -5,7 +5,7 @@
 //! what is observed**. Every committed artifact in `baselines/` is
 //! byte-exact, so a telemetry hook that consumed a random number,
 //! reordered an event, or rounded a float differently would show up as
-//! a results regression. This crate therefore provides three surfaces
+//! a results regression. This crate therefore provides two surfaces
 //! that are integer-exact and allocation-free on the hot path:
 //!
 //! * [`Registry`] — named integer counters, gauges, and fixed
@@ -23,16 +23,11 @@
 //!   is as reproducible as the run that produced it. The process-wide
 //!   default cadence lives here ([`set_sample_interval`]) so worker
 //!   threads of a sweep pick it up without plumbing.
-//! * [`LifecycleRing`] — a bounded ring buffer of structured
-//!   packet/flow lifecycle events ([`LifeEvent`]: inject, enqueue,
-//!   tx-start, deliver, drop, deadline-miss) exportable as JSONL for
-//!   offline triage. Bounded means the hot path never allocates after
-//!   construction; the ring keeps the most recent `cap` events plus an
-//!   exact total count.
 //!
-//! Telemetry has one off-switch, and it is the default: no sampling
-//! cadence set and no lifecycle ring attached. A network built that way
-//! schedules no observation event and writes no sample or ring entry.
+//! Sampling has one off-switch, and it is the default: no sampling
+//! cadence set. A network built that way schedules no observation
+//! event and writes no sample. What happened to each packet is not
+//! recorded here but in `ups-net`'s per-packet hop trace.
 //!
 //! The crate sits at the bottom of the workspace DAG (only `ups-sim`
 //! above it) so every layer — net, metrics, sweep, bench — can record
@@ -42,12 +37,10 @@
 
 mod hist;
 mod registry;
-mod ring;
 mod series;
 
 pub use hist::Histogram;
 pub use registry::{CounterId, GaugeId, HistId, Registry};
-pub use ring::{LifeEvent, LifeKind, LifecycleRing};
 pub use series::{NetSeries, SamplePoint};
 
 use std::sync::atomic::{AtomicU64, Ordering};

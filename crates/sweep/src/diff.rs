@@ -322,7 +322,8 @@ mod tests {
             deadline: None,
             chaos: None,
         });
-        let big = run_sweep_with(&SweepSpec::util_grid(), "test", 1, |_: &Job| CellMetrics {
+        let i2_web = crate::scenario::find("i2-web").expect("registered").spec();
+        let big = run_sweep_with(&i2_web, "test", 1, |_: &Job| CellMetrics {
             total: 1,
             frac_overdue: 0.0,
             frac_gt_t: 0.0,
@@ -339,7 +340,7 @@ mod tests {
             .iter()
             .filter(|d| d.detail.contains("removed"))
             .collect();
-        // util grid has 0.1/0.5/0.9 cells the smoke grid lacks.
+        // i2-web has 0.1/0.5/0.9 cells the smoke grid lacks.
         assert_eq!(removed.len(), 3, "{}", report.render());
         assert!(removed.iter().any(|d| d.path.contains("util=0.1")));
         let reverse =

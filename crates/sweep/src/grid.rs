@@ -310,47 +310,10 @@ impl SweepSpec {
         )
     }
 
-    /// Table 1 rows 1-2 only: the utilization sweep under Random.
-    pub fn util_grid() -> SweepSpec {
-        SweepSpec::cartesian(
-            "util",
-            &[TopoKind::I2(I2Variant::Default1g10g)],
-            &[SchedKind::Random],
-            &[0.1, 0.3, 0.5, 0.7, 0.9],
-        )
-    }
-
-    /// Table 1 row 5 plus Random: the original-scheduler sweep at 70%.
-    pub fn sched_grid() -> SweepSpec {
-        SweepSpec::cartesian(
-            "sched",
-            &[TopoKind::I2(I2Variant::Default1g10g)],
-            &[
-                SchedKind::Random,
-                SchedKind::Fifo,
-                SchedKind::Fq,
-                SchedKind::Sjf,
-                SchedKind::Lifo,
-                SchedKind::FqFifoPlusMix,
-            ],
-            &[0.7],
-        )
-    }
-
-    /// Table 1 rows 3-4: every topology family and variant at 70%.
-    pub fn topo_grid() -> SweepSpec {
-        SweepSpec::cartesian(
-            "topo",
-            &[
-                TopoKind::I2(I2Variant::Default1g10g),
-                TopoKind::I2(I2Variant::Access1g1g),
-                TopoKind::I2(I2Variant::Access10g10g),
-                TopoKind::RocketFuel,
-                TopoKind::FatTree,
-            ],
-            &[SchedKind::Random],
-            &[0.7],
-        )
+    /// The named grids `sweep --grid` runs before any scenario, the
+    /// default (`table1`) first.
+    pub fn named() -> [SweepSpec; 2] {
+        [SweepSpec::table1(), SweepSpec::smoke()]
     }
 
     /// Set the replicate count (builder style).

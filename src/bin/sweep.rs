@@ -1,7 +1,7 @@
 //! `sweep` — the one way to run an experiment.
 //!
 //! `--grid NAME` runs, in this order of lookup: a named grid (`table1`,
-//! the default; `smoke`, `util`, `sched`, `topo`), a registered scenario
+//! the default; `smoke`), a registered scenario
 //! (`ups_sweep::scenario`, catalogued in `docs/SCENARIOS.md`), or one of
 //! the paper's experiments (`ups_bench::EXPERIMENTS`: `fig1`…`fig4`, the
 //! ablations, `paper`). Grids and scenarios expand into cells × seed
@@ -41,9 +41,9 @@ const USAGE: &str = "\
 usage: sweep [--grid NAME] [--out DIR] [--telemetry] [chaos flags] [scale flags]
        sweep scenarios [list | describe NAME | run NAME [flags as above]]
        sweep diff OLD.json NEW.json [--rel-tol X] [--abs-tol X]
-  --grid NAME  what to run: table1 (default), smoke, util, sched, topo, a
-               registered scenario or an experiment of the paper (fig1..fig4,
-               ablation-*, paper, ...; `sweep scenarios list` prints both)
+  --grid NAME  what to run: table1 (default), smoke, a registered scenario
+               or an experiment of the paper (fig1..fig4, ablation-*, paper,
+               ...; `sweep scenarios list` prints both)
   --out DIR    artifact directory (default: target/sweep)
   --telemetry  sample queue/utilization time series on the event wheel and
                additionally write <grid>_telemetry.json/.csv
@@ -273,15 +273,7 @@ fn run_diff(old_path: &str, new_path: &str, opts: &DiffOptions) -> ! {
 /// run it.
 fn run(grid: &str, args: &Args) -> ! {
     args.only("a run", |f| !is_tolerance(f));
-    let named = match grid {
-        "table1" => Some(SweepSpec::table1()),
-        "smoke" => Some(SweepSpec::smoke()),
-        "util" => Some(SweepSpec::util_grid()),
-        "sched" => Some(SweepSpec::sched_grid()),
-        "topo" => Some(SweepSpec::topo_grid()),
-        _ => None,
-    };
-    if let Some(spec) = named {
+    if let Some(spec) = SweepSpec::named().into_iter().find(|s| s.name == grid) {
         run_grid(spec, WorkloadKind::Web, CellPipeline::Replay, None, args);
     }
     if let Some(s) = scenario::find(grid) {
@@ -290,8 +282,8 @@ fn run(grid: &str, args: &Args) -> ! {
     }
     let Some(e) = experiments::find(grid) else {
         usage_exit(&format!(
-            "unknown grid `{grid}` — named grids: table1 (default), smoke, util, sched, topo; \
-             scenarios: {}; experiments: {}",
+            "unknown grid `{grid}` — named grids: {}; scenarios: {}; experiments: {}",
+            SweepSpec::named().map(|s| s.name).join(", "),
             scenario::names().join(", "),
             experiments::EXPERIMENTS
                 .iter()

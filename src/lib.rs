@@ -11,7 +11,7 @@
 //! * [`sim`] — deterministic discrete-event primitives (picosecond
 //!   clock, class-ordered event queue, portable RNG);
 //! * [`obs`] — the deterministic telemetry plane (metrics registry,
-//!   event-wheel time-series sampling, lifecycle tracing);
+//!   event-wheel time-series sampling);
 //! * [`net`] — the store-and-forward network model (the ns-2 stand-in);
 //! * [`sched`] — LSTF, EDF, FIFO, LIFO, Random, Priority/SJF, SRPT,
 //!   FQ, DRR, FIFO+;

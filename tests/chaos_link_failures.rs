@@ -2,20 +2,43 @@
 //! by a failure must be fully accounted (LinkStats, telemetry counters,
 //! no PacketSlab leak), a down link must refuse arrivals, failures must
 //! drain every scheduler's queue consistently, and jamming must kill
-//! only the in-service packet while the queue survives.
+//! only the in-service packet while the queue survives. Every case runs
+//! at hop level and checks that each drop is located at the port that
+//! counted it.
 
 use std::sync::Arc;
-use ups::net::{ChaosPolicy, FlowId, JamSpec, LinkPolicy, TraceLevel};
+use ups::net::{ChaosPolicy, FlowId, JamSpec, LinkPolicy, Network, TraceLevel};
 use ups::sched::SchedKind;
 use ups::sim::{Bandwidth, Dur, Time};
 use ups::topo::simple::{dumbbell, line};
 use ups::topo::Topology;
-use ups::transport::{inject_udp_flows, FlowDesc, HeaderStamper};
+use ups::transport::{inject_udp_flows, FlowDesc, HeaderStamper, PrioPolicy, SlackPolicy};
 
 fn inject(topo: &mut Topology, flows: &[FlowDesc]) {
+    inject_stamped(topo, flows, HeaderStamper::zero());
+}
+
+fn inject_stamped(topo: &mut Topology, flows: &[FlowDesc], mut stamper: HeaderStamper) {
     let routes = Arc::clone(&topo.routes);
-    let mut stamper = HeaderStamper::zero();
     inject_udp_flows(&mut topo.net, &routes, flows, 1500, &mut stamper);
+}
+
+/// A dropped packet's record locates its drop: the port of its first
+/// unfinished hop, `path.links[hops.len()]`. Tallied per link, those
+/// ports must match every link's own `LinkStats::dropped`.
+fn assert_drops_located(net: &Network) {
+    assert_eq!(net.telemetry.level, TraceLevel::Hops);
+    let mut located = vec![0u64; net.links.len()];
+    for r in net.telemetry.packets.iter().filter(|r| r.dropped) {
+        assert!(r.delivered.is_none(), "a dropped packet was delivered");
+        located[r.path.links[r.hops.len()].0 as usize] += 1;
+    }
+    let counted: Vec<u64> = net.links.iter().map(|l| l.stats.dropped).collect();
+    assert_eq!(
+        located, counted,
+        "drop locations per link vs LinkStats::dropped"
+    );
+    assert_eq!(located.iter().sum::<u64>(), net.telemetry.counters.dropped);
 }
 
 /// One packet, one link, one failure window opening mid-serialization:
@@ -23,12 +46,7 @@ fn inject(topo: &mut Topology, flows: &[FlowDesc]) {
 /// and the network counters, and must not leak a slab slot.
 #[test]
 fn failure_mid_transmission_drops_the_in_service_packet_cleanly() {
-    let mut topo = line(
-        1,
-        Bandwidth::gbps(1),
-        Dur::from_micros(5),
-        TraceLevel::Delivery,
-    );
+    let mut topo = line(1, Bandwidth::gbps(1), Dur::from_micros(5), TraceLevel::Hops);
     let (src, dst) = (topo.hosts[0], topo.hosts[1]);
     inject(
         &mut topo,
@@ -67,6 +85,7 @@ fn failure_mid_transmission_drops_the_in_service_packet_cleanly() {
     assert_eq!(link.stats.chaos_outage, Dur::from_micros(3));
     assert_eq!(link.queue_len(), 0);
     assert_eq!(topo.net.chaos_totals().drops, 1);
+    assert_drops_located(&topo.net);
 }
 
 /// While down, a link refuses arrivals outright; every refusal and the
@@ -74,12 +93,7 @@ fn failure_mid_transmission_drops_the_in_service_packet_cleanly() {
 /// at recovery — nothing else in the run is lost.
 #[test]
 fn a_down_link_refuses_arrivals_and_accounts_every_loss() {
-    let mut topo = line(
-        1,
-        Bandwidth::gbps(1),
-        Dur::from_micros(5),
-        TraceLevel::Delivery,
-    );
+    let mut topo = line(1, Bandwidth::gbps(1), Dur::from_micros(5), TraceLevel::Hops);
     let (src, dst) = (topo.hosts[0], topo.hosts[1]);
     // 100 packets paced back-to-back at the NIC rate (12 µs apart).
     inject(
@@ -117,6 +131,7 @@ fn a_down_link_refuses_arrivals_and_accounts_every_loss() {
     assert_eq!(c.dropped, link.stats.chaos_drops as u64);
     // Every survivor of the failed hop reaches the destination.
     assert_eq!(c.delivered, link.stats.tx_done);
+    assert_drops_located(&topo.net);
 }
 
 /// A failure drains the whole scheduler queue through the scheduler's
@@ -130,7 +145,7 @@ fn failure_drains_the_queue_consistently_under_every_scheduler() {
             Bandwidth::gbps(10),
             Bandwidth::gbps(1),
             Dur::from_micros(5),
-            TraceLevel::Delivery,
+            TraceLevel::Hops,
         );
         topo.net
             .configure_links(|l| LinkPolicy::keep().scheduler(kind.build(l.id, 7)));
@@ -175,6 +190,7 @@ fn failure_drains_the_queue_consistently_under_every_scheduler() {
         );
         assert_eq!(bottleneck.queue_len(), 0, "{label}: queue not drained");
         assert_eq!(bottleneck.stats.chaos_downs, 1, "{label}: down windows");
+        assert_drops_located(&topo.net);
     }
 }
 
@@ -188,7 +204,7 @@ fn jamming_kills_only_the_in_service_packet_and_keeps_the_queue() {
         Bandwidth::gbps(10),
         Bandwidth::gbps(1),
         Dur::from_micros(5),
-        TraceLevel::Delivery,
+        TraceLevel::Hops,
     );
     let flows: Vec<FlowDesc> = (0..2)
         .map(|i| FlowDesc {
@@ -234,4 +250,82 @@ fn jamming_kills_only_the_in_service_packet_and_keeps_the_queue() {
     assert_eq!(c.injected, 120);
     assert_eq!(c.dropped, 1);
     assert_eq!(c.delivered, 119, "the surviving queue must be delivered");
+    assert_drops_located(&topo.net);
+}
+
+/// A full buffer drops at its own port, whichever packet goes: the
+/// arrival under drop-tail (FIFO, and SJF when the arrival is no more
+/// urgent than the queue's worst), or the queued packet of the longer
+/// flow when SJF's drop-worst eviction makes room for the shorter one.
+/// Wire loss on the senders' access links drops a packet after its
+/// serialization, before that hop is recorded.
+#[test]
+fn buffer_overflow_and_wire_loss_are_located_at_their_ports() {
+    for kind in [SchedKind::Fifo, SchedKind::Sjf] {
+        let mut topo = dumbbell(
+            2,
+            Bandwidth::gbps(10),
+            Bandwidth::gbps(1),
+            Dur::from_micros(5),
+            TraceLevel::Hops,
+        );
+        topo.net.configure_links(|l| {
+            let p = LinkPolicy::keep();
+            if l.bw == Bandwidth::gbps(1) {
+                p.scheduler(kind.build(l.id, 7)).buffer(Some(8 * 1500))
+            } else {
+                p
+            }
+        });
+        let h = topo.hosts.clone();
+        // A 60-packet flow fills the 8-packet bottleneck buffer; a
+        // 10-packet flow (SJF: more urgent) arrives into it at 50 µs.
+        let flows =
+            [(0, 60, Time::ZERO), (1, 10, Time::from_micros(50))].map(|(i, pkts, start)| {
+                FlowDesc {
+                    id: FlowId(i),
+                    src: h[i as usize],
+                    dst: h[2 + i as usize],
+                    pkts,
+                    start,
+                    deadline: None,
+                }
+            });
+        let stamper = HeaderStamper::new(SlackPolicy::None, PrioPolicy::FlowSize);
+        inject_stamped(&mut topo, &flows, stamper);
+        topo.net.install_chaos(Time::from_millis(20), |l| {
+            (l.from == h[0] || l.from == h[1]).then(|| ChaosPolicy::new(13).drop_prob(0.1))
+        });
+        topo.net.run_to_completion();
+
+        let label = kind.label();
+        assert_eq!(topo.net.packets_in_flight(), 0, "{label}: slab leak");
+        let c = &topo.net.telemetry.counters;
+        assert_eq!(c.delivered + c.dropped, 70, "{label}: conservation");
+        let bottleneck = topo
+            .net
+            .links
+            .iter()
+            .find(|l| l.bw == Bandwidth::gbps(1) && l.stats.enqueued > 0)
+            .expect("loaded bottleneck link");
+        // Evicted packets were enqueued and never sent; the rest of the
+        // bottleneck's drops are refused arrivals.
+        let evicted = bottleneck.stats.enqueued - bottleneck.stats.tx_done;
+        let refused = bottleneck.stats.dropped - evicted;
+        assert!(refused > 0, "{label}: no drop-tail arrival");
+        assert_eq!(
+            evicted > 0,
+            kind == SchedKind::Sjf,
+            "{label}: evictions {evicted}"
+        );
+        let wire: u64 = topo
+            .net
+            .links
+            .iter()
+            .filter(|l| l.from == h[0] || l.from == h[1])
+            .map(|l| l.stats.chaos_drops)
+            .sum();
+        assert!(wire > 0, "{label}: no wire loss drawn");
+        assert_drops_located(&topo.net);
+    }
 }

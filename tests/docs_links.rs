@@ -89,14 +89,16 @@ fn every_relative_markdown_link_resolves() {
 }
 
 /// What `sweep --grid` runs and its catalogue cannot drift apart: every
-/// registered scenario and every experiment of the paper appears
+/// named grid, registered scenario and experiment of the paper appears
 /// backticked in docs/SCENARIOS.md, and every ``## `name` `` heading
 /// there names one of them.
 #[test]
 fn every_runnable_grid_is_catalogued_and_every_heading_is_runnable() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("docs/SCENARIOS.md");
     let doc = std::fs::read_to_string(&path).expect("reading docs/SCENARIOS.md");
-    let mut names = ups::sweep::scenario::names();
+    let grids = ups::sweep::SweepSpec::named().map(|s| s.name);
+    let mut names: Vec<&str> = grids.iter().map(String::as_str).collect();
+    names.extend(ups::sweep::scenario::names());
     names.extend(ups_bench::EXPERIMENTS.iter().map(|e| e.name));
     let missing: Vec<_> = names
         .iter()

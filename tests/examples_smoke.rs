@@ -16,7 +16,6 @@ const EXAMPLES: &[&str] = &[
     "replay_failure_anatomy",
     "theory_demo",
     "scenario_tour",
-    "lifecycle_trace",
 ];
 
 fn run_example(name: &str) -> std::process::Output {

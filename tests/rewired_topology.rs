@@ -67,7 +67,7 @@ fn assert_pristine(net: &Network) {
         assert!(!l.chaos_installed() && !l.is_busy() && l.queue_len() == 0);
     }
     let tel = &net.telemetry;
-    assert!(tel.packets.is_empty() && tel.lifecycle.is_none());
+    assert!(tel.packets.is_empty());
     let c = &tel.counters;
     assert_eq!(
         (

@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 use std::process::Command;
-use ups_sweep::{run_sweep_with, CellMetrics, Job, SweepSpec};
+use ups_sweep::{run_sweep_with, scenario, CellMetrics, Job, SweepSpec};
 
 /// A synthetic 2-cell table artifact; `bump` perturbs one metric of the
 /// second cell (util=0.7) so regressions land on a known coordinate.
@@ -90,11 +90,9 @@ fn regression_exits_nonzero_and_names_the_coordinate() {
 #[test]
 fn added_and_removed_cells_exit_nonzero() {
     let smoke = artifact(0.0);
-    let util = run_sweep_with(
-        &SweepSpec::util_grid().with_replicates(2),
-        "test",
-        1,
-        |_: &Job| CellMetrics {
+    let i2_web = scenario::find("i2-web").expect("registered").spec();
+    let util = run_sweep_with(&i2_web.with_replicates(2), "test", 1, |_: &Job| {
+        CellMetrics {
             total: 100,
             frac_overdue: 0.25,
             frac_gt_t: 0.125,
@@ -103,8 +101,8 @@ fn added_and_removed_cells_exit_nonzero() {
             mean_slack_us: 3.5,
             deadline: None,
             chaos: None,
-        },
-    )
+        }
+    })
     .to_json();
     let a = write_tmp("cells_a.json", &smoke);
     let b = write_tmp("cells_b.json", &util);
