@@ -456,8 +456,10 @@ pub fn ablation_priority(scale: &Scale) -> Vec<ReplayRow> {
     .collect()
 }
 
-/// DESIGN.md ablation: the last-bit deadline key vs the pure deadline
-/// key (they coincide for uniform packet sizes; this verifies that).
+/// LSTF key ablation: the last-bit key `enq + slack + tx` (the slack
+/// left when the last bit is sent, Appendix D; LSTF ≡ EDF under it) vs
+/// the pure deadline `enq + slack`. They order same-size packets alike,
+/// so on this uniform 1,500-byte workload the two rows must match.
 pub fn ablation_lstf_key(scale: &Scale) -> Vec<ReplayRow> {
     [LstfKeyMode::LastBit, LstfKeyMode::PureDeadline]
         .into_iter()

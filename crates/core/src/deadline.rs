@@ -110,7 +110,7 @@ pub struct DeadlineTag {
 pub struct DeadlineSchedule {
     /// The recorded schedule (`{(path, i(p), o(p))}`).
     pub schedule: RecordedSchedule,
-    /// One tag per [`RecordedSchedule::packets`] entry.
+    /// One tag per recorded packet, in recorded order.
     pub tags: Vec<DeadlineTag>,
 }
 
@@ -160,12 +160,8 @@ pub fn record_deadline_original(
     let mut tags = Vec::new();
     source.for_each_packet(|f, _seq, at, tmin| tags.push(virtual_deadline(f, at, tmin)));
     topo.net.run_source(&mut source);
-    let schedule = RecordedSchedule::from_telemetry(&topo.net.telemetry);
-    assert_eq!(
-        schedule.packets.len(),
-        tags.len(),
-        "one tag per recorded packet"
-    );
+    let schedule = RecordedSchedule::from_telemetry(&mut topo.net.telemetry);
+    assert_eq!(schedule.len(), tags.len(), "one tag per recorded packet");
     DeadlineSchedule { schedule, tags }
 }
 
@@ -206,7 +202,7 @@ fn replay_tagged(
             DeadlineMode::Prio => Box::new(priority()),
         }
     };
-    let header = |k: usize, rec: &RecordedPacket| {
+    let header = |k: usize, rec: RecordedPacket<'_>| {
         let tag = &ds.tags[k];
         match mode {
             DeadlineMode::Edf => SchedHeader {
@@ -217,7 +213,7 @@ fn replay_tagged(
             DeadlineMode::Lstf => SchedHeader {
                 // Deliberately unclamped: an infeasible budget must stay
                 // comparable against EDF's absolute key (see module docs).
-                slack: tag.d_abs.signed_since(rec.i) - rec.tmin().as_i64(),
+                slack: tag.d_abs.signed_since(rec.i()) - rec.tmin().as_i64(),
                 prio: 0,
                 hop_times: None,
             },
@@ -310,6 +306,16 @@ mod tests {
         (topo, ds)
     }
 
+    /// The topology of an EDF control replay of `flows`, whose packet
+    /// table is the EDF original's, packet for packet (recording moves
+    /// the original's table into the schedule).
+    fn edf_replay(flows: &[FlowDesc]) -> Topology {
+        let (_, ds) = record(flows);
+        let mut topo = star_factory();
+        assert!(replay_deadline(&mut topo, &ds, DeadlineMode::Edf).perfect());
+        topo
+    }
+
     #[test]
     fn edf_control_replay_is_bit_exact() {
         let flows = star_flows(&star_factory(), 6, Dur::from_millis(2));
@@ -339,7 +345,7 @@ mod tests {
     #[test]
     fn flow_stats_mark_generous_budgets_met_and_tight_budgets_missed() {
         let generous = star_flows(&star_factory(), 4, Dur::from_millis(5));
-        let (topo, _) = record(&generous);
+        let topo = edf_replay(&generous);
         let stats = deadline_flow_stats(&generous, &topo.net.telemetry).expect("tagged");
         assert_eq!(stats.tagged, 2);
         assert_eq!(stats.missed, 0);
@@ -347,7 +353,7 @@ mod tests {
         // 1 µs is below even the uncontended path tmin: every tagged
         // flow must miss.
         let tight = star_flows(&star_factory(), 4, Dur::from_micros(1));
-        let (topo, _) = record(&tight);
+        let topo = edf_replay(&tight);
         let stats = deadline_flow_stats(&tight, &topo.net.telemetry).expect("tagged");
         assert_eq!(stats.missed, stats.tagged);
         assert!(stats.mean_lateness_us > 0.0);
@@ -359,7 +365,7 @@ mod tests {
         for f in &mut flows {
             f.deadline = None;
         }
-        let (topo, _) = record(&flows);
+        let topo = edf_replay(&flows);
         assert!(deadline_flow_stats(&flows, &topo.net.telemetry).is_none());
     }
 

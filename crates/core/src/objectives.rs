@@ -161,10 +161,9 @@ pub fn run_tail_delays(
         topo.net.telemetry.level != TraceLevel::Off,
         "delay measurement requires delivery tracing"
     );
-    topo.net
-        .telemetry
-        .delivered()
-        .map(|r| r.delay().expect("delivered").as_secs_f64())
+    let packets = topo.net.telemetry.packets.iter();
+    packets
+        .filter_map(|r| Some((r.delivered? - r.created).as_secs_f64()))
         .collect()
 }
 

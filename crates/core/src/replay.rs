@@ -176,7 +176,7 @@ pub fn record_original(
     let routes = Arc::clone(&topo.routes);
     ups_transport::inject_udp_flows(&mut topo.net, &routes, flows, mtu, &mut stamper);
     topo.net.run_to_completion();
-    RecordedSchedule::from_telemetry(&topo.net.telemetry)
+    RecordedSchedule::from_telemetry(&mut topo.net.telemetry)
 }
 
 /// Replay `schedule` on a *fresh* build of the same topology under
@@ -228,7 +228,7 @@ fn replay_classic(
             ..
         }
     );
-    let header = |_: usize, rec: &RecordedPacket| match mode {
+    let header = |_: usize, rec: RecordedPacket<'_>| match mode {
         ReplayMode::Lstf { .. } => SchedHeader {
             slack: rec.slack(),
             prio: 0,
@@ -236,13 +236,13 @@ fn replay_classic(
         },
         ReplayMode::Priority | ReplayMode::Edf => SchedHeader {
             slack: 0,
-            prio: rec.o.as_ps() as i64,
+            prio: rec.o().as_ps() as i64,
             hop_times: None,
         },
         ReplayMode::Omniscient => SchedHeader {
             slack: 0,
             prio: 0,
-            hop_times: Some(Arc::from(rec.hop_tx_start.clone())),
+            hop_times: Some(rec.tx_starts().collect()),
         },
     };
     replay_with(
@@ -261,7 +261,7 @@ pub(crate) fn replay_with(
     mode: ReplayMode,
     scheduler: impl Fn() -> Box<dyn Scheduler>,
     preemptive: bool,
-    header: impl FnMut(usize, &RecordedPacket) -> SchedHeader,
+    header: impl FnMut(usize, RecordedPacket<'_>) -> SchedHeader,
     allow_loss: bool,
 ) -> ReplayReport {
     assert_eq!(
@@ -289,7 +289,7 @@ pub(crate) fn replay_with(
     let max_size = schedule
         .packets
         .iter()
-        .map(|p| p.size)
+        .map(|r| r.size)
         .max()
         .unwrap_or(1500);
     let t = topo.net.bottleneck_bw().tx_time(max_size);
@@ -307,11 +307,11 @@ fn score_replay(
     allow_loss: bool,
     t: Dur,
 ) -> ReplayReport {
-    assert_eq!(tel.packets.len(), schedule.packets.len());
-    let mut lateness = Vec::with_capacity(schedule.packets.len());
+    assert_eq!(tel.packets.len(), schedule.len());
+    let mut lateness = Vec::with_capacity(schedule.len());
     let mut ratios = Vec::new();
     let (mut overdue, mut overdue_gt_t, mut lost) = (0usize, 0usize, 0usize);
-    for (rec, rep) in schedule.packets.iter().zip(&tel.packets) {
+    for (rec, rep) in schedule.iter().zip(&tel.packets) {
         let o_replay = match rep.delivered {
             Some(t) => t,
             None if allow_loss => {
@@ -320,7 +320,7 @@ fn score_replay(
             }
             None => panic!("replay packet undelivered"),
         };
-        let late = o_replay.signed_since(rec.o);
+        let late = o_replay.signed_since(rec.o());
         if late > OVERDUE_TOLERANCE_PS {
             overdue += 1;
             if late > t.as_i64() {
@@ -328,14 +328,15 @@ fn score_replay(
             }
         }
         lateness.push(late);
-        if rec.qdelay > Dur::ZERO {
-            ratios.push(rep.total_qdelay().as_ps() as f64 / rec.qdelay.as_ps() as f64);
+        let qdelay = rec.qdelay();
+        if qdelay > Dur::ZERO {
+            ratios.push(rep.total_qdelay(&tel.hops).as_ps() as f64 / qdelay.as_ps() as f64);
         }
     }
 
     ReplayReport {
         mode,
-        total: schedule.packets.len(),
+        total: schedule.len(),
         overdue,
         overdue_gt_t,
         lost,

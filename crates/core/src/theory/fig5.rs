@@ -115,11 +115,11 @@ pub fn lstf_replay(case: Case) -> (RecordedSchedule, ReplayReport) {
 pub fn demonstrate() -> (Time, Time, ReplayReport, ReplayReport) {
     let (s1, r1) = lstf_replay(Case::One);
     let (s2, r2) = lstf_replay(Case::Two);
-    assert_eq!(s1.packets[A].i, s2.packets[A].i);
-    assert_eq!(s1.packets[A].o, s2.packets[A].o);
-    assert_eq!(s1.packets[X].i, s2.packets[X].i);
-    assert_eq!(s1.packets[X].o, s2.packets[X].o);
-    (s1.packets[A].o, s1.packets[X].o, r1, r2)
+    assert_eq!(s1.packet(A).i(), s2.packet(A).i());
+    assert_eq!(s1.packet(A).o(), s2.packet(A).o());
+    assert_eq!(s1.packet(X).i(), s2.packet(X).i());
+    assert_eq!(s1.packet(X).o(), s2.packet(X).o());
+    (s1.packet(A).o(), s1.packet(X).o(), r1, r2)
 }
 
 #[cfg(test)]
@@ -135,18 +135,19 @@ mod tests {
         let (s1, _) = lstf_replay(Case::One);
         let (s2, _) = lstf_replay(Case::Two);
         for idx in [A, X] {
-            assert_eq!(s1.packets[idx].i, s2.packets[idx].i, "i differs");
-            assert_eq!(s1.packets[idx].o, s2.packets[idx].o, "o differs");
+            assert_eq!(s1.packet(idx).i(), s2.packet(idx).i(), "i differs");
+            assert_eq!(s1.packet(idx).o(), s2.packet(idx).o(), "o differs");
             assert_eq!(
-                s1.packets[idx].path.links, s2.packets[idx].path.links,
+                s1.packet(idx).rec.path.links,
+                s2.packet(idx).rec.path.links,
                 "path differs"
             );
         }
         // And they match the published values exactly: i = 0, o(a) = 5,
         // o(x) = 4 units.
-        assert_eq!(s1.packets[A].i, BASE);
-        assert_eq!(s1.packets[A].o, BASE + UNIT * 5);
-        assert_eq!(s1.packets[X].o, BASE + UNIT * 4);
+        assert_eq!(s1.packet(A).i(), BASE);
+        assert_eq!(s1.packet(A).o(), BASE + UNIT * 5);
+        assert_eq!(s1.packet(X).o(), BASE + UNIT * 4);
     }
 
     #[test]
@@ -170,8 +171,8 @@ mod tests {
         // LSTF serves x first at α0 in *both* cases, which is exactly
         // what Case 1 cannot tolerate.
         let (s1, r1) = lstf_replay(Case::One);
-        assert_eq!(s1.packets[A].slack(), 2 * UNIT.as_i64());
-        assert_eq!(s1.packets[X].slack(), UNIT.as_i64());
+        assert_eq!(s1.packet(A).slack(), 2 * UNIT.as_i64());
+        assert_eq!(s1.packet(X).slack(), UNIT.as_i64());
         assert!(
             r1.max_lateness() > UNIT.as_i64() / 3,
             "case 1 should fail: {:?}",
@@ -212,10 +213,10 @@ mod tests {
     fn schedules_are_viable() {
         for case in [Case::One, Case::Two] {
             let (_, sched) = build(case);
-            for p in &sched.packets {
+            for p in sched.iter() {
                 assert!(p.slack() >= 0, "negative slack in {case:?}");
             }
-            assert_eq!(sched.packets.len(), 10);
+            assert_eq!(sched.len(), 10);
         }
     }
 }

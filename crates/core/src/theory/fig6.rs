@@ -16,10 +16,10 @@
 //! satisfies. LSTF, by contrast, replays this schedule (every packet has
 //! at most two congestion points).
 
-use super::{realize, PacketPlan, UnitNet, EPS, UNIT};
-use crate::replay::{replay_schedule, ReplayMode, ReplayReport};
-use crate::schedule::{RecordedSchedule, ScheduleSource};
-use ups_net::{FlowId, SchedHeader};
+use super::{realize, PacketPlan, UnitNet};
+use crate::replay::{replay_schedule, replay_with, ReplayMode, ReplayReport};
+use crate::schedule::{RecordedPacket, RecordedSchedule};
+use ups_net::{FlowId, SchedHeader, Scheduler};
 use ups_sched::priority;
 
 /// Build the Figure 6 network and schedule.
@@ -59,37 +59,21 @@ pub fn build() -> (UnitNet, RecordedSchedule) {
 pub fn priority_replay(prios: [i64; 3]) -> ReplayReport {
     let (un, sched) = build();
     let mut topo = un.into_topology("fig6");
-    topo.net.configure_links(|_| {
-        ups_net::LinkPolicy::keep()
-            .buffer(None)
-            .scheduler(Box::new(priority()))
-    });
-    let mut source = ScheduleSource::new(&sched, |k, _| SchedHeader {
+    let header = |k: usize, _: RecordedPacket<'_>| SchedHeader {
         slack: 0,
         prio: prios[k],
         hop_times: None,
-    });
-    topo.net.run_source(&mut source);
-    let tel = &topo.net.telemetry;
-    let mut lateness = Vec::new();
-    let mut overdue = 0;
-    for (rec, rep) in sched.packets.iter().zip(&tel.packets) {
-        let late = rep.delivered.expect("delivered").signed_since(rec.o);
-        if late > EPS {
-            overdue += 1;
-        }
-        lateness.push(late);
-    }
-    ReplayReport {
-        mode: ReplayMode::Priority,
-        total: sched.packets.len(),
-        overdue,
-        overdue_gt_t: 0,
-        lost: 0,
-        t: UNIT,
-        lateness,
-        qdelay_ratios: Vec::new(),
-    }
+    };
+    let scheduler = || -> Box<dyn Scheduler> { Box::new(priority()) };
+    replay_with(
+        &mut topo,
+        &sched,
+        ReplayMode::Priority,
+        scheduler,
+        false,
+        header,
+        false,
+    )
 }
 
 /// LSTF replay of the same schedule.
@@ -101,6 +85,7 @@ pub fn lstf_replay() -> ReplayReport {
 
 #[cfg(test)]
 mod tests {
+    use super::super::{EPS, UNIT};
     use super::*;
 
     #[test]
@@ -113,19 +98,19 @@ mod tests {
             (t.signed_since(base) - units_x10 * u / 10).abs() < 10 * EPS
         };
         assert!(
-            close(sched.packets[0].o, 34),
+            close(sched.packet(0).o(), 34),
             "o(a) = {}",
-            sched.packets[0].o
+            sched.packet(0).o()
         );
         assert!(
-            close(sched.packets[1].o, 25),
+            close(sched.packet(1).o(), 25),
             "o(b) = {}",
-            sched.packets[1].o
+            sched.packet(1).o()
         );
         assert!(
-            close(sched.packets[2].o, 32),
+            close(sched.packet(2).o(), 32),
             "o(c) = {}",
-            sched.packets[2].o
+            sched.packet(2).o()
         );
     }
 

@@ -24,8 +24,9 @@ use crate::replay::{replay_schedule, ReplayMode, ReplayReport};
 use crate::schedule::RecordedSchedule;
 use ups_net::FlowId;
 
-/// Build the Figure 7 network and its recorded schedule.
-pub fn build() -> (UnitNet, RecordedSchedule) {
+/// The Figure 7 network and its packets' intended schedules, in the
+/// table's order (`a`, `b`, `c1`, `c2`, `d1`, `d2`).
+fn plans() -> (UnitNet, Vec<PacketPlan>) {
     let mut un = UnitNet::new();
     let a0 = un.cp("a0", 100);
     let a1 = un.cp("a1", 100);
@@ -53,6 +54,12 @@ pub fn build() -> (UnitNet, RecordedSchedule) {
         plan(3, 0, &fp_d, 2, vec![2]),       // d1
         plan(3, 1, &fp_d, 3, vec![3]),       // d2
     ];
+    (un, plans)
+}
+
+/// Build the Figure 7 network and its recorded schedule.
+pub fn build() -> (UnitNet, RecordedSchedule) {
+    let (un, plans) = plans();
     let sched = realize(&un, &plans);
     (un, sched)
 }
@@ -79,13 +86,17 @@ mod tests {
         // Slacks (in units): a = o−i−tmin = 5−0−3 = 2; b = 2−0−1 = 1;
         // c/d packets are tight (0).
         let units = |ps: i64| ps as f64 / UNIT.as_ps() as f64;
-        let slacks: Vec<f64> = sched.packets.iter().map(|p| units(p.slack())).collect();
+        let slacks: Vec<f64> = sched.iter().map(|p| units(p.slack())).collect();
         assert!((slacks[0] - 2.0).abs() < 0.01, "slack(a) {}", slacks[0]);
         assert!((slacks[1] - 1.0).abs() < 0.01, "slack(b) {}", slacks[1]);
         for (k, &s) in slacks[2..].iter().enumerate() {
             assert!(s.abs() < 0.01, "slack of tight packet {k} = {s}");
         }
-        assert_eq!(sched.packets[0].congestion_points, CP_OF_A);
+        // `a` crosses three servers but, realized, waits only at α2
+        // (it arrives there at 2 and is served at 4): congestion points
+        // count waits, not servers.
+        assert_eq!(plans().1[0].fp.cp_hops.len(), CP_OF_A);
+        assert_eq!(sched.packet(0).congestion_points(), 1);
     }
 
     #[test]

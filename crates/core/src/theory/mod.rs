@@ -26,10 +26,10 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 
-use crate::schedule::{RecordedPacket, RecordedSchedule};
+use crate::schedule::RecordedSchedule;
 use std::collections::HashMap;
 use std::sync::Arc;
-use ups_net::{FlowId, LinkId, Network, NodeId, Path, TraceLevel};
+use ups_net::{FlowId, HopTx, LinkId, Network, NodeId, PacketRecord, Path, TraceLevel};
 use ups_sim::{Bandwidth, Dur, Time};
 use ups_topo::Topology;
 
@@ -203,22 +203,13 @@ pub struct PacketPlan {
 /// absorbs the sub-nanosecond fast-hop residue while preserving every
 /// whole-unit relationship of the published tables.
 pub fn realize(unit_net: &UnitNet, plans: &[PacketPlan]) -> RecordedSchedule {
-    // Process congestion-point hops globally in intended order; a
-    // packet's hop k can only be processed after its hop k-1, which the
-    // intended ordering guarantees for valid tables.
-    #[derive(Debug)]
-    struct State {
-        path: Arc<Path>,
-        i: Time,
-        hop_tx_start: Vec<Time>,
-        /// Time the packet is fully available at the input of `next_hop`.
-        ready: Time,
-        next_hop: usize,
-    }
-
     let to_time = |x100: i64| -> Time { BASE.offset(x100 * UNIT.as_ps() as i64 / 100) };
 
-    let mut states: Vec<State> = plans
+    // One row per plan with its arena range. A row's `hops_done` counts
+    // the hops realized so far; its arrival at the next one is derived
+    // from the arena, as for a recorded packet.
+    let mut arena_len = 0;
+    let mut packets: Vec<PacketRecord> = plans
         .iter()
         .map(|p| {
             let path = unit_net.path(&p.fp);
@@ -226,16 +217,20 @@ pub fn realize(unit_net: &UnitNet, plans: &[PacketPlan]) -> RecordedSchedule {
             // at the intended arrival: subtract the fast prefix.
             let prefix = path.tmin_from(0, p.size) - path.tmin_from(p.fp.cp_hops[0], p.size);
             let i = to_time(p.arrival_x100) - prefix;
-            State {
-                path,
-                i,
-                hop_tx_start: Vec::new(),
-                ready: i,
-                next_hop: 0,
+            let hop_offset = arena_len;
+            arena_len += path.hops();
+            let (flow, src, dst) = (p.flow, p.fp.src, p.fp.dst);
+            PacketRecord {
+                hop_offset,
+                ..PacketRecord::pending(flow, p.seq, p.size, src, dst, i, path)
             }
         })
         .collect();
+    let mut hops = vec![HopTx::default(); arena_len];
 
+    // Process congestion-point hops globally in intended order; a
+    // packet's hop k can only be processed after its hop k-1, which the
+    // intended ordering guarantees for valid tables.
     let mut free: HashMap<LinkId, Time> = HashMap::new();
     // Global order of (intended time, plan index, cp ordinal).
     let mut work: Vec<(i64, usize, usize)> = Vec::new();
@@ -247,25 +242,31 @@ pub fn realize(unit_net: &UnitNet, plans: &[PacketPlan]) -> RecordedSchedule {
     }
     work.sort();
 
-    let advance = |st: &mut State,
-                   size: u32,
+    // Realize `r`'s hops up to `upto`, the last no earlier than `intended`.
+    let advance = |r: &mut PacketRecord,
                    upto: usize,
                    intended: Option<Time>,
-                   free: &mut HashMap<LinkId, Time>| {
-        while st.next_hop < upto {
-            let hop = st.next_hop;
-            let lid = st.path.links[hop];
-            let mut start = st.ready.max(free.get(&lid).copied().unwrap_or(Time::ZERO));
-            if st.next_hop == upto - 1 {
+                   free: &mut HashMap<LinkId, Time>,
+                   hops: &mut [HopTx]| {
+        while (r.hops_done as usize) < upto {
+            let hop = r.hops_done as usize;
+            let lid = r.path.links[hop];
+            let ready = r.arrival(hops, hop);
+            let mut start = ready.max(free.get(&lid).copied().unwrap_or(Time::ZERO));
+            if hop == upto - 1 {
                 if let Some(t) = intended {
                     start = start.max(t);
                 }
             }
-            st.hop_tx_start.push(start);
-            let tx = st.path.bw[hop].tx_time(size);
-            free.insert(lid, start + tx);
-            st.ready = start + tx + st.path.prop[hop];
-            st.next_hop += 1;
+            // Non-preemptive: a hop ends one transmission time after it
+            // starts.
+            let tx_end = start + r.path.bw[hop].tx_time(r.size);
+            hops[r.hop_offset + hop] = HopTx {
+                tx_start: start,
+                tx_end,
+            };
+            free.insert(lid, tx_end);
+            r.hops_done += 1;
         }
     };
 
@@ -273,41 +274,17 @@ pub fn realize(unit_net: &UnitNet, plans: &[PacketPlan]) -> RecordedSchedule {
         let cp_hop = plans[pi].fp.cp_hops[k];
         // Fast hops up to the server, then the server itself with its
         // intended start.
-        advance(
-            &mut states[pi],
-            plans[pi].size,
-            cp_hop + 1,
-            Some(to_time(t)),
-            &mut free,
-        );
+        let intended = Some(to_time(t));
+        advance(&mut packets[pi], cp_hop + 1, intended, &mut free, &mut hops);
     }
-    // Drain trailing fast hops.
-    for (pi, st) in states.iter_mut().enumerate() {
-        let hops = st.path.hops();
-        advance(st, plans[pi].size, hops, None, &mut free);
+    // Drain trailing fast hops; the exit is the full arrival past the
+    // last one.
+    for r in &mut packets {
+        let n = r.path.hops();
+        advance(r, n, None, &mut free, &mut hops);
+        r.delivered = Some(r.arrival(&hops, n));
     }
-
-    let packets = plans
-        .iter()
-        .zip(states)
-        .map(|(p, st)| {
-            let o = st.ready; // full arrival at destination (last prop 0)
-            RecordedPacket {
-                flow: p.flow,
-                seq: p.seq,
-                size: p.size,
-                src: p.fp.src,
-                dst: p.fp.dst,
-                path: st.path,
-                i: st.i,
-                o,
-                hop_tx_start: st.hop_tx_start,
-                qdelay: Dur::ZERO, // not meaningful for hand-built tables
-                congestion_points: p.fp.cp_hops.len(),
-            }
-        })
-        .collect();
-    RecordedSchedule { packets }
+    RecordedSchedule { packets, hops }
 }
 
 /// Assert helper: lateness in picoseconds, indexed like the schedule.
@@ -351,9 +328,9 @@ mod tests {
             cp_sched_x100: vec![0],
         };
         let sched = realize(&un, &[plan]);
-        let p = &sched.packets[0];
+        let p = sched.packet(0);
         // Service at BASE, one unit of transmission, zero-cost tail.
-        assert_eq!(p.o, BASE + UNIT);
+        assert_eq!(p.o(), BASE + UNIT);
         assert!(p.slack() >= 0);
         assert!(p.slack() < EPS, "slack {} should be ~0", p.slack());
     }
@@ -374,9 +351,9 @@ mod tests {
             cp_sched_x100: vec![300],
         };
         let sched = realize(&un, &[plan]);
-        let p = &sched.packets[0];
+        let p = sched.packet(0);
         let want = BASE + UNIT * 4; // held 3 units + 1 unit service
-        assert_eq!(p.o, want);
+        assert_eq!(p.o(), want);
         // Slack reflects the 3 idle units exactly.
         assert_eq!(p.slack(), 3 * UNIT.as_i64());
     }
@@ -398,7 +375,7 @@ mod tests {
             cp_sched_x100: vec![0],
         };
         let sched = realize(&un, &[mk(0, fp1), mk(1, fp2)]);
-        let gap = sched.packets[1].o.signed_since(sched.packets[0].o);
+        let gap = sched.packet(1).o().signed_since(sched.packet(0).o());
         assert_eq!(gap, UNIT.as_i64());
     }
 }

@@ -50,9 +50,11 @@ impl SizeDist {
     /// The default heavy-tailed distribution used by the experiments:
     /// bounded Pareto over \[1, 1000\] packets (≈1.5 kB – 1.5 MB). The cap
     /// keeps single elephants from saturating a WAN path for tens of
-    /// simulated milliseconds, which matches the moderate queueing
-    /// depths implied by the paper's Table 1 (see DESIGN.md); the
-    /// distributions in \[4, 5\] are dominated by sub-MB flows too.
+    /// simulated milliseconds: Table 1's overdue packets are nearly all
+    /// late by under one transmission time, which implies moderate
+    /// queues, not the backlog an uncapped elephant builds on a 1 Gbps
+    /// access link. The distributions in \[4, 5\] are dominated by
+    /// sub-MB flows too.
     pub fn default_heavy_tail() -> SizeDist {
         SizeDist::BoundedPareto {
             alpha: 1.2,

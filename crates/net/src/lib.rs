@@ -38,4 +38,4 @@ pub use routing::RoutingTable;
 pub use scheduler::{EvictOutcome, Queued, Scheduler};
 pub use slab::{PacketRef, PacketSlab};
 pub use source::{InjectSource, Injection};
-pub use trace::{Counters, HopTimes, PacketRecord, Telemetry, TraceLevel};
+pub use trace::{Counters, HopTimes, HopTx, PacketRecord, Telemetry, TraceLevel};

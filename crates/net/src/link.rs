@@ -557,7 +557,6 @@ mod tests {
             hdr: SchedHeader::default(),
             kind: PacketKind::Data { bytes: size },
             qdelay: Dur::ZERO,
-            hop_arrive: Time::ZERO,
             hop_first_tx: Time::ZERO,
         }
     }

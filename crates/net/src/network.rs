@@ -57,7 +57,7 @@ use crate::routing::RoutingTable;
 use crate::scheduler::Scheduler;
 use crate::slab::{PacketRef, PacketSlab};
 use crate::source::{InjectSource, Injection};
-use crate::trace::{HopTimes, Telemetry, TraceLevel};
+use crate::trace::{Telemetry, TraceLevel};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use ups_obs::{NetSeries, SamplePoint};
@@ -134,7 +134,6 @@ fn new_packet(id: PacketId, at: Time, inj: Injection) -> Box<Packet> {
         hdr: inj.hdr,
         kind: inj.kind,
         qdelay: Dur::ZERO,
-        hop_arrive: at,
         hop_first_tx: at,
     })
 }
@@ -461,7 +460,7 @@ impl Network {
         };
         let pkt = new_packet(id, at, inj);
         self.telemetry.on_register(&pkt);
-        self.telemetry.on_inject(&pkt);
+        self.telemetry.on_inject();
         let pkt = self.slab.insert(pkt);
         self.queue
             .push(at, class::ARRIVE, Ev::Arrive { node: src, pkt });
@@ -537,7 +536,7 @@ impl Network {
             let node = inj.src;
             let pkt = new_packet(PacketId(self.source_base + inj.index), now, inj);
             self.telemetry.counters.events += 1;
-            self.telemetry.on_inject(&pkt);
+            self.telemetry.on_inject();
             let pref = self.slab.insert(pkt);
             self.arrive_scratch.push((node, pref));
         }
@@ -694,7 +693,7 @@ impl Network {
         }
         let mut arrivals = std::mem::take(&mut self.arrive_scratch);
         for (node, pref) in arrivals.drain(..) {
-            let mut pkt = self.slab.remove(pref);
+            let pkt = self.slab.remove(pref);
             if node == pkt.dst && pkt.at_destination() {
                 self.telemetry.on_deliver(&pkt, now);
                 self.dispatch_deliver(node, pkt);
@@ -707,7 +706,14 @@ impl Network {
                 self.links[lid.0 as usize].from, node,
                 "path inconsistent with arrival node"
             );
-            pkt.hop_arrive = now;
+            let tel = &self.telemetry;
+            debug_assert!(
+                tel.level != TraceLevel::Hops
+                    || tel.packets[pkt.id.0 as usize].arrival(&tel.hops, pkt.hops_done as usize)
+                        == now,
+                "packet {:?} arrived off its traced hop times",
+                pkt.id
+            );
             let actions = self.links[lid.0 as usize].admit(pkt, now);
             if self.apply_port_actions(lid, actions, now) {
                 self.request_start(lid);
@@ -881,12 +887,7 @@ impl Network {
             self.telemetry.on_drop(&dropped);
         }
         if let Some(pkt) = actions.completed {
-            let times = HopTimes {
-                arrive: pkt.hop_arrive,
-                tx_start: pkt.hop_first_tx,
-                tx_end: now,
-            };
-            self.telemetry.on_hop(pkt.id, times);
+            self.telemetry.on_hop(&pkt, now);
             let to = self.links[lid.0 as usize].to;
             let prop = self.links[lid.0 as usize].prop;
             let pkt = self.slab.insert(pkt);
@@ -992,9 +993,15 @@ mod tests {
 
     /// Every packet's `(delivery ps, total qdelay ps)`.
     fn outcomes(net: &Network) -> Vec<(Option<u64>, u64)> {
-        let recs = net.telemetry.packets.iter();
-        recs.map(|p| (p.delivered.map(|t| t.as_ps()), p.total_qdelay().as_ps()))
-            .collect()
+        let tel = &net.telemetry;
+        let recs = tel.packets.iter();
+        recs.map(|p| {
+            (
+                p.delivered.map(|t| t.as_ps()),
+                p.total_qdelay(&tel.hops).as_ps(),
+            )
+        })
+        .collect()
     }
 
     /// An app that does nothing: attaching it must change no outcome
@@ -1051,8 +1058,8 @@ mod tests {
         let rec = &net.telemetry.packets[0];
         // 2 hops: 12us tx + 5us prop each = 34us.
         assert_eq!(rec.delivered, Some(Time::from_micros(34)));
-        assert_eq!(rec.tmin(), Dur::from_micros(34));
-        assert_eq!(rec.congestion_points(), 0);
+        assert_eq!(rec.path.tmin(rec.size), Dur::from_micros(34));
+        assert_eq!(rec.congestion_points(&net.telemetry.hops), 0);
         assert_eq!(net.telemetry.counters.delivered, 1);
     }
 
@@ -1088,13 +1095,13 @@ mod tests {
                 assert_eq!(rec.delivered, Some(want), "{case}: packet {k}");
             }
             // Packets 1,2 waited at the host NIC: exactly one congestion point.
-            let recs = &net.telemetry.packets;
-            assert_eq!(recs[0].congestion_points(), 0);
-            assert_eq!(recs[1].congestion_points(), 1);
-            assert_eq!(recs[2].congestion_points(), 1);
+            let (recs, arena) = (&net.telemetry.packets, &net.telemetry.hops);
+            assert_eq!(recs[0].congestion_points(arena), 0);
+            assert_eq!(recs[1].congestion_points(arena), 1);
+            assert_eq!(recs[2].congestion_points(arena), 1);
             // And their recorded queueing delays are 12us and 24us.
-            assert_eq!(recs[1].total_qdelay(), Dur::from_micros(12));
-            assert_eq!(recs[2].total_qdelay(), Dur::from_micros(24));
+            assert_eq!(recs[1].total_qdelay(arena), Dur::from_micros(12));
+            assert_eq!(recs[2].total_qdelay(arena), Dur::from_micros(24));
         }
     }
 
@@ -1119,7 +1126,7 @@ mod tests {
             .telemetry
             .packets
             .iter()
-            .map(|r| r.congestion_points())
+            .map(|r| r.congestion_points(&net.telemetry.hops))
             .collect();
         cps.iter().for_each(|&c| assert!(c <= 1));
         assert_eq!(cps.iter().sum::<usize>(), 1, "exactly one packet waits");

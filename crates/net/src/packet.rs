@@ -102,7 +102,8 @@ pub struct SchedHeader {
     pub slack: i64,
     /// Static priority value; lower is served first.
     pub prio: i64,
-    /// Omniscient per-hop schedule (Appendix B); indexed by hop number.
+    /// Omniscient per-hop schedule (Appendix B); indexed by hop number,
+    /// built from the recorded schedule's transmission starts.
     pub hop_times: Option<Arc<[Time]>>,
 }
 
@@ -139,9 +140,6 @@ pub struct Packet {
     pub kind: PacketKind,
     /// Total queueing delay accumulated so far (diagnostics + FIFO+).
     pub qdelay: Dur,
-    /// Transient per-hop bookkeeping: full arrival time at the current
-    /// hop's port (set by the network on arrival).
-    pub hop_arrive: Time,
     /// Transient per-hop bookkeeping: first transmission start at the
     /// current hop — the paper's scheduling time `o(p, α)`.
     pub hop_first_tx: Time,
@@ -253,7 +251,6 @@ mod tests {
             hdr: SchedHeader::default(),
             kind: PacketKind::Data { bytes: 1460 },
             qdelay: Dur::ZERO,
-            hop_arrive: Time::ZERO,
             hop_first_tx: Time::ZERO,
         };
         assert_eq!(pkt.next_link(), Some(LinkId(0)));

@@ -34,7 +34,6 @@ pub fn packet(id: u64, flow: u64, seq: u64, hdr: SchedHeader) -> Packet {
         hdr,
         kind: PacketKind::Data { bytes: 1460 },
         qdelay: Dur::ZERO,
-        hop_arrive: Time::ZERO,
         hop_first_tx: Time::ZERO,
     }
 }

@@ -1,12 +1,13 @@
-//! Per-packet telemetry.
+//! Per-packet telemetry: the packet table.
 //!
 //! The replay engine needs, for every packet of the *original* run: its
 //! injection time `i(p)`, exit time `o(p)`, path, and — for congestion-point
-//! analysis and the omniscient UPS — the per-hop arrival/transmission
-//! times. Recording everything for every packet is memory-heavy
-//! (24 bytes × hops × packets), so the level is configurable.
+//! analysis and the omniscient UPS — the per-hop transmission times. The
+//! table is one row per packet ([`Telemetry::packets`]) plus, at
+//! [`TraceLevel::Hops`], one flat arena of hops the rows index
+//! ([`Telemetry::hops`], 16 bytes × hops × packets; arrivals are derived).
 
-use crate::packet::{FlowId, NodeId, Packet, PacketId, Path};
+use crate::packet::{FlowId, NodeId, Packet, Path};
 use crate::source::InjectSource;
 use std::sync::Arc;
 use ups_sim::{Dur, Time};
@@ -24,7 +25,17 @@ pub enum TraceLevel {
     Hops,
 }
 
-/// Times for one hop of one packet.
+/// One hop in the arena. `tx_end` is stored because a preempted
+/// transmission ends later than `tx_start` plus the transmission time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HopTx {
+    /// Transmission start, the paper's "scheduling time" `o(p, α)`.
+    pub tx_start: Time,
+    /// Transmission end (last bit on the wire).
+    pub tx_end: Time,
+}
+
+/// Times for one hop of one packet, by value ([`PacketRecord::hops`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HopTimes {
     /// Full arrival at the transmitting node of this hop, `i(p, α)`.
@@ -67,12 +78,14 @@ pub struct PacketRecord {
     pub delivered: Option<Time>,
     /// True if dropped: by a buffer, a down or jammed link, or wire
     /// loss. At [`TraceLevel::Hops`] the dropping port is
-    /// `path.links[hops.len()]`, the link of the first unfinished hop.
+    /// `path.links[hops_done]`, the link of the first unfinished hop.
     pub dropped: bool,
-    /// The route; hop `k`'s times are `hops[k]`, over link `path.links[k]`.
+    /// Hops completed (counted only at [`TraceLevel::Hops`]).
+    pub hops_done: u16,
+    /// Arena index of hop 0; hop `k`, over `path.links[k]`, is `hop_offset + k`.
+    pub hop_offset: usize,
+    /// The route.
     pub path: Arc<Path>,
-    /// Per-hop times (only at [`TraceLevel::Hops`]).
-    pub hops: Vec<HopTimes>,
 }
 
 impl PacketRecord {
@@ -96,36 +109,39 @@ impl PacketRecord {
             created,
             delivered: None,
             dropped: false,
+            hops_done: 0,
+            hop_offset: 0,
             path,
-            hops: Vec::new(),
         }
     }
 
-    /// Uncongested transit time for this packet over its path.
-    pub fn tmin(&self) -> Dur {
-        self.path.tmin(self.size)
+    /// Arrival at hop `k ≤ hops_done`, derived from `arena` (the
+    /// table's [`Telemetry::hops`]): `created` at hop 0, the previous
+    /// hop's `tx_end` plus its link's propagation delay after.
+    pub fn arrival(&self, arena: &[HopTx], k: usize) -> Time {
+        match k.checked_sub(1) {
+            None => self.created,
+            Some(j) => arena[self.hop_offset + j].tx_end + self.path.prop[j],
+        }
+    }
+
+    /// This packet's completed hops in `arena`, arrivals derived.
+    pub fn hops<'a>(&'a self, arena: &'a [HopTx]) -> impl Iterator<Item = HopTimes> + 'a {
+        (0..self.hops_done as usize).map(move |k| HopTimes {
+            arrive: self.arrival(arena, k),
+            tx_start: arena[self.hop_offset + k].tx_start,
+            tx_end: arena[self.hop_offset + k].tx_end,
+        })
     }
 
     /// Total queueing delay across hops (requires hop tracing).
-    pub fn total_qdelay(&self) -> Dur {
-        self.hops.iter().fold(Dur::ZERO, |acc, h| acc + h.qdelay())
+    pub fn total_qdelay(&self, arena: &[HopTx]) -> Dur {
+        self.hops(arena).fold(Dur::ZERO, |acc, h| acc + h.qdelay())
     }
 
     /// Number of congestion points this packet saw (requires hop tracing).
-    pub fn congestion_points(&self) -> usize {
-        self.hops.iter().filter(|h| h.waited()).count()
-    }
-
-    /// End-to-end delay, if delivered.
-    pub fn delay(&self) -> Option<Dur> {
-        self.delivered.map(|d| d - self.created)
-    }
-
-    /// Slack this packet would be assigned for a replay:
-    /// `o(p) − i(p) − tmin(p, src, dest)` (§2.1). `None` if not delivered.
-    pub fn replay_slack(&self) -> Option<i64> {
-        let o = self.delivered?;
-        Some(o.signed_since(self.created) - self.tmin().as_i64())
+    pub fn congestion_points(&self, arena: &[HopTx]) -> usize {
+        self.hops(arena).filter(|h| h.waited()).count()
     }
 }
 
@@ -164,6 +180,8 @@ pub struct Telemetry {
     pub counters: Counters,
     /// Per-packet records, indexed by `PacketId` (dense).
     pub packets: Vec<PacketRecord>,
+    /// The hop arena the records index; empty below [`TraceLevel::Hops`].
+    pub hops: Vec<HopTx>,
 }
 
 impl Telemetry {
@@ -194,6 +212,7 @@ impl Telemetry {
             pkt.created,
             Arc::clone(&pkt.path),
         ));
+        self.lay_out_hops(pkt.id.0 as usize);
     }
 
     /// Register every packet of `src` at once, in source-index order,
@@ -209,28 +228,48 @@ impl Telemetry {
             base + src.packets(),
             "source registered a different number of records than packets"
         );
+        self.lay_out_hops(base as usize);
     }
 
-    /// Fire half of an injection: the packet enters the network now.
-    pub fn on_inject(&mut self, pkt: &Packet) {
-        self.counters.injected += 1;
-        self.counters.peak_in_flight = self.counters.peak_in_flight.max(self.counters.in_flight());
-        // At `Hops` level every hop will push one entry; sizing the vec
-        // to the (known, fixed) path length up front means the per-hop
-        // record append never reallocates.
-        if self.level == TraceLevel::Hops {
-            self.packets[pkt.id.0 as usize]
-                .hops
-                .reserve_exact(pkt.path.hops());
-        }
-    }
-
-    /// Record a completed hop.
-    pub fn on_hop(&mut self, id: PacketId, times: HopTimes) {
+    /// Give each record from `from` on its arena range, one entry per
+    /// link of its path (unwritten until the hop completes), with one
+    /// growth of the arena.
+    fn lay_out_hops(&mut self, from: usize) {
         if self.level != TraceLevel::Hops {
             return;
         }
-        self.packets[id.0 as usize].hops.push(times);
+        let mut next = self.hops.len();
+        for r in &mut self.packets[from..] {
+            r.hop_offset = next;
+            next += r.path.hops();
+        }
+        self.hops.resize(next, HopTx::default());
+    }
+
+    /// Fire half of an injection: the packet enters the network now.
+    pub fn on_inject(&mut self) {
+        self.counters.injected += 1;
+        self.counters.peak_in_flight = self.counters.peak_in_flight.max(self.counters.in_flight());
+    }
+
+    /// Record that `pkt` finished its last hop at `now` (its hop
+    /// counter already advanced past it).
+    pub fn on_hop(&mut self, pkt: &Packet, now: Time) {
+        if self.level != TraceLevel::Hops {
+            return;
+        }
+        let k = pkt.hops_done as usize - 1;
+        let r = &mut self.packets[pkt.id.0 as usize];
+        debug_assert!(
+            now >= r.arrival(&self.hops, k) + pkt.path.bw[k].tx_time(pkt.size),
+            "packet {:?} left hop {k} before arrival + transmission time",
+            pkt.id
+        );
+        self.hops[r.hop_offset + k] = HopTx {
+            tx_start: pkt.hop_first_tx,
+            tx_end: now,
+        };
+        r.hops_done += 1;
     }
 
     /// Record final delivery.
@@ -249,11 +288,6 @@ impl Telemetry {
             self.packets[pkt.id.0 as usize].dropped = true;
         }
     }
-
-    /// Records of delivered packets.
-    pub fn delivered(&self) -> impl Iterator<Item = &PacketRecord> {
-        self.packets.iter().filter(|r| r.delivered.is_some())
-    }
 }
 
 #[cfg(test)]
@@ -262,56 +296,43 @@ mod tests {
     use crate::packet::LinkId;
     use ups_sim::Bandwidth;
 
-    fn rec() -> PacketRecord {
-        PacketRecord {
-            flow: FlowId(0),
-            seq: 0,
-            size: 1500,
-            src: NodeId(0),
-            dst: NodeId(1),
-            created: Time::from_micros(10),
-            delivered: Some(Time::from_micros(100)),
-            dropped: false,
-            path: Arc::new(Path {
-                links: vec![LinkId(0)].into(),
-                bw: vec![Bandwidth::gbps(1)].into(),
-                prop: vec![Dur::from_micros(8)].into(),
-            }),
-            hops: vec![
-                HopTimes {
-                    arrive: Time::from_micros(10),
-                    tx_start: Time::from_micros(30),
-                    tx_end: Time::from_micros(42),
-                },
-                HopTimes {
-                    arrive: Time::from_micros(50),
-                    tx_start: Time::from_micros(50),
-                    tx_end: Time::from_micros(62),
-                },
-            ],
-        }
+    /// A two-hop record and its arena: hop 0 waits 20 µs at the
+    /// source, hop 1 arrives 8 µs after hop 0 ends and starts at once.
+    fn rec() -> (PacketRecord, Vec<HopTx>) {
+        let r = PacketRecord {
+            hops_done: 2,
+            ..PacketRecord::pending(
+                FlowId(0),
+                0,
+                1500,
+                NodeId(0),
+                NodeId(1),
+                Time::from_micros(10),
+                Arc::new(Path {
+                    links: vec![LinkId(0), LinkId(1)].into(),
+                    bw: vec![Bandwidth::gbps(1); 2].into(),
+                    prop: vec![Dur::from_micros(8); 2].into(),
+                }),
+            )
+        };
+        let tx = |start, end| HopTx {
+            tx_start: Time::from_micros(start),
+            tx_end: Time::from_micros(end),
+        };
+        (r, vec![tx(30, 42), tx(50, 62)])
+    }
+
+    #[test]
+    fn arrivals_are_derived_from_the_previous_hop() {
+        let (r, arena) = rec();
+        let arrive: Vec<Time> = r.hops(&arena).map(|h| h.arrive).collect();
+        assert_eq!(arrive, [Time::from_micros(10), Time::from_micros(50)]);
     }
 
     #[test]
     fn congestion_points_counts_waits_only() {
-        let r = rec();
-        assert_eq!(r.congestion_points(), 1);
-        assert_eq!(r.total_qdelay(), Dur::from_micros(20));
-    }
-
-    #[test]
-    fn replay_slack_formula() {
-        let r = rec();
-        // tmin = 12us tx + 8us prop = 20us; o - i = 90us; slack = 70us.
-        assert_eq!(r.replay_slack(), Some(Dur::from_micros(70).as_i64()));
-        assert_eq!(r.delay(), Some(Dur::from_micros(90)));
-    }
-
-    #[test]
-    fn undelivered_has_no_slack() {
-        let mut r = rec();
-        r.delivered = None;
-        assert_eq!(r.replay_slack(), None);
-        assert_eq!(r.delay(), None);
+        let (r, arena) = rec();
+        assert_eq!(r.congestion_points(&arena), 1);
+        assert_eq!(r.total_qdelay(&arena), Dur::from_micros(20));
     }
 }

@@ -47,7 +47,6 @@ fn mk_pkt(id: u64, size: u32, slack: i64) -> Box<Packet> {
         },
         kind: PacketKind::Data { bytes: size },
         qdelay: Dur::ZERO,
-        hop_arrive: Time::ZERO,
         hop_first_tx: Time::ZERO,
     })
 }

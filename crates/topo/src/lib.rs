@@ -8,13 +8,20 @@
 //!   routers / 16 core links), with the paper's three bandwidth variants;
 //! * [`rocketfuel`] — a seeded synthetic stand-in for the RocketFuel ISP
 //!   map (83 core routers / 131 core links; the real trace files are not
-//!   redistributable — see DESIGN.md for the substitution argument).
-//!   `RocketFuelConfig::full()` is the paper's default scenario: 10 edge
-//!   routers per core, 830 hosts;
+//!   redistributable, see below). `RocketFuelConfig::full()` is the
+//!   paper's default scenario: 10 edge routers per core, 830 hosts;
 //! * [`fattree`] — a k-ary full-bisection datacenter fat-tree as in
 //!   pFabric, 10 Gbps everywhere, valid for any even `k` (k=4 is the
 //!   test size, k=8 the paper-scale 128-host build);
 //! * [`simple`] — dumbbell / line / star fixtures for tests and examples.
+//!
+//! **Why a synthetic RocketFuel is a fair substitute.** The paper reads
+//! its RocketFuel results through the map's size (83 core routers, 131
+//! core links, 10 edge routers per core) and its bandwidth split, "half
+//! of the core links … set to have bandwidths smaller than the access
+//! links", not through which city links to which. The seeded stand-in
+//! keeps both exactly, with an ISP-like degree skew, so its results
+//! compare with the paper's RocketFuel rows in trend, not digit for digit.
 //!
 //! Every builder returns a validated [`Topology`]:
 //!

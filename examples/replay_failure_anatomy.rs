@@ -47,10 +47,11 @@ fn main() {
         // Overdue rate by congestion-point count: the theory says ≤2 is
         // always safe; misses concentrate at ≥3.
         let mut by_cp: Vec<(usize, usize)> = vec![(0, 0); hist.len()];
-        for (rec, &late) in schedule.packets.iter().zip(&report.lateness) {
-            by_cp[rec.congestion_points].0 += 1;
+        for (rec, &late) in schedule.iter().zip(&report.lateness) {
+            let cp = rec.congestion_points();
+            by_cp[cp].0 += 1;
             if late > 1_000 {
-                by_cp[rec.congestion_points].1 += 1;
+                by_cp[cp].1 += 1;
             }
         }
         for (k, &(n, o)) in by_cp.iter().enumerate() {

@@ -36,8 +36,8 @@ fn main() {
     let (sched, rep) = fig7::lstf_replay();
     println!(
         "slacks (units): a={} b={} (c,d tight)",
-        sched.packets[0].slack() / UNIT.as_i64(),
-        sched.packets[1].slack() / UNIT.as_i64(),
+        sched.packet(0).slack() / UNIT.as_i64(),
+        sched.packet(1).slack() / UNIT.as_i64(),
     );
     println!(
         "LSTF replay: {} overdue, lateness (units) {:?}\n",

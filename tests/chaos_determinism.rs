@@ -161,9 +161,15 @@ impl App for SendOnTimer {
 
 /// Every packet's `(delivery ps, total queueing delay ps)`, in id order.
 fn outcomes(net: &Network) -> Vec<(Option<u64>, u64)> {
-    let recs = net.telemetry.packets.iter();
-    recs.map(|p| (p.delivered.map(|t| t.as_ps()), p.total_qdelay().as_ps()))
-        .collect()
+    let tel = &net.telemetry;
+    let recs = tel.packets.iter();
+    recs.map(|p| {
+        (
+            p.delivered.map(|t| t.as_ps()),
+            p.total_qdelay(&tel.hops).as_ps(),
+        )
+    })
+    .collect()
 }
 
 /// An installed but inert chaos policy changes no outcome, with an app

@@ -24,14 +24,14 @@ fn inject_stamped(topo: &mut Topology, flows: &[FlowDesc], mut stamper: HeaderSt
 }
 
 /// A dropped packet's record locates its drop: the port of its first
-/// unfinished hop, `path.links[hops.len()]`. Tallied per link, those
+/// unfinished hop, `path.links[hops_done]`. Tallied per link, those
 /// ports must match every link's own `LinkStats::dropped`.
 fn assert_drops_located(net: &Network) {
     assert_eq!(net.telemetry.level, TraceLevel::Hops);
     let mut located = vec![0u64; net.links.len()];
     for r in net.telemetry.packets.iter().filter(|r| r.dropped) {
         assert!(r.delivered.is_none(), "a dropped packet was delivered");
-        located[r.path.links[r.hops.len()].0 as usize] += 1;
+        located[r.path.links[r.hops_done as usize].0 as usize] += 1;
     }
     let counted: Vec<u64> = net.links.iter().map(|l| l.stats.dropped).collect();
     assert_eq!(

@@ -6,7 +6,8 @@
 //! the repo's markdown, extracts relative links, and asserts each
 //! target exists. External URLs and intra-page anchors are skipped
 //! (the suite runs offline). It also holds docs/SCENARIOS.md to the
-//! grids `sweep --grid` can run.
+//! grids `sweep --grid` can run, and every markdown file a Rust doc
+//! comment names to a file that exists.
 
 use std::path::{Path, PathBuf};
 
@@ -86,6 +87,72 @@ fn every_relative_markdown_link_resolves() {
         checked > 0,
         "link checker found no links — extractor broken?"
     );
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable source directory") {
+        let path = entry.expect("readable directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The `*.md` paths a line of Rust names, if it is a doc comment
+/// (`///` or `//!`): every run of path characters ending in `.md`,
+/// glob fragments such as the `.md` of `docs/*.md` aside.
+fn md_paths_in_doc_comment(line: &str) -> Vec<&str> {
+    let t = line.trim_start();
+    if !(t.starts_with("///") || t.starts_with("//!")) {
+        return Vec::new();
+    }
+    t.split(|c: char| !(c.is_ascii_alphanumeric() || "_./-".contains(c)))
+        .filter(|w| w.ends_with(".md") && !w.starts_with('.'))
+        .collect()
+}
+
+/// A doc comment that cites a markdown file cites one that exists, so
+/// an argument is never left behind in a document nobody can open.
+/// Paths are taken from the repository root (`docs/SCENARIOS.md`,
+/// `README.md`).
+#[test]
+fn every_markdown_file_a_doc_comment_names_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let mut missing = Vec::new();
+    let mut checked = 0;
+    for file in &files {
+        let text = std::fs::read_to_string(file)
+            .unwrap_or_else(|e| panic!("reading {}: {e}", file.display()));
+        for (k, line) in text.lines().enumerate() {
+            for md in md_paths_in_doc_comment(line) {
+                checked += 1;
+                if !root.join(md).exists() {
+                    missing.push(format!("{}:{}: `{md}`", file.display(), k + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "doc comments name missing files:\n{}",
+        missing.join("\n")
+    );
+    assert!(
+        checked > 0,
+        "no doc comment names a markdown file — extractor broken?"
+    );
+    assert_eq!(
+        md_paths_in_doc_comment("  //! see `docs/A.md`, README.md and docs/*.md"),
+        ["docs/A.md", "README.md"]
+    );
+    assert!(md_paths_in_doc_comment("let s = \"docs/A.md\";").is_empty());
 }
 
 /// What `sweep --grid` runs and its catalogue cannot drift apart: every

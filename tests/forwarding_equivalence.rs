@@ -313,6 +313,8 @@ struct Naive {
     heap: BinaryHeap<Reverse<(Time, u8, usize)>>,
     events: Vec<Option<NaiveEv>>,
     fates: Vec<Fate>,
+    /// Each packet's arrival at the port of its current hop.
+    arrived: Vec<Time>,
 }
 
 impl Naive {
@@ -326,8 +328,9 @@ impl Naive {
             self.fates[pkt.id.0 as usize].dropped = true;
         }
         if let Some(pkt) = act.completed {
-            self.fates[pkt.id.0 as usize].hops.push(HopTimes {
-                arrive: pkt.hop_arrive,
+            let id = pkt.id.0 as usize;
+            self.fates[id].hops.push(HopTimes {
+                arrive: self.arrived[id],
                 tx_start: pkt.hop_first_tx,
                 tx_end: now,
             });
@@ -348,13 +351,13 @@ impl Naive {
     fn run(&mut self) {
         while let Some(Reverse((now, _, k))) = self.heap.pop() {
             match self.events[k].take().expect("each event pops once") {
-                NaiveEv::Arrive { node, mut pkt } => {
+                NaiveEv::Arrive { node, pkt } => {
                     if node == pkt.dst && pkt.at_destination() {
                         self.fates[pkt.id.0 as usize].delivered = Some(now);
                         continue;
                     }
                     let link = pkt.next_link().expect("routed").0 as usize;
-                    pkt.hop_arrive = now;
+                    self.arrived[pkt.id.0 as usize] = now;
                     let act = self.links[link].admit(pkt, now);
                     self.port_actions(link, act, now);
                 }
@@ -495,6 +498,7 @@ fn product_and_naive(
         heap: BinaryHeap::new(),
         events: Vec::new(),
         fates: (0..sends.len()).map(|_| Fate::default()).collect(),
+        arrived: vec![Time::ZERO; sends.len()],
     };
     net.telemetry = Telemetry::new(TraceLevel::Hops);
     net.configure_links(|l| {
@@ -533,7 +537,6 @@ fn product_and_naive(
             hdr: p.hdr.clone(),
             kind,
             qdelay: Dur::ZERO,
-            hop_arrive: p.at,
             hop_first_tx: p.at,
         };
         naive.push(
@@ -547,12 +550,12 @@ fn product_and_naive(
     }
     net.run_to_completion();
     naive.run();
-    let product = net
-        .telemetry
+    let tel = &net.telemetry;
+    let product = tel
         .packets
         .iter()
         .map(|r| Fate {
-            hops: r.hops.clone(),
+            hops: r.hops(&tel.hops).collect(),
             delivered: r.delivered,
             dropped: r.dropped,
         })

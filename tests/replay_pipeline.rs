@@ -141,13 +141,18 @@ fn slacks_are_nonnegative_and_bounded_by_delay() {
     let mut topo = factory();
     let flows = default_udp_workload(&topo, 0.7, Dur::from_millis(4), 3);
     let schedule = record_original(&mut topo, &flows, SchedKind::Random, 3, 1500);
-    for p in &schedule.packets {
+    for p in schedule.iter() {
         let slack = p.slack();
-        assert!(slack >= 0, "negative slack for {:?}/{}", p.flow, p.seq);
-        let delay = p.o.signed_since(p.i);
+        assert!(
+            slack >= 0,
+            "negative slack for {:?}/{}",
+            p.rec.flow,
+            p.rec.seq
+        );
+        let delay = p.o().signed_since(p.i());
         assert!(slack <= delay, "slack exceeds end-to-end delay");
         // On a drop-free run slack equals total queueing delay.
-        assert_eq!(slack, p.qdelay.as_i64(), "slack != queueing delay");
+        assert_eq!(slack, p.qdelay().as_i64(), "slack != queueing delay");
     }
 }
 

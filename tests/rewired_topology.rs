@@ -143,7 +143,7 @@ fn chaos_on_the_source_does_not_leak_into_the_copy() {
     let flows = WorkloadKind::Web.build(&fresh, 0.7, sim.horizon, 5);
     let a = record_original(&mut copy, &flows, SchedKind::Fifo, 5, 1500);
     let b = record_original(&mut fresh, &flows, SchedKind::Fifo, 5, 1500);
-    let outs = |s: &ups::core::RecordedSchedule| s.packets.iter().map(|p| p.o).collect::<Vec<_>>();
+    let outs = |s: &ups::core::RecordedSchedule| s.iter().map(|p| p.o()).collect::<Vec<_>>();
     assert_eq!(outs(&a), outs(&b));
     assert_eq!(copy.net.telemetry.counters.dropped, 0);
     assert_eq!(copy.net.chaos_totals().drops, 0);

@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use ups::net::{
-    ChaosPolicy, FlowId, InjectSource, Injection, LinkPolicy, Network, NodeId, PacketKind,
+    ChaosPolicy, FlowId, HopTx, InjectSource, Injection, LinkPolicy, Network, NodeId, PacketKind,
     PacketRecord, Path, RoutingTable, SchedHeader, Telemetry, TraceLevel,
 };
 use ups::sched::{lstf, SchedKind};
@@ -113,10 +113,9 @@ type PacketRow = (u64, u64, u64, Option<u64>, bool, Vec<HopRow>);
 /// max_queue_pkts, chaos_drops)`.
 type LinkRow = (u64, u64, u64, u64, u64, u64, usize, u64);
 
-fn packet_row(r: &PacketRecord) -> PacketRow {
+fn packet_row(r: &PacketRecord, arena: &[HopTx]) -> PacketRow {
     let hops = r
-        .hops
-        .iter()
+        .hops(arena)
         .map(|h| (h.arrive.as_ps(), h.tx_start.as_ps(), h.tx_end.as_ps()))
         .collect();
     (
@@ -133,7 +132,9 @@ fn outcome(net: &Network) -> Outcome {
     let c = &net.telemetry.counters;
     let chaos = net.chaos_totals();
     Outcome {
-        packets: net.telemetry.packets.iter().map(packet_row).collect(),
+        packets: (net.telemetry.packets.iter())
+            .map(|r| packet_row(r, &net.telemetry.hops))
+            .collect(),
         counters: (
             c.injected,
             c.delivered,

@@ -176,9 +176,8 @@ proptest! {
             let schedule =
                 record_original(&mut orig, &flows, SchedKind::Random, seed, 1500);
             schedule
-                .packets
                 .iter()
-                .map(|p| (p.i.as_ps(), p.o.as_ps()))
+                .map(|p| (p.i().as_ps(), p.o().as_ps()))
                 .collect::<Vec<_>>()
         };
         prop_assert_eq!(once(), once());
