@@ -8,13 +8,9 @@
 //! [`out!`](crate::out), so a closed pipe cannot stop the artifacts) and
 //! writes whatever artifacts it has under the given directory.
 
-// `Scheme::LstfVcWeighted` takes its weights as a hash map; it is only
-// ever looked up by key.
-#![allow(clippy::disallowed_types)]
-
 use crate::runners::*;
 use crate::scale::Scale;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use ups_core::objectives::Scheme;
@@ -194,7 +190,7 @@ fn weighted_fairness() {
         })
         .collect();
     let wanted = [4.0, 2.0, 1.0, 1.0];
-    let weights: HashMap<FlowId, f64> = (0..).map(FlowId).zip(wanted).collect();
+    let weights: BTreeMap<FlowId, f64> = (0..).map(FlowId).zip(wanted).collect();
     let base = Bandwidth::mbps(50);
     let horizon = Time::from_millis(30);
     let even_topo = topo.rewired();

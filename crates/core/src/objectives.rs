@@ -6,19 +6,14 @@
 //! * tail packet delay — LSTF with constant slack (≡ FIFO+) vs FIFO;
 //! * fairness — LSTF with virtual-clock slack vs FIFO / FQ.
 
-// Hash maps here serve keyed lookups only: nothing iterates them, so
-// no hash order can reach a result. Clippy's hash-type ban is relaxed
-// file-wide.
-#![allow(clippy::disallowed_types)]
-
-use std::collections::HashMap;
-use ups_metrics::{throughput_fairness_series, FairnessPoint};
+use std::collections::BTreeMap;
+use ups_metrics::FairnessPoint;
 use ups_net::{FlowId, TraceLevel};
 use ups_sched::SchedKind;
 use ups_sim::{Bandwidth, Dur, Time};
 use ups_topo::Topology;
 use ups_transport::{
-    install_tcp, is_ack_flow, FlowDesc, FlowResult, HeaderStamper, PrioPolicy, SlackPolicy,
+    install_tcp, FlowDesc, FlowResult, HeaderStamper, PrioPolicy, SharedResults, SlackPolicy,
     TcpConfig,
 };
 
@@ -54,7 +49,7 @@ pub enum Scheme {
         /// Unweighted rate estimate.
         base: Bandwidth,
         /// Per-flow weights.
-        weights: std::collections::HashMap<FlowId, f64>,
+        weights: BTreeMap<FlowId, f64>,
     },
 }
 
@@ -113,6 +108,34 @@ impl Scheme {
     }
 }
 
+/// Configure every port for `scheme` with per-port `buffer` bytes and
+/// install TCP for `flows` on a network that records no packet table:
+/// the closed-loop objectives below read only the transport's per-flow
+/// results.
+fn closed_loop_leg(
+    topo: &mut Topology,
+    flows: &[FlowDesc],
+    scheme: &Scheme,
+    buffer: Option<u64>,
+) -> SharedResults {
+    topo.net.telemetry.level = TraceLevel::Off;
+    let kind = scheme.sched_kind();
+    topo.net.configure_links(|l| {
+        ups_net::LinkPolicy::keep()
+            .buffer(buffer)
+            .scheduler(kind.build(l.id, 0))
+    });
+    install_tcp(&mut topo.net, flows, &TcpConfig::default(), || {
+        scheme.stamper()
+    })
+}
+
+/// Each flow's data bytes delivered so far, in `flows` order.
+fn delivered_bytes(results: &SharedResults) -> Vec<u64> {
+    let results = results.lock().expect("results poisoned");
+    results.iter().map(|r| r.delivered_bytes).collect()
+}
+
 /// §3.1 — run TCP flows under `scheme` and return per-flow results.
 ///
 /// `buffer` is the per-port buffer in bytes (the paper uses 5 MB — the
@@ -124,15 +147,7 @@ pub fn run_fct(
     buffer: u64,
     horizon: Time,
 ) -> Vec<FlowResult> {
-    let kind = scheme.sched_kind();
-    topo.net.configure_links(|l| {
-        ups_net::LinkPolicy::keep()
-            .buffer(Some(buffer))
-            .scheduler(kind.build(l.id, 0))
-    });
-    let results = install_tcp(&mut topo.net, flows, &TcpConfig::default(), || {
-        scheme.stamper()
-    });
+    let results = closed_loop_leg(&mut topo, flows, scheme, Some(buffer));
     topo.net.run_until(horizon);
     let out = results.lock().expect("results poisoned").clone();
     out
@@ -169,6 +184,12 @@ pub fn run_tail_delays(
 
 /// §3.3 — run long-lived TCP flows under `scheme` and return the Jain
 /// fairness index per `window` up to `horizon`.
+///
+/// The leg runs one window at a time and differences the receivers'
+/// byte counts, so window `k` holds the deliveries at
+/// `t ∈ [k·window, (k+1)·window)` and none at `t ≥ horizon`. That is
+/// the series [`throughput_fairness_series`](ups_metrics::throughput_fairness_series)
+/// folds from a packet table, without keeping one.
 pub fn run_fairness(
     mut topo: Topology,
     flows: &[FlowDesc],
@@ -177,31 +198,23 @@ pub fn run_fairness(
     horizon: Time,
     buffer: Option<u64>,
 ) -> Vec<FairnessPoint> {
-    let kind = scheme.sched_kind();
-    topo.net.configure_links(|l| {
-        ups_net::LinkPolicy::keep()
-            .buffer(buffer)
-            .scheduler(kind.build(l.id, 0))
-    });
-    let _results = install_tcp(&mut topo.net, flows, &TcpConfig::default(), || {
-        scheme.stamper()
-    });
-    topo.net.run_until(horizon);
-
-    // Per-flow delivered data bytes from telemetry (ACK streams excluded).
-    let index: HashMap<FlowId, usize> = flows.iter().enumerate().map(|(i, f)| (f.id, i)).collect();
-    let deliveries = topo.net.telemetry.packets.iter().filter_map(|r| {
-        let t = r.delivered?;
-        if is_ack_flow(r.flow) {
-            return None;
-        }
-        Some((t, *index.get(&r.flow)?, r.size))
-    });
-    throughput_fairness_series(deliveries, flows.len(), window, horizon)
+    let results = closed_loop_leg(&mut topo, flows, scheme, buffer);
+    let n_windows = horizon.as_ps().div_ceil(window.as_ps());
+    let mut before = vec![0u64; flows.len()];
+    (1..=n_windows)
+        .map(|w| {
+            let end = Time((w * window.as_ps()).min(horizon.as_ps()));
+            topo.net.run_until(end - Dur(1));
+            let now = delivered_bytes(&results);
+            let in_window: Vec<u64> = now.iter().zip(&before).map(|(n, b)| n - b).collect();
+            before = now;
+            FairnessPoint::of_window(Time(w * window.as_ps()), &in_window)
+        })
+        .collect()
 }
 
 /// §3.3 extension — run long-lived TCP flows under `scheme` and return
-/// each flow's delivered data bytes over `[0, horizon)` (weighted-
+/// each flow's delivered data bytes over `[0, horizon]` (weighted-
 /// fairness measurements divide these by the weights).
 pub fn run_goodput(
     mut topo: Topology,
@@ -210,27 +223,9 @@ pub fn run_goodput(
     horizon: Time,
     buffer: Option<u64>,
 ) -> Vec<u64> {
-    let kind = scheme.sched_kind();
-    topo.net.configure_links(|l| {
-        ups_net::LinkPolicy::keep()
-            .buffer(buffer)
-            .scheduler(kind.build(l.id, 0))
-    });
-    let _results = install_tcp(&mut topo.net, flows, &TcpConfig::default(), || {
-        scheme.stamper()
-    });
+    let results = closed_loop_leg(&mut topo, flows, scheme, buffer);
     topo.net.run_until(horizon);
-    let index: HashMap<FlowId, usize> = flows.iter().enumerate().map(|(i, f)| (f.id, i)).collect();
-    let mut bytes = vec![0u64; flows.len()];
-    for r in topo.net.telemetry.packets.iter() {
-        if r.delivered.is_none() || is_ack_flow(r.flow) {
-            continue;
-        }
-        if let Some(&i) = index.get(&r.flow) {
-            bytes[i] += r.size as u64;
-        }
-    }
-    bytes
+    delivered_bytes(&results)
 }
 
 #[cfg(test)]

@@ -31,6 +31,19 @@ pub struct FairnessPoint {
     pub total_bytes: u64,
 }
 
+impl FairnessPoint {
+    /// The sample of the window ending at `t` in which flow `i`
+    /// delivered `bytes[i]` bytes.
+    pub fn of_window(t: Time, bytes: &[u64]) -> FairnessPoint {
+        let xs: Vec<f64> = bytes.iter().map(|&b| b as f64).collect();
+        FairnessPoint {
+            t,
+            jain: jain_index(&xs),
+            total_bytes: bytes.iter().sum(),
+        }
+    }
+}
+
 /// Compute the Jain-index time series from per-packet deliveries.
 ///
 /// `deliveries` is an iterator of `(delivery time, flow index, bytes)`;
@@ -55,14 +68,7 @@ pub fn throughput_fairness_series(
     per_window
         .into_iter()
         .enumerate()
-        .map(|(w, flows)| {
-            let xs: Vec<f64> = flows.iter().map(|&b| b as f64).collect();
-            FairnessPoint {
-                t: Time((w as u64 + 1) * window.as_ps()),
-                jain: jain_index(&xs),
-                total_bytes: flows.iter().sum(),
-            }
-        })
+        .map(|(w, flows)| FairnessPoint::of_window(Time((w as u64 + 1) * window.as_ps()), &flows))
         .collect()
 }
 

@@ -17,7 +17,11 @@ use ups_sim::{Dur, Time};
 pub enum TraceLevel {
     /// Counters only.
     Off,
-    /// Per-packet injection/delivery times (FCT, delay, fairness metrics).
+    /// Per-packet injection/delivery times, without hops: what §3.2's
+    /// per-packet delays (`ups_core::run_tail_delays`) and a table fold
+    /// such as `ups_metrics::throughput_fairness_series` read. The
+    /// closed-loop objectives (FCT, fairness, goodput) record nothing
+    /// per packet and run at `Off`.
     #[default]
     Delivery,
     /// Additionally record per-hop times (replay, congestion points,

@@ -44,7 +44,7 @@ pub struct FlowDesc {
     pub deadline: Option<Dur>,
 }
 
-/// Completion record for one flow.
+/// Completion record and delivery count for one flow.
 #[derive(Debug, Clone)]
 pub struct FlowResult {
     /// The flow.
@@ -55,6 +55,9 @@ pub struct FlowResult {
     pub completed: Option<Time>,
     /// Packets retransmitted (loss diagnostics).
     pub retransmits: u64,
+    /// Data bytes delivered to the receiver so far, at wire size,
+    /// duplicates included.
+    pub delivered_bytes: u64,
 }
 
 impl FlowResult {

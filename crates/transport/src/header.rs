@@ -12,12 +12,7 @@
 //! needs and is owned by whichever component injects packets (a host's
 //! transport endpoint, or the UDP open-loop injector).
 
-// Hash maps here serve keyed lookups only: nothing iterates them, so
-// no hash order can reach a result. Clippy's hash-type ban is relaxed
-// file-wide.
-#![allow(clippy::disallowed_types)]
-
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use ups_net::{FlowId, SchedHeader};
 use ups_sim::{Bandwidth, Dur, Time, PS_PER_SEC};
 
@@ -48,7 +43,7 @@ pub enum SlackPolicy {
         /// The unweighted rate estimate.
         base: Bandwidth,
         /// Per-flow weights (must be > 0).
-        weights: std::collections::HashMap<FlowId, f64>,
+        weights: BTreeMap<FlowId, f64>,
     },
 }
 
@@ -71,7 +66,7 @@ pub struct HeaderStamper {
     /// Priority stamp.
     pub prio: PrioPolicy,
     /// Virtual-clock state: (slack of previous packet, its arrival time).
-    vc: HashMap<FlowId, (i64, Time)>,
+    vc: BTreeMap<FlowId, (i64, Time)>,
 }
 
 impl HeaderStamper {
@@ -80,7 +75,7 @@ impl HeaderStamper {
         HeaderStamper {
             slack,
             prio,
-            vc: HashMap::new(),
+            vc: BTreeMap::new(),
         }
     }
 
@@ -236,7 +231,7 @@ mod tests {
 
     #[test]
     fn weighted_virtual_clock_scales_tau_by_weight() {
-        let mut weights = std::collections::HashMap::new();
+        let mut weights = BTreeMap::new();
         weights.insert(FlowId(0), 2.0); // double share
         weights.insert(FlowId(1), 1.0);
         let mut st = HeaderStamper::new(

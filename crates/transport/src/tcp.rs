@@ -11,14 +11,9 @@
 //! One [`TcpHost`] app per host multiplexes all its sender and receiver
 //! connections. Flow starts are armed as timers at install time.
 
-// Hash maps here serve keyed lookups only: nothing iterates them, so
-// no hash order can reach a result. Clippy's hash-type ban is relaxed
-// file-wide.
-#![allow(clippy::disallowed_types)]
-
 use crate::flow::{ack_flow, data_flow, is_ack_flow, FlowDesc, FlowResult};
 use crate::header::HeaderStamper;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use ups_net::{App, FlowId, Network, NodeId, Packet, PacketKind, Path};
 use ups_sim::{Dur, Time};
@@ -67,7 +62,9 @@ impl TcpConfig {
     }
 }
 
-/// Shared per-flow completion results, indexed by flow id.
+/// Shared per-flow results, indexed by flow id: completions, and the
+/// data bytes delivered so far, which a caller may read between
+/// [`Network::run_until`] steps.
 pub type SharedResults = Arc<Mutex<Vec<FlowResult>>>;
 
 #[derive(Debug)]
@@ -105,9 +102,9 @@ pub struct TcpHost {
     cfg: TcpConfig,
     stamper: HeaderStamper,
     /// Flows sourced here, indexed by their start-timer id.
-    outgoing: HashMap<u64, FlowDesc>,
-    senders: HashMap<FlowId, Sender>,
-    receivers: HashMap<FlowId, Receiver>,
+    outgoing: BTreeMap<u64, FlowDesc>,
+    senders: BTreeMap<FlowId, Sender>,
+    receivers: BTreeMap<FlowId, Receiver>,
     results: SharedResults,
 }
 
@@ -315,12 +312,18 @@ impl TcpHost {
             out_of_order: BTreeSet::new(),
             acks_sent: 0,
         });
-        if pkt.seq >= r.next_expected {
-            r.out_of_order.insert(pkt.seq);
+        // In order: advance without touching the (usually empty)
+        // reorder set, so the common case allocates nothing.
+        if pkt.seq == r.next_expected {
+            r.next_expected += 1;
             while r.out_of_order.remove(&r.next_expected) {
                 r.next_expected += 1;
             }
+        } else if pkt.seq > r.next_expected {
+            r.out_of_order.insert(pkt.seq);
         }
+        self.results.lock().expect("results poisoned")[flow.0 as usize].delivered_bytes +=
+            u64::from(pkt.size);
         let cum = r.next_expected;
         let seq = r.acks_sent;
         r.acks_sent += 1;
@@ -381,6 +384,7 @@ pub fn install_tcp(
                 desc: f.clone(),
                 completed: None,
                 retransmits: 0,
+                delivered_bytes: 0,
             })
             .collect(),
     ));
@@ -390,7 +394,7 @@ pub fn install_tcp(
     }
     let hosts = net.hosts();
     for host in hosts {
-        let mut outgoing = HashMap::new();
+        let mut outgoing = BTreeMap::new();
         for f in flows.iter().filter(|f| f.src == host) {
             outgoing.insert(start_timer_id(f.id), f.clone());
             net.set_timer(host, f.start, start_timer_id(f.id));
@@ -399,8 +403,8 @@ pub fn install_tcp(
             cfg: cfg.clone(),
             stamper: make_stamper(),
             outgoing,
-            senders: HashMap::new(),
-            receivers: HashMap::new(),
+            senders: BTreeMap::new(),
+            receivers: BTreeMap::new(),
             results: Arc::clone(&results),
         };
         net.attach_app(host, Box::new(app));

@@ -2,7 +2,8 @@
 //!
 //! A counting global allocator (one counter per thread, so tests
 //! running side by side do not see each other's allocations) checks
-//! three claims on a small Internet2 UDP workload:
+//! three claims on a small Internet2 UDP workload, and a fourth on a
+//! closed TCP loop:
 //!
 //! * hop tracing costs no allocation per packet: a FIFO leg at
 //!   [`TraceLevel::Hops`] allocates at most a constant more than the
@@ -12,18 +13,22 @@
 //!   table and allocates nothing per packet;
 //! * an Omniscient replay allocates at most one block per packet more
 //!   than an LSTF replay of the same schedule: the `Arc<[Time]>` of
-//!   per-hop scheduling times in its header.
+//!   per-hop scheduling times in its header;
+//! * the fairness leg's heap high-water mark follows the packets in
+//!   flight, not the packets delivered: it keeps no packet table.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
+use ups::core::objectives::Scheme;
 use ups::core::replay::{record_original, replay_schedule, ReplayMode};
 use ups::core::workload::default_udp_workload;
-use ups::core::RecordedSchedule;
-use ups::net::{LinkPolicy, TraceLevel};
+use ups::core::{run_fairness, RecordedSchedule};
+use ups::net::{FlowId, LinkPolicy, TraceLevel};
 use ups::sched::SchedKind;
-use ups::sim::Dur;
+use ups::sim::{Bandwidth, Dur, Time};
 use ups::topo::internet2::{build, I2Config};
+use ups::topo::simple::dumbbell;
 use ups::topo::Topology;
 use ups::transport::flow::FlowDesc;
 use ups::transport::header::{HeaderStamper, PrioPolicy, SlackPolicy};
@@ -31,10 +36,14 @@ use ups::transport::udp::inject_udp_flows;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    // Bytes allocated minus bytes freed on this thread, and the
+    // high-water mark of that balance.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting every `alloc`, `alloc_zeroed` and
-/// `realloc` on the calling thread.
+/// `realloc` on the calling thread, and the live bytes they leave.
 struct Counting;
 
 fn count_one() {
@@ -43,29 +52,40 @@ fn count_one() {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
+fn count_bytes(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; counting touches only a
-// const-initialised thread-local `Cell`, which never allocates.
+// which upholds the `GlobalAlloc` contract; counting touches only
+// const-initialised thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        count_bytes(layout.size() as i64);
         // SAFETY: the caller's contract for `alloc` is passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_one();
+        count_bytes(layout.size() as i64);
         // SAFETY: the caller's contract for `alloc_zeroed` is passed through.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        count_bytes(new_size as i64 - layout.size() as i64);
         // SAFETY: the caller's contract for `realloc` is passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(-(layout.size() as i64));
         // SAFETY: the caller's contract for `dealloc` is passed through.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -79,6 +99,15 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Run `f` and return its result with the most bytes it held live at
+/// once, on top of what was live when it started.
+fn peak_bytes<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(base));
+    let out = f();
+    (out, PEAK.with(Cell::get) - base)
 }
 
 /// A bound that does not grow with the packet count: growing the hop
@@ -166,5 +195,60 @@ fn omniscient_headers_cost_one_allocation_per_packet() {
     assert!(
         omniscient <= lstf + packets + CONSTANT,
         "Omniscient replay made {omniscient} allocations, LSTF {lstf}, for {packets} packets"
+    );
+}
+
+/// The heap high-water mark of a FIFO fairness leg over `horizon`: four
+/// long-lived flows across a 1 Gbps dumbbell bottleneck, 1 ms windows,
+/// 50 kB port buffers, so Reno keeps the packets in flight bounded. The
+/// build is at [`TraceLevel::Delivery`], as Figure 4's is.
+fn fairness_leg_peak(horizon: Time) -> i64 {
+    let topo = dumbbell(
+        4,
+        Bandwidth::gbps(10),
+        Bandwidth::gbps(1),
+        Dur::from_micros(20),
+        TraceLevel::Delivery,
+    );
+    let flows: Vec<FlowDesc> = (0..4)
+        .map(|i| FlowDesc {
+            id: FlowId(i),
+            src: topo.hosts[i as usize],
+            dst: topo.hosts[4 + i as usize],
+            pkts: u64::MAX / 2,
+            start: Time::from_micros(11 * i),
+            deadline: None,
+        })
+        .collect();
+    let (points, peak) = peak_bytes(|| {
+        run_fairness(
+            topo,
+            &flows,
+            &Scheme::Fifo,
+            Dur::from_millis(1),
+            horizon,
+            Some(50_000),
+        )
+    });
+    let delivered: u64 = points.iter().map(|p| p.total_bytes).sum();
+    assert!(
+        delivered > 50_000 * horizon.as_ps() / Time::from_millis(1).as_ps(),
+        "the bottleneck carried only {delivered} bytes in {horizon}"
+    );
+    peak
+}
+
+#[test]
+fn fairness_leg_memory_tracks_packets_in_flight_not_delivered() {
+    // Over 400 ms the bottleneck delivers ~33k data packets and as
+    // many ACKs: a packet table would hold ~4.7 MB, more than the
+    // ~4.2 MB of bucket storage the event wheel keeps. In flight are a
+    // few dozen packets.
+    let h = fairness_leg_peak(Time::from_millis(400));
+    let h2 = fairness_leg_peak(Time::from_millis(800));
+    assert!(h > 0);
+    assert!(
+        h2 * 4 <= h * 5,
+        "peak heap {h2} B over 2H vs {h} B over H: the leg keeps state per delivered packet"
     );
 }

@@ -2,20 +2,15 @@
 //! pipelines) at reduced scale, asserting the paper's qualitative
 //! outcomes.
 
-// Hash maps here serve keyed lookups only: nothing iterates them, so
-// no hash order can reach a result. Clippy's hash-type ban is relaxed
-// file-wide.
-#![allow(clippy::disallowed_types)]
-
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use ups::core::objectives::Scheme;
 use ups::core::{run_fairness, run_fct, run_goodput, run_tail_delays};
-use ups::metrics::Cdf;
-use ups::net::{FlowId, TraceLevel};
+use ups::metrics::{throughput_fairness_series, Cdf};
+use ups::net::{FlowId, LinkPolicy, TraceLevel};
 use ups::sim::{Bandwidth, Dur, Time};
 use ups::topo::simple::dumbbell;
 use ups::topo::Topology;
-use ups::transport::FlowDesc;
+use ups::transport::{install_tcp, is_ack_flow, FlowDesc, TcpConfig};
 
 fn topo() -> Topology {
     dumbbell(
@@ -181,7 +176,7 @@ fn weighted_fairness_splits_in_proportion() {
             deadline: None,
         })
         .collect();
-    let mut weights = HashMap::new();
+    let mut weights = BTreeMap::new();
     weights.insert(FlowId(0), 3.0);
     weights.insert(FlowId(1), 1.0);
     weights.insert(FlowId(2), 1.0);
@@ -202,4 +197,102 @@ fn weighted_fairness_splits_in_proportion() {
         (share0 - 0.5).abs() < 0.08,
         "weight-3 flow got {share0:.3} of goodput, wanted ~0.5"
     );
+}
+
+/// The table pipeline the benchmark walk mirrors: a `Delivery` build,
+/// TCP under `scheme`, one `run_until(horizon)`, then every delivered
+/// data packet of the packet table as `(time, flow index, wire bytes)`,
+/// in delivery order.
+fn table_deliveries(flows: &[FlowDesc], scheme: &Scheme, horizon: Time) -> Vec<(Time, usize, u32)> {
+    let mut t = topo();
+    let kind = scheme.sched_kind();
+    t.net.configure_links(|l| {
+        LinkPolicy::keep()
+            .buffer(None)
+            .scheduler(kind.build(l.id, 0))
+    });
+    let _results = install_tcp(&mut t.net, flows, &TcpConfig::default(), || {
+        scheme.stamper()
+    });
+    t.net.run_until(horizon);
+    let mut out: Vec<(Time, usize, u32)> = t
+        .net
+        .telemetry
+        .packets
+        .iter()
+        .filter(|r| !is_ack_flow(r.flow))
+        .filter_map(|r| Some((r.delivered?, r.flow.0 as usize, r.size)))
+        .collect();
+    out.sort_by_key(|d| d.0);
+    out
+}
+
+#[test]
+fn online_fold_equals_the_table_fold_at_window_and_horizon_boundaries() {
+    let t = topo();
+    let flows: Vec<FlowDesc> = (0..8)
+        .map(|i| FlowDesc {
+            id: FlowId(i),
+            src: t.hosts[i as usize],
+            dst: t.hosts[8 + i as usize],
+            pkts: u64::MAX / 2,
+            start: Time::from_micros(23 * i),
+            deadline: None,
+        })
+        .collect();
+    for scheme in [
+        Scheme::Fifo,
+        Scheme::LstfVc {
+            rest: Bandwidth::mbps(100),
+        },
+    ] {
+        let label = scheme.label();
+        // Read boundaries off a first run: the window is a delivery
+        // time, so that delivery lands exactly at `1·window`, and the
+        // horizon is a later delivery time that is no multiple of it.
+        let first = table_deliveries(&flows, &scheme, Time::from_millis(6));
+        let window = Dur(first[first.len() / 8].0.as_ps());
+        let horizon = first
+            .iter()
+            .rev()
+            .map(|d| d.0)
+            .find(|t| t.as_ps() % window.as_ps() != 0)
+            .expect("a delivery off the window grid");
+        assert!(
+            horizon.as_ps() > 4 * window.as_ps(),
+            "{label}: too few windows"
+        );
+
+        let table = table_deliveries(&flows, &scheme, horizon);
+        let on_boundary = |t: Time| table.iter().filter(|d| d.0 == t).count();
+        assert!(
+            on_boundary(Time(window.as_ps())) > 0,
+            "{label}: no delivery at 1·window"
+        );
+        assert!(
+            on_boundary(horizon) > 0,
+            "{label}: no delivery at the horizon"
+        );
+
+        let want = throughput_fairness_series(table.iter().copied(), flows.len(), window, horizon);
+        let got = run_fairness(topo(), &flows, &scheme, window, horizon, None);
+        assert_eq!(got.len(), want.len(), "{label}: window count");
+        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.t, w.t, "{label}: window {k} end");
+            assert_eq!(g.total_bytes, w.total_bytes, "{label}: window {k} bytes");
+            assert_eq!(
+                g.jain.to_bits(),
+                w.jain.to_bits(),
+                "{label}: window {k} Jain"
+            );
+        }
+
+        // Goodput's end is inclusive: the deliveries at the horizon count.
+        let mut want = vec![0u64; flows.len()];
+        for &(_, i, bytes) in &table {
+            want[i] += u64::from(bytes);
+        }
+        let got = run_goodput(topo(), &flows, &scheme, horizon, None);
+        assert_eq!(got, want, "{label}: goodput over [0, horizon]");
+    }
 }
