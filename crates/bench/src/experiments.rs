@@ -14,9 +14,11 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use ups_core::objectives::Scheme;
+use ups_core::replay::ReplayMode;
 use ups_net::{FlowId, TraceLevel};
+use ups_sched::SchedKind;
 use ups_sim::{Bandwidth, Dur, Time};
-use ups_sweep::{run_sweep, FigReport, SweepReport, SweepSpec};
+use ups_sweep::{run_sweep, CellMetrics, FigReport, SweepReport, SweepSpec};
 use ups_transport::FlowDesc;
 
 /// One runnable experiment of the paper.
@@ -244,8 +246,9 @@ pub fn print_sweep_report(report: &SweepReport) {
     }
 }
 
-/// Print a single-seed replay-row table (the ablations).
-fn print_replay_rows(title: &str, rows: &[ReplayRow]) {
+/// Print a single-seed replay-row table (the ablations, all on
+/// [`ABLATION_TOPO`] at [`ABLATION_UTIL`]).
+fn print_replay_rows(title: &str, rows: &[(SchedKind, ReplayMode, CellMetrics)]) {
     out!("\n=== {title} ===");
     out!(
         "{:<18} {:>5} {:<9} {:<14} {:>9} {:>12} {:>10} {:>8} {:>7} {:>12}",
@@ -260,19 +263,19 @@ fn print_replay_rows(title: &str, rows: &[ReplayRow]) {
         "MaxCP",
         "MeanSlack(us)"
     );
-    for r in rows {
+    for (original, mode, m) in rows {
         out!(
             "{:<18} {:>4.0}% {:<9} {:<14} {:>9} {:>12.6} {:>10.6} {:>8.1} {:>7} {:>12.1}",
-            r.topo,
-            r.util * 100.0,
-            r.original,
-            r.mode,
-            r.total,
-            r.frac_overdue,
-            r.frac_gt_t,
-            r.t_us,
-            r.max_cp,
-            r.mean_slack_us
+            ABLATION_TOPO.label(),
+            ABLATION_UTIL * 100.0,
+            original.label(),
+            mode.label(),
+            m.total,
+            m.frac_overdue,
+            m.frac_gt_t,
+            m.t_us,
+            m.max_cp,
+            m.mean_slack_us
         );
     }
 }

@@ -5,9 +5,8 @@
 
 use crate::scale::Scale;
 use ups_core::objectives::Scheme;
-use ups_core::replay::{record_original, replay_schedule, ReplayMode, ReplayReport};
+use ups_core::replay::{record_original, replay_schedule, ReplayMode};
 use ups_core::workload::{default_udp_workload, to_flow_descs, WorkloadKind};
-use ups_core::RecordedSchedule;
 use ups_metrics::{bucket_means, Cdf, FairnessPoint, SizeBuckets};
 use ups_net::TraceLevel;
 use ups_sched::{LstfKeyMode, SchedKind};
@@ -15,87 +14,32 @@ use ups_sim::{Bandwidth, Dur, Time};
 use ups_sweep::{run_fig_with, CellMetrics, DistMetrics, FigAxis, FigReport, FigSpec, TopoKind};
 use ups_topo::internet2::{self, I2Config, I2Variant};
 
-/// One row of a replayability table.
-#[derive(Debug, Clone)]
-pub struct ReplayRow {
-    /// Topology label.
-    pub topo: String,
-    /// Target utilization of the most-loaded core link.
-    pub util: f64,
-    /// Original scheduling algorithm.
-    pub original: &'static str,
-    /// Replay mode label.
-    pub mode: String,
-    /// Packets replayed.
-    pub total: usize,
-    /// Fraction overdue.
-    pub frac_overdue: f64,
-    /// Fraction overdue by more than `T`.
-    pub frac_gt_t: f64,
-    /// The threshold `T` in microseconds.
-    pub t_us: f64,
-    /// Largest congestion-point count in the original schedule.
-    pub max_cp: usize,
-    /// Mean slack (µs) in the original schedule.
-    pub mean_slack_us: f64,
-}
+/// The topology every ablation records and replays on.
+pub(crate) const ABLATION_TOPO: TopoKind = TopoKind::I2(I2Variant::Default1g10g);
 
-/// Record an original schedule and replay it; returns the row plus the
-/// raw report (for CDFs) and the recorded schedule (for diagnostics).
-/// The pipeline itself is `ups_sweep::record_and_replay_observed`, so
-/// figure runners and the sweep engine cannot drift apart.
-pub fn run_replay(
-    kind: TopoKind,
+/// The target core-link utilization of every ablation.
+pub(crate) const ABLATION_UTIL: f64 = 0.7;
+
+/// The one record leg of the ablations: record `original`'s schedule on
+/// [`ABLATION_TOPO`] at [`ABLATION_UTIL`] (web workload and scheduler
+/// seed `scale.seed`, 1,500-byte MTU), then replay it under each of
+/// `modes` on a [`rewired`](ups_topo::Topology::rewired) copy. Returns
+/// one `(original, mode, metrics)` row per mode.
+fn record_once(
     scale: &Scale,
-    util: f64,
     original: SchedKind,
-    mode: ReplayMode,
-) -> (ReplayRow, ReplayReport, RecordedSchedule) {
-    let coord = ups_sweep::CellCoord {
-        topo: kind,
-        sched: original,
-        util,
-        chaos: ups_sweep::ChaosSpec::OFF,
-    };
-    let run = ups_sweep::record_and_replay_observed(
-        &coord,
-        &scale.sim(),
-        scale.seed,
-        mode,
-        WorkloadKind::Web,
-    );
-    let row = replay_row(
-        kind.label(),
-        util,
-        original.label(),
-        mode.label().to_string(),
-        CellMetrics::of(&run.report, &run.schedule),
-    );
-    (row, run.report, run.schedule)
-}
-
-/// Build a display row from the canonical metric reduction, so the
-/// figure/ablation runners report the exact same values (and unit
-/// conversions) as the sweep engine.
-fn replay_row(
-    topo: String,
-    util: f64,
-    original: &'static str,
-    mode: String,
-    m: CellMetrics,
-) -> ReplayRow {
-    ReplayRow {
-        topo,
-        util,
-        original,
-        mode,
-        total: m.total,
-        frac_overdue: m.frac_overdue,
-        frac_gt_t: m.frac_gt_t,
-        t_us: m.t_us,
-        max_cp: m.max_cp,
-        mean_slack_us: m.mean_slack_us,
-    }
+    modes: &[ReplayMode],
+) -> Vec<(SchedKind, ReplayMode, CellMetrics)> {
+    let mut orig_topo = ABLATION_TOPO.build(&scale.sim());
+    let flows = default_udp_workload(&orig_topo, ABLATION_UTIL, scale.horizon, scale.seed);
+    let schedule = record_original(&mut orig_topo, &flows, original, scale.seed, 1500);
+    modes
+        .iter()
+        .map(|&mode| {
+            let report = replay_schedule(&mut orig_topo.rewired(), &schedule, mode);
+            (original, mode, CellMetrics::of(&report, &schedule))
+        })
+        .collect()
 }
 
 /// The six original schedulers Figure 1 replays.
@@ -168,19 +112,6 @@ pub fn fig1_report(scale: &Scale) -> FigReport {
     })
 }
 
-/// One scheme's Figure 2 result.
-#[derive(Debug)]
-pub struct FctResult {
-    /// Scheme label.
-    pub label: String,
-    /// Mean FCT over completed flows (seconds).
-    pub mean_fct: f64,
-    /// Completed / total flows.
-    pub completed: (usize, usize),
-    /// Per-bucket (mean FCT seconds, flow count).
-    pub buckets: Vec<(f64, usize)>,
-}
-
 /// The four Figure-2 schemes (FIFO, SJF, SRPT, LSTF with fs×D slack).
 pub fn fig2_schemes() -> Vec<Scheme> {
     vec![
@@ -194,8 +125,10 @@ pub fn fig2_schemes() -> Vec<Scheme> {
 }
 
 /// One Figure-2 cell: TCP flows (seed-drawn workload, 5 MB buffers)
-/// under `scheme`, FCTs bucketed by flow size.
-pub fn fig2_cell(scale: &Scale, buckets: &SizeBuckets, scheme: &Scheme, seed: u64) -> FctResult {
+/// under `scheme`; scalars `[mean FCT (s), completed flows, total
+/// flows]`, one point per size bucket (mean FCT in seconds, 0 for a
+/// bucket with no completed flows).
+pub fn fig2_cell(scale: &Scale, buckets: &SizeBuckets, scheme: &Scheme, seed: u64) -> DistMetrics {
     let topo = TopoKind::I2(I2Variant::Default1g10g).build(&scale.sim());
     let flows = default_udp_workload(&topo, 0.7, scale.horizon, seed);
     let horizon = Time::ZERO + scale.horizon * 40 + Dur::from_secs(2);
@@ -212,11 +145,12 @@ pub fn fig2_cell(scale: &Scale, buckets: &SizeBuckets, scheme: &Scheme, seed: u6
     } else {
         fcts.iter().sum::<f64>() / fcts.len() as f64
     };
-    FctResult {
-        label: scheme.label(),
-        mean_fct: mean,
-        completed: (done.len(), res.len()),
-        buckets: bucket_means(buckets, &sizes, &fcts),
+    DistMetrics {
+        scalars: vec![mean, done.len() as f64, res.len() as f64],
+        points: bucket_means(buckets, &sizes, &fcts)
+            .into_iter()
+            .map(|(mean, _)| mean)
+            .collect(),
     }
 }
 
@@ -238,29 +172,8 @@ pub fn fig2_report(scale: &Scale) -> FigReport {
     .with_replicates(scale.replicates)
     .with_seed(scale.seed);
     run_fig_with(&spec, scale.label, scale.jobs, |job| {
-        let r = fig2_cell(scale, &buckets, &schemes[job.series], job.seed);
-        DistMetrics {
-            scalars: vec![r.mean_fct, r.completed.0 as f64, r.completed.1 as f64],
-            points: r.buckets.iter().map(|&(mean, _)| mean).collect(),
-        }
+        fig2_cell(scale, &buckets, &schemes[job.series], job.seed)
     })
-}
-
-/// One scheme's Figure 3 result.
-#[derive(Debug)]
-pub struct TailResult {
-    /// Scheme label.
-    pub label: String,
-    /// Mean packet delay (seconds).
-    pub mean: f64,
-    /// 99th-percentile delay (seconds).
-    pub p99: f64,
-    /// 99.9th-percentile delay (seconds).
-    pub p999: f64,
-    /// Maximum delay (seconds).
-    pub max: f64,
-    /// The full delay distribution for CCDF printing.
-    pub cdf: Cdf,
 }
 
 /// The two Figure-3 schemes: FIFO vs LSTF with constant slack (≡ FIFO+).
@@ -279,22 +192,25 @@ pub fn fig3_percentile_axis() -> Vec<f64> {
 }
 
 /// One Figure-3 cell: per-packet delays under `scheme` on a seed-drawn
-/// open-loop UDP workload (identical load across schemes at one seed).
-/// An empty workload (e.g. `--horizon-ms 0`) yields all-zero statistics
-/// rather than a quantile panic, matching `fig1_cell`'s empty handling.
-pub fn fig3_cell(scale: &Scale, scheme: &Scheme, seed: u64) -> TailResult {
+/// open-loop UDP workload (identical load across schemes at one seed);
+/// scalars `[mean delay (s), packets]`, one point per
+/// [`fig3_percentile_axis`] percentile. An empty workload (e.g.
+/// `--horizon-ms 0`) yields all zeros rather than a quantile panic.
+pub fn fig3_cell(scale: &Scale, scheme: &Scheme, seed: u64) -> DistMetrics {
     let topo = TopoKind::I2(I2Variant::Default1g10g).build(&scale.sim());
     let flows = default_udp_workload(&topo, 0.7, scale.horizon, seed);
     let delays = ups_core::run_tail_delays(topo, &flows, scheme, 1500, None);
     let cdf = Cdf::new(delays);
-    let q = |p: f64| if cdf.is_empty() { 0.0 } else { cdf.quantile(p) };
-    TailResult {
-        label: scheme.label(),
-        mean: cdf.mean(),
-        p99: q(0.99),
-        p999: q(0.999),
-        max: q(1.0),
-        cdf,
+    let ps: Vec<f64> = fig3_percentile_axis().iter().map(|&p| p / 100.0).collect();
+    if cdf.is_empty() {
+        return DistMetrics {
+            scalars: vec![0.0; 2],
+            points: vec![0.0; ps.len()],
+        };
+    }
+    DistMetrics {
+        scalars: vec![cdf.mean(), cdf.len() as f64],
+        points: cdf.quantiles(&ps),
     }
 }
 
@@ -302,29 +218,17 @@ pub fn fig3_cell(scale: &Scale, scheme: &Scheme, seed: u64) -> TailResult {
 /// mean ± stddev over seed replicates.
 pub fn fig3_report(scale: &Scale) -> FigReport {
     let schemes = fig3_schemes();
-    let xs = fig3_percentile_axis();
-    let ps: Vec<f64> = xs.iter().map(|&p| p / 100.0).collect();
     let spec = FigSpec::new(
         "fig3",
         "Figure 3 — tail packet delay percentiles, FIFO vs LSTF(const)",
         schemes.iter().map(|s| s.label()).collect(),
-        FigAxis::numeric("percentile", xs.clone()),
+        FigAxis::numeric("percentile", fig3_percentile_axis()),
     )
     .with_scalars(&["mean_s", "packets"])
     .with_replicates(scale.replicates)
     .with_seed(scale.seed);
     run_fig_with(&spec, scale.label, scale.jobs, |job| {
-        let r = fig3_cell(scale, &schemes[job.series], job.seed);
-        if r.cdf.is_empty() {
-            return DistMetrics {
-                scalars: vec![0.0; 2],
-                points: vec![0.0; ps.len()],
-            };
-        }
-        DistMetrics {
-            scalars: vec![r.mean, r.cdf.len() as f64],
-            points: r.cdf.quantiles(&ps),
-        }
+        fig3_cell(scale, &schemes[job.series], job.seed)
     })
 }
 
@@ -404,79 +308,51 @@ pub fn fig4_report(scale: &Scale) -> FigReport {
     })
 }
 
-/// §2.3(5): non-preemptive vs preemptive LSTF on the hardest originals.
-pub fn ablation_preempt(scale: &Scale) -> Vec<ReplayRow> {
-    let mut rows = Vec::new();
-    for original in [
+/// §2.3(5): non-preemptive vs preemptive LSTF on the hardest originals,
+/// each original recorded once.
+pub fn ablation_preempt(scale: &Scale) -> Vec<(SchedKind, ReplayMode, CellMetrics)> {
+    [
         SchedKind::Sjf,
         SchedKind::Lifo,
         SchedKind::Fifo,
         SchedKind::Random,
-    ] {
-        for mode in [ReplayMode::lstf(), ReplayMode::lstf_preemptive()] {
-            rows.push(
-                run_replay(
-                    TopoKind::I2(I2Variant::Default1g10g),
-                    scale,
-                    0.7,
-                    original,
-                    mode,
-                )
-                .0,
-            );
-        }
-    }
-    rows
+    ]
+    .into_iter()
+    .flat_map(|original| {
+        record_once(
+            scale,
+            original,
+            &[ReplayMode::lstf(), ReplayMode::lstf_preemptive()],
+        )
+    })
+    .collect()
 }
 
 /// §2.3(7) + appendices: same original schedule replayed under every
 /// candidate UPS.
-pub fn ablation_priority(scale: &Scale) -> Vec<ReplayRow> {
-    let kind = TopoKind::I2(I2Variant::Default1g10g);
-    let mut orig_topo = kind.build(&scale.sim());
-    let flows = default_udp_workload(&orig_topo, 0.7, scale.horizon, scale.seed);
-    let schedule = record_original(&mut orig_topo, &flows, SchedKind::Random, scale.seed, 1500);
-    [
-        ReplayMode::lstf(),
-        ReplayMode::Priority,
-        ReplayMode::Edf,
-        ReplayMode::Omniscient,
-    ]
-    .into_iter()
-    .map(|mode| {
-        let report = replay_schedule(&mut orig_topo.rewired(), &schedule, mode);
-        replay_row(
-            kind.label(),
-            0.7,
-            "Random",
-            mode.label().to_string(),
-            CellMetrics::of(&report, &schedule),
-        )
-    })
-    .collect()
+pub fn ablation_priority(scale: &Scale) -> Vec<(SchedKind, ReplayMode, CellMetrics)> {
+    record_once(
+        scale,
+        SchedKind::Random,
+        &[
+            ReplayMode::lstf(),
+            ReplayMode::Priority,
+            ReplayMode::Edf,
+            ReplayMode::Omniscient,
+        ],
+    )
 }
 
 /// LSTF key ablation: the last-bit key `enq + slack + tx` (the slack
 /// left when the last bit is sent, Appendix D; LSTF ≡ EDF under it) vs
 /// the pure deadline `enq + slack`. They order same-size packets alike,
 /// so on this uniform 1,500-byte workload the two rows must match.
-pub fn ablation_lstf_key(scale: &Scale) -> Vec<ReplayRow> {
-    [LstfKeyMode::LastBit, LstfKeyMode::PureDeadline]
-        .into_iter()
-        .map(|key| {
-            run_replay(
-                TopoKind::I2(I2Variant::Default1g10g),
-                scale,
-                0.7,
-                SchedKind::Random,
-                ReplayMode::Lstf {
-                    preemptive: false,
-                    key,
-                },
-            )
-            .0
-        })
-        .collect()
+pub fn ablation_lstf_key(scale: &Scale) -> Vec<(SchedKind, ReplayMode, CellMetrics)> {
+    let modes = [LstfKeyMode::LastBit, LstfKeyMode::PureDeadline].map(|key| ReplayMode::Lstf {
+        preemptive: false,
+        key,
+    });
+    record_once(scale, SchedKind::Random, &modes)
 }
 
 /// §2.2 diagnostic: congestion points per packet across topologies.
@@ -520,21 +396,18 @@ mod tests {
 
     #[test]
     fn replay_row_has_sane_fields() {
-        let (row, report, schedule) = run_replay(
-            TopoKind::I2(I2Variant::Default1g10g),
-            &tiny(),
-            0.5,
-            SchedKind::Random,
-            ReplayMode::lstf(),
-        );
-        assert!(row.total > 0);
-        assert!(row.frac_overdue <= 1.0);
-        assert!(row.frac_gt_t <= row.frac_overdue);
-        assert_eq!(report.total, schedule.len());
+        let rows = record_once(&tiny(), SchedKind::Random, &[ReplayMode::lstf()]);
+        let [(original, mode, m)] = rows[..] else {
+            panic!("one row per mode, got {}", rows.len())
+        };
+        assert_eq!((original, mode), (SchedKind::Random, ReplayMode::lstf()));
+        assert!(m.total > 0);
+        assert!(m.frac_overdue <= 1.0);
+        assert!(m.frac_gt_t <= m.frac_overdue);
         assert!(
-            (row.t_us - 12.0).abs() < 1e-9,
+            (m.t_us - 12.0).abs() < 1e-9,
             "T must be 12us, got {}",
-            row.t_us
+            m.t_us
         );
     }
 
@@ -587,13 +460,8 @@ mod tests {
 
     #[test]
     fn omniscient_is_perfect_on_i2() {
-        let (row, _, _) = run_replay(
-            TopoKind::I2(I2Variant::Default1g10g),
-            &tiny(),
-            0.6,
-            SchedKind::Random,
-            ReplayMode::Omniscient,
-        );
-        assert_eq!(row.frac_overdue, 0.0, "Appendix B violated");
+        let rows = record_once(&tiny(), SchedKind::Random, &[ReplayMode::Omniscient]);
+        assert!(rows[0].2.total > 0);
+        assert_eq!(rows[0].2.frac_overdue, 0.0, "Appendix B violated");
     }
 }

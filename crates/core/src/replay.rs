@@ -58,15 +58,17 @@ impl ReplayMode {
         }
     }
 
-    /// Display label.
+    /// Display label, distinct for every mode and at most 14 characters
+    /// (the ablation tables' Replay column). The pure-deadline LSTF keys
+    /// are marked `deadline` / `dl`; the last-bit default is unmarked.
     pub fn label(&self) -> &'static str {
         match self {
-            ReplayMode::Lstf {
-                preemptive: false, ..
-            } => "LSTF",
-            ReplayMode::Lstf {
-                preemptive: true, ..
-            } => "LSTF(preempt)",
+            ReplayMode::Lstf { preemptive, key } => match (preemptive, key) {
+                (false, LstfKeyMode::LastBit) => "LSTF",
+                (true, LstfKeyMode::LastBit) => "LSTF(preempt)",
+                (false, LstfKeyMode::PureDeadline) => "LSTF(deadline)",
+                (true, LstfKeyMode::PureDeadline) => "LSTF(pre,dl)",
+            },
             ReplayMode::Priority => "Priority(o)",
             ReplayMode::Edf => "EDF",
             ReplayMode::Omniscient => "Omniscient",
@@ -371,6 +373,18 @@ mod tests {
     use ups_net::FlowId;
     use ups_sim::{Bandwidth, Time};
     use ups_topo::simple::{dumbbell, star};
+
+    #[test]
+    fn lstf_labels_are_distinct_and_fit_the_replay_column() {
+        let lstf = [false, true].into_iter().flat_map(|preemptive| {
+            [LstfKeyMode::LastBit, LstfKeyMode::PureDeadline]
+                .map(|key| ReplayMode::Lstf { preemptive, key })
+        });
+        let labels: Vec<&str> = lstf.map(|m| m.label()).collect();
+        let distinct: std::collections::BTreeSet<&str> = labels.iter().copied().collect();
+        assert_eq!(distinct.len(), 4, "{labels:?}");
+        assert!(labels.iter().all(|l| l.chars().count() <= 14), "{labels:?}");
+    }
 
     fn star_factory() -> Topology {
         star(6, Bandwidth::gbps(1), Dur::from_micros(5), TraceLevel::Hops)

@@ -367,12 +367,6 @@ impl Network {
         self.apps[node.0 as usize] = Some(app);
     }
 
-    /// Detach and return the application at `node`, if any. Used after a
-    /// run to harvest application-level results (e.g. flow completions).
-    pub fn take_app(&mut self, node: NodeId) -> Option<Box<dyn App>> {
-        self.apps[node.0 as usize].take()
-    }
-
     // ------------------------------------------------------------------
     // Routing
     // ------------------------------------------------------------------

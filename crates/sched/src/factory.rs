@@ -2,7 +2,7 @@
 //! per-router scheduling from these descriptors (Table 1's "Scheduling
 //! Algorithm" column).
 
-use crate::{drr, edf, fifoplus, fq, lifo, lstf, prio, random, srpt};
+use crate::{edf, fifoplus, fq, lifo, lstf, prio, random, srpt};
 use ups_net::{LinkId, Scheduler};
 
 /// A constructible scheduling algorithm.
@@ -22,8 +22,6 @@ pub enum SchedKind {
     Srpt,
     /// Fair queuing (SCFQ emulation of DKS bit-by-bit round robin).
     Fq,
-    /// Deficit round robin.
-    Drr,
     /// FIFO+ (Clark et al.): credit for upstream queueing delay.
     FifoPlus,
     /// Least Slack Time First.
@@ -38,7 +36,7 @@ pub enum SchedKind {
 impl SchedKind {
     /// Every constructible kind, in Table 1 order (iteration for tests
     /// and exhaustive sweeps).
-    pub const ALL: [SchedKind; 12] = [
+    pub const ALL: [SchedKind; 11] = [
         SchedKind::Fifo,
         SchedKind::Lifo,
         SchedKind::Random,
@@ -46,7 +44,6 @@ impl SchedKind {
         SchedKind::Sjf,
         SchedKind::Srpt,
         SchedKind::Fq,
-        SchedKind::Drr,
         SchedKind::FifoPlus,
         SchedKind::Lstf,
         SchedKind::Edf,
@@ -67,7 +64,6 @@ impl SchedKind {
             SchedKind::Sjf => Box::new(prio::sjf()),
             SchedKind::Srpt => Box::new(srpt::Srpt::new()),
             SchedKind::Fq => Box::new(fq::Fq::new()),
-            SchedKind::Drr => Box::new(drr::Drr::new(1500)),
             SchedKind::FifoPlus => Box::new(fifoplus::fifo_plus()),
             SchedKind::Lstf => Box::new(lstf::lstf()),
             SchedKind::Edf => Box::new(edf::edf()),
@@ -91,7 +87,6 @@ impl SchedKind {
             SchedKind::Sjf => "SJF",
             SchedKind::Srpt => "SRPT",
             SchedKind::Fq => "FQ",
-            SchedKind::Drr => "DRR",
             SchedKind::FifoPlus => "FIFO+",
             SchedKind::Lstf => "LSTF",
             SchedKind::Edf => "EDF",

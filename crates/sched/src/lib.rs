@@ -10,7 +10,6 @@
 //! | [`prio`] | static Priority / SJF | replay comparison, FCT baseline |
 //! | [`srpt`] | SRPT + starvation prevention | FCT state of the art \[3\] |
 //! | [`fq`] | Fair Queuing (SCFQ) | fairness state of the art \[12\] |
-//! | [`drr`] | Deficit Round Robin | extra fairness baseline \[27\] |
 //! | [`fifoplus`] | FIFO+ | tail-delay state of the art \[11\] |
 //! | [`lifo`] | LIFO | replay stress test |
 //! | [`random`] | seeded Random | default "arbitrary" original schedule |
@@ -23,7 +22,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod drr;
 pub mod edf;
 pub mod factory;
 pub mod fifoplus;
@@ -36,7 +34,6 @@ pub mod random;
 pub mod soa;
 pub mod srpt;
 
-pub use drr::Drr;
 pub use edf::{edf, Edf};
 pub use factory::SchedKind;
 pub use fifoplus::{fifo_plus, FifoPlus};

@@ -21,9 +21,9 @@ use ups_sim::Time;
 use ups_topo::Topology;
 use ups_transport::FlowDesc;
 
-/// Per-replicate measurements of one grid cell (the sweep analogue of
-/// `ups-bench`'s `ReplayRow`, without the display strings).
-#[derive(Debug, Clone, Copy)]
+/// Per-replicate measurements of one grid cell, and the row type of
+/// `ups-bench`'s single-seed ablation tables.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellMetrics {
     /// Packets replayed.
     pub total: usize,

@@ -14,7 +14,7 @@
 //!   event-wheel time-series sampling);
 //! * [`net`] — the store-and-forward network model (the ns-2 stand-in);
 //! * [`sched`] — LSTF, EDF, FIFO, LIFO, Random, Priority/SJF, SRPT,
-//!   FQ, DRR, FIFO+;
+//!   FQ, FIFO+;
 //! * [`topo`] — Internet2, synthetic RocketFuel, fat-tree, fixtures;
 //! * [`flowgen`] — Poisson workloads with heavy-tailed flow sizes;
 //! * [`transport`] — open-loop UDP and a compact TCP Reno;

@@ -6,9 +6,11 @@
 //! the repo's markdown, extracts relative links, and asserts each
 //! target exists. External URLs and intra-page anchors are skipped
 //! (the suite runs offline). It also holds docs/SCENARIOS.md to the
-//! grids `sweep --grid` can run, and every markdown file a Rust doc
-//! comment names to a file that exists.
+//! grids `sweep --grid` can run, every markdown file a Rust doc
+//! comment names to a file that exists, and the baseline list in
+//! docs/EXPERIMENTS.md to `baselines/` and CI's diff steps.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// Every markdown file the repo's docs surface comprises.
@@ -180,6 +182,57 @@ fn every_runnable_grid_is_catalogued_and_every_heading_is_runnable() {
     assert!(
         stale.is_empty(),
         "headings naming nothing runnable: {stale:?}"
+    );
+}
+
+/// The `baselines/NAME` files a text names: `NAME` is a run of
+/// file-name characters ending in `.json` or `.txt`, so the directory
+/// itself and shell patterns such as `baselines/${g}_quick.txt` are not
+/// names.
+fn baseline_names(text: &str) -> BTreeSet<String> {
+    text.match_indices("baselines/")
+        .filter_map(|(i, m)| {
+            text[i + m.len()..]
+                .split(|c: char| !(c.is_ascii_alphanumeric() || "_.-".contains(c)))
+                .next()
+        })
+        .filter(|n| n.ends_with(".json") || n.ends_with(".txt"))
+        .map(str::to_string)
+        .collect()
+}
+
+/// The baseline list has one home, docs/EXPERIMENTS.md, and CI gates
+/// every entry: the files in `baselines/`, the `baselines/…` names in
+/// that document and the names the diff steps of `ci.yml` compare
+/// against are one set. A stray or unlisted baseline, or a deleted
+/// diff step, fails here.
+#[test]
+fn every_baseline_is_listed_and_gated() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |rel: &str| {
+        std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("reading {rel}: {e}"))
+    };
+    let committed: BTreeSet<String> = std::fs::read_dir(root.join("baselines"))
+        .expect("baselines/ exists")
+        .map(|e| {
+            let name = e.expect("readable baselines/ entry").file_name();
+            name.to_string_lossy().into_owned()
+        })
+        .collect();
+    let listed = baseline_names(&read("docs/EXPERIMENTS.md"));
+    let ci = read(".github/workflows/ci.yml");
+    let diff_steps: Vec<&str> = ci
+        .lines()
+        .map(str::trim_start)
+        .filter(|l| l.starts_with("- run:") && l.contains("diff "))
+        .collect();
+    let gated = baseline_names(&diff_steps.join("\n"));
+    assert!(!committed.is_empty(), "no committed baselines");
+    assert_eq!(listed, committed, "docs/EXPERIMENTS.md vs baselines/");
+    assert_eq!(gated, committed, "ci.yml diff steps vs baselines/");
+    assert_eq!(
+        baseline_names("`baselines/` cp a baselines/x_quick.json > baselines/${g}_quick.txt"),
+        BTreeSet::from(["x_quick.json".to_string()])
     );
 }
 

@@ -7,8 +7,14 @@ use ups_bench::{
     ablation_lstf_key, ablation_preempt, ablation_priority, congestion_points, fig1_cell,
     fig1_originals, fig2_report, fig3_cell, fig3_schemes, fig4_report, Scale, EXPERIMENTS,
 };
+use ups_core::replay::ReplayMode;
+use ups_core::WorkloadKind;
+use ups_sched::SchedKind;
 use ups_sim::Dur;
-use ups_sweep::{run_sweep, SweepResult, SweepSpec};
+use ups_sweep::{
+    run_sweep, CellCoord, CellMetrics, CellPipeline, ChaosSpec, SweepResult, SweepSpec, TopoKind,
+};
+use ups_topo::internet2::I2Variant;
 
 fn tiny() -> Scale {
     Scale {
@@ -108,10 +114,13 @@ fn fig3_produces_tail_stats() {
         .collect();
     assert_eq!(results.len(), 2);
     for r in &results {
-        assert!(r.mean > 0.0 && r.p99 >= r.mean && r.max >= r.p999);
+        // Scalars: [mean_s, packets]; points: p50, p90, p95, p99,
+        // p99.9, max.
+        let (mean, p) = (r.scalars[0], &r.points);
+        assert!(mean > 0.0 && p[3] >= mean && p[5] >= p[4]);
     }
     // Identical open-loop load: packet counts match.
-    assert_eq!(results[0].cdf.len(), results[1].cdf.len());
+    assert_eq!(results[0].scalars[1], results[1].scalars[1]);
 }
 
 #[test]
@@ -135,20 +144,53 @@ fn fig4_fairness_series_has_all_schemes() {
 fn ablations_run_and_are_consistent() {
     let rows = ablation_priority(&tiny());
     assert_eq!(rows.len(), 4);
-    let lstf = rows.iter().find(|r| r.mode == "LSTF").unwrap();
-    let edf = rows.iter().find(|r| r.mode == "EDF").unwrap();
-    let omni = rows.iter().find(|r| r.mode == "Omniscient").unwrap();
-    assert_eq!(lstf.frac_overdue, edf.frac_overdue, "EDF != LSTF");
-    assert_eq!(omni.frac_overdue, 0.0, "omniscient must be perfect");
+    let row = |mode| rows.iter().find(|r| r.1 == mode).unwrap().2;
+    let lstf = row(ReplayMode::lstf());
+    assert_eq!(
+        lstf.frac_overdue,
+        row(ReplayMode::Edf).frac_overdue,
+        "EDF != LSTF"
+    );
+    assert_eq!(
+        row(ReplayMode::Omniscient).frac_overdue,
+        0.0,
+        "omniscient must be perfect"
+    );
 
     let keys = ablation_lstf_key(&tiny());
     assert_eq!(
-        keys[0].frac_overdue, keys[1].frac_overdue,
+        keys[0].2.frac_overdue, keys[1].2.frac_overdue,
         "key modes must coincide for uniform packet sizes"
     );
 
     let pre = ablation_preempt(&tiny());
     assert_eq!(pre.len(), 8);
+}
+
+#[test]
+fn ablation_leg_matches_the_sweep_leg() {
+    // The ablations record once and replay each mode on a rewired copy;
+    // the sweep engine runs the same cell through its own pipeline. At
+    // I2 1G/10G, Random, 70% and the scale's seed both must produce the
+    // same LSTF metrics, field by field.
+    let scale = tiny();
+    let coord = CellCoord {
+        topo: TopoKind::I2(I2Variant::Default1g10g),
+        sched: SchedKind::Random,
+        util: 0.7,
+        chaos: ChaosSpec::OFF,
+    };
+    let sweep = CellPipeline::Replay.cell(&coord, &scale.sim(), scale.seed, WorkloadKind::Web);
+    let random_lstf = |rows: Vec<(SchedKind, ReplayMode, CellMetrics)>| {
+        rows.into_iter()
+            .find(|r| r.0 == SchedKind::Random && r.1 == ReplayMode::lstf())
+            .expect("a Random/LSTF row")
+            .2
+    };
+    assert!(sweep.total > 0);
+    assert_eq!(random_lstf(ablation_priority(&scale)), sweep);
+    assert_eq!(random_lstf(ablation_preempt(&scale)), sweep);
+    assert_eq!(random_lstf(ablation_lstf_key(&scale)), sweep);
 }
 
 #[test]

@@ -17,7 +17,7 @@
 //!   drop and every link's `LinkStats` agree on random connected
 //!   topologies, the dumbbell, the k=4 fat-tree and random theory
 //!   networks (unit congestion points joined by infinite-bandwidth
-//!   wires) under all twelve `SchedKind`s;
+//!   wires) under all eleven `SchedKind`s;
 //! * a deadline-tagged flow ([`FlowDesc::deadline`]) is served ahead of
 //!   best-effort traffic under LSTF, because open-loop injection
 //!   initializes its header slack from the real remaining time budget.
@@ -615,7 +615,7 @@ fn dumbbell_sends(specs: &[(u64, u64, u64)]) -> (Network, Vec<Send>) {
 
 /// The product's event loop leaves every per-link counter — admitted,
 /// dropped, completed, bytes, busy time, queue high-water mark —
-/// identical to the naive loop's, under all twelve constructible
+/// identical to the naive loop's, under all eleven constructible
 /// scheduling disciplines, on the dumbbell with a finite shared buffer.
 #[test]
 fn link_stats_match_naive_loop_across_schedulers() {
@@ -658,7 +658,7 @@ proptest! {
     /// The product's event loop and the naive loop make the same run —
     /// every packet's hops, delivery and drop, every link's counters —
     /// on random connected topologies, dumbbells, the k=4 fat-tree and
-    /// random theory networks, under all twelve schedulers, with an
+    /// random theory networks, under all eleven schedulers, with an
     /// unbounded or a finite buffer, preemption off or on, and an inert
     /// chaos policy or none.
     #[test]

@@ -35,7 +35,6 @@ fn lstf_replays_every_original_well_on_internet2() {
         SchedKind::Fq,
         SchedKind::Sjf,
         SchedKind::FifoPlus,
-        SchedKind::Drr,
         SchedKind::FqFifoPlusMix,
     ] {
         let mut orig = factory();

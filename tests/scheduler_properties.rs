@@ -13,8 +13,8 @@ use ups::net::testutil::queued_full;
 use ups::net::Fifo;
 use ups::net::{EvictOutcome, Queued, Scheduler};
 use ups::sched::{
-    drr::Drr, edf::edf, fifoplus::fifo_plus, fq::Fq, lifo::Lifo, lstf::lstf, prio::sjf,
-    random::Random, soa::OrderedQueue, srpt::Srpt, Lstf, SchedKind,
+    edf::edf, fifoplus::fifo_plus, fq::Fq, lifo::Lifo, lstf::lstf, prio::sjf, random::Random,
+    soa::OrderedQueue, srpt::Srpt, Lstf, SchedKind,
 };
 
 /// A generated packet description: (flow, slack, prio, enqueue ns).
@@ -44,7 +44,6 @@ fn all_schedulers() -> Vec<Box<dyn Scheduler>> {
         Box::new(sjf()),
         Box::new(Srpt::new()),
         Box::new(Fq::new()),
-        Box::new(Drr::new(1500)),
         Box::new(fifo_plus()),
         Box::new(lstf()),
         Box::new(edf()),
@@ -147,7 +146,7 @@ proptest! {
         for kind in [
             SchedKind::Fifo, SchedKind::Lifo, SchedKind::Random,
             SchedKind::Priority, SchedKind::Sjf, SchedKind::Srpt,
-            SchedKind::Fq, SchedKind::Drr, SchedKind::FifoPlus,
+            SchedKind::Fq, SchedKind::FifoPlus,
             SchedKind::Lstf, SchedKind::Edf, SchedKind::FqFifoPlusMix,
         ] {
             let s = kind.build(ups::net::LinkId(seed as u32), seed);
