@@ -100,14 +100,6 @@ impl ChaosPolicy {
         self.jam = Some(spec);
         self
     }
-
-    /// True when the policy perturbs anything at all.
-    pub fn is_active(&self) -> bool {
-        self.drop_prob > 0.0
-            || !self.failures.is_empty()
-            || self.fail_periodic.is_some()
-            || self.jam.is_some()
-    }
 }
 
 /// A chaos state transition, delivered through the event wheel in the
@@ -283,7 +275,6 @@ mod tests {
     #[test]
     fn inactive_policy_compiles_to_nothing() {
         let p = ChaosPolicy::new(5);
-        assert!(!p.is_active());
         let (state, ev) = compile(&p, LinkId(0), Time::from_millis(1));
         assert!(ev.is_empty());
         assert_eq!(state.drop_prob, 0.0);

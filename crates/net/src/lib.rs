@@ -14,6 +14,9 @@
 // The one crate that may not `forbid(unsafe_code)` (the packet prefetch
 // hint): every `unsafe` block states why it is sound.
 #![deny(clippy::undocumented_unsafe_blocks)]
+// A panic here aborts a whole sweep: each remaining `expect` guards an
+// invariant and carries its own `allow` with the reason.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod chaos;
 pub mod fifo;
@@ -23,7 +26,6 @@ pub mod node;
 pub mod packet;
 pub mod routing;
 pub mod scheduler;
-pub mod slab;
 pub mod source;
 pub mod testutil;
 pub mod trace;
@@ -36,6 +38,5 @@ pub use node::{Node, NodeKind};
 pub use packet::{FlowId, LinkId, NodeId, Packet, PacketId, PacketKind, Path, SchedHeader};
 pub use routing::RoutingTable;
 pub use scheduler::{EvictOutcome, Queued, Scheduler};
-pub use slab::{PacketRef, PacketSlab};
 pub use source::{InjectSource, Injection};
 pub use trace::{Counters, HopTimes, HopTx, PacketRecord, Telemetry, TraceLevel};

@@ -66,15 +66,6 @@ impl Path {
     pub fn tmin(&self, size: u32) -> Dur {
         self.tmin_from(0, size)
     }
-
-    /// The minimum-bandwidth (bottleneck) link on this path.
-    pub fn bottleneck(&self) -> Bandwidth {
-        self.bw
-            .iter()
-            .copied()
-            .min()
-            .expect("empty path has no bottleneck")
-    }
 }
 
 /// Transport-level payload classification.
@@ -228,11 +219,6 @@ mod tests {
         let hop0 = Bandwidth::gbps(10).tx_time(1500) + Dur::from_micros(10);
         assert_eq!(p.tmin_from(1, 1500), full - hop0);
         assert_eq!(p.tmin_from(3, 1500), Dur::ZERO);
-    }
-
-    #[test]
-    fn bottleneck_is_min_bandwidth() {
-        assert_eq!(path3().bottleneck(), Bandwidth::gbps(1));
     }
 
     #[test]

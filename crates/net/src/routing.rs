@@ -144,6 +144,9 @@ fn gateway(
 }
 
 /// `hops.len()` as the next CSR offset.
+// The table holds at most n² entries, which overflow `u32` only past
+// ~65 k nodes — far beyond any topology this simulator builds.
+#[allow(clippy::expect_used)]
 fn end_offset(hops: &[LinkId]) -> u32 {
     u32::try_from(hops.len()).expect("routing table exceeds u32 offsets")
 }
@@ -416,7 +419,7 @@ mod tests {
         // `default_level()`: the builders take the library build's
         // `TraceLevel`, which this test build of the crate cannot name.
         let builds = [
-            (internet2::default_topology(default_level()), 10),
+            (internet2::build(&Default::default(), default_level()), 10),
             (
                 rocketfuel::build(&rocketfuel::RocketFuelConfig::full(), default_level()),
                 83,

@@ -6,8 +6,8 @@
 //! and hands each one over only when the clock reaches its send
 //! instant. The network holds one source at a time and keeps exactly
 //! one pending feeder event for it, so a leg of 190 k packets costs the
-//! event wheel one entry and the packet arena only what is actually in
-//! the network.
+//! event wheel one entry, and only the packets actually in the network
+//! exist as `Packet`s.
 //!
 //! # What is eager, what is lazy
 //!
@@ -21,11 +21,11 @@
 //! order (replay scoring zips it against the recorded schedule).
 //!
 //! *When the feeder fires* at instant `t`, every packet due at `t` is
-//! pulled in source order, stamped, boxed, given an arena slot and put
-//! **at the front of that instant's arrival batch**; only then do the
-//! forwarded arrivals of `t` join the batch, and the feeder is re-armed
-//! at [`next_at`](InjectSource::next_at). The per-hop record buffer,
-//! the `Box<Packet>`, the arena slot and the event are the lazy parts.
+//! pulled in source order, stamped, boxed and put **at the front of
+//! that instant's arrival batch**; only then do the forwarded arrivals
+//! of `t` join the batch, and the feeder is re-armed at
+//! [`next_at`](InjectSource::next_at). The per-hop record buffer,
+//! the `Box<Packet>` and its arrival are the lazy parts.
 //!
 //! # Why this is the order bulk pre-loading produced
 //!

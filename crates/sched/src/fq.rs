@@ -4,20 +4,15 @@
 //! the self-clocked virtual time of SCFQ (Golestani): the virtual time is
 //! the finish tag of the packet most recently chosen for service. On
 //! arrival, a packet of flow `f` with `L` bits gets
-//! `F = max(V, F_last[f]) + L / w_f`, and the smallest finish tag is
-//! served first (FCFS among equal tags). This approximates DKS fair
-//! queuing to within one packet per flow — the same fidelity ns-2's FQ
-//! module provides — and supports per-flow weights.
-//!
-//! Tags are in "virtual bit-times" scaled by 256 to give integer
-//! precision for fractional weights.
+//! `F = max(V, F_last[f]) + L`, and the smallest finish tag is served
+//! first (FCFS among equal tags). This approximates DKS fair queuing to
+//! within one packet per flow — the same fidelity ns-2's FQ module
+//! provides. Tags are integer virtual bit-times.
 
 use crate::soa::OrderedQueue;
 use std::collections::BTreeMap;
 use ups_net::scheduler::{EvictOutcome, Queued, Scheduler};
 use ups_net::FlowId;
-
-const WEIGHT_SCALE: u64 = 256;
 
 /// Self-clocked fair-queuing scheduler.
 #[derive(Debug)]
@@ -32,8 +27,6 @@ pub struct Fq {
     last_finish: BTreeMap<FlowId, u64>,
     /// Current virtual time = tag of the packet last selected for service.
     vtime: u64,
-    /// Per-flow weight numerators (default 1.0); missing = 1.0.
-    weights: BTreeMap<FlowId, f64>,
 }
 
 impl Default for Fq {
@@ -43,33 +36,24 @@ impl Default for Fq {
 }
 
 impl Fq {
-    /// Create an FQ scheduler with unit weights.
+    /// Create an empty FQ scheduler.
     pub fn new() -> Fq {
         Fq {
             q: OrderedQueue::new(),
             last_finish: BTreeMap::new(),
             vtime: 0,
-            weights: BTreeMap::new(),
         }
     }
 
-    /// Assign a weight to a flow (weighted fair queuing). Must be > 0.
-    pub fn set_weight(&mut self, flow: FlowId, w: f64) {
-        assert!(w > 0.0, "non-positive FQ weight");
-        self.weights.insert(flow, w);
-    }
-
     fn finish_tag(&self, q: &Queued) -> u64 {
-        let w = self.weights.get(&q.pkt.flow).copied().unwrap_or(1.0);
         let bits = q.pkt.size as u64 * 8;
-        let cost = ((bits * WEIGHT_SCALE) as f64 / w).round() as u64;
         let start = self
             .last_finish
             .get(&q.pkt.flow)
             .copied()
             .unwrap_or(0)
             .max(self.vtime);
-        start + cost.max(1)
+        start + bits.max(1)
     }
 }
 
@@ -154,26 +138,6 @@ mod tests {
             .map(|q| q.pkt.seq)
             .collect();
         assert_eq!(seqs, (0..6).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn weighted_flow_gets_proportional_share() {
-        let mut s = Fq::new();
-        s.set_weight(FlowId(0), 2.0);
-        s.set_weight(FlowId(1), 1.0);
-        let mut seq = 0;
-        for _ in 0..6 {
-            s.enqueue(queued_flow(0, 0, 0, seq));
-            seq += 1;
-        }
-        for _ in 0..3 {
-            s.enqueue(queued_flow(1, 0, 0, seq));
-            seq += 1;
-        }
-        // In the first 6 services, flow 0 (weight 2) should get ~4.
-        let order = drain(&mut s);
-        let f0_in_first6 = order[..6].iter().filter(|&&f| f == 0).count();
-        assert!(f0_in_first6 >= 4, "weights ignored: {order:?}");
     }
 
     #[test]

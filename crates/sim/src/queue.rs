@@ -345,9 +345,15 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Total number of events ever scheduled (diagnostics).
-    pub fn scheduled_total(&self) -> u64 {
-        self.seq
+    /// Remove every pending event, in no particular order, passing each
+    /// to `f`. For teardown: an owner whose events hold resources frees
+    /// them here without paying for ordered pops.
+    pub fn drain_unordered(&mut self, mut f: impl FnMut(E)) {
+        let buckets = self.buckets.iter_mut().flat_map(|b| b.drain(..));
+        let all = self.cur.drain().chain(buckets).chain(self.far.drain());
+        all.for_each(|Reverse(e)| f(e.event));
+        self.wheel_len = 0;
+        self.occ = [0; OCC_WORDS];
     }
 }
 
@@ -446,7 +452,24 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 50);
         assert_eq!(q.pop().unwrap().1, 75);
         assert_eq!(q.pop().unwrap().1, 100);
-        assert_eq!(q.scheduled_total(), 4);
+    }
+
+    #[test]
+    fn drain_unordered_yields_every_tier_and_leaves_a_working_empty_queue() {
+        let mut q = EventQueue::new();
+        // Current slot, a wheel bucket, and past the wheel horizon.
+        let times = [1, 20_000, 40_000_000];
+        for t in times {
+            q.push(Time::from_nanos(t), 0, t);
+        }
+        let mut drained = Vec::new();
+        q.drain_unordered(|t| drained.push(t));
+        drained.sort_unstable();
+        assert_eq!(drained, times);
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.push(Time::from_micros(30), 0, 7);
+        assert_eq!(q.pop(), Some((Time::from_micros(30), 7)));
     }
 
     #[test]

@@ -103,14 +103,6 @@ impl DetRng {
         debug_assert!(rate_per_sec > 0.0);
         -self.gen_f64_open().ln() / rate_per_sec
     }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.gen_index(i + 1);
-            xs.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -178,15 +170,5 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(c1.next_u64(), c2.next_u64());
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = DetRng::new(3);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 }

@@ -266,13 +266,6 @@ impl Bandwidth {
         let ps = (bits * PS_PER_SEC as u128).div_ceil(self.0 as u128);
         Dur(ps as u64)
     }
-
-    /// Bytes fully serialized in `d` (floor); used by the preemption model
-    /// to account for bits already on the wire.
-    pub fn bytes_in(self, d: Dur) -> u64 {
-        let bits = d.0 as u128 * self.0 as u128 / PS_PER_SEC as u128;
-        (bits / 8) as u64
-    }
 }
 
 impl fmt::Display for Bandwidth {
@@ -321,15 +314,6 @@ mod tests {
         assert_eq!(t.offset(-5_000), Time::from_nanos(5));
         assert_eq!(t.offset(5_000), Time::from_nanos(15));
         assert_eq!(Time::ZERO.offset(-1), Time::ZERO); // saturates
-    }
-
-    #[test]
-    fn bytes_in_inverts_tx_time() {
-        let bw = Bandwidth::gbps(1);
-        let d = bw.tx_time(700);
-        assert_eq!(bw.bytes_in(d), 700);
-        // Half the time -> half the bytes.
-        assert_eq!(bw.bytes_in(d / 2), 350);
     }
 
     #[test]

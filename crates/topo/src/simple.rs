@@ -135,7 +135,7 @@ mod tests {
         assert_eq!(t.hosts.len(), 6);
         let p = t.routes.resolve_path(t.hosts[0], t.hosts[3], FlowId(0));
         assert_eq!(p.hops(), 3);
-        assert_eq!(p.bottleneck(), Bandwidth::gbps(1));
+        assert_eq!(p.bw.iter().min(), Some(&Bandwidth::gbps(1)));
     }
 
     #[test]

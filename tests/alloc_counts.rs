@@ -2,8 +2,8 @@
 //!
 //! A counting global allocator (one counter per thread, so tests
 //! running side by side do not see each other's allocations) checks
-//! three claims on a small Internet2 UDP workload, and a fourth on a
-//! closed TCP loop:
+//! four claims on a small Internet2 UDP workload, and one on a closed
+//! TCP loop:
 //!
 //! * hop tracing costs no allocation per packet: a FIFO leg at
 //!   [`TraceLevel::Hops`] allocates at most a constant more than the
@@ -15,7 +15,8 @@
 //!   than an LSTF replay of the same schedule: the `Arc<[Time]>` of
 //!   per-hop scheduling times in its header;
 //! * the fairness leg's heap high-water mark follows the packets in
-//!   flight, not the packets delivered: it keeps no packet table.
+//!   flight, not the packets delivered: it keeps no packet table;
+//! * a network stopped mid-run frees every packet it still holds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -195,6 +196,29 @@ fn omniscient_headers_cost_one_allocation_per_packet() {
     assert!(
         omniscient <= lstf + packets + CONSTANT,
         "Omniscient replay made {omniscient} allocations, LSTF {lstf}, for {packets} packets"
+    );
+}
+
+/// An arrival event holds its packet without dropping it (see
+/// `ups_net::network`), so a network dropped mid-run frees the packets
+/// of its pending arrivals itself: a leg stopped with packets on the
+/// wire gives back every byte it allocated.
+#[test]
+fn a_network_stopped_mid_run_frees_its_packets() {
+    let flows = workload();
+    let base = LIVE.with(Cell::get);
+    let mut topo = i2(TraceLevel::Off);
+    let routes = Arc::clone(&topo.routes);
+    let mut stamper = HeaderStamper::new(SlackPolicy::None, PrioPolicy::None);
+    inject_udp_flows(&mut topo.net, &routes, &flows, 1500, &mut stamper);
+    topo.net.run_until(Time::from_micros(2_500));
+    let in_flight = topo.net.packets_in_flight();
+    assert!(in_flight > 100, "only {in_flight} packets in flight");
+    drop((topo, routes, stamper));
+    let leaked = LIVE.with(Cell::get) - base;
+    assert_eq!(
+        leaked, 0,
+        "{leaked} bytes outlived a network stopped with {in_flight} packets in flight"
     );
 }
 

@@ -228,7 +228,7 @@ fn an_inert_chaos_policy_changes_no_outcome() {
 }
 
 /// All three perturbation kinds at once on a replay leg: the aggregate
-/// [`ups::net::ChaosTotals`] match the per-link counters, the slab never
+/// [`ups::net::ChaosTotals`] match the per-link counters, no packet
 /// leaks, and the whole lossy pipeline — jam RNG included — reproduces
 /// bit-for-bit.
 #[test]
@@ -267,7 +267,7 @@ fn chaos_counters_export_consistently_and_reproduce() {
             )
         });
         let report = replay_schedule_lossy(&mut topo, &schedule, ReplayMode::lstf());
-        assert_eq!(topo.net.packets_in_flight(), 0, "chaos leaked slab slots");
+        assert_eq!(topo.net.packets_in_flight(), 0, "chaos leaked packets");
         (report, topo)
     };
     let (report, topo) = run();

@@ -1,6 +1,6 @@
 //! Link-down edge cases of the chaos layer: an in-service packet killed
 //! by a failure must be fully accounted (LinkStats, telemetry counters,
-//! no PacketSlab leak), a down link must refuse arrivals, failures must
+//! no packet leak), a down link must refuse arrivals, failures must
 //! drain every scheduler's queue consistently, and jamming must kill
 //! only the in-service packet while the queue survives. Every case runs
 //! at hop level and checks that each drop is located at the port that
@@ -43,7 +43,7 @@ fn assert_drops_located(net: &Network) {
 
 /// One packet, one link, one failure window opening mid-serialization:
 /// the in-service packet must surface as a drop in both the link stats
-/// and the network counters, and must not leak a slab slot.
+/// and the network counters, and must not leak a packet.
 #[test]
 fn failure_mid_transmission_drops_the_in_service_packet_cleanly() {
     let mut topo = line(1, Bandwidth::gbps(1), Dur::from_micros(5), TraceLevel::Hops);
@@ -69,7 +69,7 @@ fn failure_mid_transmission_drops_the_in_service_packet_cleanly() {
     assert_eq!(
         topo.net.packets_in_flight(),
         0,
-        "chaos kill leaked a slab slot"
+        "chaos kill leaked a packet"
     );
     let c = &topo.net.telemetry.counters;
     assert_eq!(c.injected, 1);
@@ -136,7 +136,7 @@ fn a_down_link_refuses_arrivals_and_accounts_every_loss() {
 
 /// A failure drains the whole scheduler queue through the scheduler's
 /// own dequeue for every registered kind: stats stay consistent, the
-/// queue and slab end empty, and post-recovery service still works.
+/// queue ends empty, no packet leaks, and post-recovery service still works.
 #[test]
 fn failure_drains_the_queue_consistently_under_every_scheduler() {
     for kind in SchedKind::ALL {
@@ -168,7 +168,7 @@ fn failure_drains_the_queue_consistently_under_every_scheduler() {
         topo.net.run_to_completion();
 
         let label = kind.label();
-        assert_eq!(topo.net.packets_in_flight(), 0, "{label}: slab leak");
+        assert_eq!(topo.net.packets_in_flight(), 0, "{label}: packet leak");
         let c = &topo.net.telemetry.counters;
         assert_eq!(c.injected, 120, "{label}: injection count");
         assert_eq!(c.delivered + c.dropped, c.injected, "{label}: conservation");
@@ -299,7 +299,7 @@ fn buffer_overflow_and_wire_loss_are_located_at_their_ports() {
         topo.net.run_to_completion();
 
         let label = kind.label();
-        assert_eq!(topo.net.packets_in_flight(), 0, "{label}: slab leak");
+        assert_eq!(topo.net.packets_in_flight(), 0, "{label}: packet leak");
         let c = &topo.net.telemetry.counters;
         assert_eq!(c.delivered + c.dropped, 70, "{label}: conservation");
         let bottleneck = topo

@@ -7,8 +7,9 @@
 //! target exists. External URLs and intra-page anchors are skipped
 //! (the suite runs offline). It also holds docs/SCENARIOS.md to the
 //! grids `sweep --grid` can run, every markdown file a Rust doc
-//! comment names to a file that exists, and the baseline list in
-//! docs/EXPERIMENTS.md to `baselines/` and CI's diff steps.
+//! comment names to a file that exists, the baseline list in
+//! docs/EXPERIMENTS.md to `baselines/` and CI's diff steps, and every
+//! type-like code name in the docs to the sources.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -155,6 +156,107 @@ fn every_markdown_file_a_doc_comment_names_exists() {
         ["docs/A.md", "README.md"]
     );
     assert!(md_paths_in_doc_comment("let s = \"docs/A.md\";").is_empty());
+}
+
+/// The contents of a markdown text's code spans, CommonMark-style: a
+/// run of `n` backticks opens a span that the next run of exactly `n`
+/// closes; a run with no closing partner is literal text.
+fn code_spans(text: &str) -> Vec<&str> {
+    let b = text.as_bytes();
+    let run_end = |i: usize| i + b[i..].iter().take_while(|&&c| c == b'`').count();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < b.len() {
+        if b[i] != b'`' {
+            i += 1;
+            continue;
+        }
+        let open = run_end(i);
+        let (n, mut k) = (open - i, open);
+        i = open;
+        while k < b.len() {
+            if b[k] != b'`' {
+                k += 1;
+                continue;
+            }
+            let close = run_end(k);
+            if close - k == n {
+                out.push(&text[open..k]);
+                i = close;
+                break;
+            }
+            k = close;
+        }
+    }
+    out
+}
+
+/// The CamelCase name a code span leads with: its first `::` segment,
+/// if that is an identifier starting upper-case with a lower-case
+/// letter in it (`Scheme::Fifo` gives `Scheme`; `LSTF`, `README.md`
+/// and `Box<Packet>` give nothing).
+fn camel_name(span: &str) -> Option<&str> {
+    let seg = span.trim().split("::").next()?;
+    let ident = seg.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+    let camel = seg.starts_with(|c: char| c.is_ascii_uppercase())
+        && seg.chars().any(|c| c.is_ascii_lowercase());
+    (ident && camel).then_some(seg)
+}
+
+/// Every type, trait or variant name the docs put in backticks exists
+/// in the code: it appears as a whole word in some `.rs` file under
+/// `crates/`, `src/`, `tests/` or `examples/`, or in `clippy.toml`. A
+/// deleted or renamed item left behind in prose fails here.
+#[test]
+fn every_code_name_in_the_docs_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = vec![root.join("clippy.toml")];
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let mut words = BTreeSet::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file)
+            .unwrap_or_else(|e| panic!("reading {}: {e}", file.display()));
+        words.extend(
+            text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .map(str::to_string),
+        );
+    }
+    let mut missing = Vec::new();
+    let mut checked = BTreeSet::new();
+    for file in doc_files(root) {
+        let text = std::fs::read_to_string(&file)
+            .unwrap_or_else(|e| panic!("reading {}: {e}", file.display()));
+        for name in code_spans(&text).into_iter().filter_map(camel_name) {
+            if checked.insert(name.to_string()) && !words.contains(name) {
+                missing.push(format!("{}: `{name}`", file.display()));
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "the docs name code that does not exist:\n{}",
+        missing.join("\n")
+    );
+    assert!(
+        checked.len() > 30,
+        "only {} names found — extractor broken?",
+        checked.len()
+    );
+    assert_eq!(code_spans("a `X` b ``## `y` `` c ``` d"), ["X", "## `y` "]);
+    let names: Vec<_> = [
+        "Scheme::Fifo",
+        " Network ",
+        "LSTF",
+        "README.md",
+        "Box<Packet>",
+        "fifo",
+    ]
+    .into_iter()
+    .filter_map(camel_name)
+    .collect();
+    assert_eq!(names, ["Scheme", "Network"]);
 }
 
 /// What `sweep --grid` runs and its catalogue cannot drift apart: every

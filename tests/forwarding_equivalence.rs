@@ -305,8 +305,8 @@ struct Fate {
 
 /// The simplest loop that can run the product's ports: pop one event
 /// from a `BinaryHeap` keyed `(time, class, push order)`, hand it to its
-/// [`Link`], push what follows. No slab, no arrival drain, no start
-/// list — a port that wants a start gets a deduplicated `StartTx`.
+/// [`Link`], push what follows. No arrival drain, no start list — a
+/// port that wants a start gets a deduplicated `StartTx`.
 struct Naive {
     links: Vec<Link>,
     start_pending: Vec<bool>,

@@ -179,7 +179,7 @@ fn lossy_replay_fidelity_degrades_monotonically_with_drop_rate() {
             });
         }
         let r = replay_schedule_lossy(&mut t, &schedule, ReplayMode::lstf());
-        assert_eq!(t.net.packets_in_flight(), 0, "slab leak at p={p}");
+        assert_eq!(t.net.packets_in_flight(), 0, "packet leak at p={p}");
         r
     };
 

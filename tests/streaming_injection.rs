@@ -249,7 +249,7 @@ fn run_case(case: &Case, feed: Feed) -> Outcome {
     let flows = random_flows(&topo.hosts, case.flows, case.seed);
     feed_udp(feed, &mut topo, &flows, &mut stamper());
     topo.net.run_to_completion();
-    assert_eq!(topo.net.packets_in_flight(), 0, "arena leak");
+    assert_eq!(topo.net.packets_in_flight(), 0, "packet leak");
     outcome(&topo.net)
 }
 
