@@ -295,7 +295,7 @@ mod tests {
         assert!(k4.routes.ecmp_width(edge_switch, b) > 1);
         let topos = [
             k4,
-            internet2::build(&Default::default(), TraceLevel::Off),
+            internet2::default_topology(TraceLevel::Off),
             rocketfuel::build(&rocketfuel::RocketFuelConfig::default(), TraceLevel::Off),
         ];
         for t in &topos {

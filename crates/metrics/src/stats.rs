@@ -37,6 +37,11 @@ impl Cdf {
         idx as f64 / self.sorted.len() as f64
     }
 
+    /// Fraction of samples > `x` (complementary CDF).
+    pub fn ccdf_at(&self, x: f64) -> f64 {
+        1.0 - self.at(x)
+    }
+
     /// The `p`-quantile (0 ≤ p ≤ 1), nearest-rank.
     pub fn quantile(&self, p: f64) -> f64 {
         assert!((0.0..=1.0).contains(&p));
@@ -268,6 +273,7 @@ mod tests {
         assert_eq!(c.at(0.5), 0.0);
         assert_eq!(c.at(2.0), 0.5);
         assert_eq!(c.at(10.0), 1.0);
+        assert_eq!(c.ccdf_at(3.0), 0.25);
         assert_eq!(c.mean(), 2.5);
     }
 

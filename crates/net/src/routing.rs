@@ -419,7 +419,7 @@ mod tests {
         // `default_level()`: the builders take the library build's
         // `TraceLevel`, which this test build of the crate cannot name.
         let builds = [
-            (internet2::build(&Default::default(), default_level()), 10),
+            (internet2::default_topology(default_level()), 10),
             (
                 rocketfuel::build(&rocketfuel::RocketFuelConfig::full(), default_level()),
                 83,

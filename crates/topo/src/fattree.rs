@@ -263,7 +263,7 @@ mod tests {
     #[test]
     fn uniform_10g_means_t_is_1_2us() {
         let t = k4();
-        assert_eq!(t.net.bottleneck_bw(), Bandwidth::gbps(10));
-        assert_eq!(t.net.bottleneck_bw().tx_time(1500), Dur::from_nanos(1200));
+        assert_eq!(t.bottleneck_core_bw(), Bandwidth::gbps(10));
+        assert_eq!(t.bottleneck_core_bw().tx_time(1500), Dur::from_nanos(1200));
     }
 }

@@ -159,6 +159,11 @@ pub fn build(cfg: &I2Config, level: TraceLevel) -> Topology {
     topo
 }
 
+/// The default scenario of §2.3 (I2:1Gbps-10Gbps, 10 edges per core).
+pub fn default_topology(level: TraceLevel) -> Topology {
+    build(&I2Config::default(), level)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,8 +227,8 @@ mod tests {
     #[test]
     fn bottleneck_is_core_1gbps() {
         let t = small(I2Variant::Default1g10g);
-        assert_eq!(t.net.bottleneck_bw(), Bandwidth::gbps(1));
+        assert_eq!(t.bottleneck_core_bw(), Bandwidth::gbps(1));
         // T = 12us for 1500B at 1Gbps — the paper's threshold.
-        assert_eq!(t.net.bottleneck_bw().tx_time(1500), Dur::from_micros(12));
+        assert_eq!(t.bottleneck_core_bw().tx_time(1500), Dur::from_micros(12));
     }
 }

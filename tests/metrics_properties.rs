@@ -24,6 +24,9 @@ proptest! {
             last = p;
         }
         prop_assert_eq!(cdf.at(max), 1.0);
+        // CCDF complements CDF.
+        let probe = max / 2.0;
+        prop_assert!((cdf.at(probe) + cdf.ccdf_at(probe) - 1.0).abs() < 1e-12);
     }
 
     #[test]
