@@ -78,6 +78,7 @@ pub fn fig1_cell(scale: &Scale, orig: SchedKind, seed: u64) -> Cdf {
         seed,
         ReplayMode::lstf(),
         WorkloadKind::Web,
+        None,
     );
     Cdf::new(run.report.qdelay_ratios)
 }

@@ -114,6 +114,12 @@ pub struct DeadlineSchedule {
     pub tags: Vec<DeadlineTag>,
 }
 
+impl From<DeadlineSchedule> for RecordedSchedule {
+    fn from(ds: DeadlineSchedule) -> RecordedSchedule {
+        ds.schedule
+    }
+}
+
 /// Per-packet virtual deadline: a tagged flow's packets all share the
 /// flow's completion deadline `start + budget` (the whole flow must be
 /// done by then, so its last packet's constraint binds every packet);

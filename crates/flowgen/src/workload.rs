@@ -295,7 +295,7 @@ mod tests {
         assert!(k4.routes.ecmp_width(edge_switch, b) > 1);
         let topos = [
             k4,
-            internet2::default_topology(TraceLevel::Off),
+            internet2::build(&internet2::I2Config::default(), TraceLevel::Off),
             rocketfuel::build(&rocketfuel::RocketFuelConfig::default(), TraceLevel::Off),
         ];
         for t in &topos {

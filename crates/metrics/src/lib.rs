@@ -2,7 +2,7 @@
 //! empirical CDFs/CCDFs and percentiles (Figures 1 and 3), flow-size
 //! bucketed means (Figure 2), Jain's fairness index over sliding windows
 //! (Figure 4), summary statistics for the Table 1 reports, and deadline
-//! miss-rate/lateness ledgers recorded through the `ups-obs` registry.
+//! miss-rate/lateness ledgers (lateness kept in an `ups-obs` histogram).
 
 #![forbid(unsafe_code)]
 

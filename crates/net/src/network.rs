@@ -240,12 +240,13 @@ pub struct Network {
 }
 
 impl Network {
-    /// Create an empty network recording at the given level.
+    /// Create an empty network recording at the given level. It samples
+    /// only once [`Network::enable_sampling`] is called.
     ///
-    /// If a process-wide sampling cadence is set
-    /// ([`ups_obs::set_sample_interval`]), sampling starts enabled at
-    /// that cadence — this is how the sweep engine's pooled workers pick
-    /// up `--telemetry` without any runner plumbing.
+    /// Compatibility path: if the hidden process-wide cadence
+    /// (`ups_obs::set_sample_interval`) is set, sampling starts enabled
+    /// at it. Only the repo benchmark's closed-loop sampling pass sets
+    /// it; ROADMAP item 7b deletes this read with the global.
     pub fn new(level: TraceLevel) -> Network {
         let mut net = Network {
             nodes: Vec::new(),

@@ -1,4 +1,4 @@
-//! Fixed log2-bucket histogram: integer counts, exact merge.
+//! Fixed log2-bucket histogram: integer counts, exact quantile bounds.
 
 /// Number of buckets: one for zero plus one per possible bit width.
 pub const BUCKETS: usize = 65;
@@ -8,9 +8,8 @@ pub const BUCKETS: usize = 65;
 /// Bucket 0 holds the value 0; bucket `b >= 1` holds values whose bit
 /// width is `b`, i.e. the half-open range `[2^(b-1), 2^b)`. Recording
 /// is a single `leading_zeros` plus an array bump — no allocation, no
-/// floating point — and merge is bucket-wise integer addition, which
-/// makes aggregation exactly associative and commutative regardless of
-/// shard order (the property the parallel sweep relies on).
+/// floating point — so the state, and every bucket bound read off it,
+/// is exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: [u64; BUCKETS],
@@ -57,16 +56,6 @@ impl Histogram {
         self.sum = self.sum.saturating_add(value);
     }
 
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
     /// Mean of all samples, or 0.0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -76,15 +65,9 @@ impl Histogram {
         }
     }
 
-    /// Raw bucket counts.
-    pub fn buckets(&self) -> &[u64; BUCKETS] {
-        &self.buckets
-    }
-
     /// Upper bound of the bucket where the cumulative count first
     /// reaches `q` (0 < q <= 1) of the total; 0 when empty. A bucketed
-    /// quantile is integer-exact and merge-stable, unlike interpolated
-    /// percentiles.
+    /// quantile is integer-exact, unlike interpolated percentiles.
     pub fn quantile_upper(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -98,15 +81,6 @@ impl Histogram {
             }
         }
         u64::MAX
-    }
-
-    /// Fold another histogram in: bucket-wise addition.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
     }
 }
 
@@ -132,47 +106,10 @@ mod tests {
         for v in [1u64, 2, 3, 100, 1000] {
             h.record(v);
         }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1106);
+        assert_eq!(h.mean(), 1106.0 / 5.0);
         // 100 lives in [64,128): upper bound 127.
         assert_eq!(h.quantile_upper(0.8), 127);
         // 1000 lives in [512,1024): upper bound 1023.
         assert_eq!(h.quantile_upper(1.0), 1023);
-    }
-
-    /// Merge is associative and commutative across shard orders: any
-    /// parenthesization / permutation of per-shard histograms yields
-    /// identical state.
-    #[test]
-    fn merge_is_associative_and_commutative() {
-        let shard = |seed: u64| {
-            let mut h = Histogram::new();
-            let mut x = seed;
-            for _ in 0..50 {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                h.record(x >> (x % 40));
-            }
-            h
-        };
-        let (a, b, c) = (shard(1), shard(2), shard(3));
-
-        // (a + b) + c
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        // a + (b + c)
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left, right, "merge is not associative");
-
-        // c + a + b (a different permutation)
-        let mut perm = c.clone();
-        perm.merge(&a);
-        perm.merge(&b);
-        assert_eq!(left, perm, "merge is not commutative");
     }
 }

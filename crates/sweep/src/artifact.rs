@@ -423,9 +423,14 @@ pub(crate) fn csv_field(s: &str) -> String {
     }
 }
 
-/// `<dir>/<name>.json` + `<dir>/<name>.csv` writer shared by both
-/// report kinds; returns the two paths.
-fn write_pair(dir: &Path, name: &str, json: String, csv: String) -> io::Result<(PathBuf, PathBuf)> {
+/// `<dir>/<name>.json` + `<dir>/<name>.csv` writer shared by every
+/// report kind; returns the two paths.
+pub(crate) fn write_pair(
+    dir: &Path,
+    name: &str,
+    json: String,
+    csv: String,
+) -> io::Result<(PathBuf, PathBuf)> {
     std::fs::create_dir_all(dir)?;
     let json_path = dir.join(format!("{name}.json"));
     let csv_path = dir.join(format!("{name}.csv"));

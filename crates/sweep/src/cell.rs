@@ -17,7 +17,7 @@ use ups_core::workload::WorkloadKind;
 use ups_core::RecordedSchedule;
 use ups_net::Telemetry;
 use ups_obs::NetSeries;
-use ups_sim::Time;
+use ups_sim::{Dur, Time};
 use ups_topo::Topology;
 use ups_transport::FlowDesc;
 
@@ -101,11 +101,11 @@ pub struct DistMetrics {
 
 /// Everything one observed replicate produced: the replay score, the
 /// recorded schedule, deadline outcomes (when the workload tagged
-/// flows), and — when process-wide sampling is enabled
-/// ([`ups_obs::set_sample_interval`]) — the time series sampled during
-/// the *original* (record) run, where `coord.sched` actually shapes the
-/// queues. The replay leg is always LSTF-family, so its series would
-/// not vary with the cell's scheduler coordinate.
+/// flows), and — when the leg was given a sampling cadence — the time
+/// series sampled during the *original* (record) run, where
+/// `coord.sched` actually shapes the queues. The replay leg never
+/// samples: it is always LSTF-family, so its series would not vary with
+/// the cell's scheduler coordinate.
 #[derive(Debug)]
 pub struct ObservedRun {
     /// Replay score.
@@ -116,7 +116,8 @@ pub struct ObservedRun {
     pub deadline: Option<DeadlineCell>,
     /// Chaos outcomes, when the cell's spec enables perturbation.
     pub chaos: Option<ChaosCell>,
-    /// Queue/utilization time series of the record run, when sampling.
+    /// Queue/utilization time series of the record run, when `sample`
+    /// was given.
     pub series: Option<NetSeries>,
 }
 
@@ -134,10 +135,10 @@ impl ObservedRun {
 /// The record-and-replay pipeline shared by the sweep engine and
 /// `ups-bench`'s runners: record `coord.sched`'s schedule on a fresh
 /// topology (`workload` traffic, 1500-byte MTU), take its `rewired()`
-/// copy, and replay on that under `mode`. The record-run sampler series
-/// is taken before the topology drops, and the replay's delivery
-/// telemetry is reduced to deadline outcomes; observing is strictly
-/// read-only over both runs. Pure in its arguments — same inputs, same
+/// copy, and replay on that under `mode`. With `sample`, the record run
+/// is sampled at that cadence and its series is taken before the
+/// topology drops. The replay's delivery telemetry is reduced to
+/// deadline outcomes; observing is strictly read-only over both runs. Pure in its arguments — same inputs, same
 /// outputs — which is what lets the pool run cells in any order.
 pub fn record_and_replay_observed(
     coord: &CellCoord,
@@ -145,12 +146,14 @@ pub fn record_and_replay_observed(
     seed: u64,
     mode: ReplayMode,
     workload: WorkloadKind,
+    sample: Option<Dur>,
 ) -> ObservedRun {
     observed_leg(
         coord,
         sim,
         seed,
         workload,
+        sample,
         |topo, flows| record_original(topo, flows, coord.sched, seed, 1500),
         |topo, schedule, lossy| {
             let replay = if lossy {
@@ -160,25 +163,28 @@ pub fn record_and_replay_observed(
             };
             replay(topo, schedule, mode)
         },
-        |schedule| schedule,
     )
 }
 
 /// The one observed leg both pipelines run: build the cell's topology,
-/// draw its flows, `record` the original, harvest the sampler series,
-/// and `replay` on the [`rewired`](Topology::rewired) copy — strict, or
-/// lossy under the cell's chaos policy.
-fn observed_leg<S>(
+/// draw its flows, `record` the original (sampled every `sample`, when
+/// given), harvest the sampler series, and `replay` on the
+/// [`rewired`](Topology::rewired) copy — strict, or lossy under the
+/// cell's chaos policy.
+fn observed_leg<S: Into<RecordedSchedule>>(
     coord: &CellCoord,
     sim: &SimScale,
     seed: u64,
     workload: WorkloadKind,
+    sample: Option<Dur>,
     record: impl FnOnce(&mut Topology, &[FlowDesc]) -> S,
     replay: impl FnOnce(&mut Topology, &S, bool) -> ReplayReport,
-    schedule_of: impl FnOnce(S) -> RecordedSchedule,
 ) -> ObservedRun {
     let mut orig_topo = coord.topo.build(sim);
     let flows = workload.build(&orig_topo, coord.util, sim.horizon, seed);
+    if let Some(interval) = sample {
+        orig_topo.net.enable_sampling(interval);
+    }
     let recorded = record(&mut orig_topo, &flows);
     let series = orig_topo.net.take_series();
     // The record leg always runs clean — chaos perturbs the *replay*
@@ -209,7 +215,7 @@ fn observed_leg<S>(
     let deadline = deadline_cell(&flows, &replay_topo.net.telemetry);
     ObservedRun {
         report,
-        schedule: schedule_of(recorded),
+        schedule: recorded.into(),
         deadline,
         chaos,
         series,
@@ -265,17 +271,19 @@ pub enum CellPipeline {
 }
 
 impl CellPipeline {
-    /// Run one observed replicate through this pipeline.
+    /// Run one observed replicate through this pipeline, sampling the
+    /// record leg every `sample` when given.
     pub fn observed(
         self,
         coord: &CellCoord,
         sim: &SimScale,
         seed: u64,
         workload: WorkloadKind,
+        sample: Option<Dur>,
     ) -> ObservedRun {
         match self {
             CellPipeline::Replay => {
-                record_and_replay_observed(coord, sim, seed, ReplayMode::lstf(), workload)
+                record_and_replay_observed(coord, sim, seed, ReplayMode::lstf(), workload, sample)
             }
             // Record EDF on virtual deadlines, replay under the candidate
             // named by `coord.sched`.
@@ -291,6 +299,7 @@ impl CellPipeline {
                     sim,
                     seed,
                     workload,
+                    sample,
                     |topo, flows| record_deadline_original(topo, flows, 1500),
                     |topo, ds, lossy| {
                         let replay = if lossy {
@@ -300,7 +309,6 @@ impl CellPipeline {
                         };
                         replay(topo, ds, mode)
                     },
-                    |ds| ds.schedule,
                 )
             }
         }
@@ -314,7 +322,7 @@ impl CellPipeline {
         seed: u64,
         workload: WorkloadKind,
     ) -> CellMetrics {
-        self.observed(coord, sim, seed, workload).metrics()
+        self.observed(coord, sim, seed, workload, None).metrics()
     }
 }
 
@@ -323,7 +331,6 @@ mod tests {
     use super::*;
     use crate::grid::{ChaosSpec, TopoKind};
     use ups_sched::SchedKind;
-    use ups_sim::Dur;
     use ups_topo::internet2::I2Variant;
 
     fn tiny() -> SimScale {
@@ -357,6 +364,27 @@ mod tests {
         // A different seed draws a different workload.
         let c = web_cell(&coord, 8);
         assert_ne!(a.total, c.total);
+    }
+
+    #[test]
+    fn sampling_is_an_argument_of_the_record_leg_only() {
+        let coord = CellCoord {
+            topo: TopoKind::I2(I2Variant::Default1g10g),
+            sched: SchedKind::Random,
+            util: 0.5,
+            chaos: ChaosSpec::OFF,
+        };
+        let interval = Dur::from_micros(100);
+        let run =
+            |sample| CellPipeline::Replay.observed(&coord, &tiny(), 7, WorkloadKind::Web, sample);
+        let (off, on) = (run(None), run(Some(interval)));
+        assert!(off.series.is_none());
+        let series = on.series.as_ref().expect("the record leg was sampled");
+        assert_eq!(series.interval, interval);
+        let links = coord.topo.build(&tiny()).net.links.len() as u64;
+        assert_eq!(series.links, links);
+        assert!(!series.samples.is_empty());
+        assert_eq!(off.metrics(), on.metrics());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! of network state per grid cell.
 //!
 //! A telemetry sweep runs the same record-and-replay cells as a table
-//! sweep, with event-wheel sampling enabled
-//! ([`ups_obs::set_sample_interval`]) during the *record* leg — the run
+//! sweep, passing its cadence to [`CellPipeline::observed`] so that
+//! event-wheel sampling runs during the *record* leg only — the run
 //! where the cell's original scheduler actually shapes the queues. Each
 //! replicate's [`NetSeries`] is resampled (last observation carried
 //! forward) onto a fixed x-grid of `ceil(2 × horizon / interval)`
@@ -20,7 +20,7 @@
 // explicit Display path. (`format!` is not covered by this lint.)
 #![deny(clippy::use_debug)]
 
-use crate::artifact::{csv_field, Json};
+use crate::artifact::{csv_field, write_pair, Json};
 use crate::cell::{CellMetrics, CellPipeline};
 use crate::engine::{aggregate_cells, Stat, SweepReport};
 use crate::grid::{CellCoord, SimScale, SweepSpec};
@@ -58,8 +58,8 @@ pub struct TelemetrySeries {
 pub struct TelemetryCell {
     /// The grid coordinate.
     pub coord: CellCoord,
-    /// Replicates that produced a series (0 when sampling was compiled
-    /// out or disabled).
+    /// Replicates that produced a series (every replicate: each record
+    /// leg is sampled).
     pub replicates: usize,
     /// Links in the observed network.
     pub links: u64,
@@ -91,12 +91,8 @@ pub struct TelemetryReport {
     pub cells: Vec<TelemetryCell>,
 }
 
-/// Run `spec`'s cells with event-wheel sampling enabled, producing both
-/// the ordinary table report and the telemetry artifact.
-///
-/// Sets the process-wide sample interval for the duration of the sweep
-/// and restores the previous value afterwards — callers that flip the
-/// global concurrently (tests) must serialize with this.
+/// Run `spec`'s cells with each record leg sampled every `interval`,
+/// producing both the ordinary table report and the telemetry artifact.
 pub fn run_telemetry_sweep(
     spec: &SweepSpec,
     sim: &SimScale,
@@ -113,14 +109,11 @@ pub fn run_telemetry_sweep(
     } else {
         spec
     };
-    let previous = ups_obs::sample_interval();
-    ups_obs::set_sample_interval(Some(interval));
     let expanded = spec.jobs();
     let measured = run_indexed(&expanded, jobs, |_, job| {
-        let run = pipeline.observed(&job.coord, sim, job.seed, workload);
+        let run = pipeline.observed(&job.coord, sim, job.seed, workload, Some(interval));
         (run.metrics(), run.series)
     });
-    ups_obs::set_sample_interval(previous);
 
     let (metrics, series): (Vec<CellMetrics>, Vec<Option<NetSeries>>) =
         measured.into_iter().unzip();
@@ -282,12 +275,7 @@ impl TelemetryReport {
     /// Write `<dir>/<name>.json` and `<dir>/<name>.csv` (creating `dir`
     /// if needed); returns the two paths.
     pub fn write(&self, dir: &Path) -> io::Result<(PathBuf, PathBuf)> {
-        std::fs::create_dir_all(dir)?;
-        let json_path = dir.join(format!("{}.json", self.name));
-        let csv_path = dir.join(format!("{}.csv", self.name));
-        std::fs::write(&json_path, self.to_json())?;
-        std::fs::write(&csv_path, self.to_csv())?;
-        Ok((json_path, csv_path))
+        write_pair(dir, &self.name, self.to_json(), self.to_csv())
     }
 }
 
@@ -318,8 +306,6 @@ mod tests {
         .with_replicates(2)
     }
 
-    /// One end-to-end test owns every assertion that needs the
-    /// process-wide sampling global, so nothing here races it.
     #[test]
     fn telemetry_sweep_samples_and_diffs_cleanly() {
         let interval = Dur::from_micros(100);
@@ -331,8 +317,6 @@ mod tests {
             CellPipeline::Replay,
             interval,
         );
-        // Sampling restored the global to its prior (off) state.
-        assert_eq!(ups_obs::sample_interval(), None);
         assert_eq!(table.results.len(), 1);
         assert_eq!(telemetry.cells.len(), 1);
         assert_eq!(telemetry.name, "telemetry-test_telemetry");

@@ -263,7 +263,9 @@ mod tests {
     #[test]
     fn uniform_10g_means_t_is_1_2us() {
         let t = k4();
-        assert_eq!(t.bottleneck_core_bw(), Bandwidth::gbps(10));
-        assert_eq!(t.bottleneck_core_bw().tx_time(1500), Dur::from_nanos(1200));
+        let bw = |l: &ups_net::LinkId| t.net.links[l.0 as usize].bw;
+        let core_bw = t.core_links.iter().map(bw).min().expect("core links");
+        assert_eq!(core_bw, Bandwidth::gbps(10));
+        assert_eq!(core_bw.tx_time(1500), Dur::from_nanos(1200));
     }
 }

@@ -159,11 +159,6 @@ pub fn build(cfg: &I2Config, level: TraceLevel) -> Topology {
     topo
 }
 
-/// The default scenario of §2.3 (I2:1Gbps-10Gbps, 10 edges per core).
-pub fn default_topology(level: TraceLevel) -> Topology {
-    build(&I2Config::default(), level)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,8 +222,10 @@ mod tests {
     #[test]
     fn bottleneck_is_core_1gbps() {
         let t = small(I2Variant::Default1g10g);
-        assert_eq!(t.bottleneck_core_bw(), Bandwidth::gbps(1));
+        let bw = |l: &ups_net::LinkId| t.net.links[l.0 as usize].bw;
+        let core_bw = t.core_links.iter().map(bw).min().expect("core links");
+        assert_eq!(core_bw, Bandwidth::gbps(1));
         // T = 12us for 1500B at 1Gbps — the paper's threshold.
-        assert_eq!(t.bottleneck_core_bw().tx_time(1500), Dur::from_micros(12));
+        assert_eq!(core_bw.tx_time(1500), Dur::from_micros(12));
     }
 }

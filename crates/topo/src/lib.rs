@@ -82,16 +82,6 @@ impl Topology {
         }
     }
 
-    /// The slowest core-link bandwidth — the paper's bottleneck, whose
-    /// single-MTU transmission time is the overdue threshold `T`.
-    pub fn bottleneck_core_bw(&self) -> Bandwidth {
-        self.core_links
-            .iter()
-            .map(|&l| self.net.links[l.0 as usize].bw)
-            .min()
-            .expect("topology has no core links")
-    }
-
     /// Sanity checks every builder runs before returning: the topology
     /// has hosts, all hosts are mutually reachable, and every link is
     /// classified exactly once.

@@ -71,12 +71,6 @@ impl RocketFuelConfig {
     pub fn expected_hosts(&self) -> usize {
         self.routers * self.edges_per_core
     }
-
-    /// Unidirectional core links the build will produce (`links` duplex
-    /// pairs).
-    pub fn expected_core_links(&self) -> usize {
-        self.links * 2
-    }
 }
 
 /// Build the synthetic RocketFuel-like topology.
@@ -202,7 +196,7 @@ mod tests {
         let t = build(&cfg, TraceLevel::Off);
         assert_eq!(t.hosts.len(), 830); // 83 cores x 10 edges
         assert_eq!(t.hosts.len(), cfg.expected_hosts());
-        assert_eq!(t.core_links.len(), cfg.expected_core_links());
+        assert_eq!(t.core_links.len(), 131 * 2);
         assert_eq!(t.access_links.len(), 830 * 2);
         assert_eq!(t.host_links.len(), 830 * 2);
     }
@@ -213,7 +207,10 @@ mod tests {
         let bw = |l: &ups_net::LinkId| t.net.links[l.0 as usize].bw;
         // The paper's property: half the core is *slower* than the
         // 1 Gbps access tier, and hosts connect at 10 Gbps above both.
-        assert_eq!(t.bottleneck_core_bw(), Bandwidth::mbps(500));
+        assert_eq!(
+            t.core_links.iter().map(bw).min(),
+            Some(Bandwidth::mbps(500))
+        );
         assert!(t.access_links.iter().all(|l| bw(l) == Bandwidth::gbps(1)));
         assert!(t.host_links.iter().all(|l| bw(l) == Bandwidth::gbps(10)));
         assert!(t.core_links.iter().any(|l| bw(l) > Bandwidth::gbps(1)));

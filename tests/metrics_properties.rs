@@ -24,9 +24,10 @@ proptest! {
             last = p;
         }
         prop_assert_eq!(cdf.at(max), 1.0);
-        // CCDF complements CDF.
+        // The CCDF, 1 − at(x), is the share of samples greater than x.
         let probe = max / 2.0;
-        prop_assert!((cdf.at(probe) + cdf.ccdf_at(probe) - 1.0).abs() < 1e-12);
+        let above = xs.iter().filter(|&&x| x > probe).count() as f64 / xs.len() as f64;
+        prop_assert!((1.0 - cdf.at(probe) - above).abs() < 1e-12);
     }
 
     #[test]

@@ -6,33 +6,31 @@
 //! counter — so the only difference between the two runs is that one of
 //! them also produced a time series.
 //!
-//! The sampling cadence lives in a process-wide global
-//! (`ups_obs::set_sample_interval`), so every test here serializes on
-//! one mutex; without it a concurrently running test could observe a
-//! neighbor's cadence.
+//! The sampling cadence is an argument of the record leg, so these
+//! tests share no state and run in parallel.
 
-use std::sync::Mutex;
-use ups_bench::{fig1_report, Scale};
+use ups_bench::Scale;
+use ups_core::replay::ReplayMode;
 use ups_core::WorkloadKind;
+use ups_sched::SchedKind;
 use ups_sim::Dur;
-use ups_sweep::{run_sweep, run_telemetry_sweep, CellPipeline, SweepSpec};
-
-/// Serializes access to the process-wide sampling interval.
-static SAMPLER: Mutex<()> = Mutex::new(());
+use ups_sweep::{
+    record_and_replay_observed, run_sweep, run_telemetry_sweep, CellCoord, CellPipeline, ChaosSpec,
+    SweepSpec, TopoKind,
+};
+use ups_topo::internet2::I2Variant;
 
 /// Table pipeline: the smoke grid's JSON and CSV artifacts from a
 /// sampling-on run (`run_telemetry_sweep`, which also yields the
 /// telemetry artifact) are byte-identical to the plain sampling-off
-/// sweep — and the telemetry sweep restores the global to off.
+/// sweep.
 #[test]
 fn table_artifact_is_byte_identical_with_sampling_on() {
-    let _guard = SAMPLER.lock().unwrap();
     let mut sim = Scale::quick().sim();
     sim.edges_per_core = 2; // tiny topology keeps this test fast
     sim.horizon = Dur::from_millis(2);
     let spec = SweepSpec::smoke().with_replicates(2);
 
-    assert_eq!(ups_obs::sample_interval(), None, "sampling leaked on");
     let off = run_sweep(&spec, &sim, 2);
 
     let (on, telem) = run_telemetry_sweep(
@@ -43,12 +41,6 @@ fn table_artifact_is_byte_identical_with_sampling_on() {
         CellPipeline::Replay,
         Dur::from_micros(50),
     );
-    assert_eq!(
-        ups_obs::sample_interval(),
-        None,
-        "telemetry sweep must restore the sampling global"
-    );
-
     assert_eq!(off.to_json(), on.to_json(), "JSON artifacts differ");
     assert_eq!(off.to_csv(), on.to_csv(), "CSV artifacts differ");
     assert!(
@@ -59,12 +51,11 @@ fn table_artifact_is_byte_identical_with_sampling_on() {
 
 /// Deadline pipeline: the `i2-deadline-replay` cells (EDF recorded,
 /// replayed by EDF / LSTF / Priority), whose deadline columns are
-/// computed through the `ups-obs` registry, serialize byte-identically
+/// computed through `ups-metrics`' deadline ledger, serialize byte-identically
 /// with sampling on — table and miss-rate figure alike — and every cell
 /// carries deadline outcomes.
 #[test]
 fn deadline_artifacts_are_byte_identical_with_sampling_on() {
-    let _guard = SAMPLER.lock().unwrap();
     let mut sim = Scale::quick().sim();
     sim.edges_per_core = 2; // tiny topology keeps this test fast
     sim.horizon = Dur::from_millis(2);
@@ -72,7 +63,6 @@ fn deadline_artifacts_are_byte_identical_with_sampling_on() {
     assert_eq!(scenario.pipeline, CellPipeline::DeadlineReplay);
     let spec = scenario.spec();
 
-    assert_eq!(ups_obs::sample_interval(), None, "sampling leaked on");
     let off = scenario.run_spec(&spec, &sim, 2);
 
     let (on, telem) = run_telemetry_sweep(
@@ -83,8 +73,6 @@ fn deadline_artifacts_are_byte_identical_with_sampling_on() {
         scenario.pipeline,
         Dur::from_micros(50),
     );
-    assert_eq!(ups_obs::sample_interval(), None);
-
     assert!(
         off.results
             .iter()
@@ -108,25 +96,41 @@ fn deadline_artifacts_are_byte_identical_with_sampling_on() {
     );
 }
 
-/// Figure pipeline: Figure 1's end-to-end artifact (record → replay →
-/// delay-ratio CDF) is byte-identical whether or not every `Network`
-/// built during the sweep carries an active event-wheel sampler.
+/// Figure pipeline: one Figure-1 cell (I2 1G/10G at 70%, record →
+/// LSTF replay) gives bit-identical delay ratios, lateness and cell
+/// metrics whether or not its record leg is sampled.
 #[test]
 fn figure_artifact_is_byte_identical_with_sampling_on() {
-    let _guard = SAMPLER.lock().unwrap();
-    let mut scale = Scale::quick();
-    scale.edges_per_core = 2; // tiny topology keeps this test fast
-    scale.horizon = Dur::from_millis(2);
-    scale.label = "tiny";
-    scale.jobs = 2;
+    let mut sim = Scale::quick().sim();
+    sim.edges_per_core = 2; // tiny topology keeps this test fast
+    sim.horizon = Dur::from_millis(2);
+    let coord = CellCoord {
+        topo: TopoKind::I2(I2Variant::Default1g10g),
+        sched: SchedKind::Random,
+        util: 0.7,
+        chaos: ChaosSpec::OFF,
+    };
+    let run = |sample| {
+        record_and_replay_observed(
+            &coord,
+            &sim,
+            3,
+            ReplayMode::lstf(),
+            WorkloadKind::Web,
+            sample,
+        )
+    };
+    let (off, on) = (run(None), run(Some(Dur::from_micros(50))));
 
-    assert_eq!(ups_obs::sample_interval(), None, "sampling leaked on");
-    let off = fig1_report(&scale);
-
-    ups_obs::set_sample_interval(Some(Dur::from_micros(50)));
-    let on = fig1_report(&scale);
-    ups_obs::set_sample_interval(None);
-
-    assert_eq!(off.to_json(), on.to_json(), "figure JSON artifacts differ");
-    assert_eq!(off.to_csv(), on.to_csv(), "figure CSV artifacts differ");
+    assert!(off.series.is_none());
+    assert!(on.series.as_ref().is_some_and(|s| !s.samples.is_empty()));
+    assert!(!off.report.qdelay_ratios.is_empty());
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&off.report.qdelay_ratios),
+        bits(&on.report.qdelay_ratios),
+        "delay ratios differ"
+    );
+    assert_eq!(off.report.lateness, on.report.lateness, "lateness differs");
+    assert_eq!(off.metrics(), on.metrics(), "cell metrics differ");
 }
