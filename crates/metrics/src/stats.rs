@@ -1,5 +1,5 @@
-//! Distribution summaries: empirical CDF/CCDF, percentiles, bucketed
-//! means.
+//! Distribution summaries: empirical CDF/CCDF and quantiles, streaming
+//! mean/variance, bucketed means.
 
 /// An empirical distribution built from `f64` samples.
 #[derive(Debug, Clone)]
@@ -66,34 +66,6 @@ impl Cdf {
     pub fn quantiles(&self, ps: &[f64]) -> Vec<f64> {
         ps.iter().map(|&p| self.quantile(p)).collect()
     }
-
-    /// Evenly spaced (x, F(x)) points for plotting/reporting. Degenerate
-    /// inputs stay meaningful: an empty CDF yields no points, and a
-    /// constant distribution (`min == max`, a real occurrence at tiny
-    /// sweep scales) yields the single point `(x, 1.0)` instead of `n`
-    /// duplicates of it.
-    pub fn points(&self, n: usize) -> Vec<(f64, f64)> {
-        assert!(n >= 2);
-        if self.sorted.is_empty() {
-            return Vec::new();
-        }
-        let lo = self.sorted[0];
-        let hi = *self.sorted.last().expect("non-empty");
-        if lo == hi {
-            return vec![(lo, 1.0)];
-        }
-        (0..n)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (n - 1) as f64;
-                (x, self.at(x))
-            })
-            .collect()
-    }
-}
-
-/// Nearest-rank percentile of unsorted data (convenience).
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    Cdf::new(samples.to_vec()).quantile(p / 100.0)
 }
 
 /// Streaming mean/variance accumulator (Welford's online algorithm),
@@ -122,11 +94,6 @@ impl Welford {
         self.m2 += delta * (x - self.mean);
     }
 
-    /// Samples accumulated so far.
-    pub fn count(&self) -> usize {
-        self.n as usize
-    }
-
     /// Sample mean (0.0 when empty).
     pub fn mean(&self) -> f64 {
         self.mean
@@ -152,45 +119,6 @@ impl Welford {
             0.0
         } else {
             self.stddev() / (self.n as f64).sqrt()
-        }
-    }
-}
-
-/// Five-number-ish summary.
-#[derive(Debug, Clone, Copy)]
-pub struct Summary {
-    /// Sample count.
-    pub n: usize,
-    /// Mean.
-    pub mean: f64,
-    /// Sample standard deviation (Welford; 0 for n < 2).
-    pub stddev: f64,
-    /// Standard error of the mean.
-    pub stderr: f64,
-    /// Median.
-    pub p50: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarize samples. Panics on empty input.
-    pub fn of(samples: &[f64]) -> Summary {
-        let cdf = Cdf::new(samples.to_vec());
-        let mut w = Welford::new();
-        for &x in samples {
-            w.push(x);
-        }
-        Summary {
-            n: cdf.len(),
-            mean: cdf.mean(),
-            stddev: w.stddev(),
-            stderr: w.stderr(),
-            p50: cdf.quantile(0.50),
-            p99: cdf.quantile(0.99),
-            max: cdf.quantile(1.0),
         }
     }
 }
@@ -279,6 +207,10 @@ mod tests {
         assert_eq!(c.quantile(0.99), 99.0);
         assert_eq!(c.quantile(1.0), 100.0);
         assert_eq!(c.quantile(0.0), 1.0);
+        // A heavy tail moves the top quantile, not the median.
+        let c = Cdf::new(vec![1.0, 2.0, 3.0, 4.0, 100.0]);
+        assert_eq!(c.quantile(0.5), 3.0);
+        assert_eq!(c.quantile(1.0), 100.0);
     }
 
     #[test]
@@ -286,26 +218,6 @@ mod tests {
         let c = Cdf::new(vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(c.at_many(&[0.5, 2.0, 10.0]), vec![0.0, 0.5, 1.0]);
         assert_eq!(c.quantiles(&[0.0, 0.5, 1.0]), vec![1.0, 2.0, 4.0]);
-    }
-
-    #[test]
-    fn points_are_monotone() {
-        let c = Cdf::new(vec![5.0, 1.0, 9.0, 3.0, 3.0]);
-        let pts = c.points(11);
-        assert!(pts.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert_eq!(pts.last().unwrap().1, 1.0);
-    }
-
-    #[test]
-    fn points_of_constant_distribution_is_a_single_point() {
-        let c = Cdf::new(vec![4.2; 7]);
-        assert_eq!(c.points(11), vec![(4.2, 1.0)]);
-    }
-
-    #[test]
-    fn points_of_empty_cdf_is_empty() {
-        let c = Cdf::new(Vec::new());
-        assert!(c.points(5).is_empty());
     }
 
     #[test]
@@ -342,32 +254,21 @@ mod tests {
     }
 
     #[test]
-    fn summary_fields() {
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0, 100.0]);
-        assert_eq!(s.n, 5);
-        assert_eq!(s.max, 100.0);
-        assert_eq!(s.p50, 3.0);
-        assert!(s.stddev > 0.0);
-        assert!((s.stderr - s.stddev / 5f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
     fn welford_matches_textbook_stddev() {
         let mut w = Welford::new();
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             w.push(x);
         }
-        assert_eq!(w.count(), 8);
         assert!((w.mean() - 5.0).abs() < 1e-12);
         // Population variance is 4; sample variance is 32/7.
         assert!((w.variance() - 32.0 / 7.0).abs() < 1e-12);
         assert!((w.stddev() - (32.0 / 7.0f64).sqrt()).abs() < 1e-12);
+        assert!((w.stderr() - w.stddev() / 8f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
     fn welford_empty_is_all_zeros() {
         let w = Welford::new();
-        assert_eq!(w.count(), 0);
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.variance(), 0.0);
         assert_eq!(w.stddev(), 0.0);
@@ -378,7 +279,6 @@ mod tests {
     fn welford_single_sample_has_zero_spread() {
         let mut w = Welford::new();
         w.push(42.0);
-        assert_eq!(w.count(), 1);
         assert_eq!(w.mean(), 42.0);
         assert_eq!(w.stddev(), 0.0, "sample stddev undefined at n=1 → 0");
         assert_eq!(w.stderr(), 0.0);
@@ -388,15 +288,6 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn welford_rejects_nan() {
         Welford::new().push(f64::NAN);
-    }
-
-    #[test]
-    fn summary_single_sample() {
-        let s = Summary::of(&[7.0]);
-        assert_eq!(s.n, 1);
-        assert_eq!(s.mean, 7.0);
-        assert_eq!(s.stddev, 0.0);
-        assert_eq!(s.stderr, 0.0);
     }
 
     #[test]

@@ -21,8 +21,8 @@ use ups_sim::{Dur, Time};
 use ups_topo::Topology;
 use ups_transport::FlowDesc;
 
-/// Per-replicate measurements of one grid cell, and the row type of
-/// `ups-bench`'s single-seed ablation tables.
+/// Per-replicate measurements of one grid cell, and the row type of the
+/// single-seed ablations in [`crate::experiments`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellMetrics {
     /// Packets replayed.
@@ -133,7 +133,7 @@ impl ObservedRun {
 }
 
 /// The record-and-replay pipeline shared by the sweep engine and
-/// `ups-bench`'s runners: record `coord.sched`'s schedule on a fresh
+/// Figure 1's runner: record `coord.sched`'s schedule on a fresh
 /// topology (`workload` traffic, 1500-byte MTU), take its `rewired()`
 /// copy, and replay on that under `mode`. With `sample`, the record run
 /// is sampled at that cadence and its series is taken before the
@@ -240,7 +240,7 @@ fn deadline_cell(flows: &[FlowDesc], telemetry: &Telemetry) -> Option<DeadlineCe
 impl CellMetrics {
     /// The canonical reduction of a replay run to cell metrics — the
     /// single home of the unit conversions (T in µs, slack ps → µs),
-    /// shared by the sweep engine and `ups-bench`'s row builders.
+    /// shared by the sweep engine and the ablations' record leg.
     pub fn of(report: &ReplayReport, schedule: &RecordedSchedule) -> CellMetrics {
         CellMetrics {
             total: report.total,

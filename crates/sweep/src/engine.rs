@@ -179,12 +179,18 @@ pub(crate) fn aggregate_cells(
     }
 }
 
-/// Run `spec`'s record-and-replay cells (web traffic, replayed under
-/// non-preemptive LSTF) at `sim` scale on up to `jobs` worker threads.
-/// The aggregate report is byte-identical for any `jobs` value.
-pub fn run_sweep(spec: &SweepSpec, sim: &SimScale, jobs: usize) -> SweepReport {
+/// Run `spec`'s cells through `pipeline` on `workload` traffic at `sim`
+/// scale on up to `jobs` worker threads. The aggregate report is
+/// byte-identical for any `jobs` value.
+pub fn run_sweep(
+    spec: &SweepSpec,
+    sim: &SimScale,
+    jobs: usize,
+    workload: WorkloadKind,
+    pipeline: CellPipeline,
+) -> SweepReport {
     run_sweep_with(spec, sim.label, jobs, |job| {
-        CellPipeline::Replay.cell(&job.coord, sim, job.seed, WorkloadKind::Web)
+        pipeline.cell(&job.coord, sim, job.seed, workload)
     })
 }
 

@@ -1,35 +1,168 @@
-//! Experiment runners: each returns structured data. The
-//! [`EXPERIMENTS`](crate::EXPERIMENTS) table pairs every runner with
-//! its printer for `sweep --grid`, and the integration tests call the
-//! same functions at a tiny scale.
+//! The paper's figures, ablations and diagnostics as one table.
+//!
+//! [`EXPERIMENTS`] is what `sweep --grid NAME` resolves after the named
+//! grids and the scenario registry. Each entry's `report` runs it at a
+//! [`Scale`]; the `sweep` binary prints the [`FigReport`] and writes it
+//! as `<name>.json`/`.csv`, the same way for every entry, and
+//! `sweep --grid paper` runs Table 1 (the `table1` named grid), then
+//! every entry. The runners are public so the integration tests check
+//! the same code at a tiny scale.
 
+use crate::cell::{record_and_replay_observed, CellMetrics, DistMetrics};
+use crate::engine::{run_fig_with, FigReport};
+use crate::grid::{CellCoord, ChaosSpec, FigAxis, FigSpec, TopoKind};
 use crate::scale::Scale;
+use std::collections::BTreeMap;
 use ups_core::objectives::Scheme;
 use ups_core::replay::{record_original, replay_schedule, ReplayMode};
 use ups_core::workload::{default_udp_workload, to_flow_descs, WorkloadKind};
 use ups_metrics::{bucket_means, Cdf, FairnessPoint, SizeBuckets};
-use ups_net::TraceLevel;
+use ups_net::{FlowId, TraceLevel};
 use ups_sched::{LstfKeyMode, SchedKind};
 use ups_sim::{Bandwidth, Dur, Time};
-use ups_sweep::{run_fig_with, CellMetrics, DistMetrics, FigAxis, FigReport, FigSpec, TopoKind};
 use ups_topo::internet2::{self, I2Config, I2Variant};
+use ups_transport::FlowDesc;
+
+/// One runnable experiment of the paper.
+pub struct Experiment {
+    /// `--grid` key (kebab-case) and artifact file stem.
+    pub name: &'static str,
+    /// One-line summary for `scenarios list` and the run header.
+    pub title: &'static str,
+    /// How to read the report, printed after it (empty for none).
+    pub note: &'static str,
+    /// Run at the given scale and return the report.
+    pub report: fn(&Scale) -> FigReport,
+}
+
+/// Every experiment, in the order `paper` runs them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "fig1",
+        title: "Figure 1 — CDF of queueing-delay ratio (LSTF replay : original), I2 at 70%",
+        note: "Paper: most packets see a *smaller* queueing delay in the\n\
+               LSTF replay than in the original (CDF > 0.5 at ratio 1.0).",
+        report: fig1_report,
+    },
+    Experiment {
+        name: "fig2",
+        title: "Figure 2 — mean FCT by flow size, FIFO/SJF/SRPT/LSTF (TCP, 5 MB buffers)",
+        note: "(bucket rows are mean FCT in seconds; a 0 mean marks a\n\
+               bucket with no completed flows in a replicate)",
+        report: fig2_report,
+    },
+    Experiment {
+        name: "fig3",
+        title: "Figure 3 — tail packet delays, FIFO vs LSTF with constant slack (≡ FIFO+)",
+        note: "(rows are packet delay in seconds at each percentile;\n\
+               the paper's shape: LSTF trades a slightly higher mean for a\n\
+               lower tail)",
+        report: fig3_report,
+    },
+    Experiment {
+        name: "fig4",
+        title: "Figure 4 — Jain fairness over time, FIFO/FQ/LSTF@rest (long-lived TCP)",
+        note: "",
+        report: fig4_report,
+    },
+    Experiment {
+        name: "ablation-preempt",
+        title: "§2.3(5) — non-preemptive vs preemptive LSTF on SJF/LIFO/FIFO/Random",
+        note: ROWS_NOTE,
+        report: ablation_preempt,
+    },
+    Experiment {
+        name: "ablation-priority",
+        title: "§2.3(7) — one Random schedule under LSTF, Priority(o), EDF, omniscient",
+        note: ROWS_NOTE,
+        report: ablation_priority,
+    },
+    Experiment {
+        name: "ablation-lstf-key",
+        title: "LSTF key ablation — last-bit vs pure deadline (equal for uniform sizes)",
+        note: ROWS_NOTE,
+        report: ablation_lstf_key,
+    },
+    Experiment {
+        name: "congestion-points",
+        title: "§2.2 diagnostic — congestion points per packet, per topology",
+        note: "(rows count the packets of a recorded Random schedule at 70%\n\
+               that waited at k congestion points)",
+        report: congestion_points,
+    },
+    Experiment {
+        name: "ext-weighted-fairness",
+        title: "§3.3 extension — weighted fairness 4:2:1:1 (fixed dumbbell, scale-independent)",
+        note: "(rows are delivered bytes per flow by 30 ms; the weighted series\n\
+               should split 4:2:1:1, the unweighted one evenly)",
+        report: weighted_fairness,
+    },
+];
+
+/// The ablations' note: what their series and scalars are.
+const ROWS_NOTE: &str = "(one series per original / replay mode, each recorded once on\n\
+                         I2 1G/10G at 70%; the scalars are the replay's Table-1 metrics)";
+
+/// A report of single-seed series measured up front, aggregated by the
+/// figure engine like every other (each stat has zero spread).
+fn single_seed(spec: FigSpec, scale: &Scale, series: Vec<DistMetrics>) -> FigReport {
+    let spec = spec.with_seed(scale.seed);
+    run_fig_with(&spec, scale.label, 1, |job| series[job.series].clone())
+}
+
+/// One ablation row: the recorded original, the replay mode, and the
+/// replay's metrics.
+type Row = (SchedKind, ReplayMode, CellMetrics);
+
+/// An ablation's rows as a report: one series per `(original, mode)`
+/// row, its six [`CellMetrics`] numbers as scalars named like the table
+/// artifact's columns, on an empty axis.
+fn rows_report(name: &str, title: &str, scale: &Scale, rows: Vec<Row>) -> FigReport {
+    let (labels, series) = rows
+        .into_iter()
+        .map(|(original, mode, m)| {
+            let scalars = vec![
+                m.total as f64,
+                m.frac_overdue,
+                m.frac_gt_t,
+                m.t_us,
+                m.max_cp as f64,
+                m.mean_slack_us,
+            ];
+            let label = format!("{} / {}", original.label(), mode.label());
+            (
+                label,
+                DistMetrics {
+                    scalars,
+                    points: Vec::new(),
+                },
+            )
+        })
+        .unzip();
+    let axis = FigAxis::numeric("none", Vec::new());
+    let spec = FigSpec::new(name, title, labels, axis).with_scalars(&[
+        "total_packets",
+        "frac_overdue",
+        "frac_overdue_gt_t",
+        "t_us",
+        "max_congestion_points",
+        "mean_slack_us",
+    ]);
+    single_seed(spec, scale, series)
+}
 
 /// The topology every ablation records and replays on.
-pub(crate) const ABLATION_TOPO: TopoKind = TopoKind::I2(I2Variant::Default1g10g);
+const ABLATION_TOPO: TopoKind = TopoKind::I2(I2Variant::Default1g10g);
 
 /// The target core-link utilization of every ablation.
-pub(crate) const ABLATION_UTIL: f64 = 0.7;
+const ABLATION_UTIL: f64 = 0.7;
 
 /// The one record leg of the ablations: record `original`'s schedule on
 /// [`ABLATION_TOPO`] at [`ABLATION_UTIL`] (web workload and scheduler
 /// seed `scale.seed`, 1,500-byte MTU), then replay it under each of
 /// `modes` on a [`rewired`](ups_topo::Topology::rewired) copy. Returns
 /// one `(original, mode, metrics)` row per mode.
-fn record_once(
-    scale: &Scale,
-    original: SchedKind,
-    modes: &[ReplayMode],
-) -> Vec<(SchedKind, ReplayMode, CellMetrics)> {
+fn record_once(scale: &Scale, original: SchedKind, modes: &[ReplayMode]) -> Vec<Row> {
     let mut orig_topo = ABLATION_TOPO.build(&scale.sim());
     let flows = default_udp_workload(&orig_topo, ABLATION_UTIL, scale.horizon, scale.seed);
     let schedule = record_original(&mut orig_topo, &flows, original, scale.seed, 1500);
@@ -56,7 +189,7 @@ pub fn fig1_originals() -> [SchedKind; 6] {
 
 /// The fixed ratio grid Figure 1's artifact samples the CDF on
 /// (0.0 to 2.0 in steps of 0.1 — the paper's plotted range).
-pub fn fig1_ratio_axis() -> Vec<f64> {
+fn fig1_ratio_axis() -> Vec<f64> {
     // i/10 (not i*0.1): the division rounds to the double nearest the
     // decimal, so artifact x values print as `1.2`, not
     // `1.2000000000000002`.
@@ -66,13 +199,13 @@ pub fn fig1_ratio_axis() -> Vec<f64> {
 /// One Figure-1 cell: record `orig`'s schedule at `seed`, replay it
 /// under LSTF, and return the queueing-delay ratio distribution.
 pub fn fig1_cell(scale: &Scale, orig: SchedKind, seed: u64) -> Cdf {
-    let coord = ups_sweep::CellCoord {
+    let coord = CellCoord {
         topo: TopoKind::I2(I2Variant::Default1g10g),
         sched: orig,
         util: 0.7,
-        chaos: ups_sweep::ChaosSpec::OFF,
+        chaos: ChaosSpec::OFF,
     };
-    let run = ups_sweep::record_and_replay_observed(
+    let run = record_and_replay_observed(
         &coord,
         &scale.sim(),
         seed,
@@ -113,23 +246,11 @@ pub fn fig1_report(scale: &Scale) -> FigReport {
     })
 }
 
-/// The four Figure-2 schemes (FIFO, SJF, SRPT, LSTF with fs×D slack).
-pub fn fig2_schemes() -> Vec<Scheme> {
-    vec![
-        Scheme::Fifo,
-        Scheme::Sjf,
-        Scheme::Srpt,
-        Scheme::LstfFct {
-            d: Dur::from_secs(1),
-        },
-    ]
-}
-
 /// One Figure-2 cell: TCP flows (seed-drawn workload, 5 MB buffers)
 /// under `scheme`; scalars `[mean FCT (s), completed flows, total
 /// flows]`, one point per size bucket (mean FCT in seconds, 0 for a
 /// bucket with no completed flows).
-pub fn fig2_cell(scale: &Scale, buckets: &SizeBuckets, scheme: &Scheme, seed: u64) -> DistMetrics {
+fn fig2_cell(scale: &Scale, buckets: &SizeBuckets, scheme: &Scheme, seed: u64) -> DistMetrics {
     let topo = TopoKind::I2(I2Variant::Default1g10g).build(&scale.sim());
     let flows = default_udp_workload(&topo, 0.7, scale.horizon, seed);
     let horizon = Time::ZERO + scale.horizon * 40 + Dur::from_secs(2);
@@ -158,10 +279,17 @@ pub fn fig2_cell(scale: &Scale, buckets: &SizeBuckets, scheme: &Scheme, seed: u6
 /// Figure 2 through the sweep engine: per-bucket mean FCT with mean ±
 /// stddev over seed replicates. Buckets with no completed flows in a
 /// replicate contribute 0 to that replicate's point (see the artifact
-/// schema in `ups-sweep`'s crate docs).
+/// schema in the crate docs).
 pub fn fig2_report(scale: &Scale) -> FigReport {
     let buckets = SizeBuckets::paper_fig2();
-    let schemes = fig2_schemes();
+    // FIFO, SJF, SRPT, and LSTF with fs×D slack.
+    let d = Dur::from_secs(1);
+    let schemes = [
+        Scheme::Fifo,
+        Scheme::Sjf,
+        Scheme::Srpt,
+        Scheme::LstfFct { d },
+    ];
     let labels = (0..buckets.count()).map(|b| buckets.label(b)).collect();
     let spec = FigSpec::new(
         "fig2",
@@ -233,18 +361,6 @@ pub fn fig3_report(scale: &Scale) -> FigReport {
     })
 }
 
-/// The seven Figure-4 schemes: FIFO, FQ, and LSTF with virtual-clock
-/// slack at five `rest` estimates.
-pub fn fig4_schemes() -> Vec<Scheme> {
-    let mut schemes = vec![Scheme::Fifo, Scheme::Fq];
-    for rest_mbps in [1000, 500, 100, 50, 10] {
-        schemes.push(Scheme::LstfVc {
-            rest: Bandwidth::mbps(rest_mbps),
-        });
-    }
-    schemes
-}
-
 /// Figure 4's measurement windows: 1 ms windows over a 20 ms horizon
 /// (fixed — convergence behavior, not workload volume, is the subject).
 fn fig4_windows() -> (Dur, Time) {
@@ -257,7 +373,7 @@ fn fig4_windows() -> (Dur, Time) {
 /// Per the paper: Internet2 with 10 Gbps edges so all congestion is in
 /// the core, shortened propagation delays, jittered flow starts, and
 /// LSTF slack from the virtual-clock rule at several `rest` estimates.
-pub fn fig4_cell(scale: &Scale, scheme: &Scheme, seed: u64) -> Vec<FairnessPoint> {
+fn fig4_cell(scale: &Scale, scheme: &Scheme, seed: u64) -> Vec<FairnessPoint> {
     let topo = internet2::build(
         &I2Config {
             variant: I2Variant::Access10g10g,
@@ -282,7 +398,11 @@ pub fn fig4_cell(scale: &Scale, scheme: &Scheme, seed: u64) -> Vec<FairnessPoint
 /// Figure 4 through the sweep engine: the per-window Jain index with
 /// mean ± stddev over seed replicates.
 pub fn fig4_report(scale: &Scale) -> FigReport {
-    let schemes = fig4_schemes();
+    // FIFO, FQ, and LSTF with virtual-clock slack at five `rest` estimates.
+    let vc = [1000, 500, 100, 50, 10].map(|mbps| Scheme::LstfVc {
+        rest: Bandwidth::mbps(mbps),
+    });
+    let schemes: Vec<Scheme> = [Scheme::Fifo, Scheme::Fq].into_iter().chain(vc).collect();
     let (window, horizon) = fig4_windows();
     // div_ceil, matching ups_metrics::throughput_fairness_series — a
     // floor here would desync the axis from the payload length if the
@@ -311,72 +431,142 @@ pub fn fig4_report(scale: &Scale) -> FigReport {
 
 /// §2.3(5): non-preemptive vs preemptive LSTF on the hardest originals,
 /// each original recorded once.
-pub fn ablation_preempt(scale: &Scale) -> Vec<(SchedKind, ReplayMode, CellMetrics)> {
-    [
+pub fn ablation_preempt(scale: &Scale) -> FigReport {
+    let modes = [ReplayMode::lstf(), ReplayMode::lstf_preemptive()];
+    let rows = [
         SchedKind::Sjf,
         SchedKind::Lifo,
         SchedKind::Fifo,
         SchedKind::Random,
     ]
     .into_iter()
-    .flat_map(|original| {
-        record_once(
-            scale,
-            original,
-            &[ReplayMode::lstf(), ReplayMode::lstf_preemptive()],
-        )
-    })
-    .collect()
+    .flat_map(|original| record_once(scale, original, &modes));
+    let title = "Non-preemptive vs preemptive LSTF";
+    rows_report("ablation-preempt", title, scale, rows.collect())
 }
 
 /// §2.3(7) + appendices: same original schedule replayed under every
 /// candidate UPS.
-pub fn ablation_priority(scale: &Scale) -> Vec<(SchedKind, ReplayMode, CellMetrics)> {
-    record_once(
-        scale,
-        SchedKind::Random,
-        &[
-            ReplayMode::lstf(),
-            ReplayMode::Priority,
-            ReplayMode::Edf,
-            ReplayMode::Omniscient,
-        ],
-    )
+pub fn ablation_priority(scale: &Scale) -> FigReport {
+    let modes = [
+        ReplayMode::lstf(),
+        ReplayMode::Priority,
+        ReplayMode::Edf,
+        ReplayMode::Omniscient,
+    ];
+    let rows = record_once(scale, SchedKind::Random, &modes);
+    let title = "LSTF vs Priority(o) vs EDF vs Omniscient";
+    rows_report("ablation-priority", title, scale, rows)
 }
 
 /// LSTF key ablation: the last-bit key `enq + slack + tx` (the slack
 /// left when the last bit is sent, Appendix D; LSTF ≡ EDF under it) vs
 /// the pure deadline `enq + slack`. They order same-size packets alike,
 /// so on this uniform 1,500-byte workload the two rows must match.
-pub fn ablation_lstf_key(scale: &Scale) -> Vec<(SchedKind, ReplayMode, CellMetrics)> {
+pub fn ablation_lstf_key(scale: &Scale) -> FigReport {
     let modes = [LstfKeyMode::LastBit, LstfKeyMode::PureDeadline].map(|key| ReplayMode::Lstf {
         preemptive: false,
         key,
     });
-    record_once(scale, SchedKind::Random, &modes)
+    let rows = record_once(scale, SchedKind::Random, &modes);
+    rows_report(
+        "ablation-lstf-key",
+        "Last-bit vs pure deadline",
+        scale,
+        rows,
+    )
 }
 
-/// §2.2 diagnostic: congestion points per packet across topologies.
-pub fn congestion_points(scale: &Scale) -> Vec<(String, Vec<usize>, f64)> {
-    [
+/// §2.2 diagnostic: one series per topology, counting the packets of
+/// a recorded Random schedule at 70% by the number of congestion points
+/// they waited at (`cp0`, `cp1`, …, zero-padded to the longest
+/// histogram), with the schedule's mean slack as a scalar.
+pub fn congestion_points(scale: &Scale) -> FigReport {
+    let topos = [
         TopoKind::I2(I2Variant::Default1g10g),
         TopoKind::I2(I2Variant::Access1g1g),
         TopoKind::I2(I2Variant::Access10g10g),
         TopoKind::RocketFuel,
         TopoKind::FatTree,
-    ]
-    .into_iter()
-    .map(|kind| {
-        let mut topo = kind.build(&scale.sim());
-        let flows = default_udp_workload(&topo, 0.7, scale.horizon, scale.seed);
-        let schedule = record_original(&mut topo, &flows, SchedKind::Random, scale.seed, 1500);
-        (
-            kind.label(),
-            schedule.congestion_point_histogram(),
-            schedule.mean_slack() / 1e6,
-        )
+    ];
+    let recorded: Vec<_> = topos
+        .iter()
+        .map(|kind| {
+            let mut topo = kind.build(&scale.sim());
+            let flows = default_udp_workload(&topo, 0.7, scale.horizon, scale.seed);
+            let schedule = record_original(&mut topo, &flows, SchedKind::Random, scale.seed, 1500);
+            let slack_us = schedule.mean_slack() / 1e6;
+            (schedule.congestion_point_histogram(), slack_us)
+        })
+        .collect();
+    let k = recorded
+        .iter()
+        .map(|(hist, _)| hist.len())
+        .max()
+        .unwrap_or(0);
+    let axis = FigAxis::categorical(
+        "congestion_points",
+        (0..k).map(|i| format!("cp{i}")).collect(),
+    );
+    let labels = topos.iter().map(|t| t.label()).collect();
+    let title = "Congestion points per packet, per topology";
+    let spec =
+        FigSpec::new("congestion-points", title, labels, axis).with_scalars(&["mean_slack_us"]);
+    let series = recorded.into_iter().map(|(hist, slack_us)| DistMetrics {
+        scalars: vec![slack_us],
+        points: (0..k)
+            .map(|i| hist.get(i).map_or(0.0, |&n| n as f64))
+            .collect(),
+    });
+    single_seed(spec, scale, series.collect())
+}
+
+/// §3.3: "we can also extend the slack assignment heuristic to achieve
+/// weighted fairness by using different values of rest for different
+/// flows, in proportion to the desired weights". Four long-lived flows
+/// share a 1 Gbps bottleneck; under weights 4:2:1:1 their delivered
+/// bytes by 30 ms should split proportionally, and under one `rest` for
+/// all (the contrast series) evenly. The dumbbell and horizon are fixed,
+/// so `scale` sets only the worker count and the report's labels.
+pub fn weighted_fairness(scale: &Scale) -> FigReport {
+    let base = Bandwidth::mbps(50);
+    let weights: BTreeMap<FlowId, f64> = (0..).map(FlowId).zip([4.0, 2.0, 1.0, 1.0]).collect();
+    let schemes = [
+        Scheme::LstfVcWeighted { base, weights },
+        Scheme::LstfVc { rest: base },
+    ];
+    let spec = FigSpec::new(
+        "ext-weighted-fairness",
+        "Weighted fairness — delivered bytes per flow, LSTF@50Mbps",
+        vec!["weighted 4:2:1:1".to_string(), "unweighted".to_string()],
+        FigAxis::numeric("flow", vec![0.0, 1.0, 2.0, 3.0]),
+    )
+    .with_seed(scale.seed);
+    run_fig_with(&spec, scale.label, scale.jobs, |job| {
+        let topo = ups_topo::simple::dumbbell(
+            4,
+            Bandwidth::gbps(10),
+            Bandwidth::gbps(1),
+            Dur::from_micros(20),
+            TraceLevel::Delivery,
+        );
+        let flows: Vec<FlowDesc> = (0..4)
+            .map(|i| FlowDesc {
+                id: FlowId(i),
+                src: topo.hosts[i as usize],
+                dst: topo.hosts[4 + i as usize],
+                pkts: u64::MAX / 2,
+                start: Time::from_micros(i * 13),
+                deadline: None,
+            })
+            .collect();
+        let scheme = &schemes[job.series];
+        let bytes = ups_core::run_goodput(topo, &flows, scheme, Time::from_millis(30), None);
+        DistMetrics {
+            scalars: Vec::new(),
+            points: bytes.into_iter().map(|b| b as f64).collect(),
+        }
     })
-    .collect()
 }
 
 #[cfg(test)]

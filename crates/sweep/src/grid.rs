@@ -10,8 +10,8 @@ use ups_topo::internet2::{self, I2Config, I2Variant};
 use ups_topo::{fattree, rocketfuel, Topology};
 
 /// Simulation-size knobs a sweep cell needs to build its topology and
-/// workload. `ups-bench`'s `Scale` carries the CLI-facing superset and
-/// converts down via `Scale::sim()`.
+/// workload. [`crate::Scale`] carries the CLI-facing superset and
+/// converts down via [`crate::Scale::sim`].
 #[derive(Debug, Clone, Copy)]
 pub struct SimScale {
     /// Edge routers (and hosts) per core router on WAN topologies.

@@ -32,12 +32,15 @@
 //! * [`scenario`] is the registry of named experiment scenarios —
 //!   topology build × workload family × grid — behind
 //!   `sweep --grid <scenario>` and the `sweep scenarios` subcommand
-//!   (see `docs/SCENARIOS.md` for the catalogue).
+//!   (see `docs/SCENARIOS.md` for the catalogue);
+//! * [`experiments`] is the table of the paper's figures, ablations and
+//!   diagnostics ([`EXPERIMENTS`]), each a function from a [`Scale`] to
+//!   a [`FigReport`], behind `sweep --grid fig1` and the rest.
 //!
 //! The `sweep` binary at the workspace root (`cargo run --release --bin
-//! sweep`) is the CLI; the paper's figures (`sweep --grid fig1` …, the
-//! `EXPERIMENTS` table in `ups-bench`) are thin clients of
-//! [`run_fig_with`].
+//! sweep`) is the CLI: it runs a named grid or a scenario through
+//! [`run_sweep`], and an experiment through its `report`, and writes
+//! every result as the artifacts below.
 //!
 //! # Artifact schema
 //!
@@ -183,8 +186,10 @@ pub mod artifact;
 pub mod cell;
 pub mod diff;
 pub mod engine;
+pub mod experiments;
 pub mod grid;
 pub mod pool;
+pub mod scale;
 pub mod scenario;
 pub mod telemetry;
 
@@ -198,9 +203,11 @@ pub use engine::{
     run_fig_with, run_sweep, run_sweep_with, ChaosAgg, DeadlineAgg, DistResult, FigReport, Stat,
     SweepReport, SweepResult,
 };
+pub use experiments::{Experiment, EXPERIMENTS};
 pub use grid::{
     CellCoord, ChaosSpec, FigAxis, FigJob, FigSpec, Job, SimScale, SweepSpec, TopoKind,
     DEFAULT_CHAOS_SEED,
 };
+pub use scale::Scale;
 pub use scenario::Scenario;
 pub use telemetry::{run_telemetry_sweep, TelemetryCell, TelemetryReport, TelemetrySeries};

@@ -1,7 +1,7 @@
 //! Experiment scale: the knobs `sweep`'s scale flags set.
 
+use crate::grid::SimScale;
 use ups_sim::Dur;
-use ups_sweep::SimScale;
 
 /// Knobs that trade fidelity for runtime.
 #[derive(Debug, Clone, Copy)]

@@ -25,8 +25,8 @@
 //! ```
 
 use crate::cell::CellPipeline;
-use crate::engine::{run_sweep_with, DistResult, FigReport, Stat, SweepReport};
-use crate::grid::{CellCoord, ChaosSpec, FigAxis, SimScale, SweepSpec, TopoKind};
+use crate::engine::{DistResult, FigReport, Stat, SweepReport};
+use crate::grid::{CellCoord, ChaosSpec, FigAxis, SweepSpec, TopoKind};
 use ups_core::WorkloadKind;
 use ups_sched::SchedKind;
 use ups_topo::internet2::I2Variant;
@@ -81,23 +81,6 @@ impl Scenario {
             }
         }
         spec
-    }
-
-    /// Run the scenario's grid at `sim` scale on up to `jobs` workers.
-    /// Same engine, same guarantee: the report serializes byte-identical
-    /// for every `jobs` value.
-    pub fn run(&self, sim: &SimScale, jobs: usize) -> SweepReport {
-        self.run_spec(&self.spec(), sim, jobs)
-    }
-
-    /// [`Scenario::run`] with a caller-adjusted spec (replicates, base
-    /// seed) — the spec must come from [`Scenario::spec`].
-    pub fn run_spec(&self, spec: &SweepSpec, sim: &SimScale, jobs: usize) -> SweepReport {
-        let workload = self.workload;
-        let pipeline = self.pipeline;
-        run_sweep_with(spec, sim.label, jobs, move |job| {
-            pipeline.cell(&job.coord, sim, job.seed, workload)
-        })
     }
 
     /// The figure-style payload of a deadline-replay scenario: one
@@ -402,6 +385,8 @@ pub fn render_list() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::run_sweep;
+    use crate::grid::SimScale;
     use ups_sim::Dur;
 
     #[test]
@@ -547,7 +532,7 @@ mod tests {
             fattree_k: 4,
             label: "tiny",
         };
-        let report = s.run(&sim, 2);
+        let report = run_sweep(&s.spec(), &sim, 2, s.workload, s.pipeline);
         assert_eq!(report.results.len(), 3);
         for r in &report.results {
             assert!(r.total.mean > 0.0, "cell replayed no packets");

@@ -11,8 +11,7 @@
 //! run`; `docs/SCENARIOS.md` documents every entry with its topology
 //! sketch and repro command.
 
-use ups::sweep::scenario;
-use ups::sweep::SimScale;
+use ups::sweep::{run_sweep, scenario, SimScale};
 
 fn main() {
     println!("registered scenarios:\n");
@@ -28,7 +27,7 @@ fn main() {
         fattree_k: 4,
         label: "tour",
     };
-    let report = s.run(&sim, 2);
+    let report = run_sweep(&s.spec(), &sim, 2, s.workload, s.pipeline);
     println!(
         "{:<18} {:>5} {:<9} {:>9} {:>12} {:>12}",
         "Topology", "Util", "Original", "Packets", "FracOverdue", "Frac>T"

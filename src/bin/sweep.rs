@@ -2,14 +2,14 @@
 //!
 //! `--grid NAME` runs, in this order of lookup: a named grid (`table1`,
 //! the default; `smoke`), a registered scenario
-//! (`ups_sweep::scenario`, catalogued in `docs/SCENARIOS.md`), or one of
-//! the paper's experiments (`ups_bench::EXPERIMENTS`: `fig1`…`fig4`, the
-//! ablations, `paper`). Grids and scenarios expand into cells × seed
-//! replicates, run on a scoped-thread worker pool, print per-cell mean ±
-//! stddev and write JSON + CSV artifacts under `target/sweep/` (override
-//! with `--out DIR`); experiments print their own report and the figures
-//! write the same kind of artifacts. Output is byte-identical for every
-//! `--jobs` value.
+//! (`ups_sweep::scenario`, catalogued in `docs/SCENARIOS.md`), one of
+//! the paper's experiments (`ups_sweep::EXPERIMENTS`: `fig1`…`fig4`, the
+//! ablations, the diagnostics), or `paper` (Table 1, then every
+//! experiment). Grids and scenarios expand into cells × seed replicates,
+//! run on a scoped-thread worker pool and print per-cell mean ± stddev;
+//! experiments print their figure report. Every run writes JSON + CSV
+//! artifacts under `target/sweep/` (override with `--out DIR`), and
+//! output is byte-identical for every `--jobs` value.
 //!
 //! `scenarios` lists what `--grid` accepts beyond the named grids and
 //! describes a scenario; `diff` compares two JSON artifacts (table or
@@ -26,16 +26,43 @@
 //! cargo run --release --bin sweep -- diff baseline.json target/sweep/table1.json
 //! ```
 
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use ups_bench::{experiments, out, out_inline, print_sweep_report, Scale};
 use ups_core::WorkloadKind;
 use ups_sim::{Dur, PS_PER_MS, PS_PER_US};
 use ups_sweep::scenario::{self, Scenario};
 use ups_sweep::{
-    diff_artifacts, run_sweep_with, run_telemetry_sweep, CellPipeline, ChaosSpec, DiffOptions,
-    SweepSpec,
+    diff_artifacts, run_sweep, run_telemetry_sweep, CellPipeline, ChaosSpec, DiffOptions,
+    Experiment, FigReport, Scale, SweepReport, SweepSpec, EXPERIMENTS,
 };
+
+/// Write a line to stdout, swallowing write failures: when stdout is
+/// piped through e.g. `head`, the reader can close the pipe before the
+/// run finishes, and std maps the resulting `EPIPE` to a `println!`
+/// panic (Rust ignores SIGPIPE). A run must still write its JSON/CSV
+/// artifacts and exit cleanly in that case, so every stdout write goes
+/// through `out!`/`out_inline!`. Diagnostics on stderr keep using
+/// `eprintln!`.
+macro_rules! out {
+    () => { out!("") };
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
+
+/// [`out!`] without the trailing newline (the `print!` analogue).
+macro_rules! out_inline {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = write!(std::io::stdout(), $($arg)*);
+    }};
+}
+
+/// The `--grid` name that runs Table 1, then every experiment.
+const PAPER: &str = "paper";
+const PAPER_TITLE: &str = "Table 1, then every experiment above in sequence";
 
 const USAGE: &str = "\
 usage: sweep [--grid NAME] [--out DIR] [--telemetry] [chaos flags] [scale flags]
@@ -269,27 +296,37 @@ fn run_diff(old_path: &str, new_path: &str, opts: &DiffOptions) -> ! {
     std::process::exit(1);
 }
 
-/// Resolve `grid` — named grid, then scenario, then experiment — and
-/// run it.
+/// Resolve `grid` — named grid, then scenario, then experiment, then
+/// `paper` — run it and write its artifacts.
 fn run(grid: &str, args: &Args) -> ! {
     args.only("a run", |f| !is_tolerance(f));
-    if let Some(spec) = SweepSpec::named().into_iter().find(|s| s.name == grid) {
-        run_grid(spec, WorkloadKind::Web, CellPipeline::Replay, None, args);
-    }
-    if let Some(s) = scenario::find(grid) {
+    let named = SweepSpec::named().into_iter().find(|s| s.name == grid);
+    let written = if let Some(spec) = named {
+        run_grid(spec, WorkloadKind::Web, CellPipeline::Replay, None, args)
+    } else if let Some(s) = scenario::find(grid) {
         out!("scenario {}: {} [{}]", s.name, s.title, s.workload.label());
-        run_grid(s.spec(), s.workload, s.pipeline, Some(s), args);
+        run_grid(s.spec(), s.workload, s.pipeline, Some(s), args)
+    } else {
+        experiment(grid, args)
+    };
+    if let Err(e) = written {
+        eprintln!("error: writing artifacts to {}: {e}", args.out.display());
+        std::process::exit(1);
     }
-    let Some(e) = experiments::find(grid) else {
+    std::process::exit(0)
+}
+
+/// Run the paper's experiment `grid`, or `paper`: Table 1, then every
+/// experiment under a `# name: title` header.
+fn experiment(grid: &str, args: &Args) -> io::Result<()> {
+    let e = EXPERIMENTS.iter().find(|e| e.name == grid);
+    let Some(title) = e.map_or((grid == PAPER).then_some(PAPER_TITLE), |e| Some(e.title)) else {
+        let experiments: Vec<_> = EXPERIMENTS.iter().map(|e| e.name).chain([PAPER]).collect();
         usage_exit(&format!(
             "unknown grid `{grid}` — named grids: {}; scenarios: {}; experiments: {}",
             SweepSpec::named().map(|s| s.name).join(", "),
             scenario::names().join(", "),
-            experiments::EXPERIMENTS
-                .iter()
-                .map(|e| e.name)
-                .collect::<Vec<_>>()
-                .join(", ")
+            experiments.join(", ")
         ));
     };
     args.only(&format!("experiment `{grid}`"), |f| {
@@ -297,25 +334,35 @@ fn run(grid: &str, args: &Args) -> ! {
     });
     let scale = &args.scale;
     out!(
-        "experiment {}: {} (scale {}, seed {}, {} worker(s), {} replicate(s))",
-        e.name,
-        e.title,
+        "experiment {grid}: {title} (scale {}, seed {}, {} worker(s), {} replicate(s))",
         scale.label,
         scale.seed,
         scale.jobs,
         scale.replicates
     );
-    exit_after_writing((e.run)(scale, &args.out), args);
+    if let Some(e) = e {
+        return run_experiment(e, scale, &args.out);
+    }
+    let (web, replay) = (WorkloadKind::Web, CellPipeline::Replay);
+    run_grid(SweepSpec::table1(), web, replay, None, args)?;
+    for e in EXPERIMENTS {
+        out!("\n# {}: {}", e.name, e.title);
+        run_experiment(e, scale, &args.out)?;
+    }
+    Ok(())
 }
 
-fn exit_after_writing(written: std::io::Result<()>, args: &Args) -> ! {
-    match written {
-        Ok(()) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("error: writing artifacts to {}: {e}", args.out.display());
-            std::process::exit(1);
-        }
+/// Run one experiment at `scale`, print its report and note, and write
+/// its JSON + CSV under `out`.
+fn run_experiment(e: &Experiment, scale: &Scale, out: &Path) -> io::Result<()> {
+    let report = (e.report)(scale);
+    print_fig_report(&report);
+    if !e.note.is_empty() {
+        out!("\n{}", e.note);
     }
+    let (json, csv) = report.write(out)?;
+    out!("\nwrote {} and {}", json.display(), csv.display());
+    Ok(())
 }
 
 /// Run a grid (named or scenario) with its workload family and cell
@@ -329,7 +376,7 @@ fn run_grid(
     pipeline: CellPipeline,
     s: Option<&Scenario>,
     args: &Args,
-) -> ! {
+) -> io::Result<()> {
     let scale = &args.scale;
     let mut spec = spec.with_seed(scale.seed).with_replicates(scale.replicates);
     if let Some(c) = args.chaos {
@@ -357,12 +404,7 @@ fn run_grid(
     );
     let sim = scale.sim();
     let (report, telem) = match args.telemetry {
-        None => {
-            let report = run_sweep_with(&spec, sim.label, scale.jobs, |job| {
-                pipeline.cell(&job.coord, &sim, job.seed, workload)
-            });
-            (report, None)
-        }
+        None => (run_sweep(&spec, &sim, scale.jobs, workload, pipeline), None),
         Some(interval) => {
             out!(
                 "telemetry: sampling every {} us on the event wheel",
@@ -374,24 +416,104 @@ fn run_grid(
         }
     };
     print_sweep_report(&report);
-    let written = (|| -> std::io::Result<()> {
-        let (json, csv) = report.write(&args.out)?;
-        out!("\nwrote {} and {}", json.display(), csv.display());
-        if let Some(t) = telem {
-            let (tj, tc) = t.write(&args.out)?;
-            out!("wrote {} and {}", tj.display(), tc.display());
+    let (json, csv) = report.write(&args.out)?;
+    out!("\nwrote {} and {}", json.display(), csv.display());
+    if let Some(t) = telem {
+        let (tj, tc) = t.write(&args.out)?;
+        out!("wrote {} and {}", tj.display(), tc.display());
+    }
+    if let Some(fig) = s.and_then(|s| s.miss_curves(&report)) {
+        let (fj, fc) = fig.write(&args.out)?;
+        out!(
+            "wrote {} and {} (miss-rate-vs-utilization curves)",
+            fj.display(),
+            fc.display()
+        );
+    }
+    Ok(())
+}
+
+/// Print a scalar-grid sweep report: one row per cell, mean ± stddev.
+fn print_sweep_report(report: &SweepReport) {
+    out!(
+        "\n{:<18} {:>5} {:<9} {:>9} {:>22} {:>22} {:>14}",
+        "Topology",
+        "Util",
+        "Original",
+        "Packets",
+        "FracOverdue",
+        "Frac>T",
+        "MeanSlack(us)"
+    );
+    for r in &report.results {
+        out!(
+            "{:<18} {:>4.0}% {:<9} {:>9.0} {:>12.6} ±{:>8.6} {:>12.6} ±{:>8.6} {:>14.1}",
+            r.coord.topo.label(),
+            r.coord.util * 100.0,
+            r.coord.sched.label(),
+            r.total.mean,
+            r.frac_overdue.mean,
+            r.frac_overdue.stddev,
+            r.frac_gt_t.mean,
+            r.frac_gt_t.stddev,
+            r.mean_slack_us.mean
+        );
+    }
+}
+
+/// Print a figure report: header, per-series scalar summaries, then the
+/// mean ± stddev curve table (one column per series, one row per x-axis
+/// point) when the axis has points.
+fn print_fig_report(report: &FigReport) {
+    out!("\n=== {} ===", report.title);
+    out!(
+        "scale {}, {} replicate(s), base seed {} (output is identical for every --jobs value)",
+        report.scale,
+        report.replicates,
+        report.base_seed
+    );
+    let width = report
+        .results
+        .iter()
+        .map(|r| r.series.len())
+        .fold(16, usize::max);
+    if !report.scalar_names.is_empty() {
+        out!();
+        out_inline!("{:<width$}", "series");
+        for name in &report.scalar_names {
+            out_inline!(" {name:>22}");
         }
-        if let Some(fig) = s.and_then(|s| s.miss_curves(&report)) {
-            let (fj, fc) = fig.write(&args.out)?;
-            out!(
-                "wrote {} and {} (miss-rate-vs-utilization curves)",
-                fj.display(),
-                fc.display()
-            );
+        out!();
+        for r in &report.results {
+            out_inline!("{:<width$}", r.series);
+            for s in &r.scalars {
+                out_inline!(" {:>13.4} ±{:>7.4}", s.mean, s.stddev);
+            }
+            out!();
         }
-        Ok(())
-    })();
-    exit_after_writing(written, args);
+    }
+    if report.axis.xs.is_empty() {
+        return;
+    }
+    out!();
+    out_inline!("{:<12}", report.axis.name);
+    for r in &report.results {
+        out_inline!(" {:>20}", r.series);
+    }
+    out!();
+    for (i, &x) in report.axis.xs.iter().enumerate() {
+        let row_label = report
+            .axis
+            .labels
+            .as_ref()
+            .map_or_else(|| format!("{x}"), |labels| labels[i].clone());
+        out_inline!("{row_label:<12}");
+        for r in &report.results {
+            let s = &r.points[i];
+            out_inline!(" {:>11.4} ±{:>7.4}", s.mean, s.stddev);
+        }
+        out!();
+    }
 }
 
 fn main() {
@@ -407,7 +529,10 @@ fn main() {
             args.only("scenarios list", |_| false);
             out_inline!("{}", scenario::render_list());
             out!("\nexperiments of the paper:");
-            out_inline!("{}", experiments::render_list());
+            for e in EXPERIMENTS {
+                out!("{:<21} {}", e.name, e.title);
+            }
+            out!("{PAPER:<21} {PAPER_TITLE}");
             out!("\nrun one:  sweep --grid <name>  (or: sweep scenarios run <name>)");
             out!("details:  sweep scenarios describe <scenario>  ·  docs/SCENARIOS.md");
         }

@@ -10,29 +10,29 @@
 //!
 //! * [`sim`] — deterministic discrete-event primitives (picosecond
 //!   clock, class-ordered event queue, portable RNG);
-//! * [`obs`] — the deterministic telemetry plane (metrics registry,
-//!   event-wheel time-series sampling);
+//! * [`obs`] — the deterministic telemetry plane (the deadline ledger's
+//!   log2 histogram, event-wheel time-series sampling);
 //! * [`net`] — the store-and-forward network model (the ns-2 stand-in);
 //! * [`sched`] — LSTF, EDF, FIFO, LIFO, Random, Priority/SJF, SRPT,
 //!   FQ, FIFO+;
 //! * [`topo`] — Internet2, synthetic RocketFuel, fat-tree, fixtures;
 //! * [`flowgen`] — Poisson workloads with heavy-tailed flow sizes;
 //! * [`transport`] — open-loop UDP and a compact TCP Reno;
-//! * [`metrics`] — CDFs, percentiles, Jain fairness;
+//! * [`metrics`] — CDFs, quantiles, Jain fairness;
 //! * [`core`] — the replay engine, slack-initialization heuristics,
 //!   omniscient UPS, and the appendix counterexamples;
 //! * [`sweep`] — the parallel, deterministic experiment-sweep engine
-//!   (scalar and distribution-payload grids, the scenario registry,
-//!   scoped-thread worker pool, JSON/CSV artifacts, cross-run artifact
-//!   diffing).
+//!   (scalar and distribution-payload grids, the scenario registry, the
+//!   paper's experiments, scoped-thread worker pool, JSON/CSV artifacts,
+//!   cross-run artifact diffing).
 //!
 //! Start with `examples/quickstart.rs` (and `examples/scenario_tour.rs`
 //! for the scenario registry). `cargo run --release --bin sweep` is the
 //! one way to run an experiment: `--grid NAME` resolves the named grids
 //! (Table 1 is the default), the registered scenarios, and the paper's
-//! figures and ablations (the `EXPERIMENTS` table of `crates/bench` —
-//! Table 1 and Figures 1–4 run multi-seed and in parallel through the
-//! sweep engine), with structured artifacts under `target/sweep/`
+//! figures and ablations ([`sweep::EXPERIMENTS`] — Table 1 and Figures
+//! 1–4 run multi-seed and in parallel through the sweep engine), with
+//! structured artifacts under `target/sweep/` for every one
 //! (`sweep diff` compares two artifacts for regressions;
 //! `sweep scenarios list` prints the catalogue).
 //! `docs/ARCHITECTURE.md` maps the workspace and its determinism

@@ -8,8 +8,9 @@
 //! (the suite runs offline). It also holds docs/SCENARIOS.md to the
 //! grids `sweep --grid` can run, every markdown file a Rust doc
 //! comment names to a file that exists, the baseline list in
-//! docs/EXPERIMENTS.md to `baselines/` and CI's diff steps, and every
-//! type-like code name in the docs to the sources.
+//! docs/EXPERIMENTS.md to `baselines/` and CI's diff steps, every
+//! experiment to its baseline, and every type-like code name in the
+//! docs to the sources.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -270,7 +271,8 @@ fn every_runnable_grid_is_catalogued_and_every_heading_is_runnable() {
     let grids = ups::sweep::SweepSpec::named().map(|s| s.name);
     let mut names: Vec<&str> = grids.iter().map(String::as_str).collect();
     names.extend(ups::sweep::scenario::names());
-    names.extend(ups_bench::EXPERIMENTS.iter().map(|e| e.name));
+    names.extend(ups::sweep::EXPERIMENTS.iter().map(|e| e.name));
+    names.push("paper"); // Table 1, then every experiment
     let missing: Vec<_> = names
         .iter()
         .filter(|n| !doc.contains(&format!("`{n}`")))
@@ -288,9 +290,8 @@ fn every_runnable_grid_is_catalogued_and_every_heading_is_runnable() {
 }
 
 /// The `baselines/NAME` files a text names: `NAME` is a run of
-/// file-name characters ending in `.json` or `.txt`, so the directory
-/// itself and shell patterns such as `baselines/${g}_quick.txt` are not
-/// names.
+/// file-name characters ending in `.json`, so the directory itself and
+/// shell patterns such as `baselines/${g}_quick.json` are not names.
 fn baseline_names(text: &str) -> BTreeSet<String> {
     text.match_indices("baselines/")
         .filter_map(|(i, m)| {
@@ -298,7 +299,7 @@ fn baseline_names(text: &str) -> BTreeSet<String> {
                 .split(|c: char| !(c.is_ascii_alphanumeric() || "_.-".contains(c)))
                 .next()
         })
-        .filter(|n| n.ends_with(".json") || n.ends_with(".txt"))
+        .filter(|n| n.ends_with(".json"))
         .map(str::to_string)
         .collect()
 }
@@ -333,8 +334,27 @@ fn every_baseline_is_listed_and_gated() {
     assert_eq!(listed, committed, "docs/EXPERIMENTS.md vs baselines/");
     assert_eq!(gated, committed, "ci.yml diff steps vs baselines/");
     assert_eq!(
-        baseline_names("`baselines/` cp a baselines/x_quick.json > baselines/${g}_quick.txt"),
+        baseline_names("`baselines/` cp a baselines/x_quick.json baselines/${g}_quick.json"),
         BTreeSet::from(["x_quick.json".to_string()])
+    );
+    assert!(baseline_names("diff baselines/x_quick.txt out.txt").is_empty());
+}
+
+/// Every experiment of the paper is value-gated: each entry of
+/// `EXPERIMENTS` (which `paper`, running them all, is not one of) has a
+/// committed `baselines/<name>_quick.json`, so a new entry cannot land
+/// without a baseline, and through the test above, a CI diff step.
+#[test]
+fn every_experiment_has_a_committed_baseline() {
+    let baselines = Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines");
+    let missing: Vec<_> = ups::sweep::EXPERIMENTS
+        .iter()
+        .map(|e| format!("{}_quick.json", e.name))
+        .filter(|f| !baselines.join(f).is_file())
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "experiments without a baseline: {missing:?}"
     );
 }
 

@@ -1,18 +1,18 @@
 //! Smoke tests of the paper's experiments at a tiny scale: every entry
-//! of `ups_bench::EXPERIMENTS` runs through the `run` that
-//! `sweep --grid NAME` calls, and the runners behind the entries produce
-//! structurally sane output.
+//! of `ups_sweep::EXPERIMENTS` runs through `sweep --grid` and writes its
+//! artifacts, and the runners behind the entries produce structurally
+//! sane output.
 
-use ups_bench::{
-    ablation_lstf_key, ablation_preempt, ablation_priority, congestion_points, fig1_cell,
-    fig1_originals, fig2_report, fig3_cell, fig3_schemes, fig4_report, Scale, EXPERIMENTS,
-};
-use ups_core::replay::ReplayMode;
 use ups_core::WorkloadKind;
 use ups_sched::SchedKind;
 use ups_sim::Dur;
+use ups_sweep::experiments::{
+    ablation_lstf_key, ablation_preempt, ablation_priority, congestion_points, fig1_cell,
+    fig1_originals, fig2_report, fig3_cell, fig3_schemes, fig4_report,
+};
 use ups_sweep::{
-    run_sweep, CellCoord, CellMetrics, CellPipeline, ChaosSpec, SweepResult, SweepSpec, TopoKind,
+    run_sweep, CellCoord, CellPipeline, ChaosSpec, FigReport, Scale, SweepResult, SweepSpec,
+    TopoKind, EXPERIMENTS,
 };
 use ups_topo::internet2::I2Variant;
 
@@ -30,9 +30,9 @@ fn tiny() -> Scale {
 
 #[test]
 fn every_experiment_runs_through_the_cli() {
-    // `paper` is Table 1 plus every other entry's `run` under a
-    // `# name: title` header, so one `sweep --grid paper` at the tiny
-    // scale runs them all and a new table entry cannot go unrun.
+    // `paper` is Table 1 plus every entry under a `# name: title`
+    // header, so one `sweep --grid paper` at the tiny scale runs them
+    // all, and a new table entry cannot go unrun or write nothing.
     let out = std::env::temp_dir().join(format!("ups-experiments-{}", std::process::id()));
     let run = std::process::Command::new(env!("CARGO_BIN_EXE_sweep"))
         .args("--grid paper --edges 2 --horizon-ms 2 --seed 3 --jobs 4 --out".split(' '))
@@ -41,11 +41,15 @@ fn every_experiment_runs_through_the_cli() {
         .expect("spawn sweep binary");
     let stdout = String::from_utf8_lossy(&run.stdout);
     assert!(run.status.success(), "{stdout}");
-    for e in EXPERIMENTS.iter().filter(|e| e.name != "paper") {
+    for e in EXPERIMENTS {
         let header = format!("# {}: {}", e.name, e.title);
         assert!(stdout.contains(&header), "{} did not run", e.name);
+        for ext in ["json", "csv"] {
+            let artifact = out.join(format!("{}.{ext}", e.name));
+            assert!(artifact.is_file(), "{} wrote no {ext}", e.name);
+        }
     }
-    assert!(out.join("table1.json").is_file() && out.join("fig4.csv").is_file());
+    assert!(out.join("table1.json").is_file() && out.join("table1.csv").is_file());
     let _ = std::fs::remove_dir_all(&out);
 }
 
@@ -53,7 +57,15 @@ fn every_experiment_runs_through_the_cli() {
 fn table1_produces_all_fourteen_rows() {
     // Runs the Table-1 grid through the sweep engine on 4 workers.
     let scale = tiny();
-    let rows = run_sweep(&SweepSpec::table1().with_seed(3), &scale.sim(), scale.jobs).results;
+    let spec = SweepSpec::table1().with_seed(3);
+    let rows = run_sweep(
+        &spec,
+        &scale.sim(),
+        scale.jobs,
+        WorkloadKind::Web,
+        CellPipeline::Replay,
+    )
+    .results;
     assert_eq!(rows.len(), 14);
     for r in &rows {
         assert!(r.total.mean > 0.0, "{}: empty run", r.coord.topo.label());
@@ -140,31 +152,42 @@ fn fig4_fairness_series_has_all_schemes() {
     assert!(last.mean > 0.9, "FQ final {}", last.mean);
 }
 
+/// The scalars of an ablation report's `series`, by name (the six
+/// Table-1 metrics of that original / replay-mode row).
+fn row(report: &FigReport, series: &str, scalar: &str) -> f64 {
+    let r = report.results.iter().find(|r| r.series == series);
+    let r = r.unwrap_or_else(|| panic!("{}: no series `{series}`", report.name));
+    let i = report.scalar_names.iter().position(|n| n == scalar);
+    r.scalars[i.expect("a scalar of the row")].mean
+}
+
 #[test]
 fn ablations_run_and_are_consistent() {
-    let rows = ablation_priority(&tiny());
-    assert_eq!(rows.len(), 4);
-    let row = |mode| rows.iter().find(|r| r.1 == mode).unwrap().2;
-    let lstf = row(ReplayMode::lstf());
+    let prio = ablation_priority(&tiny());
+    assert_eq!(prio.results.len(), 4);
+    assert!(prio.axis.xs.is_empty());
+    let overdue = |series| row(&prio, series, "frac_overdue");
     assert_eq!(
-        lstf.frac_overdue,
-        row(ReplayMode::Edf).frac_overdue,
+        overdue("Random / LSTF"),
+        overdue("Random / EDF"),
         "EDF != LSTF"
     );
     assert_eq!(
-        row(ReplayMode::Omniscient).frac_overdue,
+        overdue("Random / Omniscient"),
         0.0,
         "omniscient must be perfect"
     );
 
     let keys = ablation_lstf_key(&tiny());
     assert_eq!(
-        keys[0].2.frac_overdue, keys[1].2.frac_overdue,
+        row(&keys, "Random / LSTF", "frac_overdue"),
+        row(&keys, "Random / LSTF(deadline)", "frac_overdue"),
         "key modes must coincide for uniform packet sizes"
     );
 
     let pre = ablation_preempt(&tiny());
-    assert_eq!(pre.len(), 8);
+    assert_eq!(pre.results.len(), 8);
+    assert!(row(&pre, "SJF / LSTF(preempt)", "total_packets") > 0.0);
 }
 
 #[test]
@@ -181,25 +204,37 @@ fn ablation_leg_matches_the_sweep_leg() {
         chaos: ChaosSpec::OFF,
     };
     let sweep = CellPipeline::Replay.cell(&coord, &scale.sim(), scale.seed, WorkloadKind::Web);
-    let random_lstf = |rows: Vec<(SchedKind, ReplayMode, CellMetrics)>| {
-        rows.into_iter()
-            .find(|r| r.0 == SchedKind::Random && r.1 == ReplayMode::lstf())
-            .expect("a Random/LSTF row")
-            .2
-    };
     assert!(sweep.total > 0);
-    assert_eq!(random_lstf(ablation_priority(&scale)), sweep);
-    assert_eq!(random_lstf(ablation_preempt(&scale)), sweep);
-    assert_eq!(random_lstf(ablation_lstf_key(&scale)), sweep);
+    let want = [
+        ("total_packets", sweep.total as f64),
+        ("frac_overdue", sweep.frac_overdue),
+        ("frac_overdue_gt_t", sweep.frac_gt_t),
+        ("t_us", sweep.t_us),
+        ("max_congestion_points", sweep.max_cp as f64),
+        ("mean_slack_us", sweep.mean_slack_us),
+    ];
+    for report in [
+        ablation_priority(&scale),
+        ablation_preempt(&scale),
+        ablation_lstf_key(&scale),
+    ] {
+        assert_eq!(report.scalar_names.len(), want.len());
+        for (name, value) in want {
+            let got = row(&report, "Random / LSTF", name);
+            assert_eq!(got, value, "{}: {name}", report.name);
+        }
+    }
 }
 
 #[test]
 fn congestion_points_cover_topologies() {
-    let rows = congestion_points(&tiny());
-    assert_eq!(rows.len(), 5);
-    for (topo, hist, _) in &rows {
-        assert!(!hist.is_empty(), "{topo}: empty histogram");
-        let total: usize = hist.iter().sum();
-        assert!(total > 0);
+    let report = congestion_points(&tiny());
+    assert_eq!(report.results.len(), 5);
+    let labels = report.axis.labels.as_ref().expect("categorical axis");
+    assert_eq!(labels.first().map(String::as_str), Some("cp0"));
+    for r in &report.results {
+        assert_eq!(r.points.len(), labels.len(), "{}: not padded", r.series);
+        let total: f64 = r.points.iter().map(|p| p.mean).sum();
+        assert!(total > 0.0, "{}: empty histogram", r.series);
     }
 }

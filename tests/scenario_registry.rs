@@ -5,8 +5,8 @@
 //! worker count.
 
 use ups::sim::Dur;
-use ups::sweep::scenario;
-use ups::sweep::SimScale;
+use ups::sweep::scenario::{self, Scenario};
+use ups::sweep::{run_sweep, SimScale, SweepReport, SweepSpec};
 
 fn tiny() -> SimScale {
     SimScale {
@@ -17,14 +17,19 @@ fn tiny() -> SimScale {
     }
 }
 
+/// `spec`, a grid of `s`, through `s`'s workload and pipeline.
+fn run(s: &Scenario, spec: &SweepSpec, jobs: usize) -> SweepReport {
+    run_sweep(spec, &tiny(), jobs, s.workload, s.pipeline)
+}
+
 /// A new-workload scenario grid serializes byte-identically for
 /// `--jobs 1` and `--jobs 4`, replicated over two seeds.
 #[test]
 fn deadline_mix_scenario_artifacts_are_identical_across_worker_counts() {
     let s = scenario::find("i2-deadline-mix").expect("registered");
     let spec = s.spec().with_replicates(2);
-    let serial = s.run_spec(&spec, &tiny(), 1);
-    let parallel = s.run_spec(&spec, &tiny(), 4);
+    let serial = run(s, &spec, 1);
+    let parallel = run(s, &spec, 4);
     assert_eq!(
         serial.to_json(),
         parallel.to_json(),
@@ -53,8 +58,8 @@ fn deadline_mix_scenario_artifacts_are_identical_across_worker_counts() {
 fn deadline_replay_scenario_and_figure_are_identical_across_worker_counts() {
     let s = scenario::find("i2-deadline-replay").expect("registered");
     let spec = s.spec().with_replicates(2);
-    let serial = s.run_spec(&spec, &tiny(), 1);
-    let parallel = s.run_spec(&spec, &tiny(), 4);
+    let serial = run(s, &spec, 1);
+    let parallel = run(s, &spec, 4);
     assert_eq!(serial.to_json(), parallel.to_json(), "table JSON differs");
     assert_eq!(serial.to_csv(), parallel.to_csv(), "table CSV differs");
 
@@ -93,7 +98,7 @@ fn deadline_replay_scenario_and_figure_are_identical_across_worker_counts() {
 #[test]
 fn incast_scenario_replays_end_to_end() {
     let s = scenario::find("dc-k4-incast-sched").expect("registered");
-    let report = s.run(&tiny(), 2);
+    let report = run(s, &s.spec(), 2);
     assert_eq!(report.results.len(), 3);
     for r in &report.results {
         assert!(r.total.mean > 0.0, "no packets replayed");
@@ -112,7 +117,7 @@ fn fattree_k8_scenario_runs_at_quick_scale() {
         spec.cells.retain(|c| c.util == 0.3); // one cell keeps it fast
         spec
     };
-    let report = s.run_spec(&spec, &tiny(), 2);
+    let report = run(s, &spec, 2);
     assert_eq!(report.results.len(), 1);
     assert!(report.results[0].total.mean > 0.0);
 }
@@ -127,7 +132,7 @@ fn rocketfuel_full_scenario_runs_at_quick_scale() {
         spec.cells.retain(|c| c.util == 0.3);
         spec
     };
-    let report = s.run_spec(&spec, &tiny(), 2);
+    let report = run(s, &spec, 2);
     assert_eq!(report.results.len(), 1);
     assert!(report.results[0].total.mean > 0.0);
 }

@@ -2,9 +2,10 @@
 //! byte-identical regardless of the worker count, because every result
 //! is keyed to its grid coordinates rather than completion order.
 
-use ups_bench::{fig1_report, Scale};
+use ups_core::WorkloadKind;
 use ups_sim::Dur;
-use ups_sweep::{diff_artifacts, run_sweep, DiffOptions, SweepSpec};
+use ups_sweep::experiments::fig1_report;
+use ups_sweep::{diff_artifacts, run_sweep, CellPipeline, DiffOptions, Scale, SweepSpec};
 
 /// ISSUE 2 acceptance: at `Scale::quick` with 2 replicates, the
 /// serialized JSON (and CSV) artifact from `--jobs 1` is byte-identical
@@ -13,8 +14,8 @@ use ups_sweep::{diff_artifacts, run_sweep, DiffOptions, SweepSpec};
 fn quick_scale_artifacts_are_identical_across_worker_counts() {
     let sim = Scale::quick().sim();
     let spec = SweepSpec::smoke().with_replicates(2);
-    let serial = run_sweep(&spec, &sim, 1);
-    let parallel = run_sweep(&spec, &sim, 4);
+    let serial = run_sweep(&spec, &sim, 1, WorkloadKind::Web, CellPipeline::Replay);
+    let parallel = run_sweep(&spec, &sim, 4, WorkloadKind::Web, CellPipeline::Replay);
     assert_eq!(
         serial.to_json(),
         parallel.to_json(),
@@ -71,8 +72,8 @@ fn replicate_aggregation_is_deterministic_and_sane() {
     let mut sim = Scale::quick().sim();
     sim.edges_per_core = 2; // tiny topology keeps this test fast
     let spec = SweepSpec::smoke().with_replicates(3).with_seed(5);
-    let a = run_sweep(&spec, &sim, 2);
-    let b = run_sweep(&spec, &sim, 3);
+    let a = run_sweep(&spec, &sim, 2, WorkloadKind::Web, CellPipeline::Replay);
+    let b = run_sweep(&spec, &sim, 3, WorkloadKind::Web, CellPipeline::Replay);
     assert_eq!(a.to_json(), b.to_json());
     for cell in &a.results {
         assert_eq!(cell.replicates, 3);

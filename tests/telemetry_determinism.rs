@@ -9,14 +9,13 @@
 //! The sampling cadence is an argument of the record leg, so these
 //! tests share no state and run in parallel.
 
-use ups_bench::Scale;
 use ups_core::replay::ReplayMode;
 use ups_core::WorkloadKind;
 use ups_sched::SchedKind;
 use ups_sim::Dur;
 use ups_sweep::{
     record_and_replay_observed, run_sweep, run_telemetry_sweep, CellCoord, CellPipeline, ChaosSpec,
-    SweepSpec, TopoKind,
+    Scale, SweepSpec, TopoKind,
 };
 use ups_topo::internet2::I2Variant;
 
@@ -31,7 +30,7 @@ fn table_artifact_is_byte_identical_with_sampling_on() {
     sim.horizon = Dur::from_millis(2);
     let spec = SweepSpec::smoke().with_replicates(2);
 
-    let off = run_sweep(&spec, &sim, 2);
+    let off = run_sweep(&spec, &sim, 2, WorkloadKind::Web, CellPipeline::Replay);
 
     let (on, telem) = run_telemetry_sweep(
         &spec,
@@ -63,7 +62,7 @@ fn deadline_artifacts_are_byte_identical_with_sampling_on() {
     assert_eq!(scenario.pipeline, CellPipeline::DeadlineReplay);
     let spec = scenario.spec();
 
-    let off = scenario.run_spec(&spec, &sim, 2);
+    let off = run_sweep(&spec, &sim, 2, scenario.workload, scenario.pipeline);
 
     let (on, telem) = run_telemetry_sweep(
         &spec,
