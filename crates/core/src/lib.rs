@@ -70,4 +70,4 @@ pub use replay::{
     ReplayReport,
 };
 pub use schedule::{RecordedPacket, RecordedSchedule};
-pub use workload::{default_udp_workload, to_flow_descs, WorkloadKind};
+pub use workload::{to_flow_descs, WorkloadKind};

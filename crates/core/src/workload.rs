@@ -1,45 +1,18 @@
-//! Bridging workload generation (`ups-flowgen`) to transport flow
-//! descriptors, plus the standard experiment workloads.
+//! The standard experiment workloads: the workload families a scenario
+//! pairs with any topology.
 
-use ups_flowgen::{DeadlineMixConfig, FlowSpec, IncastConfig, PoissonConfig};
+use ups_flowgen::{DeadlineMixConfig, IncastConfig, PoissonConfig};
 use ups_sim::Dur;
 use ups_topo::Topology;
 use ups_transport::FlowDesc;
 
-/// Convert generated flow specs into transport flow descriptors.
-pub fn to_flow_descs(specs: &[FlowSpec]) -> Vec<FlowDesc> {
-    specs
-        .iter()
-        .map(|f| FlowDesc {
-            id: f.id,
-            src: f.src,
-            dst: f.dst,
-            pkts: f.pkts,
-            start: f.start,
-            // Deadline-tagged classes carry their deadline into the
-            // transport layer, where injection turns it into an initial
-            // header slack for EDF/LSTF.
-            deadline: f.class.deadline,
-        })
-        .collect()
-}
-
-/// The paper's default replay workload: Poisson UDP flows with
-/// heavy-tailed sizes at `utilization` of the most-loaded core link,
-/// arriving over `horizon`.
-pub fn default_udp_workload(
-    topo: &Topology,
-    utilization: f64,
-    horizon: Dur,
-    seed: u64,
-) -> Vec<FlowDesc> {
-    let cfg = PoissonConfig {
-        utilization,
-        horizon,
-        seed,
-        ..Default::default()
-    };
-    to_flow_descs(&ups_flowgen::poisson_workload(topo, &cfg))
+/// The identity: generators already return transport flow
+/// descriptors. Kept only because the repo benchmark's fairness
+/// workload still calls it; it goes with ROADMAP item 7b. No product
+/// path calls it.
+#[doc(hidden)]
+pub fn to_flow_descs(flows: &[FlowDesc]) -> Vec<FlowDesc> {
+    flows.to_vec()
 }
 
 /// A named workload family a scenario can pair with any topology — the
@@ -81,8 +54,16 @@ impl WorkloadKind {
         seed: u64,
     ) -> Vec<FlowDesc> {
         match self {
-            WorkloadKind::Web => default_udp_workload(topo, utilization, horizon, seed),
-            WorkloadKind::Incast => to_flow_descs(&ups_flowgen::incast_workload(
+            WorkloadKind::Web => ups_flowgen::poisson_workload(
+                topo,
+                &PoissonConfig {
+                    utilization,
+                    horizon,
+                    seed,
+                    ..Default::default()
+                },
+            ),
+            WorkloadKind::Incast => ups_flowgen::incast_workload(
                 topo,
                 &IncastConfig {
                     // Fan-in capped by the host population on small
@@ -93,8 +74,8 @@ impl WorkloadKind {
                     seed,
                     ..Default::default()
                 },
-            )),
-            WorkloadKind::DeadlineMix => to_flow_descs(&ups_flowgen::deadline_mix_workload(
+            ),
+            WorkloadKind::DeadlineMix => ups_flowgen::deadline_mix_workload(
                 topo,
                 &DeadlineMixConfig {
                     utilization,
@@ -102,7 +83,7 @@ impl WorkloadKind {
                     seed,
                     ..Default::default()
                 },
-            )),
+            ),
         }
     }
 }
@@ -151,7 +132,7 @@ mod tests {
             Dur::from_micros(5),
             TraceLevel::Off,
         );
-        let flows = default_udp_workload(&topo, 0.5, Dur::from_millis(5), 3);
+        let flows = WorkloadKind::Web.build(&topo, 0.5, Dur::from_millis(5), 3);
         assert!(!flows.is_empty());
         assert!(flows.iter().all(|f| f.src != f.dst && f.pkts >= 1));
     }

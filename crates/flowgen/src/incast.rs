@@ -13,10 +13,10 @@
 //! sets are drawn from the seeded RNG, so the workload is a pure
 //! function of `(topology, config)` like every other generator here.
 
-use crate::workload::{FlowClass, FlowSpec};
 use ups_net::FlowId;
 use ups_sim::{DetRng, Dur, Time};
 use ups_topo::Topology;
+use ups_transport::FlowDesc;
 
 /// Parameters for incast workload generation.
 #[derive(Debug, Clone)]
@@ -55,8 +55,8 @@ impl Default for IncastConfig {
 }
 
 /// Generate an incast workload over `topo`. Flow ids are dense from 0
-/// in arrival order; every flow is tagged interactive (priority 0).
-pub fn incast_workload(topo: &Topology, cfg: &IncastConfig) -> Vec<FlowSpec> {
+/// in arrival order; no flow carries a deadline.
+pub fn incast_workload(topo: &Topology, cfg: &IncastConfig) -> Vec<FlowDesc> {
     assert!((0.0..1.0).contains(&cfg.utilization) && cfg.utilization > 0.0);
     assert!(cfg.pkts_per_sender >= 1, "empty bursts");
     let hosts = &topo.hosts;
@@ -78,7 +78,7 @@ pub fn incast_workload(topo: &Topology, cfg: &IncastConfig) -> Vec<FlowSpec> {
     let period_secs = bits_per_epoch / (cfg.utilization * bw_bps);
 
     let mut master = DetRng::new(cfg.seed);
-    let mut flows: Vec<FlowSpec> = Vec::new();
+    let mut flows: Vec<FlowDesc> = Vec::new();
     let mut epoch = 0u64;
     loop {
         let at = Time::from_secs_f64(epoch as f64 * period_secs);
@@ -95,16 +95,13 @@ pub fn incast_workload(topo: &Topology, cfg: &IncastConfig) -> Vec<FlowSpec> {
             others.swap(k, j);
             let src = hosts[others[k]];
             let start = at + Dur(rng.gen_range(cfg.jitter.as_ps().max(1)));
-            flows.push(FlowSpec {
+            flows.push(FlowDesc {
                 id: FlowId(0), // densified below
                 src,
                 dst: receiver,
                 pkts: cfg.pkts_per_sender,
                 start,
-                class: FlowClass {
-                    prio: 0,
-                    deadline: None,
-                },
+                deadline: None,
             });
         }
         epoch += 1;
@@ -209,8 +206,6 @@ mod tests {
         }
         assert!(a.windows(2).all(|w| w[0].start <= w[1].start));
         assert!(a.iter().enumerate().all(|(i, f)| f.id.0 == i as u64));
-        assert!(a
-            .iter()
-            .all(|f| f.class.prio == 0 && f.class.deadline.is_none()));
+        assert!(a.iter().all(|f| f.deadline.is_none()));
     }
 }

@@ -1,9 +1,9 @@
 //! `ups-flowgen` — workload generation.
 //!
 //! Every generator is a pure function of `(topology, config)` — seeded,
-//! portable, deterministic — producing [`FlowSpec`]s tagged with a
-//! service class ([`FlowClass`]: priority tier + optional deadline).
-//! Four workload families:
+//! portable, deterministic — producing the transport's
+//! [`FlowDesc`](ups_transport::FlowDesc)s, with a completion deadline
+//! on the deadline-tagged ones. Four workload families:
 //!
 //! * [`poisson_workload`] — the paper's default: Poisson flow arrivals
 //!   with heavy-tailed sizes ([`SizeDist`]), calibrated so the
@@ -13,8 +13,8 @@
 //!   synchronized sender bursts colliding on one receiver's downlink,
 //!   epoch rate calibrated to the receiver-NIC utilization;
 //! * [`deadline_mix_workload`] — short deadline-tagged urgent flows
-//!   (priority 0) over heavy-tailed best-effort background, jointly
-//!   calibrated to the core-link utilization;
+//!   over heavy-tailed best-effort background, jointly calibrated to
+//!   the core-link utilization;
 //! * [`long_lived_flows`] — the fixed long-lived-flow workload of the
 //!   fairness experiment (§3.3).
 
@@ -28,6 +28,4 @@ pub mod workload;
 pub use dist::SizeDist;
 pub use incast::{incast_workload, IncastConfig};
 pub use mix::{deadline_mix_workload, DeadlineMixConfig};
-pub use workload::{
-    calibrate_host_rate, long_lived_flows, poisson_workload, FlowClass, FlowSpec, PoissonConfig,
-};
+pub use workload::{calibrate_host_rate, long_lived_flows, poisson_workload, PoissonConfig};

@@ -3,20 +3,21 @@
 //! The evaluation mix of the deadline-scheduling literature (see "Joint
 //! Scheduling and Resource Allocation for Packets with Deadlines and
 //! Priorities"): a slice of the offered load is short, urgent,
-//! deadline-tagged flows (priority 0) riding on heavy-tailed best-effort
-//! background traffic (priority 7). Both classes are open-loop Poisson,
-//! calibrated together so the most-loaded core link still runs at the
-//! grid's target utilization — the `utilization` axis means the same
-//! thing it does for the plain web workload.
+//! deadline-tagged flows riding on heavy-tailed best-effort background
+//! traffic. Both classes are open-loop Poisson, calibrated together so
+//! the most-loaded core link still runs at the grid's target
+//! utilization — the `utilization` axis means the same thing it does
+//! for the plain web workload.
 //!
 //! Deadlines are affine in flow size (`budget + per_pkt · pkts`), the
 //! standard "SLO = fixed latency allowance + service time" shape.
 
-use crate::workload::{poisson_workload, FlowClass, FlowSpec, PoissonConfig};
+use crate::workload::{poisson_workload, PoissonConfig};
 use crate::SizeDist;
 use ups_net::FlowId;
 use ups_sim::Dur;
 use ups_topo::Topology;
+use ups_transport::FlowDesc;
 
 /// Parameters for the deadline/priority mix.
 #[derive(Debug, Clone)]
@@ -66,12 +67,12 @@ const DEADLINE_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Generate the mix over `topo`. Flow ids are dense from 0 in arrival
 /// order across both classes.
-pub fn deadline_mix_workload(topo: &Topology, cfg: &DeadlineMixConfig) -> Vec<FlowSpec> {
+pub fn deadline_mix_workload(topo: &Topology, cfg: &DeadlineMixConfig) -> Vec<FlowDesc> {
     assert!((0.0..1.0).contains(&cfg.utilization) && cfg.utilization > 0.0);
     assert!((0.0..=1.0).contains(&cfg.deadline_fraction));
     assert!(cfg.short_max_pkts >= 1);
 
-    let mut flows: Vec<FlowSpec> = Vec::new();
+    let mut flows: Vec<FlowDesc> = Vec::new();
 
     // Best-effort background at its share of the load.
     let bg_util = cfg.utilization * (1.0 - cfg.deadline_fraction);
@@ -103,18 +104,16 @@ pub fn deadline_mix_workload(topo: &Topology, cfg: &DeadlineMixConfig) -> Vec<Fl
             },
         );
         flows.extend(short.into_iter().map(|mut f| {
-            f.class = FlowClass::deadline_tagged(
-                0,
-                cfg.deadline_budget + cfg.deadline_per_pkt.times(f.pkts),
-            );
+            f.deadline = Some(cfg.deadline_budget + cfg.deadline_per_pkt.times(f.pkts));
             f
         }));
     }
 
     // Re-densify ids in global arrival order across the merged classes
     // (class in the key so equal-(start,src,dst,pkts) collisions across
-    // streams still order deterministically).
-    flows.sort_by_key(|f| (f.start, f.src, f.dst, f.pkts, f.class.prio));
+    // streams still order deterministically: deadline-tagged first, as
+    // `is_none` is false for them).
+    flows.sort_by_key(|f| (f.start, f.src, f.dst, f.pkts, f.deadline.is_none()));
     for (i, f) in flows.iter_mut().enumerate() {
         f.id = FlowId(i as u64);
     }
@@ -138,7 +137,7 @@ mod tests {
         )
     }
 
-    fn mk(cfg: DeadlineMixConfig) -> Vec<FlowSpec> {
+    fn mk(cfg: DeadlineMixConfig) -> Vec<FlowDesc> {
         deadline_mix_workload(&topo(), &cfg)
     }
 
@@ -148,18 +147,14 @@ mod tests {
             horizon: Dur::from_millis(20),
             ..Default::default()
         });
-        let (dl, bg): (Vec<_>, Vec<_>) = flows.iter().partition(|f| f.class.is_deadline_tagged());
+        let (dl, bg): (Vec<_>, Vec<_>) = flows.iter().partition(|f| f.deadline.is_some());
         assert!(!dl.is_empty() && !bg.is_empty());
         for f in &dl {
-            assert_eq!(f.class.prio, 0);
             assert!(f.pkts <= 8, "deadline flows are short, got {}", f.pkts);
             assert_eq!(
-                f.class.deadline.unwrap(),
+                f.deadline.unwrap(),
                 Dur::from_millis(1) + Dur::from_micros(50).times(f.pkts)
             );
-        }
-        for f in &bg {
-            assert_eq!(f.class, FlowClass::BEST_EFFORT);
         }
     }
 
@@ -169,13 +164,13 @@ mod tests {
             deadline_fraction: 0.0,
             ..Default::default()
         });
-        assert!(all_bg.iter().all(|f| !f.class.is_deadline_tagged()));
+        assert!(all_bg.iter().all(|f| f.deadline.is_none()));
         let all_dl = mk(DeadlineMixConfig {
             deadline_fraction: 1.0,
             ..Default::default()
         });
         assert!(!all_dl.is_empty());
-        assert!(all_dl.iter().all(|f| f.class.is_deadline_tagged()));
+        assert!(all_dl.iter().all(|f| f.deadline.is_some()));
     }
 
     #[test]
@@ -191,8 +186,8 @@ mod tests {
         assert!(a.iter().enumerate().all(|(i, f)| f.id.0 == i as u64));
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(
-                (x.start, x.src, x.dst, x.pkts, x.class),
-                (y.start, y.src, y.dst, y.pkts, y.class)
+                (x.start, x.src, x.dst, x.pkts, x.deadline),
+                (y.start, y.src, y.dst, y.pkts, y.deadline)
             );
         }
     }

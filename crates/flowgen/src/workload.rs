@@ -6,69 +6,7 @@ use crate::dist::SizeDist;
 use ups_net::{FlowId, NodeId};
 use ups_sim::{DetRng, Dur, Time};
 use ups_topo::Topology;
-
-/// Service-class tag carried by a generated flow, after the traffic
-/// model of "Joint Scheduling and Resource Allocation for Packets with
-/// Deadlines and Priorities": a flow has a static priority tier and may
-/// additionally be deadline-tagged.
-///
-/// The replay pipeline measures traffic *patterns*, so today the class
-/// shapes the workload (which flows are short, bursty, urgent) and rides
-/// along as metadata; deadline/priority-aware slack initialization
-/// consumes it when EDF-style experiments are wired end-to-end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowClass {
-    /// Static priority tier; lower is more urgent (0 = interactive).
-    pub prio: u8,
-    /// Completion deadline relative to `start`, for deadline-tagged
-    /// flows.
-    pub deadline: Option<Dur>,
-}
-
-impl FlowClass {
-    /// Background best-effort traffic — the tag every generator that
-    /// predates service classes emits.
-    pub const BEST_EFFORT: FlowClass = FlowClass {
-        prio: 7,
-        deadline: None,
-    };
-
-    /// An urgent flow that must complete within `deadline` of its start.
-    pub fn deadline_tagged(prio: u8, deadline: Dur) -> FlowClass {
-        FlowClass {
-            prio,
-            deadline: Some(deadline),
-        }
-    }
-
-    /// True when the flow carries a completion deadline.
-    pub fn is_deadline_tagged(&self) -> bool {
-        self.deadline.is_some()
-    }
-}
-
-impl Default for FlowClass {
-    fn default() -> Self {
-        FlowClass::BEST_EFFORT
-    }
-}
-
-/// One flow to be injected.
-#[derive(Debug, Clone)]
-pub struct FlowSpec {
-    /// Unique flow id.
-    pub id: FlowId,
-    /// Source host.
-    pub src: NodeId,
-    /// Destination host.
-    pub dst: NodeId,
-    /// Size in whole packets.
-    pub pkts: u64,
-    /// Arrival time at the source.
-    pub start: Time,
-    /// Service class (priority tier + optional deadline).
-    pub class: FlowClass,
-}
+use ups_transport::FlowDesc;
 
 /// Parameters for Poisson workload generation.
 #[derive(Debug, Clone)]
@@ -143,7 +81,7 @@ pub fn calibrate_host_rate(topo: &Topology, cfg: &PoissonConfig) -> f64 {
 
 /// Generate a Poisson workload over `topo` at the configured utilization.
 /// Flow ids are dense from 0 in arrival order.
-pub fn poisson_workload(topo: &Topology, cfg: &PoissonConfig) -> Vec<FlowSpec> {
+pub fn poisson_workload(topo: &Topology, cfg: &PoissonConfig) -> Vec<FlowDesc> {
     let lambda = calibrate_host_rate(topo, cfg);
     let mut master = DetRng::new(cfg.seed);
     let hosts = &topo.hosts;
@@ -171,13 +109,13 @@ pub fn poisson_workload(topo: &Topology, cfg: &PoissonConfig) -> Vec<FlowSpec> {
     flows
         .into_iter()
         .enumerate()
-        .map(|(i, (start, src, dst, pkts))| FlowSpec {
+        .map(|(i, (start, src, dst, pkts))| FlowDesc {
             id: FlowId(i as u64),
             src,
             dst,
             pkts,
             start,
-            class: FlowClass::BEST_EFFORT,
+            deadline: None,
         })
         .collect()
 }
@@ -186,7 +124,7 @@ pub fn poisson_workload(topo: &Topology, cfg: &PoissonConfig) -> Vec<FlowSpec> {
 /// source hosts, starting with a uniform jitter in `[0, jitter)`.
 /// Destinations are chosen round-robin among the remaining hosts so the
 /// core is shared. Sizes are effectively infinite (`u64::MAX / 2`).
-pub fn long_lived_flows(topo: &Topology, n: usize, jitter: Dur, seed: u64) -> Vec<FlowSpec> {
+pub fn long_lived_flows(topo: &Topology, n: usize, jitter: Dur, seed: u64) -> Vec<FlowDesc> {
     assert!(topo.hosts.len() >= 2, "need at least two hosts");
     let mut rng = DetRng::new(seed);
     let hosts = &topo.hosts;
@@ -198,13 +136,13 @@ pub fn long_lived_flows(topo: &Topology, n: usize, jitter: Dur, seed: u64) -> Ve
             if hosts[j] == src {
                 j = (j + 1) % hosts.len();
             }
-            FlowSpec {
+            FlowDesc {
                 id: FlowId(i as u64),
                 src,
                 dst: hosts[j],
                 pkts: u64::MAX / 2,
                 start: Time(rng.gen_range(jitter.as_ps().max(1))),
-                class: FlowClass::BEST_EFFORT,
+                deadline: None,
             }
         })
         .collect()

@@ -1,7 +1,7 @@
 //! Deadline outcomes: miss rate and lateness distribution.
 //!
-//! Deadline-tagged flows (`ups-flowgen`'s `FlowClass`) carry a
-//! completion budget relative to their start; after a run each tagged
+//! Deadline-tagged flows (an `ups-transport` `FlowDesc` with a
+//! `deadline`) carry a completion budget relative to their start; after a run each tagged
 //! flow either beat its absolute deadline or missed it by some
 //! lateness. The [`DeadlineLedger`] counts those outcomes and keeps
 //! each late completion's lateness in a log2-bucket

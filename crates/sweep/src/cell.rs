@@ -65,8 +65,8 @@ pub struct ChaosCell {
 }
 
 /// Deadline outcomes of one replicate's replay, computed through
-/// [`ups_metrics::DeadlineLedger`] from the workload's `FlowClass`
-/// deadlines and the replay's delivery telemetry.
+/// [`ups_metrics::DeadlineLedger`] from the workload's
+/// [`FlowDesc::deadline`]s and the replay's delivery telemetry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeadlineCell {
     /// Deadline-tagged flows in the workload.
@@ -130,40 +130,6 @@ impl ObservedRun {
             ..CellMetrics::of(&self.report, &self.schedule)
         }
     }
-}
-
-/// The record-and-replay pipeline shared by the sweep engine and
-/// Figure 1's runner: record `coord.sched`'s schedule on a fresh
-/// topology (`workload` traffic, 1500-byte MTU), take its `rewired()`
-/// copy, and replay on that under `mode`. With `sample`, the record run
-/// is sampled at that cadence and its series is taken before the
-/// topology drops. The replay's delivery telemetry is reduced to
-/// deadline outcomes; observing is strictly read-only over both runs. Pure in its arguments — same inputs, same
-/// outputs — which is what lets the pool run cells in any order.
-pub fn record_and_replay_observed(
-    coord: &CellCoord,
-    sim: &SimScale,
-    seed: u64,
-    mode: ReplayMode,
-    workload: WorkloadKind,
-    sample: Option<Dur>,
-) -> ObservedRun {
-    observed_leg(
-        coord,
-        sim,
-        seed,
-        workload,
-        sample,
-        |topo, flows| record_original(topo, flows, coord.sched, seed, 1500),
-        |topo, schedule, lossy| {
-            let replay = if lossy {
-                replay_schedule_lossy
-            } else {
-                replay_schedule
-            };
-            replay(topo, schedule, mode)
-        },
-    )
 }
 
 /// The one observed leg both pipelines run: build the cell's topology,
@@ -272,7 +238,9 @@ pub enum CellPipeline {
 
 impl CellPipeline {
     /// Run one observed replicate through this pipeline, sampling the
-    /// record leg every `sample` when given.
+    /// record leg every `sample` when given. Observing is read-only over
+    /// both runs, and the result is a pure function of the arguments,
+    /// which is what lets the pool run cells in any order.
     pub fn observed(
         self,
         coord: &CellCoord,
@@ -282,9 +250,24 @@ impl CellPipeline {
         sample: Option<Dur>,
     ) -> ObservedRun {
         match self {
-            CellPipeline::Replay => {
-                record_and_replay_observed(coord, sim, seed, ReplayMode::lstf(), workload, sample)
-            }
+            // Record `coord.sched`'s schedule (1500-byte MTU), replay it
+            // under LSTF.
+            CellPipeline::Replay => observed_leg(
+                coord,
+                sim,
+                seed,
+                workload,
+                sample,
+                |topo, flows| record_original(topo, flows, coord.sched, seed, 1500),
+                |topo, schedule, lossy| {
+                    let replay = if lossy {
+                        replay_schedule_lossy
+                    } else {
+                        replay_schedule
+                    };
+                    replay(topo, schedule, ReplayMode::lstf())
+                },
+            ),
             // Record EDF on virtual deadlines, replay under the candidate
             // named by `coord.sched`.
             CellPipeline::DeadlineReplay => {

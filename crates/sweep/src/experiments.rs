@@ -8,14 +8,14 @@
 //! every entry. The runners are public so the integration tests check
 //! the same code at a tiny scale.
 
-use crate::cell::{record_and_replay_observed, CellMetrics, DistMetrics};
+use crate::cell::{CellMetrics, CellPipeline, DistMetrics};
 use crate::engine::{run_fig_with, FigReport};
 use crate::grid::{CellCoord, ChaosSpec, FigAxis, FigSpec, TopoKind};
 use crate::scale::Scale;
 use std::collections::BTreeMap;
 use ups_core::objectives::Scheme;
 use ups_core::replay::{record_original, replay_schedule, ReplayMode};
-use ups_core::workload::{default_udp_workload, to_flow_descs, WorkloadKind};
+use ups_core::workload::WorkloadKind;
 use ups_metrics::{bucket_means, Cdf, FairnessPoint, SizeBuckets};
 use ups_net::{FlowId, TraceLevel};
 use ups_sched::{LstfKeyMode, SchedKind};
@@ -107,7 +107,7 @@ const ROWS_NOTE: &str = "(one series per original / replay mode, each recorded o
 /// figure engine like every other (each stat has zero spread).
 fn single_seed(spec: FigSpec, scale: &Scale, series: Vec<DistMetrics>) -> FigReport {
     let spec = spec.with_seed(scale.seed);
-    run_fig_with(&spec, scale.label, 1, |job| series[job.series].clone())
+    run_fig_with(&spec, scale.sim.label, 1, |job| series[job.series].clone())
 }
 
 /// One ablation row: the recorded original, the replay mode, and the
@@ -163,8 +163,8 @@ const ABLATION_UTIL: f64 = 0.7;
 /// `modes` on a [`rewired`](ups_topo::Topology::rewired) copy. Returns
 /// one `(original, mode, metrics)` row per mode.
 fn record_once(scale: &Scale, original: SchedKind, modes: &[ReplayMode]) -> Vec<Row> {
-    let mut orig_topo = ABLATION_TOPO.build(&scale.sim());
-    let flows = default_udp_workload(&orig_topo, ABLATION_UTIL, scale.horizon, scale.seed);
+    let mut orig_topo = ABLATION_TOPO.build(&scale.sim);
+    let flows = WorkloadKind::Web.build(&orig_topo, ABLATION_UTIL, scale.sim.horizon, scale.seed);
     let schedule = record_original(&mut orig_topo, &flows, original, scale.seed, 1500);
     modes
         .iter()
@@ -205,14 +205,7 @@ pub fn fig1_cell(scale: &Scale, orig: SchedKind, seed: u64) -> Cdf {
         util: 0.7,
         chaos: ChaosSpec::OFF,
     };
-    let run = record_and_replay_observed(
-        &coord,
-        &scale.sim(),
-        seed,
-        ReplayMode::lstf(),
-        WorkloadKind::Web,
-        None,
-    );
+    let run = CellPipeline::Replay.observed(&coord, &scale.sim, seed, WorkloadKind::Web, None);
     Cdf::new(run.report.qdelay_ratios)
 }
 
@@ -231,7 +224,7 @@ pub fn fig1_report(scale: &Scale) -> FigReport {
     .with_scalars(&["packets", "median", "p90"])
     .with_replicates(scale.replicates)
     .with_seed(scale.seed);
-    run_fig_with(&spec, scale.label, scale.jobs, |job| {
+    run_fig_with(&spec, scale.sim.label, scale.jobs, |job| {
         let cdf = fig1_cell(scale, originals[job.series], job.seed);
         if cdf.is_empty() {
             return DistMetrics {
@@ -251,9 +244,9 @@ pub fn fig1_report(scale: &Scale) -> FigReport {
 /// flows]`, one point per size bucket (mean FCT in seconds, 0 for a
 /// bucket with no completed flows).
 fn fig2_cell(scale: &Scale, buckets: &SizeBuckets, scheme: &Scheme, seed: u64) -> DistMetrics {
-    let topo = TopoKind::I2(I2Variant::Default1g10g).build(&scale.sim());
-    let flows = default_udp_workload(&topo, 0.7, scale.horizon, seed);
-    let horizon = Time::ZERO + scale.horizon * 40 + Dur::from_secs(2);
+    let topo = TopoKind::I2(I2Variant::Default1g10g).build(&scale.sim);
+    let flows = WorkloadKind::Web.build(&topo, 0.7, scale.sim.horizon, seed);
+    let horizon = Time::ZERO + scale.sim.horizon * 40 + Dur::from_secs(2);
     let buffer = 5_000_000; // 5 MB, as in §3.1
     let res = ups_core::run_fct(topo, &flows, scheme, buffer, horizon);
     let done: Vec<_> = res.iter().filter(|r| r.completed.is_some()).collect();
@@ -300,7 +293,7 @@ pub fn fig2_report(scale: &Scale) -> FigReport {
     .with_scalars(&["mean_fct_s", "completed_flows", "total_flows"])
     .with_replicates(scale.replicates)
     .with_seed(scale.seed);
-    run_fig_with(&spec, scale.label, scale.jobs, |job| {
+    run_fig_with(&spec, scale.sim.label, scale.jobs, |job| {
         fig2_cell(scale, &buckets, &schemes[job.series], job.seed)
     })
 }
@@ -326,8 +319,8 @@ pub fn fig3_percentile_axis() -> Vec<f64> {
 /// [`fig3_percentile_axis`] percentile. An empty workload (e.g.
 /// `--horizon-ms 0`) yields all zeros rather than a quantile panic.
 pub fn fig3_cell(scale: &Scale, scheme: &Scheme, seed: u64) -> DistMetrics {
-    let topo = TopoKind::I2(I2Variant::Default1g10g).build(&scale.sim());
-    let flows = default_udp_workload(&topo, 0.7, scale.horizon, seed);
+    let topo = TopoKind::I2(I2Variant::Default1g10g).build(&scale.sim);
+    let flows = WorkloadKind::Web.build(&topo, 0.7, scale.sim.horizon, seed);
     let delays = ups_core::run_tail_delays(topo, &flows, scheme, 1500, None);
     let cdf = Cdf::new(delays);
     let ps: Vec<f64> = fig3_percentile_axis().iter().map(|&p| p / 100.0).collect();
@@ -356,7 +349,7 @@ pub fn fig3_report(scale: &Scale) -> FigReport {
     .with_scalars(&["mean_s", "packets"])
     .with_replicates(scale.replicates)
     .with_seed(scale.seed);
-    run_fig_with(&spec, scale.label, scale.jobs, |job| {
+    run_fig_with(&spec, scale.sim.label, scale.jobs, |job| {
         fig3_cell(scale, &schemes[job.series], job.seed)
     })
 }
@@ -378,19 +371,14 @@ fn fig4_cell(scale: &Scale, scheme: &Scheme, seed: u64) -> Vec<FairnessPoint> {
         &I2Config {
             variant: I2Variant::Access10g10g,
             core_bw: Bandwidth::gbps(10),
-            edges_per_core: scale.edges_per_core,
+            edges_per_core: scale.sim.edges_per_core,
             core_prop_scale_percent: 10,
             ..Default::default()
         },
         TraceLevel::Delivery,
     );
     let n_flows = (topo.hosts.len() * 9 / 10).max(2);
-    let flows = to_flow_descs(&ups_flowgen::long_lived_flows(
-        &topo,
-        n_flows,
-        Dur::from_millis(5),
-        seed,
-    ));
+    let flows = ups_flowgen::long_lived_flows(&topo, n_flows, Dur::from_millis(5), seed);
     let (window, horizon) = fig4_windows();
     ups_core::run_fairness(topo, &flows, scheme, window, horizon, None)
 }
@@ -418,7 +406,7 @@ pub fn fig4_report(scale: &Scale) -> FigReport {
     .with_scalars(&["jain_final", "jain_mean"])
     .with_replicates(scale.replicates)
     .with_seed(scale.seed);
-    run_fig_with(&spec, scale.label, scale.jobs, |job| {
+    run_fig_with(&spec, scale.sim.label, scale.jobs, |job| {
         let pts = fig4_cell(scale, &schemes[job.series], job.seed);
         let jains: Vec<f64> = pts.iter().map(|p| p.jain).collect();
         let mean = jains.iter().sum::<f64>() / jains.len() as f64;
@@ -492,8 +480,8 @@ pub fn congestion_points(scale: &Scale) -> FigReport {
     let recorded: Vec<_> = topos
         .iter()
         .map(|kind| {
-            let mut topo = kind.build(&scale.sim());
-            let flows = default_udp_workload(&topo, 0.7, scale.horizon, scale.seed);
+            let mut topo = kind.build(&scale.sim);
+            let flows = WorkloadKind::Web.build(&topo, 0.7, scale.sim.horizon, scale.seed);
             let schedule = record_original(&mut topo, &flows, SchedKind::Random, scale.seed, 1500);
             let slack_us = schedule.mean_slack() / 1e6;
             (schedule.congestion_point_histogram(), slack_us)
@@ -542,7 +530,7 @@ pub fn weighted_fairness(scale: &Scale) -> FigReport {
         FigAxis::numeric("flow", vec![0.0, 1.0, 2.0, 3.0]),
     )
     .with_seed(scale.seed);
-    run_fig_with(&spec, scale.label, scale.jobs, |job| {
+    run_fig_with(&spec, scale.sim.label, scale.jobs, |job| {
         let topo = ups_topo::simple::dumbbell(
             4,
             Bandwidth::gbps(10),
@@ -572,16 +560,19 @@ pub fn weighted_fairness(scale: &Scale) -> FigReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::SimScale;
 
     fn tiny() -> Scale {
         Scale {
-            edges_per_core: 2,
-            horizon: Dur::from_millis(2),
-            fattree_k: 4,
+            sim: SimScale {
+                edges_per_core: 2,
+                horizon: Dur::from_millis(2),
+                fattree_k: 4,
+                label: "tiny",
+            },
             seed: 7,
             jobs: 1,
             replicates: 1,
-            label: "tiny",
         }
     }
 

@@ -10,11 +10,12 @@ use ups_topo::internet2::{self, I2Config, I2Variant};
 use ups_topo::{fattree, rocketfuel, Topology};
 
 /// Simulation-size knobs a sweep cell needs to build its topology and
-/// workload. [`crate::Scale`] carries the CLI-facing superset and
-/// converts down via [`crate::Scale::sim`].
+/// workload. [`crate::Scale`] holds one, beside the seed and the
+/// worker and replicate counts.
 #[derive(Debug, Clone, Copy)]
 pub struct SimScale {
-    /// Edge routers (and hosts) per core router on WAN topologies.
+    /// Edge routers (and hosts) per core router on WAN topologies
+    /// (paper: 10).
     pub edges_per_core: usize,
     /// Flow-arrival horizon for open-loop workloads.
     pub horizon: Dur,

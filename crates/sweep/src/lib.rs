@@ -194,10 +194,7 @@ pub mod scenario;
 pub mod telemetry;
 
 pub use artifact::Json;
-pub use cell::{
-    record_and_replay_observed, CellMetrics, CellPipeline, ChaosCell, DeadlineCell, DistMetrics,
-    ObservedRun,
-};
+pub use cell::{CellMetrics, CellPipeline, ChaosCell, DeadlineCell, DistMetrics, ObservedRun};
 pub use diff::{diff_artifacts, DiffOptions, DiffReport};
 pub use engine::{
     run_fig_with, run_sweep, run_sweep_with, ChaosAgg, DeadlineAgg, DistResult, FigReport, Stat,

@@ -6,7 +6,6 @@
 //! cargo run --release --example custom_topology
 //! ```
 
-use ups::core::workload::to_flow_descs;
 use ups::flowgen::{poisson_workload, PoissonConfig};
 use ups::net::{Network, TraceLevel};
 use ups::sched::lstf;
@@ -67,7 +66,7 @@ fn main() {
     // LSTF on every port; a 60%-utilization Poisson workload.
     topo.net
         .configure_links(|_| ups_net::LinkPolicy::keep().scheduler(Box::new(lstf())));
-    let flows = to_flow_descs(&poisson_workload(
+    let flows = poisson_workload(
         &topo,
         &PoissonConfig {
             utilization: 0.6,
@@ -75,7 +74,7 @@ fn main() {
             seed: 7,
             ..Default::default()
         },
-    ));
+    );
     let mut stamper = HeaderStamper::zero();
     inject_udp_flows(
         &mut topo.net,

@@ -7,7 +7,7 @@
 //! ```
 
 use ups::core::replay::{replay_experiment, ReplayMode};
-use ups::core::workload::default_udp_workload;
+use ups::core::workload::WorkloadKind;
 use ups::net::TraceLevel;
 use ups::sched::SchedKind;
 use ups::sim::Dur;
@@ -21,7 +21,7 @@ fn main() {
     // 2. A Poisson UDP workload with heavy-tailed flow sizes, calibrated
     //    so the most-loaded core link runs at 70% utilization.
     let topo = factory();
-    let flows = default_udp_workload(&topo, 0.7, Dur::from_millis(10), 42);
+    let flows = WorkloadKind::Web.build(&topo, 0.7, Dur::from_millis(10), 42);
     println!(
         "topology {:?}: {} hosts, {} links; {} flows",
         topo.name,

@@ -7,7 +7,7 @@
 //! ```
 
 use ups::core::replay::{record_original, replay_schedule, ReplayMode};
-use ups::core::workload::default_udp_workload;
+use ups::core::workload::WorkloadKind;
 use ups::net::TraceLevel;
 use ups::sched::SchedKind;
 use ups::sim::Dur;
@@ -17,7 +17,7 @@ fn main() {
     let factory = || build(&I2Config::default(), TraceLevel::Hops);
 
     let mut original = factory();
-    let flows = default_udp_workload(&original, 0.7, Dur::from_millis(10), 11);
+    let flows = WorkloadKind::Web.build(&original, 0.7, Dur::from_millis(10), 11);
     let schedule = record_original(&mut original, &flows, SchedKind::Lifo, 11, 1500);
     drop(original);
 

@@ -7,9 +7,9 @@
 //! ```
 //!
 //! The registry (`ups::sweep::scenario`) is the declarative catalogue
-//! behind `sweep --grid <scenario>` and `sweep scenarios list|describe|
-//! run`; `docs/SCENARIOS.md` documents every entry with its topology
-//! sketch and repro command.
+//! behind `sweep --grid <scenario>` and `sweep scenarios list|describe`;
+//! `docs/SCENARIOS.md` documents every entry with its topology sketch
+//! and repro command.
 
 use ups::sweep::{run_sweep, scenario, SimScale};
 

@@ -34,7 +34,7 @@ use ups_sim::{Dur, PS_PER_MS, PS_PER_US};
 use ups_sweep::scenario::{self, Scenario};
 use ups_sweep::{
     diff_artifacts, run_sweep, run_telemetry_sweep, CellPipeline, ChaosSpec, DiffOptions,
-    Experiment, FigReport, Scale, SweepReport, SweepSpec, EXPERIMENTS,
+    Experiment, FigReport, Scale, Stat, SweepReport, SweepSpec, EXPERIMENTS,
 };
 
 /// Write a line to stdout, swallowing write failures: when stdout is
@@ -66,7 +66,7 @@ const PAPER_TITLE: &str = "Table 1, then every experiment above in sequence";
 
 const USAGE: &str = "\
 usage: sweep [--grid NAME] [--out DIR] [--telemetry] [chaos flags] [scale flags]
-       sweep scenarios [list | describe NAME | run NAME [flags as above]]
+       sweep scenarios [list | describe NAME]
        sweep diff OLD.json NEW.json [--rel-tol X] [--abs-tol X]
   --grid NAME  what to run: table1 (default), smoke, a registered scenario
                or an experiment of the paper (fig1..fig4, ablation-*, paper,
@@ -225,8 +225,8 @@ impl Args {
             a.scale = Scale::full();
         }
         a.scale.seed = seed.unwrap_or(a.scale.seed);
-        a.scale.horizon = horizon.unwrap_or(a.scale.horizon);
-        a.scale.edges_per_core = edges.unwrap_or(a.scale.edges_per_core);
+        a.scale.sim.horizon = horizon.unwrap_or(a.scale.sim.horizon);
+        a.scale.sim.edges_per_core = edges.unwrap_or(a.scale.sim.edges_per_core);
         a.scale.jobs = jobs.unwrap_or(a.scale.jobs);
         a.scale.replicates = replicates.unwrap_or(a.scale.replicates);
         // Replicate `r` runs at seed `seed + r`.
@@ -335,7 +335,7 @@ fn experiment(grid: &str, args: &Args) -> io::Result<()> {
     let scale = &args.scale;
     out!(
         "experiment {grid}: {title} (scale {}, seed {}, {} worker(s), {} replicate(s))",
-        scale.label,
+        scale.sim.label,
         scale.seed,
         scale.jobs,
         scale.replicates
@@ -356,7 +356,7 @@ fn experiment(grid: &str, args: &Args) -> io::Result<()> {
 /// its JSON + CSV under `out`.
 fn run_experiment(e: &Experiment, scale: &Scale, out: &Path) -> io::Result<()> {
     let report = (e.report)(scale);
-    print_fig_report(&report);
+    out_inline!("{}", render_fig_report(&report));
     if !e.note.is_empty() {
         out!("\n{}", e.note);
     }
@@ -400,9 +400,9 @@ fn run_grid(
         spec.replicates,
         spec.cells.len() * spec.replicates,
         scale.jobs,
-        scale.label
+        scale.sim.label
     );
-    let sim = scale.sim();
+    let sim = scale.sim;
     let (report, telem) = match args.telemetry {
         None => (run_sweep(&spec, &sim, scale.jobs, workload, pipeline), None),
         Some(interval) => {
@@ -461,58 +461,74 @@ fn print_sweep_report(report: &SweepReport) {
     }
 }
 
-/// Print a figure report: header, per-series scalar summaries, then the
+/// Render a figure report: header, per-series scalar summaries, then the
 /// mean ± stddev curve table (one column per series, one row per x-axis
 /// point) when the axis has points.
-fn print_fig_report(report: &FigReport) {
-    out!("\n=== {} ===", report.title);
-    out!(
-        "scale {}, {} replicate(s), base seed {} (output is identical for every --jobs value)",
-        report.scale,
-        report.replicates,
-        report.base_seed
+fn render_fig_report(report: &FigReport) -> String {
+    let mut text = format!(
+        "\n=== {} ===\nscale {}, {} replicate(s), base seed {} \
+         (output is identical for every --jobs value)\n",
+        report.title, report.scale, report.replicates, report.base_seed
     );
-    let width = report
-        .results
-        .iter()
-        .map(|r| r.series.len())
-        .fold(16, usize::max);
+    // A mean in a field `w` wide, then its stddev.
+    let cell = |s: &Stat, w: usize| format!("{:>w$.4} ±{:>7.4}", s.mean, s.stddev);
     if !report.scalar_names.is_empty() {
-        out!();
-        out_inline!("{:<width$}", "series");
-        for name in &report.scalar_names {
-            out_inline!(" {name:>22}");
-        }
-        out!();
-        for r in &report.results {
-            out_inline!("{:<width$}", r.series);
-            for s in &r.scalars {
-                out_inline!(" {:>13.4} ±{:>7.4}", s.mean, s.stddev);
-            }
-            out!();
-        }
+        let rows = report.results.iter().map(|r| {
+            let cells = r.scalars.iter().map(|s| cell(s, 13));
+            (r.series.clone(), cells.collect())
+        });
+        let names = &report.scalar_names;
+        render_table(&mut text, "series", 16, names, rows.collect());
     }
-    if report.axis.xs.is_empty() {
-        return;
+    let axis = &report.axis;
+    if !axis.xs.is_empty() {
+        let series: Vec<_> = report.results.iter().map(|r| r.series.clone()).collect();
+        let rows = axis.xs.iter().enumerate().map(|(i, &x)| {
+            let labels = axis.labels.as_ref();
+            let label = labels.map_or_else(|| format!("{x}"), |l| l[i].clone());
+            let cells = report.results.iter().map(|r| cell(&r.points[i], 11));
+            (label, cells.collect())
+        });
+        render_table(&mut text, &axis.name, 12, &series, rows.collect());
     }
-    out!();
-    out_inline!("{:<12}", report.axis.name);
-    for r in &report.results {
-        out_inline!(" {:>20}", r.series);
-    }
-    out!();
-    for (i, &x) in report.axis.xs.iter().enumerate() {
-        let row_label = report
-            .axis
-            .labels
-            .as_ref()
-            .map_or_else(|| format!("{x}"), |labels| labels[i].clone());
-        out_inline!("{row_label:<12}");
-        for r in &report.results {
-            let s = &r.points[i];
-            out_inline!(" {:>11.4} ±{:>7.4}", s.mean, s.stddev);
+    text
+}
+
+/// Append a blank line and a table to `text`: a left-aligned label
+/// column at least `min_label` wide, headed by `corner`, then one
+/// right-aligned column per `headers` entry. Every column is as wide as
+/// its widest cell, header included, so a large value never pushes a
+/// row out of line with the header.
+fn render_table(
+    text: &mut String,
+    corner: &str,
+    min_label: usize,
+    headers: &[String],
+    rows: Vec<(String, Vec<String>)>,
+) {
+    let chars = |s: &str| s.chars().count();
+    let label_w = rows
+        .iter()
+        .map(|(l, _)| chars(l))
+        .fold(min_label, usize::max);
+    let widths: Vec<usize> = (0..headers.len())
+        .map(|c| {
+            rows.iter()
+                .map(|(_, cells)| chars(&cells[c]))
+                .fold(chars(&headers[c]), usize::max)
+        })
+        .collect();
+    text.push('\n');
+    let mut line = |label: &str, cells: &[String]| {
+        text.push_str(&format!("{label:<label_w$}"));
+        for (cell, w) in cells.iter().zip(&widths) {
+            text.push_str(&format!(" {cell:>w$}"));
         }
-        out!();
+        text.push('\n');
+    };
+    line(corner, headers);
+    for (label, cells) in &rows {
+        line(label, cells);
     }
 }
 
@@ -521,10 +537,6 @@ fn main() {
     let words: Vec<&str> = args.words.iter().map(String::as_str).collect();
     match words[..] {
         [] => run(args.grid.as_deref().unwrap_or("table1"), &args),
-        ["scenarios", "run", _] if args.grid.is_some() => {
-            usage_exit("`scenarios run NAME` and `--grid NAME` name the grid twice")
-        }
-        ["scenarios", "run", name] => run(name, &args),
         ["scenarios"] | ["scenarios", "list"] => {
             args.only("scenarios list", |_| false);
             out_inline!("{}", scenario::render_list());
@@ -533,7 +545,7 @@ fn main() {
                 out!("{:<21} {}", e.name, e.title);
             }
             out!("{PAPER:<21} {PAPER_TITLE}");
-            out!("\nrun one:  sweep --grid <name>  (or: sweep scenarios run <name>)");
+            out!("\nrun one:  sweep --grid <name>");
             out!("details:  sweep scenarios describe <scenario>  ·  docs/SCENARIOS.md");
         }
         ["scenarios", "describe", name] => {
@@ -545,11 +557,9 @@ fn main() {
             };
             out_inline!("{}", s.describe());
         }
-        ["scenarios", "describe" | "run", ..] => {
-            usage_exit("scenarios describe/run take exactly one name")
-        }
+        ["scenarios", "describe", ..] => usage_exit("scenarios describe takes exactly one name"),
         ["scenarios", other, ..] => usage_exit(&format!(
-            "unknown scenarios action `{other}` (list, describe, run)"
+            "unknown scenarios action `{other}` (list, describe)"
         )),
         ["diff", old, new] => {
             args.only("diff", is_tolerance);
@@ -573,7 +583,7 @@ mod tests {
     fn empty_args_give_quick_defaults() {
         let a = parse(&[]).unwrap();
         assert_eq!(
-            (a.scale.label, a.scale.seed, a.scale.replicates),
+            (a.scale.sim.label, a.scale.seed, a.scale.replicates),
             ("quick", 1, 1)
         );
         assert!(a.scale.jobs >= 1);
@@ -600,9 +610,9 @@ mod tests {
         ])
         .unwrap();
         let s = a.scale;
-        assert_eq!((s.label, s.fattree_k, s.seed), ("full", 8, 9));
-        assert_eq!(s.horizon, Dur::from_millis(25));
-        assert_eq!((s.edges_per_core, s.jobs, s.replicates), (4, 3, 5));
+        assert_eq!((s.sim.label, s.sim.fattree_k, s.seed), ("full", 8, 9));
+        assert_eq!(s.sim.horizon, Dur::from_millis(25));
+        assert_eq!((s.sim.edges_per_core, s.jobs, s.replicates), (4, 3, 5));
         assert_eq!(a.out, PathBuf::from("some/dir"));
         assert_eq!(a.flags.len(), 7);
     }
@@ -639,14 +649,14 @@ mod tests {
         let s = parse(&["--jobs", "0", "--replicates", "0", "--edges", "0"])
             .unwrap()
             .scale;
-        assert_eq!((s.jobs, s.replicates, s.edges_per_core), (1, 1, 1));
+        assert_eq!((s.jobs, s.replicates, s.sim.edges_per_core), (1, 1, 1));
     }
 
     #[test]
     fn words_flags_telemetry_and_chaos_are_collected() {
         let a = parse(&[
             "scenarios",
-            "run",
+            "describe",
             "i2-web",
             "--telemetry-interval-us",
             "100",
@@ -654,7 +664,7 @@ mod tests {
             "5",
         ])
         .unwrap();
-        assert_eq!(a.words, ["scenarios", "run", "i2-web"]);
+        assert_eq!(a.words, ["scenarios", "describe", "i2-web"]);
         assert_eq!(a.telemetry, Some(Dur::from_micros(100)));
         assert_eq!(
             a.chaos,
@@ -667,6 +677,38 @@ mod tests {
             parse(&["--telemetry"]).unwrap().telemetry,
             Some(Dur::from_micros(250))
         );
+    }
+
+    /// A value wider than the default column (1,870,500 bytes, as in
+    /// the weighted-fairness extension) widens its column instead of
+    /// shifting the row: every line of the curve table ends where its
+    /// header does, and so does every line of the scalar table.
+    #[test]
+    fn wide_values_keep_every_table_row_aligned_with_its_header() {
+        use ups_sweep::{run_fig_with, DistMetrics, FigAxis, FigSpec};
+        let spec = FigSpec::new(
+            "wide",
+            "wide values",
+            vec!["weighted 4:2:1:1".to_string(), "unweighted".to_string()],
+            FigAxis::numeric("flow", vec![0.0, 1.0]),
+        )
+        .with_scalars(&["bytes"]);
+        let report = run_fig_with(&spec, "tiny", 1, |job| {
+            let big = if job.series == 0 { 1_870_500.0 } else { 5.0 };
+            DistMetrics {
+                scalars: vec![big * 1e6],
+                points: vec![big, 936_000.0],
+            }
+        });
+        let text = render_fig_report(&report);
+        let tables: Vec<&str> = text.split("\n\n").skip(1).collect();
+        assert_eq!(tables.len(), 2, "{text}");
+        for table in tables {
+            let ends: Vec<usize> = table.lines().map(|l| l.chars().count()).collect();
+            assert_eq!(ends.len(), 3, "{table}");
+            assert!(ends.iter().all(|&e| e == ends[0]), "{ends:?}\n{table}");
+        }
+        assert!(text.contains("1870500.0000 ± 0.0000"), "{text}");
     }
 
     /// Every flag `Args::parse` knows, plus values that are zero,

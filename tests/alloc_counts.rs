@@ -23,7 +23,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 use ups::core::objectives::Scheme;
 use ups::core::replay::{record_original, replay_schedule, ReplayMode};
-use ups::core::workload::default_udp_workload;
+use ups::core::workload::WorkloadKind;
 use ups::core::{run_fairness, RecordedSchedule};
 use ups::net::{FlowId, LinkPolicy, TraceLevel};
 use ups::sched::SchedKind;
@@ -127,7 +127,7 @@ fn i2(level: TraceLevel) -> Topology {
 }
 
 fn workload() -> Vec<FlowDesc> {
-    default_udp_workload(&i2(TraceLevel::Off), 0.6, Dur::from_millis(5), 2)
+    WorkloadKind::Web.build(&i2(TraceLevel::Off), 0.6, Dur::from_millis(5), 2)
 }
 
 /// A FIFO record leg of `flows` at `level`, run to completion on an

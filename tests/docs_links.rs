@@ -9,8 +9,8 @@
 //! grids `sweep --grid` can run, every markdown file a Rust doc
 //! comment names to a file that exists, the baseline list in
 //! docs/EXPERIMENTS.md to `baselines/` and CI's diff steps, every
-//! experiment to its baseline, and every type-like code name in the
-//! docs to the sources.
+//! experiment to its baseline, every type-like code name in the docs
+//! to the sources, and the crate tables to the workspace members.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -355,6 +355,62 @@ fn every_experiment_has_a_committed_baseline() {
     assert!(
         missing.is_empty(),
         "experiments without a baseline: {missing:?}"
+    );
+}
+
+/// The `crates/…` paths of the crate table under `heading` in a
+/// markdown text: every row, up to the next `## ` heading, whose second
+/// cell is a backticked `crates/` path, in document order.
+fn crate_table_paths(doc: &str, heading: &str) -> Vec<String> {
+    let section = doc.split(heading).nth(1).unwrap_or("");
+    let section = section.split("\n## ").next().unwrap_or("");
+    section
+        .lines()
+        .filter_map(|l| l.strip_prefix('|')?.split('|').nth(1))
+        .map(|cell| cell.trim().trim_matches('`'))
+        .filter(|path| path.starts_with("crates/"))
+        .map(str::to_string)
+        .collect()
+}
+
+/// The workspace's crates and their two tables cannot drift apart: the
+/// `crates/*` members of the root `Cargo.toml` are exactly the crate
+/// rows of README's *Crate map* and of docs/ARCHITECTURE.md's crate
+/// table, each crate once. A crate added, deleted or renamed in one
+/// place only fails here.
+#[test]
+fn every_workspace_crate_has_one_row_in_each_crate_table() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |rel: &str| {
+        std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("reading {rel}: {e}"))
+    };
+    let manifest = read("Cargo.toml");
+    let members = manifest
+        .split("members = [")
+        .nth(1)
+        .and_then(|m| m.split(']').next())
+        .expect("Cargo.toml has a members list");
+    let mut crates: Vec<String> = members
+        .split('"')
+        .filter(|m| m.starts_with("crates/"))
+        .map(str::to_string)
+        .collect();
+    crates.sort();
+    assert!(crates.len() > 5, "only {crates:?} — extractor broken?");
+    for (doc, heading) in [
+        ("README.md", "## Crate map"),
+        ("docs/ARCHITECTURE.md", "## Crate dependency graph"),
+    ] {
+        let mut rows = crate_table_paths(&read(doc), heading);
+        rows.sort();
+        assert_eq!(rows, crates, "{doc}'s crate table vs Cargo.toml members");
+    }
+    assert_eq!(
+        crate_table_paths(
+            "## T\n| `a` | `crates/a` | x |\n| `b` | `src/b` | y |\n## U\n| `c` | `crates/c` |",
+            "## T"
+        ),
+        ["crates/a"]
     );
 }
 

@@ -11,20 +11,22 @@ use ups_sweep::experiments::{
     fig1_originals, fig2_report, fig3_cell, fig3_schemes, fig4_report,
 };
 use ups_sweep::{
-    run_sweep, CellCoord, CellPipeline, ChaosSpec, FigReport, Scale, SweepResult, SweepSpec,
-    TopoKind, EXPERIMENTS,
+    run_sweep, CellCoord, CellPipeline, ChaosSpec, FigReport, Scale, SimScale, SweepResult,
+    SweepSpec, TopoKind, EXPERIMENTS,
 };
 use ups_topo::internet2::I2Variant;
 
 fn tiny() -> Scale {
     Scale {
-        edges_per_core: 2,
-        horizon: Dur::from_millis(2),
-        fattree_k: 4,
+        sim: SimScale {
+            edges_per_core: 2,
+            horizon: Dur::from_millis(2),
+            fattree_k: 4,
+            label: "tiny",
+        },
         seed: 3,
         jobs: 4, // > 1, so the sweep-backed runners exercise the worker pool
         replicates: 1,
-        label: "tiny",
     }
 }
 
@@ -60,7 +62,7 @@ fn table1_produces_all_fourteen_rows() {
     let spec = SweepSpec::table1().with_seed(3);
     let rows = run_sweep(
         &spec,
-        &scale.sim(),
+        &scale.sim,
         scale.jobs,
         WorkloadKind::Web,
         CellPipeline::Replay,
@@ -203,7 +205,7 @@ fn ablation_leg_matches_the_sweep_leg() {
         util: 0.7,
         chaos: ChaosSpec::OFF,
     };
-    let sweep = CellPipeline::Replay.cell(&coord, &scale.sim(), scale.seed, WorkloadKind::Web);
+    let sweep = CellPipeline::Replay.cell(&coord, &scale.sim, scale.seed, WorkloadKind::Web);
     assert!(sweep.total > 0);
     let want = [
         ("total_packets", sweep.total as f64),

@@ -2,7 +2,7 @@
 //! topology → workload → original schedule → candidate-UPS replay.
 
 use ups::core::replay::{record_original, replay_schedule, replay_schedule_lossy, ReplayMode};
-use ups::core::workload::default_udp_workload;
+use ups::core::workload::WorkloadKind;
 use ups::net::{ChaosPolicy, TraceLevel};
 use ups::sched::SchedKind;
 use ups::sim::{Dur, Time};
@@ -26,7 +26,7 @@ fn i2(edges: usize) -> impl Fn() -> Topology {
 fn lstf_replays_every_original_well_on_internet2() {
     let factory = i2(4);
     let topo = factory();
-    let flows = default_udp_workload(&topo, 0.6, Dur::from_millis(5), 2);
+    let flows = WorkloadKind::Web.build(&topo, 0.6, Dur::from_millis(5), 2);
     drop(topo);
     for original in [
         SchedKind::Fifo,
@@ -61,7 +61,7 @@ fn omniscient_replay_is_always_perfect() {
     // Appendix B, end to end: every original scheduler, zero overdue.
     let factory = i2(3);
     let topo = factory();
-    let flows = default_udp_workload(&topo, 0.8, Dur::from_millis(5), 5);
+    let flows = WorkloadKind::Web.build(&topo, 0.8, Dur::from_millis(5), 5);
     drop(topo);
     for original in [SchedKind::Random, SchedKind::Lifo, SchedKind::Sjf] {
         let mut orig = factory();
@@ -84,7 +84,7 @@ fn edf_and_lstf_are_equivalent_network_wide() {
     // Appendix E at integration scale: identical per-packet lateness.
     let factory = i2(3);
     let topo = factory();
-    let flows = default_udp_workload(&topo, 0.7, Dur::from_millis(5), 9);
+    let flows = WorkloadKind::Web.build(&topo, 0.7, Dur::from_millis(5), 9);
     drop(topo);
     let mut orig = factory();
     let schedule = record_original(&mut orig, &flows, SchedKind::Random, 9, 1500);
@@ -101,7 +101,7 @@ fn replay_is_deterministic() {
     let factory = i2(3);
     let run = || {
         let topo = factory();
-        let flows = default_udp_workload(&topo, 0.7, Dur::from_millis(4), 4);
+        let flows = WorkloadKind::Web.build(&topo, 0.7, Dur::from_millis(4), 4);
         drop(topo);
         let mut orig = factory();
         let schedule = record_original(&mut orig, &flows, SchedKind::Random, 4, 1500);
@@ -117,7 +117,7 @@ fn priority_replay_loses_to_lstf_at_scale() {
     // §2.3(7): the most intuitive static priority (o(p)) is much worse.
     let factory = i2(4);
     let topo = factory();
-    let flows = default_udp_workload(&topo, 0.7, Dur::from_millis(5), 7);
+    let flows = WorkloadKind::Web.build(&topo, 0.7, Dur::from_millis(5), 7);
     drop(topo);
     let mut orig = factory();
     let schedule = record_original(&mut orig, &flows, SchedKind::Random, 7, 1500);
@@ -138,7 +138,7 @@ fn priority_replay_loses_to_lstf_at_scale() {
 fn slacks_are_nonnegative_and_bounded_by_delay() {
     let factory = i2(3);
     let mut topo = factory();
-    let flows = default_udp_workload(&topo, 0.7, Dur::from_millis(4), 3);
+    let flows = WorkloadKind::Web.build(&topo, 0.7, Dur::from_millis(4), 3);
     let schedule = record_original(&mut topo, &flows, SchedKind::Random, 3, 1500);
     for p in schedule.iter() {
         let slack = p.slack();
@@ -161,7 +161,7 @@ fn lossy_replay_fidelity_degrades_monotonically_with_drop_rate() {
     // replay the same schedule over increasingly unreliable networks.
     let factory = i2(3);
     let topo = factory();
-    let flows = default_udp_workload(&topo, 0.7, Dur::from_millis(4), 4);
+    let flows = WorkloadKind::Web.build(&topo, 0.7, Dur::from_millis(4), 4);
     drop(topo);
     let mut orig = factory();
     let schedule = record_original(&mut orig, &flows, SchedKind::Random, 4, 1500);
@@ -231,7 +231,7 @@ fn utilization_trend_has_more_slack_at_higher_load() {
     let mut slacks = Vec::new();
     for util in [0.2, 0.5, 0.8] {
         let topo = factory();
-        let flows = default_udp_workload(&topo, util, Dur::from_millis(5), 1);
+        let flows = WorkloadKind::Web.build(&topo, util, Dur::from_millis(5), 1);
         drop(topo);
         let mut orig = factory();
         let schedule = record_original(&mut orig, &flows, SchedKind::Random, 1, 1500);

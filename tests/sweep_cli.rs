@@ -13,10 +13,6 @@ fn usage_errors_exit_two_and_write_nothing() {
     for (args, wanted) in [
         ("--grid smoke --out --full", &["--out requires a value"][..]),
         ("--grid --jobs 2", &["--grid requires a value"]),
-        (
-            "scenarios run i2-web --out --full",
-            &["--out requires a value"],
-        ),
         ("--grid nope", &known),
         // Values that overflow the picosecond clock or the replicate
         // seeds are refused, not wrapped.

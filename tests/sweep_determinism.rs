@@ -32,9 +32,9 @@ fn quick_scale_artifacts_are_identical_across_worker_counts() {
 #[test]
 fn fig_grid_artifacts_are_identical_across_worker_counts() {
     let mut scale = Scale::quick();
-    scale.edges_per_core = 2; // tiny topology keeps this test fast
-    scale.horizon = Dur::from_millis(2);
-    scale.label = "tiny";
+    scale.sim.edges_per_core = 2; // tiny topology keeps this test fast
+    scale.sim.horizon = Dur::from_millis(2);
+    scale.sim.label = "tiny";
     scale.replicates = 2;
     scale.jobs = 1;
     let serial = fig1_report(&scale);

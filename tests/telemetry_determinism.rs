@@ -9,13 +9,11 @@
 //! The sampling cadence is an argument of the record leg, so these
 //! tests share no state and run in parallel.
 
-use ups_core::replay::ReplayMode;
 use ups_core::WorkloadKind;
 use ups_sched::SchedKind;
 use ups_sim::Dur;
 use ups_sweep::{
-    record_and_replay_observed, run_sweep, run_telemetry_sweep, CellCoord, CellPipeline, ChaosSpec,
-    Scale, SweepSpec, TopoKind,
+    run_sweep, run_telemetry_sweep, CellCoord, CellPipeline, ChaosSpec, Scale, SweepSpec, TopoKind,
 };
 use ups_topo::internet2::I2Variant;
 
@@ -109,16 +107,7 @@ fn figure_artifact_is_byte_identical_with_sampling_on() {
         util: 0.7,
         chaos: ChaosSpec::OFF,
     };
-    let run = |sample| {
-        record_and_replay_observed(
-            &coord,
-            &sim,
-            3,
-            ReplayMode::lstf(),
-            WorkloadKind::Web,
-            sample,
-        )
-    };
+    let run = |sample| CellPipeline::Replay.observed(&coord, &sim, 3, WorkloadKind::Web, sample);
     let (off, on) = (run(None), run(Some(Dur::from_micros(50))));
 
     assert!(off.series.is_none());

@@ -13,7 +13,6 @@
 
 use proptest::prelude::*;
 use ups::core::replay::{record_original, replay_schedule, ReplayMode};
-use ups::core::workload::to_flow_descs;
 use ups::flowgen::{poisson_workload, PoissonConfig, SizeDist};
 use ups::net::TraceLevel;
 use ups::sched::SchedKind;
@@ -25,7 +24,7 @@ use ups::transport::FlowDesc;
 /// A randomized star workload: every host sends a paced burst to a
 /// random other host.
 fn star_workload(topo: &Topology, seed: u64, util: f64) -> Vec<FlowDesc> {
-    to_flow_descs(&poisson_workload(
+    poisson_workload(
         topo,
         &PoissonConfig {
             utilization: util,
@@ -38,7 +37,7 @@ fn star_workload(topo: &Topology, seed: u64, util: f64) -> Vec<FlowDesc> {
             },
             ..Default::default()
         },
-    ))
+    )
 }
 
 proptest! {
