@@ -173,8 +173,10 @@ pub fn record_deadline_original(
 
 /// Replay a recorded EDF schedule on a *fresh* build of the same
 /// topology under `mode`, scoring fidelity against the recorded output
-/// times. Loss-free (asserts so); for a chaos-perturbed replay use
-/// [`replay_deadline_lossy`].
+/// times. Like [`replay_schedule`](crate::replay_schedule), the leg
+/// traces deliveries only, which is what [`deadline_flow_stats`] reads
+/// from its telemetry afterwards. Loss-free (asserts so); for a
+/// chaos-perturbed replay use [`replay_deadline_lossy`].
 pub fn replay_deadline(
     topo: &mut Topology,
     ds: &DeadlineSchedule,
@@ -246,7 +248,14 @@ fn replay_tagged(
 /// packets were delivered, at the latest delivery time; it misses when
 /// that time exceeds `start + deadline` or when any packet never
 /// arrived. `None` when no flow is tagged.
+///
+/// Panics on [`TraceLevel::Off`] telemetry: a run without a packet table
+/// would report every tagged flow as missed.
 pub fn deadline_flow_stats(flows: &[FlowDesc], telemetry: &Telemetry) -> Option<DeadlineStats> {
+    assert!(
+        telemetry.level != TraceLevel::Off,
+        "deadline outcomes require delivery tracing"
+    );
     if !flows.iter().any(|f| f.deadline.is_some()) {
         return None;
     }
@@ -373,6 +382,15 @@ mod tests {
         }
         let topo = edf_replay(&flows);
         assert!(deadline_flow_stats(&flows, &topo.net.telemetry).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "deadline outcomes require delivery tracing")]
+    fn flow_stats_refuse_a_run_without_a_packet_table() {
+        let flows = star_flows(&star_factory(), 2, Dur::from_millis(5));
+        let mut topo = edf_replay(&flows);
+        topo.net.telemetry.level = TraceLevel::Off;
+        deadline_flow_stats(&flows, &topo.net.telemetry);
     }
 
     #[test]

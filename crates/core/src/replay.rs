@@ -106,7 +106,13 @@ pub struct ReplayReport {
     /// in recorded-packet order.
     pub lateness: Vec<i64>,
     /// Queueing-delay ratios replay/original for packets with non-zero
-    /// original queueing delay (Figure 1).
+    /// original queueing delay (Figure 1). The replay's delay is
+    /// `o'(p) − i(p) − tmin(p)`; the original's is the sum of its
+    /// recorded per-hop waits. On non-preemptive ports the two measures
+    /// agree to the picosecond. On a preemptive port the replay's also
+    /// counts every wait after a suspended transmission resumes
+    /// ([`Packet::qdelay`](ups_net::Packet::qdelay)'s definition), where
+    /// a hop trace counts only the wait before the first start.
     pub qdelay_ratios: Vec<f64>,
 }
 
@@ -182,7 +188,10 @@ pub fn record_original(
 }
 
 /// Replay `schedule` on a *fresh* build of the same topology under
-/// `mode`, and score it. The replay must be loss-free (it asserts so);
+/// `mode`, and score it. The build may trace at [`TraceLevel::Delivery`]
+/// or [`TraceLevel::Hops`]; the leg records at `Delivery` either way (one
+/// row per packet, no hop arena), since scoring reads only each packet's
+/// replay exit time. The replay must be loss-free (it asserts so);
 /// to score a replay on a chaos-perturbed network, use
 /// [`replay_schedule_lossy`].
 pub fn replay_schedule(
@@ -257,6 +266,12 @@ fn replay_classic(
 /// identical recorded input on a fresh `topo` with `scheduler()` on
 /// every port and `header` stamping each packet, then score it against
 /// the recorded output times. `mode` only labels the report.
+///
+/// `topo` must trace at least [`TraceLevel::Delivery`]; the leg is set
+/// to `Delivery` before the schedule registers, so it keeps one
+/// [`PacketRecord`](ups_net::PacketRecord) per packet (which
+/// [`deadline_flow_stats`](crate::deadline_flow_stats) also reads) and
+/// no hop arena.
 pub(crate) fn replay_with(
     topo: &mut Topology,
     schedule: &RecordedSchedule,
@@ -266,15 +281,18 @@ pub(crate) fn replay_with(
     header: impl FnMut(usize, RecordedPacket<'_>) -> SchedHeader,
     allow_loss: bool,
 ) -> ReplayReport {
-    assert_eq!(
+    assert_ne!(
         topo.net.telemetry.level,
-        TraceLevel::Hops,
-        "replay scoring requires hop-level tracing"
+        TraceLevel::Off,
+        "replay scoring requires per-packet delivery tracing"
     );
     assert_eq!(
         topo.net.telemetry.counters.injected, 0,
         "replay needs a fresh topology build"
     );
+    // Scoring reads each packet's delivery time only: keep one row per
+    // packet and no hop arena.
+    topo.net.telemetry.level = TraceLevel::Delivery;
     topo.net.configure_links(|_| {
         LinkPolicy::keep()
             .buffer(None)
@@ -301,7 +319,8 @@ pub(crate) fn replay_with(
 /// Score a completed replay run against the recorded schedule: replay
 /// packet ids follow the source's registration order, which is exactly
 /// the recorded order (telemetry keeps one dense record per packet even
-/// for packets that are later dropped).
+/// for packets that are later dropped). Only each row's delivery time
+/// is read.
 fn score_replay(
     schedule: &RecordedSchedule,
     tel: &Telemetry,
@@ -332,7 +351,9 @@ fn score_replay(
         lateness.push(late);
         let qdelay = rec.qdelay();
         if qdelay > Dur::ZERO {
-            ratios.push(rep.total_qdelay(&tel.hops).as_ps() as f64 / qdelay.as_ps() as f64);
+            // o'(p) − i(p) − tmin(p): the replay's total queueing delay.
+            let replay_qdelay = o_replay.signed_since(rec.i()) - rec.tmin().as_i64();
+            ratios.push(replay_qdelay as f64 / qdelay.as_ps() as f64);
         }
     }
 

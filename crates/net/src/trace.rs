@@ -17,15 +17,18 @@ use ups_sim::{Dur, Time};
 pub enum TraceLevel {
     /// Counters only.
     Off,
-    /// Per-packet injection/delivery times, without hops: what §3.2's
-    /// per-packet delays (`ups_core::run_tail_delays`) and a table fold
-    /// such as `ups_metrics::throughput_fairness_series` read. The
+    /// Per-packet injection/delivery times, without hops: what a replay
+    /// leg's scoring, §3.2's per-packet delays
+    /// (`ups_core::run_tail_delays`) and a table fold such as
+    /// `ups_metrics::throughput_fairness_series` read. The
     /// closed-loop objectives (FCT, fairness, goodput) record nothing
     /// per packet and run at `Off`.
     #[default]
     Delivery,
-    /// Additionally record per-hop times (replay, congestion points,
-    /// omniscient initialization, queueing-delay ratios).
+    /// Additionally record per-hop times: what a record leg needs for
+    /// the schedule it yields (congestion points, the original's
+    /// queueing delays, omniscient initialization). A replay leg runs
+    /// at `Delivery`, scoring from each packet's exit time alone.
     Hops,
 }
 

@@ -366,12 +366,14 @@ pub fn names() -> Vec<&'static str> {
     REGISTRY.iter().map(|s| s.name).collect()
 }
 
-/// One line per scenario: `name  cells  topology / workload — title`.
+/// One line per scenario: `name  cells  topology / workload — title`,
+/// the name column as wide as the longest registered name.
 pub fn render_list() -> String {
+    let name_w = REGISTRY.iter().map(|s| s.name.len()).max().unwrap_or(0);
     let mut out = String::new();
     for s in REGISTRY {
         out.push_str(&format!(
-            "{:<20} {:>2} cells  {} / {} — {}\n",
+            "{:<name_w$} {:>2} cells  {} / {} — {}\n",
             s.name,
             s.scheds.len() * s.utils.len() * s.drops.len(),
             s.topo.label(),
@@ -449,6 +451,22 @@ mod tests {
         for s in REGISTRY {
             assert!(listing.contains(s.name), "list missing {}", s.name);
             assert!(s.describe().contains(s.name));
+        }
+    }
+
+    #[test]
+    fn every_listed_cell_count_starts_in_the_same_column() {
+        let listing = render_list();
+        let rows: Vec<&str> = listing.lines().collect();
+        assert_eq!(rows.len(), REGISTRY.len());
+        // The count is right-aligned in a two-character field just
+        // before ` cells`.
+        let field = |row: &str| row.find(" cells  ").expect("row has a cell count") - 2;
+        let col = field(rows[0]);
+        for (row, s) in rows.iter().zip(REGISTRY) {
+            assert_eq!(field(row), col, "{listing}");
+            assert_eq!(row[..col].trim_end(), s.name, "{listing}");
+            assert_eq!(row[col..col + 2].trim(), s.spec().cells.len().to_string());
         }
     }
 

@@ -14,6 +14,9 @@
 //! * an Omniscient replay allocates at most one block per packet more
 //!   than an LSTF replay of the same schedule: the `Arc<[Time]>` of
 //!   per-hop scheduling times in its header;
+//! * a replay leg, classic or deadline, keeps no hop arena: its heap
+//!   high-water mark on a hop-traced build is no higher than on a
+//!   delivery-traced one;
 //! * the fairness leg's heap high-water mark follows the packets in
 //!   flight, not the packets delivered: it keeps no packet table;
 //! * a network stopped mid-run frees every packet it still holds.
@@ -22,9 +25,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 use ups::core::objectives::Scheme;
-use ups::core::replay::{record_original, replay_schedule, ReplayMode};
+use ups::core::replay::{record_original, replay_schedule, ReplayMode, ReplayReport};
 use ups::core::workload::WorkloadKind;
-use ups::core::{run_fairness, RecordedSchedule};
+use ups::core::{
+    record_deadline_original, replay_deadline, run_fairness, DeadlineMode, RecordedSchedule,
+};
 use ups::net::{FlowId, LinkPolicy, TraceLevel};
 use ups::sched::SchedKind;
 use ups::sim::{Bandwidth, Dur, Time};
@@ -197,6 +202,63 @@ fn omniscient_headers_cost_one_allocation_per_packet() {
         omniscient <= lstf + packets + CONSTANT,
         "Omniscient replay made {omniscient} allocations, LSTF {lstf}, for {packets} packets"
     );
+}
+
+/// The heap high-water mark of `replay` on a fresh Internet2 build at
+/// `level`, after checking that the leg kept one row per packet of
+/// `schedule` and no hop arena.
+fn replay_leg_peak(
+    level: TraceLevel,
+    schedule: &RecordedSchedule,
+    replay: impl FnOnce(&mut Topology) -> ReplayReport,
+) -> i64 {
+    let mut topo = i2(level);
+    let (report, peak) = peak_bytes(|| replay(&mut topo));
+    let tel = &topo.net.telemetry;
+    assert_eq!(
+        (report.total, tel.packets.len()),
+        (schedule.len(), schedule.len())
+    );
+    assert!(
+        tel.hops.is_empty() && tel.hops.capacity() == 0,
+        "a replay leg laid out a hop arena of {} entries",
+        tel.hops.capacity()
+    );
+    peak
+}
+
+/// Scoring reads each packet's delivery time only, so a replay leg
+/// traces deliveries whatever level its build was made at: on a
+/// hop-traced build it peaks no higher than on a delivery-traced one.
+/// A hop arena would add 16 bytes per hop (~220 kB here).
+#[test]
+fn a_replay_leg_keeps_no_hop_arena() {
+    let mut orig = i2(TraceLevel::Hops);
+    let schedule = record_original(&mut orig, &workload(), SchedKind::Random, 2, 1500);
+    drop(orig);
+    let mut orig = i2(TraceLevel::Hops);
+    let deadline_flows = WorkloadKind::DeadlineMix.build(&orig, 0.6, Dur::from_millis(5), 2);
+    let tagged = record_deadline_original(&mut orig, &deadline_flows, 1500);
+    drop(orig);
+    let check = |label: &str,
+                 schedule: &RecordedSchedule,
+                 replay: &dyn Fn(&mut Topology) -> ReplayReport| {
+        let traced = replay_leg_peak(TraceLevel::Hops, schedule, replay);
+        let untraced = replay_leg_peak(TraceLevel::Delivery, schedule, replay);
+        let hops: usize = schedule.iter().map(|p| p.rec.path.hops()).sum();
+        assert!(
+            traced <= untraced,
+            "{label}: peak heap {traced} B on a hop-traced build, {untraced} B on a \
+             delivery-traced one ({hops} hops, {} B of arena)",
+            16 * hops
+        );
+    };
+    check("LSTF replay", &schedule, &|t| {
+        replay_schedule(t, &schedule, ReplayMode::lstf())
+    });
+    check("deadline LSTF replay", &tagged.schedule, &|t| {
+        replay_deadline(t, &tagged, DeadlineMode::Lstf)
+    });
 }
 
 /// An arrival event holds its packet without dropping it (see

@@ -10,7 +10,8 @@
 //! comment names to a file that exists, the baseline list in
 //! docs/EXPERIMENTS.md to `baselines/` and CI's diff steps, every
 //! experiment to its baseline, every type-like code name in the docs
-//! to the sources, and the crate tables to the workspace members.
+//! to the sources, the crate tables to the workspace members, and
+//! `sweep`'s flags between its parser, its usage text and the docs.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -411,6 +412,106 @@ fn every_workspace_crate_has_one_row_in_each_crate_table() {
             "## T"
         ),
         ["crates/a"]
+    );
+}
+
+/// Every `--flag` in `text` with its byte offset: two dashes that do
+/// not continue a word or a longer dash run, then a lower-case word of
+/// letters, digits and dashes. `--chaos-*` gives the prefix `--chaos-`.
+fn flags(text: &str) -> Vec<(usize, &str)> {
+    let b = text.as_bytes();
+    let word = |c: u8| c.is_ascii_lowercase() || c.is_ascii_digit() || c == b'-';
+    text.match_indices("--")
+        .filter(|&(i, _)| i == 0 || !(b[i - 1].is_ascii_alphanumeric() || b[i - 1] == b'-'))
+        .filter(|&(i, _)| b.get(i + 2).is_some_and(u8::is_ascii_lowercase))
+        .map(|(i, _)| {
+            let len = b[i + 2..].iter().take_while(|&&c| word(c)).count();
+            (i, &text[i..i + 2 + len])
+        })
+        .collect()
+}
+
+/// The flags of other tools that the docs quote: cargo's and the
+/// benchmark harness's. Any other `--flag` in the docs is `sweep`'s.
+const OTHER_TOOLS_FLAGS: &[&str] = &[
+    "--all",
+    "--all-targets",
+    "--bin",
+    "--check",
+    "--example",
+    "--locked",
+    "--manifest-path",
+    "--no-deps",
+    "--open",
+    "--release",
+    "--workload",
+    "--workspace",
+];
+
+/// `sweep`'s flags cannot drift between its parser, its usage text and
+/// the docs: the flags `Args::parse` matches in `src/bin/sweep.rs` are
+/// exactly the flags its `USAGE` lists, and every `--flag` that
+/// README.md or `docs/*.md` quotes is one `USAGE` lists. The one
+/// exception is a flag of another tool (`OTHER_TOOLS_FLAGS`) quoted
+/// before any `sweep` on its line, as cargo's are in
+/// `cargo run --release --bin sweep -- --grid fig1`.
+#[test]
+fn every_sweep_flag_is_parsed_listed_and_documented_alike() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(root.join("src/bin/sweep.rs")).expect("reading sweep.rs");
+    let usage = src
+        .split("const USAGE: &str = \"")
+        .nth(1)
+        .and_then(|u| u.split("\";").next())
+        .expect("src/bin/sweep.rs defines USAGE");
+    let listed: BTreeSet<&str> = flags(usage).into_iter().map(|(_, f)| f).collect();
+    let parsed: BTreeSet<&str> = src
+        .match_indices("\" =>")
+        .filter_map(|(end, _)| {
+            let arm = &src[src[..end].rfind('"')? + 1..end];
+            arm.starts_with("--").then_some(arm)
+        })
+        .collect();
+    assert!(
+        parsed.len() > 10,
+        "only {parsed:?} parsed — extractor broken?"
+    );
+    assert_eq!(
+        parsed, listed,
+        "flags Args::parse matches vs flags USAGE lists"
+    );
+
+    // `--chaos-` stands for every flag it prefixes.
+    let in_usage = |f: &str| {
+        if f.ends_with('-') {
+            listed.iter().any(|l| l.starts_with(f))
+        } else {
+            listed.contains(f)
+        }
+    };
+    let mut stray = Vec::new();
+    for file in doc_files(root) {
+        let text = std::fs::read_to_string(&file).expect("readable doc");
+        for (n, line) in text.lines().enumerate() {
+            for (at, flag) in flags(line) {
+                let before = &line[..at];
+                let sweeps = before
+                    .rfind("sweep")
+                    .is_some_and(|s| before.rfind("cargo").is_none_or(|c| c < s));
+                if !(in_usage(flag) || !sweeps && OTHER_TOOLS_FLAGS.contains(&flag)) {
+                    stray.push(format!("{}:{}: {flag}", file.display(), n + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        stray.is_empty(),
+        "flags USAGE does not list:\n{}",
+        stray.join("\n")
+    );
+    assert_eq!(
+        flags("sweep --grid x --chaos-* | --- a--b --9 `--jobs`"),
+        [(6, "--grid"), (15, "--chaos-"), (41, "--jobs")]
     );
 }
 

@@ -1,13 +1,17 @@
 //! Cross-crate integration tests of the full replay pipeline:
 //! topology → workload → original schedule → candidate-UPS replay.
 
+use std::sync::Arc;
 use ups::core::replay::{record_original, replay_schedule, replay_schedule_lossy, ReplayMode};
 use ups::core::workload::WorkloadKind;
-use ups::net::{ChaosPolicy, TraceLevel};
+use ups::net::{ChaosPolicy, LinkPolicy, PacketRecord, Telemetry, TraceLevel};
 use ups::sched::SchedKind;
 use ups::sim::{Dur, Time};
 use ups::topo::internet2::{build, I2Config, I2Variant};
 use ups::topo::Topology;
+use ups::transport::flow::FlowDesc;
+use ups::transport::header::{HeaderStamper, PrioPolicy, SlackPolicy};
+use ups::transport::udp::inject_udp_flows;
 
 fn i2(edges: usize) -> impl Fn() -> Topology {
     move || {
@@ -243,4 +247,129 @@ fn utilization_trend_has_more_slack_at_higher_load() {
         slacks[0] * 2.0 < slacks[2],
         "mean slack not growing with load: {slacks:?}"
     );
+}
+
+/// A hop-traced leg of `flows` on `topo`: `kind` on every unbounded
+/// port, preemptive ports when asked, headers from `slack` (and the
+/// flow-size priority stamp where `kind` needs one, as
+/// [`record_original`] stamps it), `chaos` on every link when given.
+fn hops_leg(
+    mut topo: Topology,
+    flows: &[FlowDesc],
+    kind: SchedKind,
+    slack: SlackPolicy,
+    preemptive: bool,
+    chaos: Option<ChaosPolicy>,
+) -> Topology {
+    assert_eq!(topo.net.telemetry.level, TraceLevel::Hops);
+    topo.net.configure_links(|l| {
+        LinkPolicy::keep()
+            .buffer(None)
+            .scheduler(kind.build(l.id, 3))
+            .preemptive(preemptive)
+    });
+    if let Some(policy) = chaos {
+        topo.net
+            .install_chaos(Time::from_millis(40), |_| Some(policy.clone()));
+    }
+    let prio = if kind.needs_priority_stamp() {
+        PrioPolicy::FlowSize
+    } else {
+        PrioPolicy::None
+    };
+    let mut stamper = HeaderStamper::new(slack, prio);
+    let routes = Arc::clone(&topo.routes);
+    inject_udp_flows(&mut topo.net, &routes, flows, 1500, &mut stamper);
+    topo.net.run_to_completion();
+    topo
+}
+
+/// `delivered − created − tmin(size)`: the queueing delay the replay
+/// scorer takes from a packet's row alone, in ps.
+fn row_delay(r: &PacketRecord, delivered: Time) -> i64 {
+    delivered.signed_since(r.created) - r.path.tmin(r.size).as_i64()
+}
+
+/// `(row delay, summed hop waits)` of every delivered packet of a
+/// hop-traced leg.
+fn delays(tel: &Telemetry) -> Vec<(i64, i64)> {
+    let rows = tel.packets.iter();
+    rows.filter_map(|r| {
+        let waits = r.total_qdelay(&tel.hops).as_i64();
+        Some((row_delay(r, r.delivered?), waits))
+    })
+    .collect()
+}
+
+/// The replay scorer's queueing delay, `o′(p) − i(p) − tmin(p)`, is the
+/// sum of per-hop waits to the picosecond on non-preemptive ports:
+/// every original scheduler on contended Internet2 web traffic at 90%
+/// load, and the delivered packets of a lossy leg. One picosecond more
+/// on the tmin side breaks every packet.
+#[test]
+fn exit_minus_ingress_minus_tmin_is_the_summed_hop_waits() {
+    let factory = i2(4);
+    let flows = WorkloadKind::Web.build(&factory(), 0.9, Dur::from_millis(5), 2);
+    let check = |label: &str, topo: &Topology| {
+        let delays = delays(&topo.net.telemetry);
+        // Packets whose row delay, with `bias` ps more on the tmin side,
+        // is not their summed hop waits.
+        let off = |bias: i64| delays.iter().filter(|&&(row, w)| row - bias != w).count();
+        assert_eq!(off(0), 0, "{label}: of {} packets", delays.len());
+        assert_eq!(off(1), delays.len(), "{label}");
+        let waited = delays.iter().filter(|&&(_, w)| w > 0).count();
+        assert!(waited * 4 > delays.len(), "{label}: too little contention");
+    };
+    for kind in SchedKind::ALL {
+        let topo = hops_leg(factory(), &flows, kind, SlackPolicy::None, false, None);
+        assert_eq!(topo.net.telemetry.counters.dropped, 0);
+        check(kind.label(), &topo);
+    }
+    let lossy = Some(ChaosPolicy::new(0xC11A05).drop_prob(0.01));
+    let topo = hops_leg(
+        factory(),
+        &flows,
+        SchedKind::Random,
+        SlackPolicy::None,
+        false,
+        lossy,
+    );
+    assert!(topo.net.telemetry.counters.dropped > 0, "no loss drawn");
+    check("Random, 1% loss", &topo);
+}
+
+/// On a preemptive port a hop trace counts only the wait before a
+/// packet's first start; `o′(p) − i(p) − tmin(p)` also counts the time a
+/// suspended transmission waits to resume (`Packet::qdelay`'s
+/// definition), which is each hop's `tx_end − tx_start − tx_time`.
+#[test]
+fn on_preemptive_ports_the_row_delay_also_counts_waits_after_a_resume() {
+    let factory = i2(4);
+    let flows = WorkloadKind::Web.build(&factory(), 0.9, Dur::from_millis(5), 2);
+    let slack = SlackPolicy::FlowSizeTimesD {
+        d: Dur::from_micros(1),
+    };
+    let topo = hops_leg(factory(), &flows, SchedKind::Lstf, slack, true, None);
+    let preemptions: u64 = topo.net.links.iter().map(|l| l.stats.preemptions).sum();
+    assert!(preemptions > 0, "the leg never preempted");
+    let tel = &topo.net.telemetry;
+    let mut resumed = 0;
+    for r in &tel.packets {
+        let at = r.delivered.expect("a loss-free leg delivers every packet");
+        let suspended: i64 = r
+            .hops(&tel.hops)
+            .zip(r.path.bw.iter())
+            .map(|(h, bw)| (h.tx_end - h.tx_start).as_i64() - bw.tx_time(r.size).as_i64())
+            .sum();
+        let waits = r.total_qdelay(&tel.hops).as_i64();
+        assert_eq!(
+            row_delay(r, at),
+            waits + suspended,
+            "{:?}/{}",
+            r.flow,
+            r.seq
+        );
+        resumed += usize::from(suspended > 0);
+    }
+    assert!(resumed > 0, "no delivered packet was ever suspended");
 }
