@@ -160,7 +160,6 @@ pub fn record_deadline_original(
         SchedHeader {
             slack: tag.d_abs.signed_since(at) - tmin.as_i64(),
             prio: tag.d_abs.as_ps() as i64,
-            hop_times: None,
         }
     });
     let mut tags = Vec::new();
@@ -216,19 +215,16 @@ fn replay_tagged(
             DeadlineMode::Edf => SchedHeader {
                 slack: 0,
                 prio: tag.d_abs.as_ps() as i64,
-                hop_times: None,
             },
             DeadlineMode::Lstf => SchedHeader {
                 // Deliberately unclamped: an infeasible budget must stay
                 // comparable against EDF's absolute key (see module docs).
                 slack: tag.d_abs.signed_since(rec.i()) - rec.tmin().as_i64(),
                 prio: 0,
-                hop_times: None,
             },
             DeadlineMode::Prio => SchedHeader {
                 slack: 0,
                 prio: if tag.tagged { 0 } else { 7 },
-                hop_times: None,
             },
         }
     };

@@ -64,7 +64,7 @@ pub use deadline::{
     DeadlineMode, DeadlineSchedule, DeadlineTag,
 };
 pub use objectives::{run_fairness, run_fct, run_goodput, run_tail_delays, Scheme};
-pub use omniscient::{omniscient, Omniscient};
+pub use omniscient::{omniscient, HopTable, Omniscient};
 pub use replay::{
     record_original, replay_experiment, replay_schedule, replay_schedule_lossy, ReplayMode,
     ReplayReport,

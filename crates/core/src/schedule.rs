@@ -57,11 +57,6 @@ impl<'a> RecordedPacket<'a> {
     pub fn congestion_points(&self) -> usize {
         self.rec.congestion_points(self.hops)
     }
-
-    /// Per-hop scheduling times `o(p, α_k)` (transmission starts).
-    pub fn tx_starts(&self) -> impl Iterator<Item = Time> + 'a {
-        self.rec.hops(self.hops).map(|h| h.tx_start)
-    }
 }
 
 /// A complete recorded schedule: one delivered, fully traced row per
@@ -315,7 +310,7 @@ mod tests {
     fn hop_tx_starts_are_recorded_in_order() {
         let sched = run_line();
         for p in sched.iter() {
-            let starts: Vec<Time> = p.tx_starts().collect();
+            let starts: Vec<Time> = p.rec.hops(&sched.hops).map(|h| h.tx_start).collect();
             assert_eq!(starts.len(), p.rec.path.hops());
             assert!(starts.windows(2).all(|w| w[0] < w[1]));
         }

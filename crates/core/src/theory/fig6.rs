@@ -62,7 +62,6 @@ pub fn priority_replay(prios: [i64; 3]) -> ReplayReport {
     let header = |k: usize, _: RecordedPacket<'_>| SchedHeader {
         slack: 0,
         prio: prios[k],
-        hop_times: None,
     };
     let scheduler = || -> Box<dyn Scheduler> { Box::new(priority()) };
     replay_with(

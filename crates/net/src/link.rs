@@ -201,7 +201,7 @@ impl Link {
             act.dropped.push(pkt);
             return;
         }
-        pkt.tx_left = None;
+        pkt.tx_left = Dur::ZERO;
         let q = self.make_queued(pkt, now);
 
         // Buffer admission: evict strictly-worse packets until the arrival
@@ -318,14 +318,13 @@ impl Link {
         // preempt it would lose the comparison.
         q.enq_time = now;
 
-        let tx_dur = match q.pkt.tx_left {
-            Some(left) => left,
-            None => {
-                // Fresh (non-resumed) transmission: this is the paper's
-                // per-hop scheduling time o(p, α).
-                q.pkt.hop_first_tx = now;
-                self.tx_time_memo(q.pkt.size)
-            }
+        let tx_dur = if q.pkt.tx_left == Dur::ZERO {
+            // Fresh (non-resumed) transmission: this is the paper's
+            // per-hop scheduling time o(p, α).
+            q.pkt.hop_first_tx = now;
+            self.tx_time_memo(q.pkt.size)
+        } else {
+            q.pkt.tx_left
         };
         // Urgency only ever feeds the preemption comparison, so on
         // non-preemptive ports (the default) the call is skipped.
@@ -360,7 +359,7 @@ impl Link {
         self.stats.busy += now - fl.tx_start;
 
         let mut pkt = fl.q.pkt;
-        pkt.tx_left = Some(fl.tx_end - now);
+        pkt.tx_left = fl.tx_end - now;
         // Re-queue: a fresh wait period begins now. Buffer accounting
         // deliberately re-admits without a capacity check — a preempted
         // packet is never dropped. The caller's `want_start` (set on the
@@ -477,9 +476,10 @@ impl Link {
     /// Wrap a packet in its queue entry, computing the static per-hop
     /// quantities schedulers may key on.
     fn make_queued(&mut self, pkt: Box<Packet>, now: Time) -> Queued {
-        let tx_dur = match pkt.tx_left {
-            Some(left) => left,
-            None => self.tx_time_memo(pkt.size),
+        let tx_dur = if pkt.tx_left == Dur::ZERO {
+            self.tx_time_memo(pkt.size)
+        } else {
+            pkt.tx_left
         };
         let seq = self.arrival_seq;
         self.arrival_seq += 1;
@@ -543,7 +543,7 @@ mod tests {
             flow: FlowId(0),
             seq: id,
             size,
-            tx_left: None,
+            tx_left: Dur::ZERO,
             src: NodeId(0),
             dst: NodeId(1),
             created: Time::ZERO,

@@ -129,7 +129,7 @@ fn new_packet(id: PacketId, at: Time, inj: Injection) -> Box<Packet> {
         flow: inj.flow,
         seq: inj.seq,
         size: inj.size,
-        tx_left: None,
+        tx_left: Dur::ZERO,
         src: inj.src,
         dst: inj.dst,
         created: at,
@@ -1064,6 +1064,19 @@ mod tests {
     #[test]
     fn an_event_is_sixteen_bytes() {
         assert_eq!(std::mem::size_of::<Ev>(), 16);
+    }
+
+    /// Every packet in flight is one `Box<Packet>`. glibc's malloc gives
+    /// a 97–104-byte request a 112-byte chunk and a 105–120-byte one a
+    /// 128-byte chunk, so a field that grows the packet past 104 bytes
+    /// costs every in-flight packet 16 bytes.
+    #[test]
+    fn a_packet_fits_a_112_byte_malloc_chunk() {
+        fn copy<T: Copy>() {}
+        copy::<SchedHeader>();
+        assert_eq!(std::mem::size_of::<SchedHeader>(), 16);
+        assert!(std::mem::size_of::<PacketKind>() <= 8);
+        assert!(std::mem::size_of::<Packet>() <= 104);
     }
 
     #[test]

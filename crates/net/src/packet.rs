@@ -68,16 +68,16 @@ impl Path {
     }
 }
 
-/// Transport-level payload classification.
+/// Transport-level payload classification, one 8-byte word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketKind {
     /// Application data; `bytes` is the payload length (≤ wire size).
     Data { bytes: u32 },
-    /// Cumulative TCP acknowledgement: "next expected" sequence in bytes.
-    Ack { cum_ack: u64 },
+    /// Cumulative TCP acknowledgement: the next expected segment number.
+    Ack { cum_ack: u32 },
 }
 
-/// The scheduling header a packet carries through the network.
+/// The 16-byte scheduling header a packet carries through the network.
 ///
 /// Only one of these fields is meaningful for a given scheduler, but a
 /// plain struct keeps the hot path free of enum matching:
@@ -85,20 +85,18 @@ pub enum PacketKind {
 ///   at the ingress, decremented by each router by the queueing delay the
 ///   packet experienced there (§2.1).
 /// * `prio` — static priority for Priority/SJF/SRPT/EDF (lower = better).
-/// * `hop_times` — per-hop output times `o(p, α_k)` for the omniscient
-///   UPS of Appendix B.
-#[derive(Debug, Clone, Default)]
+///
+/// The omniscient UPS of Appendix B keys on a per-hop vector instead,
+/// which the packet does not carry (`ups_core::omniscient`).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SchedHeader {
     /// Remaining slack in picoseconds; may go negative when overdue.
     pub slack: i64,
     /// Static priority value; lower is served first.
     pub prio: i64,
-    /// Omniscient per-hop schedule (Appendix B); indexed by hop number,
-    /// built from the recorded schedule's transmission starts.
-    pub hop_times: Option<Arc<[Time]>>,
 }
 
-/// A packet traversing the simulated network.
+/// A packet in the simulated network: 104 bytes, one 112-byte malloc chunk.
 #[derive(Debug, Clone)]
 pub struct Packet {
     /// Unique id, assigned by the network at injection.
@@ -111,10 +109,10 @@ pub struct Packet {
     pub size: u32,
     /// Remaining serialization time at the current hop, set only while a
     /// *preempted* transmission is suspended (fluid model used for the
-    /// preemptive-LSTF ablation, §2.3(5)). `None` = not yet started here.
-    /// Tracked as exact time, not bytes, so preemption never loses or
-    /// fabricates link capacity.
-    pub tx_left: Option<Dur>,
+    /// preemptive-LSTF ablation, §2.3(5)); zero = not started here (a
+    /// port suspends only a transmission with time left). Exact time, not
+    /// bytes, so preemption never loses or fabricates link capacity.
+    pub tx_left: Dur,
     /// Source host.
     pub src: NodeId,
     /// Destination host.
@@ -136,27 +134,34 @@ pub struct Packet {
     pub hop_first_tx: Time,
 }
 
+/// Offsets into a `size`-byte object that hit every 64-byte cache line it
+/// occupies, wherever it starts: one every 64 bytes, then its last byte
+/// (the line a misaligned object spills into). A fixed count, so the
+/// hints compile to straight-line code with no branch on the address.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+fn line_offsets(size: usize) -> impl Iterator<Item = usize> {
+    (0..size).step_by(64).chain([size - 1])
+}
+
 /// Hint the CPU to pull every cache line of `pkt` into cache. Issued by
 /// the event loop for the *next* event's packet while the current one is
-/// processed; a `Packet` spans multiple lines and a hop touches most of
-/// them. No-op on non-x86 targets.
+/// processed; a `Packet` spans two or three lines, by its alignment, and
+/// a hop touches most of them. No-op on non-x86 targets.
 #[inline]
 pub(crate) fn prefetch_packet(pkt: &Packet) {
     #[cfg(target_arch = "x86_64")]
     {
         let base = (pkt as *const Packet).cast::<u8>();
-        let mut off = 0;
-        while off < core::mem::size_of::<Packet>() {
-            // SAFETY: `base + off` stays within (or one past) the Packet
-            // borrowed by `pkt`; `_mm_prefetch` is a pure cache hint that
-            // never dereferences, so even a dangling address is sound.
+        line_offsets(core::mem::size_of::<Packet>()).for_each(|off| {
+            // SAFETY: `base + off` stays within the Packet borrowed by
+            // `pkt`; `_mm_prefetch` is a pure cache hint that never
+            // dereferences, so even a dangling address is sound.
             unsafe {
                 core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
                     base.add(off).cast(),
                 );
             }
-            off += 64;
-        }
+        });
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = pkt;
@@ -183,7 +188,7 @@ impl Packet {
     /// completed must not carry `tx_left` to the next port).
     pub fn advance_hop(&mut self) {
         self.hops_done += 1;
-        self.tx_left = None;
+        self.tx_left = Dur::ZERO;
     }
 }
 
@@ -222,13 +227,30 @@ mod tests {
     }
 
     #[test]
+    fn prefetch_reaches_every_line_at_each_sixteen_byte_alignment() {
+        // A 104-byte packet spans two lines when it starts in a line's
+        // first half and three when it starts 32 or 48 bytes in.
+        assert_eq!(line_offsets(104).collect::<Vec<_>>(), [0, 64, 103]);
+        for size in [104, core::mem::size_of::<Packet>()] {
+            for misalign in (0..64).step_by(16) {
+                let addr = 0x1000 + misalign;
+                let hit: std::collections::BTreeSet<usize> =
+                    line_offsets(size).map(|off| (addr + off) / 64).collect();
+                let occupied: std::collections::BTreeSet<usize> =
+                    (addr / 64..=(addr + size - 1) / 64).collect();
+                assert_eq!(hit, occupied, "{size} bytes at +{misalign}");
+            }
+        }
+    }
+
+    #[test]
     fn packet_hop_progression() {
         let mut pkt = Packet {
             id: PacketId(0),
             flow: FlowId(0),
             seq: 0,
             size: 1500,
-            tx_left: None,
+            tx_left: Dur::ZERO,
             src: NodeId(0),
             dst: NodeId(3),
             created: Time::ZERO,

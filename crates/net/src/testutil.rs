@@ -9,27 +9,23 @@ use crate::scheduler::Queued;
 use std::sync::Arc;
 use ups_sim::{Bandwidth, Dur, Time};
 
-/// A one-hop, 1 Gbps, zero-propagation path.
-pub fn one_hop_path() -> Arc<Path> {
-    Arc::new(Path {
-        links: vec![LinkId(0)].into(),
-        bw: vec![Bandwidth::gbps(1)].into(),
-        prop: vec![Dur::ZERO].into(),
-    })
-}
-
-/// Build a 1500-byte data packet with the given identity and header.
+/// Build a 1500-byte data packet with the given identity and header, on
+/// a one-hop, 1 Gbps, zero-propagation path.
 pub fn packet(id: u64, flow: u64, seq: u64, hdr: SchedHeader) -> Packet {
     Packet {
         id: PacketId(id),
         flow: FlowId(flow),
         seq,
         size: 1500,
-        tx_left: None,
+        tx_left: Dur::ZERO,
         src: NodeId(0),
         dst: NodeId(1),
         created: Time::ZERO,
-        path: one_hop_path(),
+        path: Arc::new(Path {
+            links: vec![LinkId(0)].into(),
+            bw: vec![Bandwidth::gbps(1)].into(),
+            prop: vec![Dur::ZERO].into(),
+        }),
         hops_done: 0,
         hdr,
         kind: PacketKind::Data { bytes: 1460 },
@@ -41,11 +37,7 @@ pub fn packet(id: u64, flow: u64, seq: u64, hdr: SchedHeader) -> Packet {
 /// Build a queue entry: packet `seq` of `flow`, enqueued at `enq_ns`
 /// nanoseconds with the given slack and priority header values.
 pub fn queued_full(flow: u64, seq: u64, slack: i64, prio: i64, enq_ns: u64) -> Queued {
-    let hdr = SchedHeader {
-        slack,
-        prio,
-        hop_times: None,
-    };
+    let hdr = SchedHeader { slack, prio };
     Queued {
         pkt: Box::new(packet(seq, flow, seq, hdr)),
         enq_time: Time::from_nanos(enq_ns),

@@ -34,17 +34,13 @@ fn mk_pkt(id: u64, size: u32, slack: i64) -> Box<Packet> {
         flow: FlowId(id),
         seq: 0,
         size,
-        tx_left: None,
+        tx_left: Dur::ZERO,
         src: NodeId(0),
         dst: NodeId(1),
         created: Time::ZERO,
         path,
         hops_done: 0,
-        hdr: SchedHeader {
-            slack,
-            prio: slack,
-            hop_times: None,
-        },
+        hdr: SchedHeader { slack, prio: slack },
         kind: PacketKind::Data { bytes: size },
         qdelay: Dur::ZERO,
         hop_first_tx: Time::ZERO,

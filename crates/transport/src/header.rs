@@ -116,11 +116,7 @@ impl HeaderStamper {
             PrioPolicy::FlowSize => flow_pkts.min(i64::MAX as u64) as i64,
             PrioPolicy::Remaining => remaining_pkts.min(i64::MAX as u64) as i64,
         };
-        SchedHeader {
-            slack,
-            prio,
-            hop_times: None,
-        }
+        SchedHeader { slack, prio }
     }
 
     /// Advance the virtual-clock recursion for `flow` with per-packet
@@ -149,7 +145,6 @@ impl HeaderStamper {
         SchedHeader {
             slack: PS_PER_SEC as i64 / 1_000,
             prio: 0,
-            hop_times: None,
         }
     }
 }

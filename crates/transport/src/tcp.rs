@@ -324,7 +324,8 @@ impl TcpHost {
         }
         self.results.lock().expect("results poisoned")[flow.0 as usize].delivered_bytes +=
             u64::from(pkt.size);
-        let cum = r.next_expected;
+        // The ACK carries the segment count in one 32-bit word.
+        let cum = u32::try_from(r.next_expected).expect("a flow of more than u32::MAX segments");
         let seq = r.acks_sent;
         r.acks_sent += 1;
         let (src, path) = (r.src, Arc::clone(&r.reverse_path));
@@ -348,7 +349,7 @@ impl App for TcpHost {
             PacketKind::Data { .. } => self.on_data(net, node, pkt),
             PacketKind::Ack { cum_ack } => {
                 debug_assert!(is_ack_flow(pkt.flow));
-                self.on_ack(net, data_flow(pkt.flow), cum_ack);
+                self.on_ack(net, data_flow(pkt.flow), u64::from(cum_ack));
             }
         }
     }

@@ -11,9 +11,9 @@
 //!   registered source);
 //! * turning a finished leg into a [`RecordedSchedule`] moves its packet
 //!   table and allocates nothing per packet;
-//! * an Omniscient replay allocates at most one block per packet more
-//!   than an LSTF replay of the same schedule: the `Arc<[Time]>` of
-//!   per-hop scheduling times in its header;
+//! * an Omniscient replay allocates at most a constant more than an
+//!   LSTF replay of the same schedule: its per-hop scheduling times live
+//!   in one table that every port shares, not in the packets;
 //! * a replay leg, classic or deadline, keeps no hop arena: its heap
 //!   high-water mark on a hop-traced build is no higher than on a
 //!   delivery-traced one;
@@ -185,7 +185,7 @@ fn recording_a_schedule_moves_the_table() {
 }
 
 #[test]
-fn omniscient_headers_cost_one_allocation_per_packet() {
+fn an_omniscient_replay_allocates_a_constant_more_than_lstf() {
     let flows = workload();
     let mut orig = i2(TraceLevel::Hops);
     let schedule = record_original(&mut orig, &flows, SchedKind::Random, 2, 1500);
@@ -199,7 +199,7 @@ fn omniscient_headers_cost_one_allocation_per_packet() {
     let omniscient = replay(ReplayMode::Omniscient);
     let packets = schedule.len() as u64;
     assert!(
-        omniscient <= lstf + packets + CONSTANT,
+        omniscient <= lstf + CONSTANT,
         "Omniscient replay made {omniscient} allocations, LSTF {lstf}, for {packets} packets"
     );
 }

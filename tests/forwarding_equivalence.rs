@@ -413,7 +413,6 @@ fn random_sends(routes: &RoutingTable, ends: &[NodeId], n: usize, seed: u64) -> 
                 hdr: SchedHeader {
                     slack: (mix(&mut s) % 200_000_000) as i64,
                     prio: (mix(&mut s) % 8) as i64,
-                    hop_times: None,
                 },
             }
         })
@@ -461,7 +460,6 @@ fn unit_net_sends(n: usize, seed: u64) -> (Network, Vec<Send>) {
                 hdr: SchedHeader {
                     slack: (mix(&mut s) % 200_000_000) as i64,
                     prio: (mix(&mut s) % 8) as i64,
-                    hop_times: None,
                 },
             }
         })
@@ -520,7 +518,7 @@ fn product_and_naive(
             p.src,
             p.dst,
             Arc::clone(&p.path),
-            p.hdr.clone(),
+            p.hdr,
             kind,
         );
         let pkt = Packet {
@@ -528,13 +526,13 @@ fn product_and_naive(
             flow: p.flow,
             seq: i as u64,
             size: p.size,
-            tx_left: None,
+            tx_left: Dur::ZERO,
             src: p.src,
             dst: p.dst,
             created: p.at,
             path: Arc::clone(&p.path),
             hops_done: 0,
-            hdr: p.hdr.clone(),
+            hdr: p.hdr,
             kind,
             qdelay: Dur::ZERO,
             hop_first_tx: p.at,
@@ -605,7 +603,6 @@ fn dumbbell_sends(specs: &[(u64, u64, u64)]) -> (Network, Vec<Send>) {
                 hdr: SchedHeader {
                     slack,
                     prio: pkts as i64,
-                    hop_times: None,
                 },
             });
         }

@@ -258,7 +258,7 @@ proptest! {
                     if let Some(mut q) = s.dequeue() {
                         prop_assert_eq!(Some(q.pkt.seq), model.pop_first().map(|(_, v)| v));
                         q.tx_dur = ups::sim::Dur(q.tx_dur.as_ps() / 2);
-                        q.pkt.tx_left = Some(q.tx_dur);
+                        q.pkt.tx_left = q.tx_dur;
                         admit(&mut s, &mut model, q);
                     }
                 }

@@ -358,11 +358,7 @@ impl Listed {
     }
 
     fn header(slack: i64) -> SchedHeader {
-        SchedHeader {
-            slack,
-            prio: slack,
-            hop_times: None,
-        }
+        SchedHeader { slack, prio: slack }
     }
 
     fn preload(&self, net: &mut Network) {
