@@ -37,24 +37,18 @@ impl Default for PoissonConfig {
 
 /// Estimate, for a uniform all-to-all traffic matrix, how many host pairs
 /// route across each link; returns the per-link expected *relative* load
-/// (pair-paths per link). One representative path is walked per pair
-/// (per-flow ECMP averages out at the calibration fidelity we need),
-/// destination-major like the routing table: the counts are whole
-/// numbers, so addition order cannot change them.
+/// (pair-paths per link). One representative path is counted per pair
+/// (per-flow ECMP averages out at the calibration fidelity we need), with
+/// flow id `i·H + j` for source `i` and destination `j`. The counts are
+/// whole numbers, so converting each once gives the same `f64` as adding
+/// up `1.0` per hop.
 fn pair_paths_per_link(topo: &Topology) -> Vec<f64> {
-    let mut count = vec![0f64; topo.net.links.len()];
-    let hosts = &topo.hosts;
-    for (j, &d) in hosts.iter().enumerate() {
-        for (i, &s) in hosts.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            let flow = FlowId((i * hosts.len() + j) as u64);
-            topo.routes
-                .for_each_hop(s, d, flow, |l| count[l.0 as usize] += 1.0);
-        }
-    }
-    count
+    let h = topo.hosts.len();
+    topo.routes
+        .count_pair_paths(&topo.hosts, |i, j| FlowId((i * h + j) as u64))
+        .into_iter()
+        .map(|c| c as f64)
+        .collect()
 }
 
 /// Compute the per-host Poisson flow arrival rate (flows/sec) that drives
@@ -233,8 +227,10 @@ mod tests {
         assert!(k4.routes.ecmp_width(edge_switch, b) > 1);
         let topos = [
             k4,
+            fattree::build(&fattree::FatTreeConfig::for_k(8), TraceLevel::Off),
             internet2::build(&internet2::I2Config::default(), TraceLevel::Off),
             rocketfuel::build(&rocketfuel::RocketFuelConfig::default(), TraceLevel::Off),
+            rocketfuel::build(&rocketfuel::RocketFuelConfig::full(), TraceLevel::Off),
         ];
         for t in &topos {
             let cfg = PoissonConfig::default();

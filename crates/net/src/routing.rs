@@ -1,30 +1,35 @@
-//! The forwarding table: shortest-path routing straight into a flat
-//! next-hop array, plus path resolution.
+//! The forwarding table: shortest-path routing into flat next-hop rows,
+//! plus path resolution and pair-path counting.
 //!
-//! [`crate::Network::compute_routes`] fills a dense CSR-style
-//! `(destination, node) → [next-hop links]` array one destination row at
-//! a time: the loop is destination-major, which is the table's layout.
-//! Resolving one hop is two array indexes, an offset lookup and an ECMP
-//! member pick. The table also snapshots each link's `(to, bw, prop)`,
-//! so a full source-route ([`RoutingTable::resolve_path`]) needs no
-//! access to the `Network`.
+//! [`crate::Network::compute_routes`] runs one reverse Dijkstra per
+//! **root** destination and stores its answer as a CSR-style row
+//! `node → [next-hop links]`. Resolving a hop toward a root is two array
+//! indexes, an offset lookup and an ECMP member pick. The table also
+//! snapshots each link's `(to, bw, prop)`, so a full source-route
+//! ([`RoutingTable::resolve_path`]) needs no access to the `Network`.
 //!
-//! A row costs one reverse Dijkstra plus a pass appending each node's
-//! equal-cost out-links — unless its destination `d` has a **gateway**:
-//! a node `g < d` that sends exactly one in-link of `d`, every other
-//! in-link of `d` coming from a *stub* of `d` (a node whose only in-link
-//! comes from `d` and whose only out-link goes to `d`, like a host
-//! behind its edge router). Every path into `d` then ends with `g → d`,
-//! so `dist(u, d) = dist(u, g) + cost(g → d)` and every other node picks
-//! the same out-links toward `d` as toward `g`: row `d` is row `g`
-//! copied, with `[g → d]` at `g`, nothing at `d` and `[q → d]` at each
-//! stub `q`. The paper's access pattern gives every edge router (gateway:
-//! its core router, stub: its host) and every host (gateway: its edge
-//! router) one, so only core routers run Dijkstra. The argument needs
-//! every link cost positive — a zero-cost cycle through `g` would put
-//! more than `g → d` on a shortest path from `g` — so a graph with any
-//! zero-cost link (instant, zero-delay theory wires) runs Dijkstra for
-//! every destination.
+//! A destination `d` is not a root when it has a **gateway**: a node
+//! `g < d` that sends exactly one in-link of `d`, every other in-link of
+//! `d` coming from a *stub* of `d` (a node whose only in-link comes from
+//! `d` and whose only out-link goes to `d`, like a host behind its edge
+//! router). Every path into `d` then ends with `g → d`, so
+//! `dist(u, d) = dist(u, g) + cost(g → d)` and every other node picks
+//! the same out-links toward `d` as toward `g`. Row `d` is not stored:
+//! `d` keeps `(g, link)`, each stub keeps its `(peer, link)`, and
+//! `(node, d)` resolves by climbing `d`'s gateway chain — `[g → d]` at
+//! `g`, `[q → d]` at a stub `q` of `d`, nothing at `d`, and otherwise
+//! whatever `(node, g)` resolves to — until it reaches a root's row. The
+//! paper's access pattern gives every edge router (gateway: its core
+//! router, stub: its host) and every host (gateway: its edge router) one,
+//! so only core routers are roots. The argument needs every link cost
+//! positive — a zero-cost cycle through `g` would put more than `g → d`
+//! on a shortest path from `g` — so a graph with any zero-cost link
+//! (instant, zero-delay theory wires) makes every destination a root.
+//!
+//! The same split counts routes without walking each one:
+//! [`RoutingTable::count_pair_paths`] is a walk from the source to the
+//! root followed by the fixed chain from the root down to the
+//! destination, and only a walk's ECMP prefix depends on the pair.
 //!
 //! The handle doubles as the API's proof of route finalization: packet
 //! injection ([`crate::Network::inject`]) takes `&RoutingTable`, so
@@ -40,24 +45,24 @@
 use crate::link::Link;
 use crate::packet::{FlowId, LinkId, NodeId, Path};
 use std::cmp::Reverse;
+use std::slice;
 use std::sync::Arc;
 use ups_sim::{Bandwidth, Dur};
 
 /// Immutable, flat forwarding state of a routed [`crate::Network`].
 #[derive(Debug)]
 pub struct RoutingTable {
-    /// Number of nodes (the table is dense over `n × n` pairs).
+    /// Number of nodes: the length of every row.
     n: usize,
-    /// CSR offsets, destination-major: the equal-cost next hops of
-    /// `(node, dest)` are `hops[off[dest·n + node] .. off[dest·n + node + 1]]`.
-    /// An empty range means unreachable (or `node == dest`).
+    /// How each destination resolves, indexed by node.
+    dests: Box<[Dest]>,
+    /// Each node's stub link, if it is a stub (module doc).
+    stubs: Box<[Option<Stub>]>,
+    /// CSR offsets, row-major: the equal-cost next hops of `node` in
+    /// row `r` are `hops[off[r·n + node] .. off[r·n + node + 1]]`. An
+    /// empty range means unreachable (or `node` is the row's root).
     off: Box<[u32]>,
-    /// Concatenated ECMP member links for every `(node, dest)` pair.
-    /// Kept at its `n × n` reservation, not shrunk to its length: a
-    /// shrink hands a few KiB tail back to the allocator, small blocks
-    /// settle there, and the hole a dropped table leaves is then just
-    /// short of the next same-size table — which grows the heap by a
-    /// whole array instead of reusing it.
+    /// Concatenated ECMP member links of every row.
     hops: Vec<LinkId>,
     /// Per-link receiving node, indexed by `LinkId`.
     link_to: Box<[NodeId]>,
@@ -65,6 +70,23 @@ pub struct RoutingTable {
     link_bw: Box<[Bandwidth]>,
     /// Per-link propagation delay, indexed by `LinkId`.
     link_prop: Box<[Dur]>,
+}
+
+/// How the table answers for one destination.
+#[derive(Debug, Clone, Copy)]
+enum Dest {
+    /// A root: Dijkstra's answer is row `.0`.
+    Row(u32),
+    /// A folded destination: every path into it ends with `link`, from
+    /// `gateway`.
+    Via { gateway: u32, link: LinkId },
+}
+
+/// A stub's only out-link, and the node it goes to.
+#[derive(Debug, Clone, Copy)]
+struct Stub {
+    peer: u32,
+    link: LinkId,
 }
 
 /// A link as the routing pass sees it from one end: the node at the
@@ -113,57 +135,44 @@ impl Adjacency {
     }
 }
 
-/// The gateway of `dest` (module doc), if it has one. Leaves in
-/// `patches`, sorted by node, the entries where row `dest` differs from
-/// the gateway's row: the gateway's and each stub's link to `dest`, and
-/// no link at `dest`.
-fn gateway(
-    dest: usize,
-    inbound: &Adjacency,
-    outbound: &Adjacency,
-    patches: &mut Vec<(usize, Option<LinkId>)>,
-) -> Option<usize> {
-    let is_stub = |q: usize| {
-        matches!(inbound.of(q), [e] if e.peer == dest)
-            && matches!(outbound.of(q), [e] if e.peer == dest)
-    };
-    patches.clear();
-    patches.push((dest, None));
+/// The stub link of `q`, if its only in-link and its only out-link
+/// connect it to the same peer.
+fn stub(q: usize, inbound: &Adjacency, outbound: &Adjacency) -> Option<Stub> {
+    match (inbound.of(q), outbound.of(q)) {
+        ([i], [o]) if i.peer == o.peer => Some(Stub {
+            peer: o.peer as u32,
+            link: o.link,
+        }),
+        _ => None,
+    }
+}
+
+/// The gateway of `dest` (module doc) and its link to `dest`, if `dest`
+/// has one.
+fn gateway(dest: usize, inbound: &Adjacency, stubs: &[Option<Stub>]) -> Option<(u32, LinkId)> {
     let mut found = None;
     for e in inbound.of(dest) {
-        if !is_stub(e.peer) {
-            if found.is_some() || e.peer >= dest {
-                return None;
-            }
-            found = Some(e.peer);
+        if matches!(stubs[e.peer], Some(s) if s.peer as usize == dest) {
+            continue;
         }
-        patches.push((e.peer, Some(e.link)));
+        if found.is_some() || e.peer >= dest {
+            return None;
+        }
+        found = Some((e.peer as u32, e.link));
     }
-    patches.sort_unstable_by_key(|&(node, _)| node);
     found
 }
 
 /// `hops.len()` as the next CSR offset.
-// The table holds at most n² entries, which overflow `u32` only past
+// The rows hold at most n² entries, which overflow `u32` only past
 // ~65 k nodes — far beyond any topology this simulator builds.
 #[allow(clippy::expect_used)]
 fn end_offset(hops: &[LinkId]) -> u32 {
     u32::try_from(hops.len()).expect("routing table exceeds u32 offsets")
 }
 
-/// Append the entries of nodes `a..b` from the finished row whose
-/// offsets start at `off[row]`: their links in one bulk copy, their
-/// offsets rebased onto the copy.
-fn copy_run(off: &mut Vec<u32>, hops: &mut Vec<LinkId>, row: usize, a: usize, b: usize) {
-    let (lo, hi) = (off[row + a], off[row + b]);
-    hops.extend_from_within(lo as usize..hi as usize);
-    let shift = end_offset(hops) - hi;
-    let start = off.len();
-    off.extend_from_within(row + a + 1..row + b + 1);
-    for o in &mut off[start..] {
-        *o += shift;
-    }
-}
+/// Routes longer than this are treated as routing loops.
+const MAX_HOPS: usize = 64;
 
 impl RoutingTable {
     /// Shortest-path next hops for every `(node, destination)` pair of
@@ -173,34 +182,35 @@ impl RoutingTable {
     pub(crate) fn shortest_paths(n: usize, links: &[Link]) -> RoutingTable {
         let inbound = Adjacency::new(n, links, |l| l.to, |l| l.from);
         let outbound = Adjacency::new(n, links, |l| l.from, |l| l.to);
-        // Gateway rows are exact only when no link is free (module doc).
+        let stubs: Box<[Option<Stub>]> = (0..n).map(|q| stub(q, &inbound, &outbound)).collect();
+        // Gateways are exact only when no link is free (module doc).
         let fold = inbound.edges.iter().all(|e| e.cost > 0);
+        let mut roots = 0;
+        let dests: Box<[Dest]> = (0..n)
+            .map(|d| match gateway(d, &inbound, &stubs).filter(|_| fold) {
+                Some((gateway, link)) => Dest::Via { gateway, link },
+                None => {
+                    roots += 1;
+                    Dest::Row(roots - 1)
+                }
+            })
+            .collect();
 
-        let mut off = Vec::with_capacity(n * n + 1);
-        let mut hops = Vec::with_capacity(n * n);
+        let rows = roots as usize * n;
+        let mut off = Vec::with_capacity(rows + 1);
+        // In a connected graph every node but a row's root has at least
+        // one next hop in it, so `rows` entries suffice unless
+        // equal-cost sets add more.
+        let mut hops = Vec::with_capacity(rows);
         off.push(0u32);
-        // Scratch reused across destinations.
-        let mut patches = Vec::new();
+        // Scratch reused across roots.
         let mut dist: Vec<u64> = Vec::new();
         let mut heap = std::collections::BinaryHeap::new();
-        for dest in 0..n {
-            let source = if fold {
-                gateway(dest, &inbound, &outbound, &mut patches)
-            } else {
-                None
-            };
-            if let Some(g) = source {
-                // Row `g` between the patches, the patches themselves.
-                let mut next = 0;
-                for &(node, link) in &patches {
-                    copy_run(&mut off, &mut hops, g * n, next, node);
-                    hops.extend(link);
-                    off.push(end_offset(&hops));
-                    next = node + 1;
-                }
-                copy_run(&mut off, &mut hops, g * n, next, n);
-                continue;
-            }
+        for (dest, _) in dests
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| matches!(d, Dest::Row(_)))
+        {
             dist.clear();
             dist.resize(n, u64::MAX);
             dist[dest] = 0;
@@ -218,8 +228,8 @@ impl RoutingTable {
                     }
                 }
             }
-            // This destination's row: per node, every out-link on a
-            // shortest path (none at the destination or out of reach).
+            // This root's row: per node, every out-link on a shortest
+            // path (none at the root or out of reach).
             for (u, &du) in dist.iter().enumerate() {
                 if u != dest && du != u64::MAX {
                     for e in outbound.of(u) {
@@ -234,6 +244,8 @@ impl RoutingTable {
         }
         RoutingTable {
             n,
+            dests,
+            stubs,
             off: off.into(),
             hops,
             link_to: links.iter().map(|l| l.to).collect(),
@@ -252,26 +264,58 @@ impl RoutingTable {
         z ^ (z >> 31)
     }
 
+    /// The equal-cost next hops of `node` in row `row`.
+    #[inline]
+    fn row_entry(&self, row: u32, node: usize) -> &[LinkId] {
+        let i = row as usize * self.n + node;
+        &self.hops[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+
+    /// The equal-cost next hops from `node` toward `dest`: climb `dest`'s
+    /// gateway chain until the gateway's link, a stub's link or a root's
+    /// row answers (module doc).
+    #[inline]
+    fn entry(&self, node: NodeId, dest: NodeId) -> &[LinkId] {
+        let node = node.0 as usize;
+        let mut at = dest.0 as usize;
+        if node == at {
+            return &[];
+        }
+        loop {
+            match &self.dests[at] {
+                Dest::Row(row) => return self.row_entry(*row, node),
+                Dest::Via { gateway, link } => {
+                    if node == *gateway as usize {
+                        return slice::from_ref(link);
+                    }
+                    if let Some(s) = &self.stubs[node] {
+                        if s.peer as usize == at {
+                            return slice::from_ref(&s.link);
+                        }
+                    }
+                    at = *gateway as usize;
+                }
+            }
+        }
+    }
+
     /// Next link from `node` toward `dest` for a flow with the given
-    /// precomputed [`flow_hash`](RoutingTable::flow_hash). Two array
-    /// indexes: the CSR offset pair, then the hash-picked ECMP member.
-    /// `None` if unreachable (or `node == dest`).
+    /// precomputed [`flow_hash`](RoutingTable::flow_hash): the entry's
+    /// hash-picked ECMP member. `None` if unreachable (or
+    /// `node == dest`).
     #[inline]
     pub fn next_hop(&self, node: NodeId, dest: NodeId, hash: u64) -> Option<LinkId> {
-        let idx = dest.0 as usize * self.n + node.0 as usize;
-        let (lo, hi) = (self.off[idx] as usize, self.off[idx + 1] as usize);
-        match hi - lo {
-            0 => None,
-            1 => Some(self.hops[lo]),
-            w => Some(self.hops[lo + (hash % w as u64) as usize]),
+        match self.entry(node, dest) {
+            [] => None,
+            [only] => Some(*only),
+            set => Some(set[(hash % set.len() as u64) as usize]),
         }
     }
 
     /// Number of equal-cost next hops from `node` toward `dest`
     /// (0 = unreachable).
     pub fn ecmp_width(&self, node: NodeId, dest: NodeId) -> usize {
-        let idx = dest.0 as usize * self.n + node.0 as usize;
-        (self.off[idx + 1] - self.off[idx]) as usize
+        self.entry(node, dest).len()
     }
 
     /// Call `visit` with each link of `flow`'s route from `src` to
@@ -294,7 +338,7 @@ impl RoutingTable {
             visit(hop);
             at = self.link_to[hop.0 as usize];
             hops += 1;
-            assert!(hops <= 64, "routing loop {src:?} -> {dst:?}");
+            assert!(hops <= MAX_HOPS, "routing loop {src:?} -> {dst:?}");
         }
     }
 
@@ -315,14 +359,215 @@ impl RoutingTable {
             prop: prop.into(),
         })
     }
+
+    /// Whether `s` reaches `d` through `d`'s gateway chain below its
+    /// root: `s` is a folded chain node or a stub of one. Every other
+    /// source walks to the root first.
+    fn enters_chain(&self, s: usize, d: usize) -> bool {
+        let mut at = d;
+        while let Dest::Via { gateway, .. } = self.dests[at] {
+            if s == at || matches!(self.stubs[s], Some(q) if q.peer as usize == at) {
+                return true;
+            }
+            at = gateway as usize;
+        }
+        false
+    }
+
+    /// Whether the walk from `u` to `root` in row `row` takes one fixed
+    /// next hop at every node, so no flow hash can change it. Memoized
+    /// in `memo` for every node the walk passes.
+    fn hash_free(&self, u: usize, row: u32, root: usize, memo: &mut [Option<bool>]) -> bool {
+        let step = |x: usize| match self.row_entry(row, x) {
+            [only] => Some(self.link_to[only.0 as usize].0 as usize),
+            _ => None,
+        };
+        let mut x = u;
+        let known = loop {
+            if x == root {
+                break true;
+            }
+            if let Some(known) = memo[x] {
+                break known;
+            }
+            match step(x) {
+                Some(next) => x = next,
+                None => break false,
+            }
+        };
+        let mut x = u;
+        while x != root && memo[x].is_none() {
+            memo[x] = Some(known);
+            match step(x) {
+                Some(next) => x = next,
+                None => break,
+            }
+        }
+        known
+    }
+
+    /// How many of the routes between `hosts` cross each link, indexed
+    /// by `LinkId`: exactly the counts that calling
+    /// [`for_each_hop`](RoutingTable::for_each_hop) for every ordered
+    /// pair `i != j` of `hosts[i] → hosts[j]` with flow `flow_of(i, j)`
+    /// would add up. Panics if a pair has no route, naming it as
+    /// `for_each_hop` would.
+    ///
+    /// A route to a folded destination `d` is the walk from its source
+    /// to `d`'s root, then the fixed chain down to `d` (module doc) —
+    /// unless the source sits on that chain or is a stub of a chain
+    /// node, where it joins the chain directly. So each chain link is
+    /// counted once per destination, each stub link once per source,
+    /// and each walk to a root once per source with the number of its
+    /// destinations as weight: only the walks' ECMP prefixes are
+    /// followed pair by pair.
+    pub fn count_pair_paths(
+        &self,
+        hosts: &[NodeId],
+        flow_of: impl Fn(usize, usize) -> FlowId,
+    ) -> Vec<u64> {
+        let n = self.n;
+        let h = hosts.len() as u64;
+        let node = |i: usize| hosts[i].0 as usize;
+        let mut count = vec![0u64; self.link_to.len()];
+        // Host indices at each node, and at each node's stubs.
+        let mut hosts_at = vec![0u64; n];
+        let mut stub_hosts_at = vec![0u64; n];
+        for i in 0..hosts.len() {
+            hosts_at[node(i)] += 1;
+            if let Some(q) = self.stubs[node(i)] {
+                stub_hosts_at[q.peer as usize] += 1;
+            }
+        }
+        // Chain links. `d`'s chain is `x_0 = d`, `x_1` its gateway, and
+        // so on up to the root. A source joins it at or below `x_k` when
+        // it is one of `x_0..x_k` or a stub of one; every other source
+        // (`h - below` of them) crosses `x_k`'s gateway link.
+        // `through[x]` counts the destinations whose chain passes `x`.
+        let mut through = vec![0u64; n];
+        let mut root_of = Vec::with_capacity(hosts.len());
+        for j in 0..hosts.len() {
+            let (mut x, mut below, mut prev) = (node(j), 0, None::<usize>);
+            loop {
+                match self.dests[x] {
+                    Dest::Row(row) => break root_of.push(row),
+                    Dest::Via { gateway, link } => {
+                        through[x] += 1;
+                        below += hosts_at[x] + stub_hosts_at[x];
+                        // The node below on the chain, if it is a stub
+                        // of `x`, is already counted.
+                        if let Some(p) = prev {
+                            if matches!(self.stubs[p], Some(q) if q.peer as usize == x) {
+                                below -= hosts_at[p];
+                            }
+                        }
+                        count[link.0 as usize] += h - below;
+                        prev = Some(x);
+                        x = gateway as usize;
+                    }
+                }
+            }
+        }
+        let folded = |x: usize| matches!(self.dests[x], Dest::Via { .. });
+        let root_row = |mut x: usize| loop {
+            match self.dests[x] {
+                Dest::Row(row) => break row,
+                Dest::Via { gateway, .. } => x = gateway as usize,
+            }
+        };
+        // Stub links, and per source the destinations whose chain it
+        // joins (all under one root). A folded stub's gateway is its
+        // peer, so its own chains are among its peer's.
+        let mut joins = Vec::with_capacity(hosts.len());
+        for i in 0..hosts.len() {
+            let s = node(i);
+            let own = if folded(s) { through[s] } else { 0 };
+            joins.push(match self.stubs[s] {
+                Some(q) if folded(q.peer as usize) => {
+                    let peer = q.peer as usize;
+                    count[q.link.0 as usize] += through[peer] - own;
+                    (root_row(peer), through[peer])
+                }
+                _ => (root_row(s), own),
+            });
+        }
+        // Walks to each root.
+        let mut weight = vec![0u64; n];
+        let mut memo = vec![None; n];
+        let mut group = Vec::new();
+        for (root, dest) in self.dests.iter().enumerate() {
+            let Dest::Row(row) = *dest else { continue };
+            group.clear();
+            group.extend((0..hosts.len()).filter(|&j| root_of[j] == row));
+            if group.is_empty() {
+                continue;
+            }
+            memo.fill(None);
+            for (i, &(join_row, joined)) in joins.iter().enumerate() {
+                let s = node(i);
+                let joined = if join_row == row { joined } else { 0 };
+                let walks = group.len() as u64 - joined;
+                if walks == 0 {
+                    continue;
+                }
+                if self.hash_free(s, row, root, &mut memo) {
+                    weight[s] += walks;
+                    continue;
+                }
+                // The ECMP prefix, pair by pair, up to a hash-free node.
+                for &j in &group {
+                    if self.enters_chain(s, node(j)) {
+                        continue;
+                    }
+                    let hash = Self::flow_hash(flow_of(i, j));
+                    let (mut x, mut hops) = (s, 0);
+                    while !self.hash_free(x, row, root, &mut memo) {
+                        let set = self.row_entry(row, x);
+                        if set.is_empty() {
+                            panic!("no route {:?} -> {:?}", NodeId(x as u32), hosts[j]);
+                        }
+                        let hop = set[(hash % set.len() as u64) as usize];
+                        count[hop.0 as usize] += 1;
+                        x = self.link_to[hop.0 as usize].0 as usize;
+                        hops += 1;
+                        assert!(
+                            hops <= MAX_HOPS,
+                            "routing loop {:?} -> {:?}",
+                            hosts[i],
+                            hosts[j]
+                        );
+                    }
+                    weight[x] += 1;
+                }
+            }
+            // Every weighted node's fixed walk to the root.
+            for (u, w) in weight.iter_mut().enumerate() {
+                let w = std::mem::take(w);
+                let mut x = u;
+                while w > 0 && x != root {
+                    let hop = self.row_entry(row, x)[0];
+                    count[hop.0 as usize] += w;
+                    x = self.link_to[hop.0 as usize].0 as usize;
+                }
+            }
+        }
+        count
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{gateway, Adjacency};
+    use super::Dest;
     use crate::{FlowId, LinkId, Network, NodeId, RoutingTable, TraceLevel};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use ups_sim::{Bandwidth, Dur};
+
+    /// The panic message of `r`, which must have panicked.
+    fn message(r: std::thread::Result<()>) -> String {
+        *r.expect_err("must panic")
+            .downcast::<String>()
+            .expect("formatted panic message")
+    }
 
     #[test]
     fn visitor_and_resolve_path_refuse_an_unreachable_pair_alike() {
@@ -332,11 +577,6 @@ mod tests {
         net.add_duplex(a, b, Bandwidth::gbps(1), Dur::from_micros(1));
         net.add_link(c, a, Bandwidth::gbps(1), Dur::from_micros(1));
         let rt = net.compute_routes();
-        let message = |r: std::thread::Result<()>| {
-            *r.expect_err("must panic")
-                .downcast::<String>()
-                .expect("formatted panic message")
-        };
         for (src, dst) in [(a, c), (b, c)] {
             let visited = message(catch_unwind(AssertUnwindSafe(|| {
                 rt.for_each_hop(src, dst, FlowId(1), |_| {})
@@ -352,6 +592,59 @@ mod tests {
         rt.for_each_hop(c, b, FlowId(1), |l| seen.push(l));
         assert_eq!(seen[..], rt.resolve_path(c, b, FlowId(1)).links[..]);
         assert_eq!(seen.len(), 2);
+    }
+
+    #[test]
+    fn pair_counting_and_the_visitor_refuse_an_unreachable_host_pair_alike() {
+        // Core routers r0 <-> r1, an edge router and a host behind each
+        // (so both hosts resolve through gateway chains), and a host v
+        // behind r1 on an ECMP pair of links (so its walks are followed
+        // pair by pair). Nothing reaches host u (a link out to r0, none
+        // in) or host w, whose edge router has a link out to r0 and none
+        // in: u is a root, w resolves through its edge router's row.
+        let mut net = Network::new(TraceLevel::Off);
+        let (r0, r1) = (net.add_router("r0"), net.add_router("r1"));
+        net.add_duplex(r0, r1, Bandwidth::gbps(1), Dur::from_micros(10));
+        let mut hosts = Vec::new();
+        for core in [r0, r1] {
+            let edge = net.add_router("edge");
+            let host = net.add_host("host");
+            net.add_duplex(edge, core, Bandwidth::gbps(1), Dur::from_micros(5));
+            net.add_duplex(host, edge, Bandwidth::gbps(1), Dur::from_micros(1));
+            hosts.push(host);
+        }
+        let v = net.add_host("v");
+        for _ in 0..2 {
+            net.add_duplex(v, r1, Bandwidth::gbps(1), Dur::from_micros(1));
+        }
+        let u = net.add_host("u");
+        net.add_link(u, r0, Bandwidth::gbps(1), Dur::from_micros(1));
+        let (edge, w) = (net.add_router("edge"), net.add_host("w"));
+        net.add_link(edge, r0, Bandwidth::gbps(1), Dur::from_micros(5));
+        net.add_duplex(w, edge, Bandwidth::gbps(1), Dur::from_micros(1));
+        let rt = net.compute_routes();
+        assert_eq!(rt.ecmp_width(v, r1), 2);
+        assert!(matches!(rt.dests[w.0 as usize], Dest::Via { .. }));
+        // Each list has one unreachable ordered pair, some host -> bad,
+        // counted once or twice.
+        for bad in [u, w] {
+            for list in [
+                vec![hosts[0], bad],
+                vec![bad, hosts[1]],
+                vec![v, bad],
+                vec![bad, v, bad],
+            ] {
+                let (src, flow) = (list[usize::from(list[0] == bad)], FlowId(1));
+                let walked = message(catch_unwind(AssertUnwindSafe(|| {
+                    rt.for_each_hop(src, bad, flow, |_| {})
+                })));
+                let counted = message(catch_unwind(AssertUnwindSafe(|| {
+                    rt.count_pair_paths(&list, |_, _| flow);
+                })));
+                assert_eq!(walked, format!("no route {src:?} -> {bad:?}"));
+                assert_eq!(counted, walked, "{list:?}");
+            }
+        }
     }
 
     #[test]
@@ -386,8 +679,15 @@ mod tests {
 
     /// The next-hop set of `(node, dest)`.
     fn entry(rt: &RoutingTable, node: usize, dest: usize) -> &[LinkId] {
-        let i = dest * rt.n + node;
-        &rt.hops[rt.off[i] as usize..rt.off[i + 1] as usize]
+        rt.entry(NodeId(node as u32), NodeId(dest as u32))
+    }
+
+    /// How many destinations run Dijkstra.
+    fn roots(rt: &RoutingTable) -> usize {
+        rt.dests
+            .iter()
+            .filter(|d| matches!(d, Dest::Row(_)))
+            .count()
     }
 
     #[test]
@@ -400,6 +700,7 @@ mod tests {
         let (gv, vg) = net.add_duplex(g, v, Bandwidth::INFINITE, Dur::ZERO);
         let (hg, gh) = net.add_duplex(h, g, Bandwidth::gbps(1), Dur::from_micros(1));
         let rt = net.compute_routes();
+        assert_eq!(roots(&rt), 3);
         // Rows g, v, h; in each, the entries at g, v, h.
         let want: [[&[LinkId]; 3]; 3] = [
             [&[], &[vg], &[hg]],
@@ -430,7 +731,7 @@ mod tests {
         ];
         for (topo, cores) in builds {
             // The builder wired the library build of this crate; rewire
-            // its graph here to reach the private gateway test.
+            // its graph here to reach the table's private fields.
             let mut net = Network::new(TraceLevel::Off);
             for node in &topo.net.nodes {
                 if node.is_host() {
@@ -443,27 +744,21 @@ mod tests {
                 net.add_link(NodeId(l.from.0), NodeId(l.to.0), l.bw, l.prop);
             }
             let n = net.nodes.len();
-            let inbound = Adjacency::new(n, &net.links, |l| l.to, |l| l.from);
-            let outbound = Adjacency::new(n, &net.links, |l| l.from, |l| l.to);
-            let mut patches = Vec::new();
-            let mut dijkstras = 0;
+            let folded = net.compute_routes();
             for node in &net.nodes {
-                let gw = gateway(node.id.0 as usize, &inbound, &outbound, &mut patches);
+                let via = matches!(folded.dests[node.id.0 as usize], Dest::Via { .. });
                 let access = node.is_host() || node.name.starts_with("edge:");
-                assert_eq!(gw.is_some(), access, "{} in {}", node.name, topo.name);
-                if gw.is_some() {
-                    assert!(patches.len() <= 3, "{}: {patches:?}", node.name);
-                }
-                dijkstras += usize::from(gw.is_none());
+                assert_eq!(via, access, "{} in {}", node.name, topo.name);
             }
-            assert_eq!(dijkstras, cores, "{}", topo.name);
+            assert_eq!(roots(&folded), cores, "{}", topo.name);
+            assert_eq!(folded.off.len(), cores * n + 1, "{}", topo.name);
 
             // Folding changes no entry: an unreachable zero-cost pair of
             // extra nodes turns it off for the whole graph.
-            let folded = net.compute_routes();
             let (x, y) = (net.add_router("x"), net.add_router("y"));
             net.add_duplex(x, y, Bandwidth::INFINITE, Dur::ZERO);
             let plain = net.compute_routes();
+            assert_eq!(roots(&plain), n + 2);
             for dest in 0..n {
                 for node in 0..n {
                     assert_eq!(entry(&folded, node, dest), entry(&plain, node, dest));

@@ -1,9 +1,10 @@
-//! Heap allocations of the event core and the packet table, counted.
+//! Heap allocations of the event core, the packet table and the routing
+//! table, counted.
 //!
 //! A counting global allocator (one counter per thread, so tests
 //! running side by side do not see each other's allocations) checks
-//! four claims on a small Internet2 UDP workload, and one on a closed
-//! TCP loop:
+//! claims on a small Internet2 UDP workload, on a closed TCP loop and on
+//! the routing pass of the full RocketFuel map:
 //!
 //! * hop tracing costs no allocation per packet: a FIFO leg at
 //!   [`TraceLevel::Hops`] allocates at most a constant more than the
@@ -19,7 +20,9 @@
 //!   delivery-traced one;
 //! * the fairness leg's heap high-water mark follows the packets in
 //!   flight, not the packets delivered: it keeps no packet table;
-//! * a network stopped mid-run frees every packet it still holds.
+//! * a network stopped mid-run frees every packet it still holds;
+//! * the routing table of the full RocketFuel map stores the rows its
+//!   83 Dijkstra runs compute, not a dense `n × n` table.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -34,6 +37,7 @@ use ups::net::{FlowId, LinkPolicy, TraceLevel};
 use ups::sched::SchedKind;
 use ups::sim::{Bandwidth, Dur, Time};
 use ups::topo::internet2::{build, I2Config};
+use ups::topo::rocketfuel::{self, RocketFuelConfig};
 use ups::topo::simple::dumbbell;
 use ups::topo::Topology;
 use ups::transport::flow::FlowDesc;
@@ -42,6 +46,8 @@ use ups::transport::udp::inject_udp_flows;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    // Bytes requested by every `alloc`, `alloc_zeroed` and `realloc`.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
     // Bytes allocated minus bytes freed on this thread, and the
     // high-water mark of that balance.
     static LIVE: Cell<i64> = const { Cell::new(0) };
@@ -49,13 +55,15 @@ thread_local! {
 }
 
 /// The system allocator, counting every `alloc`, `alloc_zeroed` and
-/// `realloc` on the calling thread, and the live bytes they leave.
+/// `realloc` on the calling thread, the bytes they request, and the
+/// live bytes they leave.
 struct Counting;
 
-fn count_one() {
+fn count_one(size: usize) {
     // `try_with`: the allocator also serves threads whose locals are
     // being torn down; those allocations are simply not counted.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|b| b.set(b.get() + size as u64));
 }
 
 fn count_bytes(delta: i64) {
@@ -70,21 +78,21 @@ fn count_bytes(delta: i64) {
 // const-initialised thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         count_bytes(layout.size() as i64);
         // SAFETY: the caller's contract for `alloc` is passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         count_bytes(layout.size() as i64);
         // SAFETY: the caller's contract for `alloc_zeroed` is passed through.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         count_bytes(new_size as i64 - layout.size() as i64);
         // SAFETY: the caller's contract for `realloc` is passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -105,6 +113,14 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Run `f` and return its result with the bytes its allocations
+/// requested, in total.
+fn requested_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 /// Run `f` and return its result with the most bytes it held live at
@@ -336,5 +352,20 @@ fn fairness_leg_memory_tracks_packets_in_flight_not_delivered() {
     assert!(
         h2 * 4 <= h * 5,
         "peak heap {h2} B over 2H vs {h} B over H: the leg keeps state per delivered packet"
+    );
+}
+
+/// Routing the full RocketFuel map (1,743 nodes) runs 83 Dijkstras, one
+/// per core router, and keeps those 83 rows: ~1.2 MB of offsets and
+/// next hops, plus the per-node and per-link arrays. A dense table over
+/// every `(node, destination)` pair would need ~24 MB.
+#[test]
+fn routing_the_full_rocketfuel_map_allocates_under_two_mib() {
+    let mut topo = rocketfuel::build(&RocketFuelConfig::full(), TraceLevel::Off);
+    assert_eq!(topo.net.nodes.len(), 1743);
+    let (_routes, bytes) = requested_bytes(|| topo.net.compute_routes());
+    assert!(
+        bytes <= 2 << 20,
+        "compute_routes requested {bytes} bytes on RocketFuel-full"
     );
 }

@@ -4,10 +4,11 @@
 //!
 //! * the [`RoutingTable`] holds, for every `(node, destination)` of a
 //!   random topology (with random edge-router → host chains hung off it,
-//!   which is where the table copies gateway rows instead of running
-//!   Dijkstra), exactly the out-links that Bellman–Ford distances
-//!   computed here put on a shortest path, in creation order, and a
-//!   flow takes member `hash % width` at every hop;
+//!   which is where the table resolves through gateway links instead of
+//!   storing a Dijkstra row), exactly the out-links that Bellman–Ford
+//!   distances computed here put on a shortest path, in creation order,
+//!   and a flow takes member `hash % width` at every hop; and its
+//!   pair-path counts are exactly what walking every host pair adds up;
 //! * the product's event loop (one arrival path, one start rule) makes
 //!   the run that a naive loop written here makes — one `BinaryHeap`
 //!   event per pop, boxed packets carried in the events, every start
@@ -271,6 +272,47 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// `count_pair_paths` adds up exactly what walking every ordered
+    /// host pair `i != j` with flow `i·H + j` adds up, on host lists
+    /// drawn (with repeats) from every reachable node: core routers,
+    /// folded leaf routers, edge routers and hosts, stubs among them.
+    #[test]
+    fn pair_path_counts_equal_the_per_pair_walks(
+        n in 3u32..12,
+        extra in 0u32..12,
+        chains in 0u32..6,
+        seed in 0u64..u64::MAX,
+        picks in prop::collection::vec(0u32..u32::MAX, 2..24),
+    ) {
+        let mut net = random_connected(n, extra, seed);
+        let island = (seed % 2 == 1).then(|| net.add_router("island"));
+        hang_access_chains(&mut net, n, chains, seed);
+        let table = net.compute_routes();
+        let reachable: Vec<NodeId> = (0..net.nodes.len() as u32)
+            .map(NodeId)
+            .filter(|&v| Some(v) != island)
+            .collect();
+        let hosts: Vec<NodeId> = picks
+            .iter()
+            .map(|&p| reachable[p as usize % reachable.len()])
+            .collect();
+        let h = hosts.len();
+        let flow_of = |i: usize, j: usize| FlowId((i * h + j) as u64);
+        let mut want = vec![0u64; net.links.len()];
+        for (i, &s) in hosts.iter().enumerate() {
+            for (j, &d) in hosts.iter().enumerate() {
+                if i != j {
+                    table.for_each_hop(s, d, flow_of(i, j), |l| want[l.0 as usize] += 1);
+                }
+            }
+        }
+        prop_assert_eq!(table.count_pair_paths(&hosts, flow_of), want);
     }
 }
 
