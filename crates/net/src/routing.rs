@@ -2,10 +2,11 @@
 //! plus path resolution and pair-path counting.
 //!
 //! [`crate::Network::compute_routes`] runs one reverse Dijkstra per
-//! **root** destination and stores its answer as a CSR-style row
-//! `node → [next-hop links]`. Resolving a hop toward a root is two array
-//! indexes, an offset lookup and an ECMP member pick. The table also
-//! snapshots each link's `(to, bw, prop)`, so a full source-route
+//! **root** destination over the **transit** nodes only and stores its
+//! answer as a CSR-style row `transit node → [next-hop links]`.
+//! Resolving a hop toward a root is two array indexes, an offset lookup
+//! and an ECMP member pick. The table also snapshots each link's
+//! `(to, bw, prop)`, so a full source-route
 //! ([`RoutingTable::resolve_path`]) needs no access to the `Network`.
 //!
 //! A destination `d` is not a root when it has a **gateway**: a node
@@ -19,17 +20,31 @@
 //! `(node, d)` resolves by climbing `d`'s gateway chain — `[g → d]` at
 //! `g`, `[q → d]` at a stub `q` of `d`, nothing at `d`, and otherwise
 //! whatever `(node, g)` resolves to — until it reaches a root's row. The
-//! paper's access pattern gives every edge router (gateway: its core
-//! router, stub: its host) and every host (gateway: its edge router) one,
-//! so only core routers are roots. The argument needs every link cost
-//! positive — a zero-cost cycle through `g` would put more than `g → d`
-//! on a shortest path from `g` — so a graph with any zero-cost link
-//! (instant, zero-delay theory wires) makes every destination a root.
+//! argument needs every link cost positive — a zero-cost cycle through
+//! `g` would put more than `g → d` on a shortest path from `g` — so a
+//! graph with any zero-cost link (instant, zero-delay theory wires)
+//! makes every destination a root.
+//!
+//! Sources fold the same way. A folded destination `u` with gateway `g`
+//! is a **folded source** when its only out-link that does not go to one
+//! of its own stubs goes to `g`, and none of its stubs is a root. Its
+//! stubs lead only back to it and no root is among them, so toward every
+//! root it takes its **up-link** `u → g` if `g` reaches that root and
+//! has nothing otherwise, and no shortest path between two transit
+//! nodes passes it. Every other node is **transit**: a row stores
+//! entries for transit nodes only, and a folded source answers from the
+//! row's entry at its **transit ancestor**, the first transit node up
+//! its gateway chain. The paper's access pattern makes every edge router
+//! (gateway: its core router, stub: its host) and every host (gateway:
+//! its edge router) a folded destination and a folded source, so the
+//! core routers are the roots and the transit nodes, and the full
+//! RocketFuel map keeps 83 rows of 83 entries for 1,743 nodes.
 //!
 //! The same split counts routes without walking each one:
-//! [`RoutingTable::count_pair_paths`] is a walk from the source to the
-//! root followed by the fixed chain from the root down to the
-//! destination, and only a walk's ECMP prefix depends on the pair.
+//! [`RoutingTable::count_pair_paths`] is a source's fixed up-chain to
+//! its transit ancestor, a walk from there to the root, and the fixed
+//! chain from the root down to the destination; only a walk's ECMP
+//! prefix depends on the pair.
 //!
 //! The handle doubles as the API's proof of route finalization: packet
 //! injection ([`crate::Network::inject`]) takes `&RoutingTable`, so
@@ -52,18 +67,25 @@ use ups_sim::{Bandwidth, Dur};
 /// Immutable, flat forwarding state of a routed [`crate::Network`].
 #[derive(Debug)]
 pub struct RoutingTable {
-    /// Number of nodes: the length of every row.
-    n: usize,
+    /// Number of transit nodes: the length of every row.
+    transit: usize,
     /// How each destination resolves, indexed by node.
     dests: Box<[Dest]>,
     /// Each node's stub link, if it is a stub (module doc).
     stubs: Box<[Option<Stub>]>,
-    /// CSR offsets, row-major: the equal-cost next hops of `node` in
-    /// row `r` are `hops[off[r·n + node] .. off[r·n + node + 1]]`. An
-    /// empty range means unreachable (or `node` is the row's root).
+    /// How each source reads a row, indexed by node.
+    srcs: Box<[Src]>,
+    /// CSR offsets, row-major: with `i = r·transit + t`, the equal-cost
+    /// next hops of transit node `t` in row `r` are
+    /// `hops[off[i] .. off[i + 1]]`. An empty range means unreachable
+    /// (or `t` is the row's root).
     off: Box<[u32]>,
     /// Concatenated ECMP member links of every row.
     hops: Vec<LinkId>,
+    /// Per row, its transit nodes nearest the root first (Dijkstra's
+    /// pop order), then the ones that cannot reach it: row `r`'s are
+    /// `order[r·transit .. (r + 1)·transit]`.
+    order: Box<[u32]>,
     /// Per-link receiving node, indexed by `LinkId`.
     link_to: Box<[NodeId]>,
     /// Per-link serialization rate, indexed by `LinkId`.
@@ -75,11 +97,31 @@ pub struct RoutingTable {
 /// How the table answers for one destination.
 #[derive(Debug, Clone, Copy)]
 enum Dest {
-    /// A root: Dijkstra's answer is row `.0`.
+    /// A root: Dijkstra's answer is row `.0`. The roots are the first
+    /// transit nodes, so `.0` is also the root's transit index.
     Row(u32),
     /// A folded destination: every path into it ends with `link`, from
     /// `gateway`.
     Via { gateway: u32, link: LinkId },
+}
+
+/// How the table answers from one source.
+#[derive(Debug, Clone, Copy)]
+enum Src {
+    /// A transit node: its index into every row.
+    Transit(u32),
+    /// A folded source: its up-link, and the transit index of its
+    /// transit ancestor.
+    Folded { up: LinkId, top: u32 },
+}
+
+impl Src {
+    /// The transit index of the node, or of its transit ancestor.
+    fn top(self) -> u32 {
+        match self {
+            Src::Transit(t) | Src::Folded { top: t, .. } => t,
+        }
+    }
 }
 
 /// A stub's only out-link, and the node it goes to.
@@ -91,6 +133,7 @@ struct Stub {
 
 /// A link as the routing pass sees it from one end: the node at the
 /// other end, and propagation + 1500-byte transmission time in ps.
+#[derive(Clone, Copy)]
 struct Edge {
     peer: usize,
     cost: u64,
@@ -98,40 +141,69 @@ struct Edge {
 }
 
 /// One direction of the link graph in CSR form: the edges of node `v`
-/// are `edges[off[v]..off[v + 1]]`, in link creation order (the sort is
-/// stable).
+/// are `edges[off[v]..off[v + 1]]`, in link creation order.
 struct Adjacency {
     off: Vec<usize>,
     edges: Vec<Edge>,
 }
 
 impl Adjacency {
-    /// Group `links` by the node `at(link)` names; `peer(link)` is the
-    /// other end.
+    /// Group `links` (in creation order) by the node `at(link)` names;
+    /// `peer(link)` is the other end.
     fn new(
         n: usize,
         links: &[Link],
         at: impl Fn(&Link) -> NodeId,
         peer: impl Fn(&Link) -> NodeId,
     ) -> Adjacency {
-        let mut order: Vec<&Link> = links.iter().collect();
-        order.sort_by_key(|l| at(l).0);
-        let off = (0..=n)
-            .map(|v| order.partition_point(|l| (at(l).0 as usize) < v))
-            .collect();
-        let edges = order
-            .iter()
-            .map(|l| Edge {
+        let mut off = vec![0; n + 1];
+        for l in links {
+            off[at(l).0 as usize + 1] += 1;
+        }
+        for v in 0..n {
+            off[v + 1] += off[v];
+        }
+        let mut next = off.clone();
+        let mut edges = vec![
+            Edge {
+                peer: 0,
+                cost: 0,
+                link: LinkId(0),
+            };
+            links.len()
+        ];
+        for l in links {
+            let slot = &mut next[at(l).0 as usize];
+            edges[*slot] = Edge {
                 peer: peer(l).0 as usize,
                 cost: (l.prop + l.bw.tx_time(1500)).as_ps(),
                 link: l.id,
-            })
-            .collect();
+            };
+            *slot += 1;
+        }
         Adjacency { off, edges }
     }
 
     fn of(&self, v: usize) -> &[Edge] {
         &self.edges[self.off[v]..self.off[v + 1]]
+    }
+
+    /// The subgraph on `nodes`, renumbered by position in `nodes`:
+    /// `index(v)` is `v`'s position, `None` for a node left out.
+    fn among(&self, nodes: &[usize], index: impl Fn(usize) -> Option<usize>) -> Adjacency {
+        let mut off = Vec::with_capacity(nodes.len() + 1);
+        let mut edges = Vec::new();
+        off.push(0);
+        for &v in nodes {
+            edges.extend(self.of(v).iter().filter_map(|e| {
+                Some(Edge {
+                    peer: index(e.peer)?,
+                    ..*e
+                })
+            }));
+            off.push(edges.len());
+        }
+        Adjacency { off, edges }
     }
 }
 
@@ -163,9 +235,35 @@ fn gateway(dest: usize, inbound: &Adjacency, stubs: &[Option<Stub>]) -> Option<(
     found
 }
 
+/// The up-link of the folded destination `u` with gateway `g`, if `u`
+/// is a folded source (module doc).
+fn up_link(
+    u: usize,
+    g: u32,
+    outbound: &Adjacency,
+    stubs: &[Option<Stub>],
+    dests: &[Dest],
+) -> Option<LinkId> {
+    let mut up = None;
+    for e in outbound.of(u) {
+        if matches!(stubs[e.peer], Some(s) if s.peer as usize == u) {
+            if matches!(dests[e.peer], Dest::Row(_)) {
+                return None;
+            }
+            continue;
+        }
+        if up.is_some() || e.peer != g as usize {
+            return None;
+        }
+        up = Some(e.link);
+    }
+    up
+}
+
 /// `hops.len()` as the next CSR offset.
-// The rows hold at most n² entries, which overflow `u32` only past
-// ~65 k nodes — far beyond any topology this simulator builds.
+// Each row holds at most one entry per link, so the offsets overflow
+// `u32` only when roots × links passes 4 G — far beyond any topology
+// this simulator builds.
 #[allow(clippy::expect_used)]
 fn end_offset(hops: &[LinkId]) -> u32 {
     u32::try_from(hops.len()).expect("routing table exceeds u32 offsets")
@@ -195,31 +293,61 @@ impl RoutingTable {
                 }
             })
             .collect();
+        // Transit indices: the roots first, then every other transit
+        // node. A gateway precedes its node, so its `Src` is known.
+        let mut transit = roots;
+        let mut srcs: Vec<Src> = Vec::with_capacity(n);
+        for (u, dest) in dests.iter().enumerate() {
+            srcs.push(match *dest {
+                Dest::Row(row) => Src::Transit(row),
+                Dest::Via { gateway, .. } => match up_link(u, gateway, &outbound, &stubs, &dests) {
+                    Some(up) => Src::Folded {
+                        up,
+                        top: srcs[gateway as usize].top(),
+                    },
+                    None => {
+                        transit += 1;
+                        Src::Transit(transit - 1)
+                    }
+                },
+            });
+        }
+        let (roots, transit) = (roots as usize, transit as usize);
+        let mut nodes = vec![0; transit];
+        for (u, src) in srcs.iter().enumerate() {
+            if let Src::Transit(t) = *src {
+                nodes[t as usize] = u;
+            }
+        }
+        let index = |v: usize| match srcs[v] {
+            Src::Transit(t) => Some(t as usize),
+            Src::Folded { .. } => None,
+        };
+        let inbound = inbound.among(&nodes, index);
+        let outbound = outbound.among(&nodes, index);
 
-        let rows = roots as usize * n;
+        let rows = roots * transit;
         let mut off = Vec::with_capacity(rows + 1);
-        // In a connected graph every node but a row's root has at least
-        // one next hop in it, so `rows` entries suffice unless
+        // In a connected graph every transit node but a row's root has
+        // at least one next hop in it, so `rows` entries suffice unless
         // equal-cost sets add more.
         let mut hops = Vec::with_capacity(rows);
+        let mut order = Vec::with_capacity(rows);
         off.push(0u32);
         // Scratch reused across roots.
         let mut dist: Vec<u64> = Vec::new();
         let mut heap = std::collections::BinaryHeap::new();
-        for (dest, _) in dests
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| matches!(d, Dest::Row(_)))
-        {
+        for root in 0..roots {
             dist.clear();
-            dist.resize(n, u64::MAX);
-            dist[dest] = 0;
+            dist.resize(transit, u64::MAX);
+            dist[root] = 0;
             heap.clear();
-            heap.push(Reverse((0u64, dest)));
+            heap.push(Reverse((0u64, root)));
             while let Some(Reverse((d, v))) = heap.pop() {
                 if d > dist[v] {
                     continue;
                 }
+                order.push(v as u32);
                 for e in inbound.of(v) {
                     let nd = d + e.cost;
                     if nd < dist[e.peer] {
@@ -228,10 +356,10 @@ impl RoutingTable {
                     }
                 }
             }
-            // This root's row: per node, every out-link on a shortest
-            // path (none at the root or out of reach).
+            // This root's row: per transit node, every out-link on a
+            // shortest path (none at the root or out of reach).
             for (u, &du) in dist.iter().enumerate() {
-                if u != dest && du != u64::MAX {
+                if u != root && du != u64::MAX {
                     for e in outbound.of(u) {
                         let dv = dist[e.peer];
                         if dv != u64::MAX && e.cost + dv == du {
@@ -241,13 +369,16 @@ impl RoutingTable {
                 }
                 off.push(end_offset(&hops));
             }
+            order.extend((0..transit as u32).filter(|&u| dist[u as usize] == u64::MAX));
         }
         RoutingTable {
-            n,
+            transit,
             dests,
             stubs,
+            srcs: srcs.into(),
             off: off.into(),
             hops,
+            order: order.into(),
             link_to: links.iter().map(|l| l.to).collect(),
             link_bw: links.iter().map(|l| l.bw).collect(),
             link_prop: links.iter().map(|l| l.prop).collect(),
@@ -264,11 +395,34 @@ impl RoutingTable {
         z ^ (z >> 31)
     }
 
-    /// The equal-cost next hops of `node` in row `row`.
+    /// The stored equal-cost next hops of transit node `t` in row `row`.
+    #[inline]
+    fn stored(&self, row: u32, t: u32) -> &[LinkId] {
+        let i = row as usize * self.transit + t as usize;
+        &self.hops[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+
+    /// The equal-cost next hops of `node` in row `row`: the stored
+    /// entry of a transit node; a folded source's up-link if its transit
+    /// ancestor is the row's root or reaches it, else nothing.
     #[inline]
     fn row_entry(&self, row: u32, node: usize) -> &[LinkId] {
-        let i = row as usize * self.n + node;
-        &self.hops[self.off[i] as usize..self.off[i + 1] as usize]
+        match &self.srcs[node] {
+            Src::Transit(t) => self.stored(row, *t),
+            Src::Folded { up, top } => {
+                if *top == row || !self.stored(row, *top).is_empty() {
+                    slice::from_ref(up)
+                } else {
+                    &[]
+                }
+            }
+        }
+    }
+
+    /// The transit index of the node `hop` goes to, which is transit
+    /// whenever `hop` is a stored next hop.
+    fn transit_at(&self, hop: LinkId) -> u32 {
+        self.srcs[self.link_to[hop.0 as usize].0 as usize].top()
     }
 
     /// The equal-cost next hops from `node` toward `dest`: climb `dest`'s
@@ -374,38 +528,6 @@ impl RoutingTable {
         false
     }
 
-    /// Whether the walk from `u` to `root` in row `row` takes one fixed
-    /// next hop at every node, so no flow hash can change it. Memoized
-    /// in `memo` for every node the walk passes.
-    fn hash_free(&self, u: usize, row: u32, root: usize, memo: &mut [Option<bool>]) -> bool {
-        let step = |x: usize| match self.row_entry(row, x) {
-            [only] => Some(self.link_to[only.0 as usize].0 as usize),
-            _ => None,
-        };
-        let mut x = u;
-        let known = loop {
-            if x == root {
-                break true;
-            }
-            if let Some(known) = memo[x] {
-                break known;
-            }
-            match step(x) {
-                Some(next) => x = next,
-                None => break false,
-            }
-        };
-        let mut x = u;
-        while x != root && memo[x].is_none() {
-            memo[x] = Some(known);
-            match step(x) {
-                Some(next) => x = next,
-                None => break,
-            }
-        }
-        known
-    }
-
     /// How many of the routes between `hosts` cross each link, indexed
     /// by `LinkId`: exactly the counts that calling
     /// [`for_each_hop`](RoutingTable::for_each_hop) for every ordered
@@ -416,17 +538,19 @@ impl RoutingTable {
     /// A route to a folded destination `d` is the walk from its source
     /// to `d`'s root, then the fixed chain down to `d` (module doc) —
     /// unless the source sits on that chain or is a stub of a chain
-    /// node, where it joins the chain directly. So each chain link is
-    /// counted once per destination, each stub link once per source,
-    /// and each walk to a root once per source with the number of its
-    /// destinations as weight: only the walks' ECMP prefixes are
+    /// node, where it joins the chain directly. A walk to a root is the
+    /// source's fixed up-chain to its transit ancestor, then a walk in
+    /// the root's row. So each chain link is counted once per
+    /// destination, each stub link and up-chain once per source, and
+    /// each transit ancestor's walk to a root once with the number of
+    /// walks it carries as weight: only the walks' ECMP prefixes are
     /// followed pair by pair.
     pub fn count_pair_paths(
         &self,
         hosts: &[NodeId],
         flow_of: impl Fn(usize, usize) -> FlowId,
     ) -> Vec<u64> {
-        let n = self.n;
+        let n = self.dests.len();
         let h = hosts.len() as u64;
         let node = |i: usize| hosts[i].0 as usize;
         let mut count = vec![0u64; self.link_to.len()];
@@ -491,44 +615,83 @@ impl RoutingTable {
                 _ => (root_row(s), own),
             });
         }
-        // Walks to each root.
-        let mut weight = vec![0u64; n];
-        let mut memo = vec![None; n];
-        let mut group = Vec::new();
-        for (root, dest) in self.dests.iter().enumerate() {
-            let Dest::Row(row) = *dest else { continue };
-            group.clear();
-            group.extend((0..hosts.len()).filter(|&j| root_of[j] == row));
-            if group.is_empty() {
-                continue;
+        // Up-chains: every walk of a source to a root (`h - joined` of
+        // them) starts with it, and the walk goes on from the source's
+        // transit ancestor.
+        let mut tops = Vec::with_capacity(hosts.len());
+        let mut sources_at = vec![0u64; self.transit];
+        for (i, &(_, joined)) in joins.iter().enumerate() {
+            let mut x = node(i);
+            while let Src::Folded { up, .. } = self.srcs[x] {
+                count[up.0 as usize] += h - joined;
+                x = self.link_to[up.0 as usize].0 as usize;
             }
-            memo.fill(None);
-            for (i, &(join_row, joined)) in joins.iter().enumerate() {
-                let s = node(i);
-                let joined = if join_row == row { joined } else { 0 };
-                let walks = group.len() as u64 - joined;
-                if walks == 0 {
+            let top = self.srcs[x].top();
+            sources_at[top as usize] += 1;
+            tops.push(top);
+        }
+        // Walks to each root: destinations grouped by root, and the
+        // sources whose joined destinations sit under each root.
+        let mut by_root: Vec<usize> = (0..hosts.len()).collect();
+        by_root.sort_by_key(|&j| root_of[j]);
+        let mut by_join: Vec<usize> = (0..hosts.len()).collect();
+        by_join.sort_by_key(|&i| joins[i].0);
+        let mut weight = vec![0u64; self.transit];
+        let mut free = vec![false; self.transit];
+        for group in by_root.chunk_by(|&a, &b| root_of[a] == root_of[b]) {
+            let row = root_of[group[0]];
+            // Every source walks to each destination of the group but
+            // the ones whose chain it joins.
+            for (w, &sources) in weight.iter_mut().zip(&sources_at) {
+                *w = sources * group.len() as u64;
+            }
+            let joiners = by_join.partition_point(|&i| joins[i].0 < row)
+                ..by_join.partition_point(|&i| joins[i].0 <= row);
+            for &i in &by_join[joiners] {
+                weight[tops[i] as usize] -= joins[i].1;
+            }
+            // Whether a node's walk to the root takes one fixed next hop
+            // at every node, so no flow hash can change it; nearest
+            // first, so each next hop is settled before its node. The
+            // walks from a node that is not are followed pair by pair.
+            let order = &self.order[row as usize * self.transit..][..self.transit];
+            for &x in order {
+                let i = x as usize;
+                free[i] = x == row
+                    || matches!(self.stored(row, x), [only] if free[self.transit_at(*only) as usize]);
+                if !free[i] {
+                    weight[i] = 0;
+                }
+            }
+            // The ECMP prefix (or the missing route) of each such walk,
+            // up to a hash-free node; no source has one when every node
+            // is hash-free.
+            let sources = if free.contains(&false) {
+                &tops[..]
+            } else {
+                &[]
+            };
+            for (i, &t) in sources.iter().enumerate() {
+                if free[t as usize] {
                     continue;
                 }
-                if self.hash_free(s, row, root, &mut memo) {
-                    weight[s] += walks;
-                    continue;
-                }
-                // The ECMP prefix, pair by pair, up to a hash-free node.
-                for &j in &group {
-                    if self.enters_chain(s, node(j)) {
+                for &j in group {
+                    if self.enters_chain(node(i), node(j)) {
                         continue;
                     }
                     let hash = Self::flow_hash(flow_of(i, j));
-                    let (mut x, mut hops) = (s, 0);
-                    while !self.hash_free(x, row, root, &mut memo) {
-                        let set = self.row_entry(row, x);
+                    let (mut x, mut hops) = (t, 0);
+                    while !free[x as usize] {
+                        let set = self.stored(row, x);
+                        // Only a walk's first node can be cut off from
+                        // the root, and a folded source is cut off
+                        // exactly when its transit ancestor is.
                         if set.is_empty() {
-                            panic!("no route {:?} -> {:?}", NodeId(x as u32), hosts[j]);
+                            panic!("no route {:?} -> {:?}", hosts[i], hosts[j]);
                         }
                         let hop = set[(hash % set.len() as u64) as usize];
                         count[hop.0 as usize] += 1;
-                        x = self.link_to[hop.0 as usize].0 as usize;
+                        x = self.transit_at(hop);
                         hops += 1;
                         assert!(
                             hops <= MAX_HOPS,
@@ -537,17 +700,17 @@ impl RoutingTable {
                             hosts[j]
                         );
                     }
-                    weight[x] += 1;
+                    weight[x as usize] += 1;
                 }
             }
-            // Every weighted node's fixed walk to the root.
-            for (u, w) in weight.iter_mut().enumerate() {
-                let w = std::mem::take(w);
-                let mut x = u;
-                while w > 0 && x != root {
-                    let hop = self.row_entry(row, x)[0];
+            // Every weighted node's fixed walk to the root, farthest
+            // first, so each node hands on its weight once.
+            for &x in order.iter().rev() {
+                let w = weight[x as usize];
+                if w > 0 && x != row {
+                    let hop = self.stored(row, x)[0];
                     count[hop.0 as usize] += w;
-                    x = self.link_to[hop.0 as usize].0 as usize;
+                    weight[self.transit_at(hop) as usize] += w;
                 }
             }
         }
@@ -557,7 +720,7 @@ impl RoutingTable {
 
 #[cfg(test)]
 mod tests {
-    use super::Dest;
+    use super::{Dest, Src};
     use crate::{FlowId, LinkId, Network, NodeId, RoutingTable, TraceLevel};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use ups_sim::{Bandwidth, Dur};
@@ -716,9 +879,12 @@ mod tests {
 
     #[test]
     fn every_host_and_edge_router_of_the_wan_builders_has_a_gateway() {
-        use ups_topo::{default_level, internet2, rocketfuel};
+        use ups_topo::{default_level, fattree, internet2, rocketfuel};
         // `default_level()`: the builders take the library build's
         // `TraceLevel`, which this test build of the crate cannot name.
+        // Expected roots and transit nodes: the core routers of the WAN
+        // maps; every switch of the fat-tree, whose edge switches have
+        // four uplinks.
         let builds = [
             (
                 internet2::build(&internet2::I2Config::default(), default_level()),
@@ -727,6 +893,10 @@ mod tests {
             (
                 rocketfuel::build(&rocketfuel::RocketFuelConfig::full(), default_level()),
                 83,
+            ),
+            (
+                fattree::build(&fattree::FatTreeConfig::for_k(8), default_level()),
+                80,
             ),
         ];
         for (topo, cores) in builds {
@@ -746,12 +916,16 @@ mod tests {
             let n = net.nodes.len();
             let folded = net.compute_routes();
             for node in &net.nodes {
-                let via = matches!(folded.dests[node.id.0 as usize], Dest::Via { .. });
+                let i = node.id.0 as usize;
+                let via = matches!(folded.dests[i], Dest::Via { .. });
                 let access = node.is_host() || node.name.starts_with("edge:");
                 assert_eq!(via, access, "{} in {}", node.name, topo.name);
+                let source = matches!(folded.srcs[i], Src::Folded { .. });
+                assert_eq!(source, access, "{} in {}", node.name, topo.name);
             }
             assert_eq!(roots(&folded), cores, "{}", topo.name);
-            assert_eq!(folded.off.len(), cores * n + 1, "{}", topo.name);
+            assert_eq!(folded.transit, cores, "{}", topo.name);
+            assert_eq!(folded.off.len(), cores * cores + 1, "{}", topo.name);
 
             // Folding changes no entry: an unreachable zero-cost pair of
             // extra nodes turns it off for the whole graph.
@@ -759,11 +933,36 @@ mod tests {
             net.add_duplex(x, y, Bandwidth::INFINITE, Dur::ZERO);
             let plain = net.compute_routes();
             assert_eq!(roots(&plain), n + 2);
+            assert_eq!(plain.transit, n + 2);
             for dest in 0..n {
                 for node in 0..n {
                     assert_eq!(entry(&folded, node, dest), entry(&plain, node, dest));
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_edge_router_whose_host_is_a_root_stays_transit() {
+        // The host added before its edge router: the host's gateway would
+        // be the edge router, which has the higher index, so the host is
+        // a root. It is still the edge router's stub, so the edge router
+        // folds as a destination but not as a source. A second core
+        // router keeps the first from being the edge router's stub too.
+        let mut net = Network::new(TraceLevel::Off);
+        let (core, other) = (net.add_router("core"), net.add_router("other"));
+        net.add_duplex(core, other, Bandwidth::gbps(1), Dur::from_micros(20));
+        let host = net.add_host("host");
+        let edge = net.add_router("edge");
+        let (up, _) = net.add_duplex(edge, core, Bandwidth::gbps(1), Dur::from_micros(20));
+        let (_, down) = net.add_duplex(host, edge, Bandwidth::gbps(10), Dur::from_micros(5));
+        let rt = net.compute_routes();
+        let (other, host, edge) = (other.0 as usize, host.0 as usize, edge.0 as usize);
+        assert!(matches!(rt.dests[host], Dest::Row(_)));
+        assert!(matches!(rt.dests[edge], Dest::Via { .. }));
+        assert!(matches!(rt.srcs[edge], Src::Transit(_)));
+        assert_eq!((roots(&rt), rt.transit), (2, 3));
+        assert_eq!(entry(&rt, edge, host), [down]);
+        assert_eq!(entry(&rt, edge, other), [up]);
     }
 }

@@ -234,7 +234,7 @@ pub const REGISTRY: &[Scenario] = &[
                  131 core links, 10 edge routers per core. Half the core is \
                  slower than the access tier, so congestion points move \
                  into the core. This is the largest WAN in the registry \
-                 (1,743 nodes); a quick-scale cell-run takes ~0.05 s.",
+                 (1,743 nodes); a quick-scale cell-run takes ~0.02 s.",
         topo: TopoKind::RocketFuelFull,
         workload: WorkloadKind::Web,
         pipeline: CellPipeline::Replay,

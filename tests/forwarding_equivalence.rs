@@ -88,10 +88,12 @@ fn random_connected(n: u32, extra: u32, seed: u64) -> Network {
 /// nodes: an edge router duplexed to the router and a host duplexed to
 /// the edge router, the shape `attach_edges_and_hosts` builds. Each chain
 /// takes one of three shapes, which the routing table must answer alike:
-/// the builder's wiring order (both rows copy their gateway's row), the
-/// host added before its edge router (the host's would-be gateway has
-/// the higher index, so it runs Dijkstra), or a second edge → host link
-/// (parallel links into a would-be stub: both run Dijkstra).
+/// the builder's wiring order (edge router and host resolve through
+/// their gateway and read their transit ancestor's entry), the host
+/// added before its edge router (the host's would-be gateway has the
+/// higher index, so it runs Dijkstra, and its edge router stays
+/// transit), or a second edge → host link (parallel links into a
+/// would-be stub: both run Dijkstra).
 fn hang_access_chains(net: &mut Network, n: u32, chains: u32, seed: u64) {
     let mut s = !seed;
     for _ in 0..chains {
